@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,11 +41,11 @@ from .evaluation import (
     report_to_text,
     top_informative_features,
 )
-from .fileio import file_checksum, insert_metadata, load_json, metadata_header
+from .fileio import file_checksum, load_json, metadata_header
 from .models import (
+    AdamConfig,
     BoostConfig,
     TrainConfig,
-    AdamConfig,
     build_token_index,
     cnn_predict,
     cnn_train,
@@ -56,12 +57,14 @@ from .models import (
     load_embeddings,
     load_gbt,
     load_nb,
+    load_token_index,
     nb_fit,
     nb_predict,
-    save_cnn,
-    save_gbt,
-    save_nb,
+    token_index_to_text,
 )
+from .models.boosted_trees import gbt_to_text
+from .models.convnet import cnn_to_text
+from .models.naive_bayes import nb_to_text
 from .preprocess import (
     NormalizationConfig,
     StopPhraseList,
@@ -84,13 +87,11 @@ from .vectorize import (
     Weighting,
     fit as fit_vectorizer,
     load_vocabulary,
-    save_vocabulary,
     transform,
+    vocabulary_to_text,
 )
 
 log = logging.getLogger("satira")
-
-TOKEN_INDEX_FORMAT = "satira-token-index v1"
 
 
 class UsageError(Exception):
@@ -235,20 +236,23 @@ def cmd_measure(args) -> int:
 
 def _read_measures(path) -> dict[str, dict[Label, list[float]]]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    rows = [l for l in lines if l and not l.startswith("#")]
-    if not rows or rows[0] != "doc_id,label,J,S,fpp_ratio":
+    rows = [(n, l) for n, l in enumerate(lines, start=1) if l and not l.startswith("#")]
+    if not rows or rows[0][1] != "doc_id,label,J,S,fpp_ratio":
         raise DataError(f"{path}: expected a measures CSV with header doc_id,label,J,S,fpp_ratio")
     columns = {
         name: {Label.FAKE: [], Label.REAL: []} for name in ("J", "S", "fpp")
     }
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         parts = row.split(",")
         if len(parts) != 5:
             raise DataError(f"{path}: line {lineno}: expected 5 fields")
-        label = Label.FAKE if parts[1] == "fake" else Label.REAL
-        columns["J"][label].append(float(parts[2]))
-        columns["S"][label].append(float(parts[3]))
-        columns["fpp"][label].append(float(parts[4]) if parts[4] else math.nan)
+        try:
+            label = Label(parts[1])
+            values = (float(parts[2]), float(parts[3]), float(parts[4]) if parts[4] else math.nan)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        for name, value in zip(("J", "S", "fpp"), values):
+            columns[name][label].append(value)
     return columns
 
 
@@ -332,22 +336,14 @@ def _int_labels_to_enum(values) -> list[Label]:
     return [Label.FAKE if int(v) == 1 else Label.REAL for v in values]
 
 
-def _vectorizer_config(args) -> VectorizerConfig:
-    ngram = _resolve(args, "ngram", "1,1")
-    if isinstance(ngram, str):
-        try:
-            lo, hi = (int(v) for v in ngram.split(","))
-        except ValueError as exc:
-            raise UsageError(f"--ngram must be LO,HI, got {ngram!r}") from exc
-    else:
-        lo, hi = (int(v) for v in ngram)
-    return VectorizerConfig(
-        weighting=Weighting(_resolve(args, "weighting", "count")),
-        analyzer=Analyzer(_resolve(args, "analyzer", "word")),
-        ngram_range=(lo, hi),
-        max_features=int(_resolve(args, "max-features", 1500)),
-        max_df=float(_resolve(args, "max-df", 0.7)),
-    )
+def _ngram_range(value) -> list[int]:
+    if not isinstance(value, str):
+        return [int(v) for v in value]
+    try:
+        lo, hi = (int(v) for v in value.split(","))
+    except ValueError as exc:
+        raise UsageError(f"--ngram must be LO,HI, got {value!r}") from exc
+    return [lo, hi]
 
 
 def _split_config(args) -> SplitConfig:
@@ -358,24 +354,115 @@ def _split_config(args) -> SplitConfig:
     )
 
 
-def _save_token_index(index: dict[str, int], path: Path, header: str):
-    body = "".join(f"{tok}\t{idx}\n" for tok, idx in sorted(index.items(), key=lambda kv: kv[1]))
-    _write(path, f"# {TOKEN_INDEX_FORMAT}\n" + header, body)
+def _vectorize(cfg: dict, docs):
+    vec_cfg = VectorizerConfig(
+        weighting=Weighting(cfg["weighting"]), analyzer=Analyzer(cfg["analyzer"]),
+        ngram_range=tuple(cfg["ngram"]), max_features=cfg["max_features"], max_df=cfg["max_df"],
+    )
+    vocab = fit_vectorizer(docs, vec_cfg)
+    return vocab, transform(docs, vocab, vec_cfg)
 
 
-def _load_token_index(path: Path) -> dict[str, int]:
-    index = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line or line.startswith("#"):
-            continue
-        token, idx = line.split("\t")
-        index[token] = int(idx)
-    return index
+def _fit_nb(cfg: dict, docs, y):
+    vocab, X = _vectorize(cfg, docs)
+    model = nb_fit(X, y, cfg["alpha"])
+    return {"vocabulary.txt": vocabulary_to_text(vocab), "model.txt": nb_to_text(model)}, {}
+
+
+def _fit_gbt(cfg: dict, docs, y):
+    vocab, X = _vectorize(cfg, docs)
+    boost_cfg = BoostConfig(n_rounds=cfg["rounds"], learning_rate=cfg["learning_rate"],
+                            max_depth=cfg["depth"], reg_lambda=cfg["reg_lambda"])
+    model = gbt_fit(X.toarray(), y, boost_cfg)
+    artifacts = {"vocabulary.txt": vocabulary_to_text(vocab), "model.txt": gbt_to_text(model)}
+    return artifacts, {"final_train_loss": model.train_loss[-1]}
+
+
+def _fit_cnn(cfg: dict, docs, y):
+    index = build_token_index(docs)
+    matrix, coverage = load_embeddings(cfg["embeddings"], index, cfg["embed_dim"])
+    log.info("embedding coverage: %.4f", coverage)
+    model = init_convnet(matrix, n_filters=cfg["filters"], kernel_size=cfg["kernel"],
+                         max_sequence_length=cfg["max_seq_len"], seed=cfg["seed"])
+    train_cfg = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+                            adam=AdamConfig(lr=cfg["adam_lr"]), seed=cfg["seed"])
+    ids = encode_corpus(docs, index, cfg["max_seq_len"])
+    model, history = cnn_train(model, ids, y, train_cfg)
+    artifacts = {"model.txt": cnn_to_text(model), "token_index.txt": token_index_to_text(index)}
+    return artifacts, {"embedding_coverage": coverage, "loss_history": history}
+
+
+def _vectorized(model_dir: Path, docs):
+    vocab = load_vocabulary(model_dir / "vocabulary.txt")
+    return transform(docs, vocab, vocab.config)
+
+
+def _predict_nb(model_dir: Path, docs) -> np.ndarray:
+    X = _vectorized(model_dir, docs)
+    return nb_predict(load_nb(model_dir / "model.txt"), X)[0]
+
+
+def _predict_gbt(model_dir: Path, docs) -> np.ndarray:
+    X = _vectorized(model_dir, docs)
+    return gbt_predict(load_gbt(model_dir / "model.txt"), X.toarray())[1]
+
+
+def _predict_cnn(model_dir: Path, docs) -> np.ndarray:
+    model = load_cnn(model_dir / "model.txt")
+    index = load_token_index(model_dir / "token_index.txt")
+    if len(index) != model.vocab_size - 1:
+        raise DataError(
+            f"{model_dir / 'token_index.txt'}: {len(index)} tokens, "
+            f"but the model embeds {model.vocab_size - 1}"
+        )
+    ids = encode_corpus(docs, index, model.max_sequence_length)
+    return cnn_predict(model, ids)[1]
+
+
+class _Pipeline(NamedTuple):
+    # (run.json key, flag / config-file key, type, default); default None = required
+    options: tuple
+    # fit(run config, train docs, 0/1 labels) -> ({filename: text}, extra run.json outputs)
+    fit: Callable
+    # predict(model dir, docs) -> 0/1 labels
+    predict: Callable
+
+
+_VECTORIZER_OPTIONS = (
+    ("weighting", "weighting", str, "count"),
+    ("analyzer", "analyzer", str, "word"),
+    ("ngram", "ngram", _ngram_range, "1,1"),
+    ("max_features", "max-features", int, 1500),
+    ("max_df", "max-df", float, 0.7),
+)
+
+PIPELINES = {
+    "nb": _Pipeline(_VECTORIZER_OPTIONS + (("alpha", "alpha", float, 1.0),), _fit_nb, _predict_nb),
+    "gbt": _Pipeline(_VECTORIZER_OPTIONS + (
+        ("rounds", "rounds", int, 100),
+        ("learning_rate", "learning-rate", float, 0.1),
+        ("depth", "depth", int, 3),
+        ("reg_lambda", "reg-lambda", float, 1.0),
+    ), _fit_gbt, _predict_gbt),
+    "cnn": _Pipeline((
+        ("embeddings", "embeddings", str, None),
+        ("embed_dim", "embed-dim", int, 300),
+        ("filters", "filters", int, 126),
+        ("kernel", "kernel", int, 5),
+        ("max_seq_len", "max-seq-len", int, 400),
+        ("epochs", "epochs", int, 10),
+        ("batch_size", "batch-size", int, 10),
+        ("adam_lr", "learning-rate", float, 1e-3),
+    ), _fit_cnn, _predict_cnn),
+}
 
 
 def cmd_train(args) -> int:
     corpus = _corpus(args).labeled_only()
     model_kind = _require(args, "model")
+    pipeline = PIPELINES.get(model_kind)
+    if pipeline is None:
+        raise UsageError(f"unknown model {model_kind!r}; expected {', '.join(PIPELINES)}")
     split_cfg = _split_config(args)
     train_set, _ = split(corpus, split_cfg)
     out = _out_dir(args)
@@ -390,96 +477,20 @@ def cmd_train(args) -> int:
         "segmented": bool(_resolve(args, "segmented", False)),
         "version": __version__,
     }
-    outputs: dict = {}
-
-    if model_kind in ("nb", "gbt"):
-        vec_cfg = _vectorizer_config(args)
-        run_config.update(
-            weighting=vec_cfg.weighting.value,
-            analyzer=vec_cfg.analyzer.value,
-            ngram=list(vec_cfg.ngram_range),
-            max_features=vec_cfg.max_features,
-            max_df=vec_cfg.max_df,
-        )
-        if model_kind == "nb":
-            run_config["alpha"] = float(_resolve(args, "alpha", 1.0))
-        else:
-            run_config.update(
-                rounds=int(_resolve(args, "rounds", 100)),
-                learning_rate=float(_resolve(args, "learning-rate", 0.1)),
-                depth=int(_resolve(args, "depth", 3)),
-                reg_lambda=float(_resolve(args, "reg-lambda", 1.0)),
-            )
-    elif model_kind == "cnn":
-        run_config.update(
-            embeddings=str(_require(args, "embeddings")),
-            embed_dim=int(_resolve(args, "embed-dim", 300)),
-            filters=int(_resolve(args, "filters", 126)),
-            kernel=int(_resolve(args, "kernel", 5)),
-            max_seq_len=int(_resolve(args, "max-seq-len", 400)),
-            epochs=int(_resolve(args, "epochs", 10)),
-            batch_size=int(_resolve(args, "batch-size", 10)),
-            adam_lr=float(_resolve(args, "learning-rate", 1e-3)),
-        )
-    else:
-        raise UsageError(f"unknown model {model_kind!r}; expected nb, gbt or cnn")
+    for key, flag, cast, default in pipeline.options:
+        value = _require(args, flag) if default is None else _resolve(args, flag, default)
+        run_config[key] = cast(value)
 
     # the header hash covers the resolved input config, fixed before training
     header = metadata_header(run_config)
-    y_train = _binary_labels(train_set)
-
-    if model_kind in ("nb", "gbt"):
-        vocab = fit_vectorizer(train_set.documents, vec_cfg)
-        X_train = transform(train_set.documents, vocab, vec_cfg)
-        save_vocabulary(vocab, out / "vocabulary.txt")
-        insert_metadata(out / "vocabulary.txt", header)
-        if model_kind == "nb":
-            model = nb_fit(X_train, y_train, run_config["alpha"])
-            save_nb(model, out / "model.txt")
-        else:
-            boost_cfg = BoostConfig(
-                n_rounds=run_config["rounds"],
-                learning_rate=run_config["learning_rate"],
-                max_depth=run_config["depth"],
-                reg_lambda=run_config["reg_lambda"],
-            )
-            model = gbt_fit(X_train.toarray(), y_train, boost_cfg)
-            save_gbt(model, out / "model.txt")
-            outputs["final_train_loss"] = model.train_loss[-1]
-        insert_metadata(out / "model.txt", header)
-    else:
-        index = build_token_index(train_set.documents)
-        matrix, coverage = load_embeddings(
-            run_config["embeddings"], index, run_config["embed_dim"]
-        )
-        log.info("embedding coverage: %.4f", coverage)
-        model = init_convnet(
-            matrix,
-            n_filters=run_config["filters"],
-            kernel_size=run_config["kernel"],
-            max_sequence_length=run_config["max_seq_len"],
-            seed=split_cfg.seed,
-        )
-        train_cfg = TrainConfig(
-            epochs=run_config["epochs"],
-            batch_size=run_config["batch_size"],
-            adam=AdamConfig(lr=run_config["adam_lr"]),
-            seed=split_cfg.seed,
-        )
-        ids = encode_corpus(train_set.documents, index, run_config["max_seq_len"])
-        model, history = cnn_train(model, ids, y_train, train_cfg)
-        save_cnn(model, out / "model.txt")
-        insert_metadata(out / "model.txt", header)
-        _save_token_index(index, out / "token_index.txt", header)
-        outputs.update(embedding_coverage=coverage, loss_history=history)
-
+    artifacts, outputs = pipeline.fit(run_config, train_set.documents, _binary_labels(train_set))
+    for name, text in artifacts.items():
+        # metadata goes between the artifact's format-tag line and its body
+        tag, _, body = text.partition("\n")
+        _write(out / name, f"{tag}\n{header}", body)
     record = dict(run_config, **outputs)
-    (out / "run.json").write_text(
-        header
-        + json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
+    _write(out / "run.json", header,
+           json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
     log.info("trained %s model into %s", model_kind, out)
     return 0
 
@@ -495,24 +506,18 @@ def _load_run(model_dir: Path) -> dict:
 
 
 def _predict_with_run(run: dict, model_dir: Path, docs) -> np.ndarray:
-    kind = run["model"]
-    if kind in ("nb", "gbt"):
-        vocab = load_vocabulary(model_dir / "vocabulary.txt")
-        X = transform(docs, vocab, vocab.config)
-        if kind == "nb":
-            model = load_nb(model_dir / "model.txt")
-            labels, _ = nb_predict(model, X)
-        else:
-            model = load_gbt(model_dir / "model.txt")
-            _, labels = gbt_predict(model, X.toarray())
-        return labels
-    if kind == "cnn":
-        model = load_cnn(model_dir / "model.txt")
-        index = _load_token_index(model_dir / "token_index.txt")
-        ids = encode_corpus(docs, index, model.max_sequence_length)
-        _, labels = cnn_predict(model, ids)
-        return labels
-    raise DataError(f"run.json names unknown model {kind!r}")
+    pipeline = PIPELINES.get(run.get("model"))
+    if pipeline is None:
+        raise DataError(f"run.json names unknown model {run.get('model')!r}")
+    return pipeline.predict(model_dir, docs)
+
+
+def _scoring_header(command: str, args, model_dir: Path, run: dict) -> str:
+    """Header of an evaluate/predict output: its own command and scored corpus."""
+    corpus = str(_resolve(args, "corpus"))
+    return metadata_header(
+        {"command": command, "model_dir": str(model_dir), "corpus": corpus, "run": run}
+    )
 
 
 def cmd_evaluate(args) -> int:
@@ -529,8 +534,7 @@ def cmd_evaluate(args) -> int:
     text = report_to_text(report)
     print(text, end="")
     out = _out_dir(args)
-    run_config = {"command": "evaluate", "model_dir": str(model_dir), **run}
-    header = metadata_header(run_config)
+    header = _scoring_header("evaluate", args, model_dir, run)
     _write(out / "report.txt", header, text)
     _write(out / "report.json", header, report_to_json(report))
     return 0
@@ -568,13 +572,12 @@ def cmd_predict(args) -> int:
     corpus = _corpus(args)
     pred = _predict_with_run(run, model_dir, corpus.documents)
     out = _out_dir(args)
-    run_config = {"command": "predict", "model_dir": str(model_dir), **run}
     lines = []
     for doc, label in zip(corpus.documents, _int_labels_to_enum(pred)):
         lines.append(json.dumps({"id": doc.id, "label": label.value}, ensure_ascii=False))
     _write(
         out / "predictions.jsonl",
-        metadata_header(run_config),
+        _scoring_header("predict", args, model_dir, run),
         "".join(l + "\n" for l in lines),
     )
     return 0
@@ -594,8 +597,6 @@ def build_parser() -> _Parser:
         p.add_argument("--segmented", action="store_true", default=None,
                        help="record that the corpus is the segmented variant")
         p.add_argument("--seed", type=int, help="master seed (default 42)")
-        p.add_argument("--threads", type=int,
-                       help="upper bound on worker threads (results never depend on it)")
         p.add_argument("--out", help="output directory (default ./out)")
 
     p_clean = sub.add_parser("clean", help="normalize text and drop stop phrases")
@@ -635,7 +636,7 @@ def build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="fit a model on the train split")
     common(p_train)
-    p_train.add_argument("--model", choices=["nb", "gbt", "cnn"])
+    p_train.add_argument("--model", choices=list(PIPELINES))
     p_train.add_argument("--weighting", choices=["count", "tfidf"])
     p_train.add_argument("--analyzer", choices=["word", "char"])
     p_train.add_argument("--ngram", help="LO,HI n-gram range (default 1,1)")

@@ -57,6 +57,22 @@ def metadata_header(config: dict, lexicon_checksums: dict[str, str] | None = Non
     return "".join(line + "\n" for line in lines)
 
 
+def _comment_block(lines: list[str], format_tag: str) -> tuple[dict, int]:
+    if not lines or lines[0] != f"# {format_tag}":
+        raise DataError(f"unsupported file (expected header '# {format_tag}')")
+    meta: dict[str, str] = {}
+    for i, line in enumerate(lines):
+        # comment lines never hold a tab; a tab-separated row whose first
+        # field starts with "#" (a hashtag token or feature) is body
+        if not line.startswith("#") or "\t" in line:
+            return meta, i
+        for part in line.lstrip("# ").split(" "):
+            if "=" in part:
+                key, value = part.split("=", 1)
+                meta[key] = value
+    return meta, len(lines)
+
+
 def split_comment_block(text: str, format_tag: str) -> tuple[dict, list[str]]:
     """Validate the leading comment block and return (meta, body lines).
 
@@ -65,26 +81,70 @@ def split_comment_block(text: str, format_tag: str) -> tuple[dict, list[str]]:
     the tag and the body).
     """
     lines = text.splitlines()
-    if not lines or lines[0] != f"# {format_tag}":
-        raise DataError(f"unsupported file (expected header '# {format_tag}')")
-    meta: dict[str, str] = {}
-    body_start = len(lines)
-    for i, line in enumerate(lines):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        for part in line.lstrip("# ").split(" "):
-            if "=" in part:
-                key, value = part.split("=", 1)
-                meta[key] = value
+    meta, body_start = _comment_block(lines, format_tag)
     return meta, lines[body_start:]
 
 
-def insert_metadata(path, header: str) -> None:
-    """Splice CLI metadata lines after a serialized file's format tag."""
-    path = Path(path)
-    first, _, rest = path.read_text(encoding="utf-8").partition("\n")
-    path.write_text(first + "\n" + header + rest, encoding="utf-8")
+class BodyReader:
+    """Reads the body of a serialized file line by line, checking as it goes.
+
+    The comment block is read as by ``split_comment_block``; blank body
+    lines are skipped. Every ``DataError`` raised names the file line, so
+    a truncated or corrupted file fails with a usable message.
+    """
+
+    def __init__(self, text: str, format_tag: str):
+        self._lines = text.splitlines()
+        self.meta, self._next = _comment_block(self._lines, format_tag)
+        self.lineno = self._next  # 1-based number of the line last read
+
+    def error(self, message: str) -> DataError:
+        return DataError(f"line {self.lineno}: {message}")
+
+    def meta_value(self, key: str, cast):
+        """Header ``key=value`` converted by ``cast``."""
+        if key not in self.meta:
+            raise DataError(f"header lacks {key}=")
+        try:
+            return cast(self.meta[key])
+        except ValueError as exc:
+            raise DataError(f"header {key}={self.meta[key]!r} is malformed") from exc
+
+    @property
+    def more(self) -> bool:
+        while self._next < len(self._lines) and not self._lines[self._next]:
+            self._next += 1
+        return self._next < len(self._lines)
+
+    def fields(self, what: str, count: int | None = None, sep: str = "\t") -> list[str]:
+        """Next line split on ``sep``, optionally checked to hold ``count`` fields."""
+        if not self.more:
+            raise DataError(f"file ends after line {len(self._lines)}; expected {what}")
+        parts = self._lines[self._next].split(sep)
+        self._next += 1
+        self.lineno = self._next
+        if count is not None and len(parts) != count:
+            raise self.error(f"{what}: expected {count} fields, got {len(parts)}")
+        return parts
+
+    def parse(self, cast, *values) -> list:
+        try:
+            return list(map(cast, values))
+        except ValueError as exc:
+            raise self.error(str(exc)) from exc
+
+    def end(self) -> None:
+        if self.more:
+            self.lineno = self._next + 1
+            raise self.error("unexpected line after the last declared entry")
+
+
+def parse_file(path, parse):
+    """Parse a UTF-8 serialized file; data errors are prefixed with its path."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_json(path) -> dict:

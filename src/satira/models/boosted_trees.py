@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
-from ..fileio import split_comment_block
+from ..fileio import BodyReader, parse_file
 
 GBT_FORMAT = "satira-gbt v1"
 
@@ -250,45 +250,47 @@ def gbt_to_text(model: BoostedTreesModel) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _node_from_fields(r: BodyReader, node_id: int, n_nodes: int, n_features) -> TreeNode:
+    parts = r.fields(f"node {node_id}")
+    if parts[0] != str(node_id):
+        raise r.error(f"expected node {node_id}, got {parts[0]!r}")
+    if parts[1:2] == ["leaf"] and len(parts) == 3:
+        (weight,) = r.parse(float, parts[2])
+        return TreeNode(is_leaf=True, weight=weight)
+    if parts[1:2] != ["split"] or len(parts) != 6:
+        raise r.error("expected 'leaf <weight>' or 'split <feature> <threshold> <left> <right>'")
+    feature, left, right = r.parse(int, parts[2], parts[4], parts[5])
+    (threshold,) = r.parse(float, parts[3])
+    if feature < 0 or (n_features is not None and feature >= n_features):
+        raise r.error(f"feature {feature} is out of range")
+    # children follow their parent, which also rules out cycles
+    if not (node_id < left < n_nodes and node_id < right < n_nodes):
+        raise r.error(f"child ids {left}, {right} must lie in ({node_id}, {n_nodes})")
+    return TreeNode(is_leaf=False, feature=feature, threshold=threshold, left=left, right=right)
+
+
 def gbt_from_text(text: str) -> BoostedTreesModel:
-    meta, body = split_comment_block(text, GBT_FORMAT)
+    r = BodyReader(text, GBT_FORMAT)
     config = BoostConfig(
-        n_rounds=int(meta["n_rounds"]),
-        learning_rate=float(meta["learning_rate"]),
-        max_depth=int(meta["max_depth"]),
-        reg_lambda=float(meta["reg_lambda"]),
+        n_rounds=r.meta_value("n_rounds", int),
+        learning_rate=r.meta_value("learning_rate", float),
+        max_depth=r.meta_value("max_depth", int),
+        reg_lambda=r.meta_value("reg_lambda", float),
     )
+    n_features = None if r.meta.get("n_features") == "None" else r.meta_value("n_features", int)
     trees: list[RegressionTree] = []
-    i = 0
-    while i < len(body):
-        line = body[i]
-        if not line:
-            i += 1
-            continue
-        if not line.startswith("tree "):
-            raise DataError(f"model line {i + 1}: expected tree header, got {line!r}")
-        n_nodes = int(line.split(" ")[2])
-        nodes: list[TreeNode] = []
-        for offset in range(1, n_nodes + 1):
-            parts = body[i + offset].split("\t")
-            if parts[1] == "leaf":
-                nodes.append(TreeNode(is_leaf=True, weight=float(parts[2])))
-            else:
-                nodes.append(
-                    TreeNode(
-                        is_leaf=False,
-                        feature=int(parts[2]),
-                        threshold=float(parts[3]),
-                        left=int(parts[4]),
-                        right=int(parts[5]),
-                    )
-                )
+    for i in range(config.n_rounds):
+        header = r.fields(f"tree {i} header", sep=" ")
+        if header[:2] != ["tree", str(i)] or len(header) != 3:
+            raise r.error(f"expected header 'tree {i} <n_nodes>'")
+        (n_nodes,) = r.parse(int, header[2])
+        if n_nodes < 1:
+            raise r.error(f"tree {i} has no nodes")
+        nodes = [_node_from_fields(r, k, n_nodes, n_features) for k in range(n_nodes)]
         trees.append(RegressionTree(tuple(nodes)))
-        i += n_nodes + 1
-    stored = meta.get("n_features", "None")
-    n_features = None if stored == "None" else int(stored)
+    r.end()
     return BoostedTreesModel(
-        tuple(trees), float(meta["base_score"]), config, n_features=n_features
+        tuple(trees), r.meta_value("base_score", float), config, n_features=n_features
     )
 
 
@@ -297,4 +299,4 @@ def save_gbt(model: BoostedTreesModel, path) -> None:
 
 
 def load_gbt(path) -> BoostedTreesModel:
-    return gbt_from_text(Path(path).read_text(encoding="utf-8"))
+    return parse_file(path, gbt_from_text)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
-from ..fileio import split_comment_block
+from ..fileio import BodyReader, parse_file
 from .boosted_trees import sigmoid
 
 CNN_FORMAT = "satira-cnn v1"
@@ -314,43 +314,38 @@ def cnn_to_text(model: ConvNetModel) -> str:
 
 
 def cnn_from_text(text: str) -> ConvNetModel:
-    meta, body = split_comment_block(text, CNN_FORMAT)
-    V, d = int(meta["vocab"]), int(meta["dim"])
-    F, K = int(meta["filters"]), int(meta["kernel"])
-
-    pos = 0
+    r = BodyReader(text, CNN_FORMAT)
+    V, d, F, K, max_len = (
+        r.meta_value(key, int) for key in ("vocab", "dim", "filters", "kernel", "max_len")
+    )
 
     def read_matrix(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal pos
-        header = body[pos].split(" ")
-        if header[0] != name:
-            raise DataError(f"model line {pos + 1}: expected section {name!r}")
-        pos += 1
-        rows = []
-        for _ in range(shape[0]):
-            rows.append([float(v) for v in body[pos].split(" ")])
-            pos += 1
+        expected = " ".join([name, *map(str, shape)])
+        if r.fields(f"section {name!r}", sep=" ") != expected.split(" "):
+            raise r.error(f"expected section header {expected!r}")
+        row_len = int(np.prod(shape[1:]))
+        rows = [
+            r.parse(float, *r.fields(f"{name} row", row_len, sep=" "))
+            for _ in range(shape[0])
+        ]
         return np.array(rows, dtype=np.float64).reshape(shape)
 
-    embedding = read_matrix("embedding", (V, d))
-    conv_weights = read_matrix("conv_weights", (F, K, d))
-    conv_bias = np.array(
-        [float(v) for v in body[pos].split(" ")[1:]], dtype=np.float64
+    def read_vector(name: str, size: int) -> np.ndarray:
+        parts = r.fields(name, size + 1, sep=" ")
+        if parts[0] != name:
+            raise r.error(f"expected {name!r}, got {parts[0]!r}")
+        return np.array(r.parse(float, *parts[1:]), dtype=np.float64)
+
+    model = ConvNetModel(
+        embedding=read_matrix("embedding", (V, d)),
+        conv_weights=read_matrix("conv_weights", (F, K, d)),
+        conv_bias=read_vector("conv_bias", F),
+        dense_weights=read_vector("dense_weights", F),
+        dense_bias=float(read_vector("dense_bias", 1)[0]),
+        max_sequence_length=max_len,
     )
-    pos += 1
-    dense_weights = np.array(
-        [float(v) for v in body[pos].split(" ")[1:]], dtype=np.float64
-    )
-    pos += 1
-    dense_bias = float(body[pos].split(" ")[1])
-    return ConvNetModel(
-        embedding=embedding,
-        conv_weights=conv_weights,
-        conv_bias=conv_bias,
-        dense_weights=dense_weights,
-        dense_bias=dense_bias,
-        max_sequence_length=int(meta["max_len"]),
-    )
+    r.end()
+    return model
 
 
 def save_cnn(model: ConvNetModel, path) -> None:
@@ -358,4 +353,4 @@ def save_cnn(model: ConvNetModel, path) -> None:
 
 
 def load_cnn(path) -> ConvNetModel:
-    return cnn_from_text(Path(path).read_text(encoding="utf-8"))
+    return parse_file(path, cnn_from_text)

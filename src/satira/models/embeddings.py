@@ -3,7 +3,8 @@
 Embedding files are UTF-8 text: a ``<vocab_size> <dim>`` header line, then
 one line per token holding the token and ``dim`` space-separated floats.
 Token ids are 1-based; id 0 is the shared padding/OOV slot whose embedding
-row stays all-zero.
+row stays all-zero. A token index is saved as ``token<TAB>id`` lines in id
+order under a format-tag line.
 """
 
 from __future__ import annotations
@@ -15,12 +16,37 @@ import numpy as np
 
 from ..corpus_io import Document
 from ..errors import DataError
+from ..fileio import BodyReader, parse_file
+
+TOKEN_INDEX_FORMAT = "satira-token-index v1"
 
 
 def build_token_index(docs: Iterable[Document]) -> dict[str, int]:
     """Deterministic token -> id map (ids 1..n in codepoint order)."""
     vocab = sorted({t for doc in docs for t in doc.tokens})
     return {token: i for i, token in enumerate(vocab, start=1)}
+
+
+def token_index_to_text(index: dict[str, int]) -> str:
+    rows = sorted(index.items(), key=lambda kv: kv[1])
+    return f"# {TOKEN_INDEX_FORMAT}\n" + "".join(f"{tok}\t{idx}\n" for tok, idx in rows)
+
+
+def _token_index_from_text(text: str) -> dict[str, int]:
+    r = BodyReader(text, TOKEN_INDEX_FORMAT)
+    index: dict[str, int] = {}
+    while r.more:
+        token, idx_s = r.fields("token row", 2)
+        (idx,) = r.parse(int, idx_s)
+        if idx != len(index) + 1 or token in index:
+            raise r.error(f"expected a new token with id {len(index) + 1}")
+        index[token] = idx
+    return index
+
+
+def load_token_index(path) -> dict[str, int]:
+    """Inverse of ``token_index_to_text``: ids must run 1..n in file order."""
+    return parse_file(path, _token_index_from_text)
 
 
 def encode_tokens(tokens: Sequence[str], index: dict[str, int], max_len: int) -> np.ndarray:

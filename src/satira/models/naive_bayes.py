@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
-from ..fileio import split_comment_block
+from ..fileio import BodyReader, parse_file
 from ..vectorize import DocTermMatrix
 
 NB_FORMAT = "satira-nb v1"
@@ -121,19 +121,27 @@ def nb_to_text(model: NaiveBayesModel) -> str:
 
 
 def nb_from_text(text: str) -> NaiveBayesModel:
-    meta, body = split_comment_block(text, NB_FORMAT)
-    alpha = float(meta["alpha"])
-    n_features = int(meta["n_features"])
-    prior_parts = body[0].split("\t")
-    priors = np.array([float(v) for v in prior_parts[1:]], dtype=np.float64)
-    flp = np.empty((2, n_features), dtype=np.float64)
-    for line in body[1:]:
-        if not line:
-            continue
-        j_s, fake_s, real_s = line.split("\t")
-        flp[0, int(j_s)] = float(fake_s)
-        flp[1, int(j_s)] = float(real_s)
-    return NaiveBayesModel(priors, flp, alpha)
+    r = BodyReader(text, NB_FORMAT)
+    alpha = r.meta_value("alpha", float)
+    n_features = r.meta_value("n_features", int)
+    prior = r.fields("prior line", 3)
+    if prior[0] != "prior":
+        raise r.error("expected the prior line")
+    priors = np.array(r.parse(float, *prior[1:]), dtype=np.float64)
+    fake: list = [None] * n_features
+    real: list = [None] * n_features
+    # exactly n_features rows, each column index once, so every cell is filled
+    for _ in range(n_features):
+        j_s, fake_s, real_s = r.fields("feature row", 3)
+        try:
+            j, values = int(j_s), (float(fake_s), float(real_s))
+        except ValueError as exc:
+            raise r.error(str(exc)) from exc
+        if not 0 <= j < n_features or fake[j] is not None:
+            raise r.error(f"feature index {j} is out of range or repeated")
+        fake[j], real[j] = values
+    r.end()
+    return NaiveBayesModel(priors, np.array([fake, real], dtype=np.float64), alpha)
 
 
 def save_nb(model: NaiveBayesModel, path) -> None:
@@ -141,4 +149,4 @@ def save_nb(model: NaiveBayesModel, path) -> None:
 
 
 def load_nb(path) -> NaiveBayesModel:
-    return nb_from_text(Path(path).read_text(encoding="utf-8"))
+    return parse_file(path, nb_from_text)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus_io import Document
 from .errors import DataError
-from .fileio import split_comment_block
+from .fileio import parse_file, split_comment_block
 
 VOCABULARY_FORMAT = "satira-vocabulary v1"
 
@@ -273,4 +273,4 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> Vocabulary:
-    return vocabulary_from_text(Path(path).read_text(encoding="utf-8"))
+    return parse_file(path, vocabulary_from_text)

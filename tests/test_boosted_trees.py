@@ -10,6 +10,7 @@ from satira.models.boosted_trees import (
     TreeNode,
     gbt_from_text,
     gbt_margins,
+    gbt_to_text,
     load_gbt,
     logistic_loss,
     save_gbt,
@@ -172,3 +173,10 @@ class TestSerialization:
     def test_version_mismatch(self):
         with pytest.raises(DataError, match="unsupported"):
             gbt_from_text("# not-a-model v0\n")
+
+    def test_every_truncation_rejected(self):
+        X, y = separable_1d(16)
+        lines = gbt_to_text(gbt_fit(X, y, BoostConfig(n_rounds=3))).splitlines(keepends=True)
+        for k in range(len(lines)):
+            with pytest.raises(DataError):
+                gbt_from_text("".join(lines[:k]))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from satira import save_corpus
+from satira import load_corpus, save_corpus
 from satira.cli import main
 from satira.fileio import load_json
 from tests.conftest import synthetic_corpus, write_embedding_file
@@ -19,6 +19,29 @@ def corpus_file(tmp_path):
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+# small per-kind hyperparameters so every model trains in well under a second
+MODEL_FLAGS = {
+    "nb": (),
+    "gbt": ("--rounds", 2),
+    "cnn": ("--embed-dim", 16, "--filters", 8, "--kernel", 3, "--max-seq-len", 16,
+            "--epochs", 2),
+}
+
+
+def train(corpus_file, kind, out, *flags) -> int:
+    flags = MODEL_FLAGS[kind] + flags
+    if kind == "cnn":
+        tokens = sorted({t for d in load_corpus(corpus_file) for t in d.tokens})
+        vectors = write_embedding_file(out.parent / "vec.txt", tokens, dim=16, seed=3)
+        flags += ("--embeddings", vectors)
+    return run("train", "--corpus", corpus_file, "--model", kind, *flags, "--out", out)
+
+
+def header_hash(path) -> str:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return next(l for l in lines if l.startswith("# config-hash "))
 
 
 class TestUsageErrors:
@@ -116,6 +139,20 @@ class TestMeasureTtestPlot:
         printed = capsys.readouterr().out
         assert "statistic=0.0" in printed
         assert "p_value=1.0" in printed
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("r9,faek,0.1,0.2,", "line 6: 'faek' is not a valid Label"),
+         ("r9,real,x,0.2,", "line 6: could not convert string to float: 'x'")],
+        ids=["label", "float"],
+    )
+    def test_ttest_rejects_bad_measure_row(self, tmp_path, capsys, row, message):
+        rows = ["# satira 0.1.0", "doc_id,label,J,S,fpp_ratio",
+                "f0,fake,0.1,0.1,", "f1,fake,0.2,0.3,", "r0,real,0.3,0.2,", row]
+        measures = tmp_path / "measures.csv"
+        measures.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+        assert run("ttest", "--measures", measures, "--out", tmp_path / "t") == 2
+        assert f"{measures}: {message}" in capsys.readouterr().err
 
     def test_plot_data_densities(self, corpus_file, tmp_path):
         measures = self.make_measures(tmp_path, corpus_file)
@@ -227,12 +264,34 @@ class TestTrainEvaluatePredict:
                    "--out", tmp_path / "p") == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, filename",
+        [("nb", "model.txt"), ("gbt", "model.txt"), ("cnn", "model.txt"),
+         ("cnn", "token_index.txt")],
+    )
+    def test_corrupt_artifact_exits_2(self, corpus_file, tmp_path, capsys, kind, filename):
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, kind, model_dir) == 0
+        path = model_dir / filename
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if filename == "model.txt":
+            corrupted = "".join(lines[:-5])  # cut the tail
+        else:
+            corrupted = "# satira-token-index v0\n" + "".join(lines[1:])  # wrong tag
+        path.write_text(corrupted, encoding="utf-8")
+        capsys.readouterr()
+        assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
+                   "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
+
 
 class TestMetadataHeaders:
-    def test_every_artifact_starts_with_metadata(self, corpus_file, tmp_path):
+    @pytest.mark.parametrize("kind", ["nb", "gbt", "cnn"])
+    def test_every_artifact_starts_with_metadata(self, corpus_file, tmp_path, kind):
         model_dir = tmp_path / "run"
-        assert run("train", "--corpus", corpus_file, "--model", "nb",
-                   "--out", model_dir) == 0
+        assert train(corpus_file, kind, model_dir) == 0
         out = tmp_path / "eval"
         assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
                    "--out", out) == 0
@@ -253,18 +312,34 @@ class TestMetadataHeaders:
                 f"{path.name} lacks a config hash"
             )
 
+    def test_scoring_hash_names_command_and_corpus(self, corpus_file, tmp_path):
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, "nb", model_dir) == 0
+        other = tmp_path / "other.jsonl"
+        save_corpus(synthetic_corpus(5, np.random.default_rng(1)), other)
+        assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
+                   "--out", tmp_path / "eval") == 0
+        for name, corpus in (("pred", corpus_file), ("pred_other", other)):
+            assert run("predict", "--corpus", corpus, "--model-dir", model_dir,
+                       "--out", tmp_path / name) == 0
+        evaluated = header_hash(tmp_path / "eval" / "report.txt")
+        predicted = header_hash(tmp_path / "pred" / "predictions.jsonl")
+        assert evaluated != predicted
+        assert predicted != header_hash(tmp_path / "pred_other" / "predictions.jsonl")
+
 
 class TestReproducibility:
-    def test_identical_runs_are_byte_identical(self, corpus_file, tmp_path):
+    @pytest.mark.parametrize("kind", ["nb", "gbt", "cnn"])
+    def test_identical_runs_are_byte_identical(self, corpus_file, tmp_path, kind):
         outs = []
         for name in ("one", "two"):
             model_dir = tmp_path / name
-            assert run(
-                "train", "--corpus", corpus_file, "--model", "nb",
-                "--seed", 7, "--out", model_dir,
-            ) == 0
+            assert train(corpus_file, kind, model_dir, "--seed", 7) == 0
             outs.append(model_dir)
-        for filename in ("model.txt", "vocabulary.txt", "run.json"):
+        filenames = sorted(p.name for p in outs[0].iterdir())
+        assert filenames == sorted(p.name for p in outs[1].iterdir())
+        assert "model.txt" in filenames and "run.json" in filenames
+        for filename in filenames:
             assert (outs[0] / filename).read_bytes() == (outs[1] / filename).read_bytes()
 
     def test_config_file_with_flag_override(self, corpus_file, tmp_path):

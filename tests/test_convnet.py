@@ -14,7 +14,7 @@ from satira.models import (
     grad_check,
     init_convnet,
 )
-from satira.models.convnet import bce_loss, cnn_from_text, load_cnn, save_cnn
+from satira.models.convnet import bce_loss, cnn_from_text, cnn_to_text, load_cnn, save_cnn
 
 
 def tiny_model(seed=0, vocab=20, dim=8, filters=4, kernel=3, seq_len=7):
@@ -245,3 +245,11 @@ class TestSerialization:
     def test_version_mismatch(self):
         with pytest.raises(DataError, match="unsupported"):
             cnn_from_text("# stale-format v0\n")
+
+    def test_every_truncation_rejected(self):
+        lines = cnn_to_text(tiny_model(71, vocab=4, dim=2, filters=2, kernel=2)).splitlines(
+            keepends=True
+        )
+        for k in range(len(lines)):
+            with pytest.raises(DataError):
+                cnn_from_text("".join(lines[:k]))

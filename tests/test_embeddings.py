@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from satira import DataError, make_document
-from satira.models import build_token_index, encode_corpus, encode_tokens, load_embeddings
+from satira.models import (
+    build_token_index,
+    encode_corpus,
+    encode_tokens,
+    load_embeddings,
+    load_token_index,
+    token_index_to_text,
+)
 
 
 def write_vectors(tmp_path, text):
@@ -21,6 +28,19 @@ class TestTokenIndex:
         index = {"a": 1, "b": 2}
         assert encode_tokens(["a", "zz", "b"], index, 5).tolist() == [1, 0, 2, 0, 0]
         assert encode_tokens(["a", "b", "a", "b"], index, 2).tolist() == [1, 2]
+
+    def test_text_round_trip(self, tmp_path):
+        index = build_token_index([make_document("a", "b #tag c")])
+        assert index["#tag"] == 1
+        path = tmp_path / "token_index.txt"
+        path.write_text(token_index_to_text(index), encoding="utf-8")
+        assert load_token_index(path) == index
+
+    def test_ids_out_of_order_name_the_line(self, tmp_path):
+        path = tmp_path / "token_index.txt"
+        path.write_text("# satira-token-index v1\na\t1\nb\t3\n", encoding="utf-8")
+        with pytest.raises(DataError, match="token_index.txt: line 3"):
+            load_token_index(path)
 
     def test_encode_corpus_shape(self):
         docs = [make_document("a", "x y"), make_document("b", "y")]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from satira import DataError, VectorizerConfig, make_document
 from satira.models import nb_fit, nb_predict
-from satira.models.naive_bayes import load_nb, nb_from_text, save_nb
+from satira.models.naive_bayes import load_nb, nb_from_text, nb_to_text, save_nb
 from satira.vectorize import fit as fit_vectorizer, transform
 
 CFG = VectorizerConfig(max_df=1.0)
@@ -214,3 +214,15 @@ class TestSerialization:
     def test_version_mismatch(self):
         with pytest.raises(DataError, match="unsupported"):
             nb_from_text("# other-thing v2\n")
+
+    def test_every_truncation_rejected(self):
+        lines = nb_to_text(fixture_model()[0]).splitlines(keepends=True)
+        for k in range(len(lines)):
+            with pytest.raises(DataError):
+                nb_from_text("".join(lines[:k]))
+
+    def test_repeated_feature_index_names_line(self):
+        lines = nb_to_text(fixture_model()[0]).splitlines(keepends=True)
+        lines[4] = "0" + lines[4][lines[4].index("\t"):]
+        with pytest.raises(DataError, match="line 5: feature index 0"):
+            nb_from_text("".join(lines))

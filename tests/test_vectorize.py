@@ -187,6 +187,13 @@ class TestSerialization:
         with pytest.raises(DataError, match="unsupported"):
             vocabulary_from_text("# some-other-format v9\n")
 
+    def test_leading_hash_feature_survives_round_trip(self):
+        vocab = fit(docs_of(["#tag", "zz"], ["#tag", "yy"]), WORD_CFG)
+        assert min(vocab.index) == "#tag"
+        loaded = vocabulary_from_text(vocabulary_to_text(vocab))
+        assert loaded.index == vocab.index
+        assert np.array_equal(loaded.document_frequency, vocab.document_frequency)
+
     def test_text_is_stable(self):
         docs = docs_of(["b", "a"])
         vocab = fit(docs, WORD_CFG)
