@@ -498,11 +498,19 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------- evaluate
 
 
+# run.json keys that evaluate, features and predict read
+_RUN_KEYS = ("model", "seed", "test_fraction", "stratified")
+
+
 def _load_run(model_dir: Path) -> dict:
     run_path = model_dir / "run.json"
     if not run_path.exists():
         raise DataError(f"{model_dir}: missing run.json (not a training output dir?)")
-    return load_json(run_path)
+    run = load_json(run_path)
+    for key in _RUN_KEYS:
+        if key not in run:
+            raise DataError(f"{run_path}: missing key {key!r}")
+    return run
 
 
 def _predict_with_run(run: dict, model_dir: Path, docs) -> np.ndarray:

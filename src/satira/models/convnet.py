@@ -20,6 +20,9 @@ from .boosted_trees import sigmoid
 
 CNN_FORMAT = "satira-cnn v1"
 
+# sequences per forward pass in cnn_predict
+PREDICT_CHUNK = 64
+
 TRAINABLE = ("conv_weights", "conv_bias", "dense_weights", "dense_bias")
 
 
@@ -105,7 +108,7 @@ def _check_ids(model: ConvNetModel, ids: np.ndarray) -> np.ndarray:
             f"sequences must be padded to length {model.max_sequence_length}, "
             f"got {ids.shape[1]}"
         )
-    if ids.min() < 0 or ids.max() >= model.vocab_size:
+    if ids.size and (ids.min() < 0 or ids.max() >= model.vocab_size):
         raise DataError(
             f"token ids must lie in [0, {model.vocab_size}), "
             f"got range [{ids.min()}, {ids.max()}]"
@@ -116,19 +119,25 @@ def _check_ids(model: ConvNetModel, ids: np.ndarray) -> np.ndarray:
 def _forward_batch(model: ConvNetModel, ids: np.ndarray):
     """Logits plus the caches backprop needs.
 
-    windows: (B, T, K*d) im2col view of the embedded batch, T = L - K + 1.
+    The embeddings are frozen, so each distinct token of the batch is
+    projected through all K kernel offsets once: Y[u, j] = embedding[u] @
+    conv_weights[:, j].T. The pre-activation of window t is then the sum
+    over offsets j of Y at the token in position t + j, so no (B, T, K*d)
+    window tensor is built. T = L - K + 1.
     """
     B, L = ids.shape
     K = model.kernel_size
     F = model.n_filters
     d = model.embedding.shape[1]
     T = L - K + 1
-    X = model.embedding[ids]  # (B, L, d)
-    windows = np.empty((B, T, K * d), dtype=np.float64)
-    for j in range(K):
-        windows[:, :, j * d : (j + 1) * d] = X[:, j : j + T, :]
-    w_flat = model.conv_weights.reshape(F, K * d)
-    z = windows @ w_flat.T + model.conv_bias  # (B, T, F)
+    tokens, inverse = np.unique(ids, return_inverse=True)
+    inverse = inverse.reshape(B, L)
+    w_all = model.conv_weights.transpose(2, 1, 0).reshape(d, K * F)
+    Y = (model.embedding[tokens] @ w_all).reshape(len(tokens), K, F)
+    z = Y[inverse[:, :T], 0]  # (B, T, F)
+    for j in range(1, K):
+        z += Y[inverse[:, j : j + T], j]
+    z += model.conv_bias
     activations = np.maximum(z, 0.0)
     arg_top = np.argmax(activations, axis=1)  # (B, F) first max wins
     rows = np.arange(B)[:, None]
@@ -136,7 +145,7 @@ def _forward_batch(model: ConvNetModel, ids: np.ndarray):
     pooled = activations[rows, arg_top, cols]  # (B, F)
     z_top = z[rows, arg_top, cols]
     logits = pooled @ model.dense_weights + model.dense_bias
-    cache = (windows, z_top, pooled, arg_top)
+    cache = (z_top, pooled, arg_top)
     return logits, cache
 
 
@@ -156,7 +165,7 @@ def cnn_gradients(model: ConvNetModel, ids: np.ndarray, y: np.ndarray):
     """Analytic mean-BCE gradients for every trainable parameter."""
     ids = _check_ids(model, ids)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    logits, (windows, z_top, pooled, arg_top) = _forward_batch(model, ids)
+    logits, (z_top, pooled, arg_top) = _forward_batch(model, ids)
     B, F = pooled.shape
     K = model.kernel_size
     d = model.embedding.shape[1]
@@ -171,8 +180,10 @@ def cnn_gradients(model: ConvNetModel, ids: np.ndarray, y: np.ndarray):
     gate = (z_top > 0.0).astype(np.float64)
     d_z_top = d_pooled * gate  # (B, F)
 
-    rows = np.arange(B)[:, None]
-    win_top = windows[rows, arg_top, :]  # (B, F, K*d)
+    # gather only each filter's winning window, straight from the embedding
+    rows = np.arange(B)[:, None, None]
+    positions = arg_top[:, :, None] + np.arange(K)  # (B, F, K)
+    win_top = model.embedding[ids[rows, positions]].reshape(B, F, K * d)
     d_conv_w = np.einsum("bf,bfk->fk", d_z_top, win_top).reshape(F, K, d)
     d_conv_b = d_z_top.sum(axis=0)
 
@@ -285,9 +296,16 @@ def cnn_train(
 
 
 def cnn_predict(model: ConvNetModel, ids) -> tuple[np.ndarray, np.ndarray]:
-    """Batch probabilities and 0/1 labels at the 0.5 threshold."""
+    """Batch probabilities and 0/1 labels at the 0.5 threshold.
+
+    Runs ``PREDICT_CHUNK`` sequences at a time, so peak memory does not
+    grow with the number of sequences.
+    """
     ids = _check_ids(model, ids)
-    logits, _ = _forward_batch(model, ids)
+    logits = np.empty(len(ids), dtype=np.float64)
+    for start in range(0, len(ids), PREDICT_CHUNK):
+        chunk = slice(start, start + PREDICT_CHUNK)
+        logits[chunk], _ = _forward_batch(model, ids[chunk])
     proba = sigmoid(logits)
     return proba, (proba >= 0.5).astype(np.int64)
 

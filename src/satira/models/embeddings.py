@@ -58,7 +58,9 @@ def encode_tokens(tokens: Sequence[str], index: dict[str, int], max_len: int) ->
 
 
 def encode_corpus(docs: Sequence[Document], index: dict[str, int], max_len: int) -> np.ndarray:
-    return np.stack([encode_tokens(doc.tokens, index, max_len) for doc in docs])
+    """(len(docs), max_len) int64 ids; an empty corpus gives zero rows."""
+    rows = [encode_tokens(doc.tokens, index, max_len) for doc in docs]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), max_len)
 
 
 def load_embeddings(

@@ -255,6 +255,33 @@ class TestTrainEvaluatePredict:
         assert lines[0] == {"id": "n1", "label": "fake"}
         assert lines[1] == {"id": "n2", "label": "real"}
 
+    @pytest.mark.parametrize("kind", ["nb", "cnn"])
+    def test_predict_empty_corpus_writes_no_predictions(self, corpus_file, tmp_path, kind):
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, kind, model_dir) == 0
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "pred"
+        assert run("predict", "--corpus", empty, "--model-dir", model_dir, "--out", out) == 0
+        lines = (out / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines and all(l.startswith("#") for l in lines)
+
+    @pytest.mark.parametrize("key", ["model", "seed", "test_fraction", "stratified"])
+    def test_run_json_missing_key_exits_2(self, corpus_file, tmp_path, capsys, key):
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, "nb", model_dir) == 0
+        path = model_dir / "run.json"
+        header = [l for l in path.read_text(encoding="utf-8").splitlines() if l.startswith("#")]
+        record = load_json(path)
+        del record[key]
+        path.write_text("\n".join(header) + "\n" + json.dumps(record), encoding="utf-8")
+        capsys.readouterr()
+        assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
+                   "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert f"{path}: missing key {key!r}" in err
+        assert "Traceback" not in err
+
     def test_predict_missing_text_exits_2_with_line(self, corpus_file, tmp_path, capsys):
         model_dir = tmp_path / "run"
         run("train", "--corpus", corpus_file, "--model", "nb", "--out", model_dir)

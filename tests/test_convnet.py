@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,19 @@ from satira.models import (
     cnn_gradients,
     cnn_predict,
     cnn_train,
+    encode_corpus,
     grad_check,
     init_convnet,
 )
-from satira.models.convnet import bce_loss, cnn_from_text, cnn_to_text, load_cnn, save_cnn
+from satira.models.convnet import (
+    PREDICT_CHUNK,
+    _forward_batch,
+    bce_loss,
+    cnn_from_text,
+    cnn_to_text,
+    load_cnn,
+    save_cnn,
+)
 
 
 def tiny_model(seed=0, vocab=20, dim=8, filters=4, kernel=3, seq_len=7):
@@ -95,6 +105,106 @@ class TestForward:
         embedding = rng.normal(size=(5, 4))
         with pytest.raises(ValueError, match="row 0"):
             init_convnet(embedding, n_filters=2, kernel_size=2, max_sequence_length=4)
+
+
+def im2col_forward(model, ids):
+    """Logits and backprop caches through an explicit (B, T, K*d) window tensor."""
+    B, L = ids.shape
+    F, K, d = model.conv_weights.shape
+    T = L - K + 1
+    X = model.embedding[ids]
+    windows = np.empty((B, T, K * d))
+    for j in range(K):
+        windows[:, :, j * d : (j + 1) * d] = X[:, j : j + T, :]
+    z = windows @ model.conv_weights.reshape(F, K * d).T + model.conv_bias
+    arg_top = np.argmax(np.maximum(z, 0.0), axis=1)
+    z_top = z[np.arange(B)[:, None], arg_top, np.arange(F)[None, :]]
+    pooled = np.maximum(z_top, 0.0)
+    logits = pooled @ model.dense_weights + model.dense_bias
+    return logits, windows, z_top, pooled, arg_top
+
+
+def im2col_gradients(model, ids, y):
+    logits, windows, z_top, pooled, arg_top = im2col_forward(model, ids)
+    B, F = pooled.shape
+    d_logit = (1.0 / (1.0 + np.exp(-logits)) - y) / B
+    d_z_top = d_logit[:, None] * model.dense_weights[None, :] * (z_top > 0.0)
+    win_top = windows[np.arange(B)[:, None], arg_top, :]
+    return {
+        "conv_weights": np.einsum("bf,bfk->fk", d_z_top, win_top).reshape(
+            model.conv_weights.shape
+        ),
+        "conv_bias": d_z_top.sum(axis=0),
+        "dense_weights": pooled.T @ d_logit,
+        "dense_bias": float(d_logit.sum()),
+    }
+
+
+def mixed_batch(model, rng):
+    """PREDICT_CHUNK + 1 sequences: repeats, an all-padding row, OOV (id 0) rows."""
+    L = model.max_sequence_length
+    ids = rng.integers(0, model.vocab_size, size=(PREDICT_CHUNK + 1, L))
+    ids[1] = 0  # all padding
+    ids[2] = 5  # one token repeated
+    ids[3, ::2] = 0  # OOV between known tokens
+    ids[4, L // 2 :] = 0  # short document, right-padded
+    ids[5] = ids[6]  # a repeated document
+    ids[PREDICT_CHUNK] = ids[0]  # same document on both sides of the chunk boundary
+    return ids
+
+
+class TestDeduplicatedForward:
+    def test_predict_matches_per_sequence_forward(self):
+        model = tiny_model(80)
+        ids = mixed_batch(model, np.random.default_rng(81))
+        proba, labels = cnn_predict(model, ids)
+        single = np.array([cnn_forward(model, row) for row in ids])
+        np.testing.assert_allclose(proba, single, rtol=0, atol=1e-12)
+        assert np.array_equal(labels, (single >= 0.5).astype(np.int64))
+
+    def test_predict_matches_direct_summation_oracle(self):
+        model = tiny_model(82)
+        ids = mixed_batch(model, np.random.default_rng(83))
+        proba, _ = cnn_predict(model, ids)
+        oracle = np.array([oracle_forward(model, row) for row in ids])
+        np.testing.assert_allclose(proba, oracle, rtol=0, atol=1e-10)
+
+    def test_forward_batch_logits_match_im2col(self):
+        model = tiny_model(84)
+        ids = mixed_batch(model, np.random.default_rng(85))
+        logits, _ = _forward_batch(model, ids)
+        np.testing.assert_allclose(logits, im2col_forward(model, ids)[0], rtol=0, atol=1e-12)
+
+    def test_gradients_match_im2col(self):
+        model = tiny_model(86)
+        ids = mixed_batch(model, np.random.default_rng(87))
+        y = np.arange(len(ids)) % 2.0
+        _, grads = cnn_gradients(model, ids, y)
+        expected = im2col_gradients(model, ids, y)
+        for name, value in expected.items():
+            np.testing.assert_allclose(grads[name], value, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_empty_corpus_predicts_nothing(self):
+        model = tiny_model(88)
+        ids = encode_corpus([], {}, model.max_sequence_length)
+        assert ids.shape == (0, model.max_sequence_length) and ids.dtype == np.int64
+        proba, labels = cnn_predict(model, ids)
+        assert proba.shape == (0,) and labels.shape == (0,)
+
+    def test_predict_peak_memory_flat_in_document_count(self):
+        model = tiny_model(89, filters=16, seq_len=40)
+        rng = np.random.default_rng(90)
+
+        def peak(n_docs):
+            ids = rng.integers(0, model.vocab_size, size=(n_docs, model.max_sequence_length))
+            tracemalloc.start()
+            try:
+                cnn_predict(model, ids)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * PREDICT_CHUNK) <= 1.25 * peak(PREDICT_CHUNK)
 
 
 class TestGradients:
