@@ -41,7 +41,7 @@ from .evaluation import (
     report_to_text,
     top_informative_features,
 )
-from .fileio import file_checksum, load_json, metadata_header
+from .fileio import file_checksum, load_json, metadata_header, read_text, text_lines
 from .models import (
     AdamConfig,
     BoostConfig,
@@ -235,7 +235,7 @@ def cmd_measure(args) -> int:
 
 
 def _read_measures(path) -> dict[str, dict[Label, list[float]]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = text_lines(read_text(path))
     rows = [(n, l) for n, l in enumerate(lines, start=1) if l and not l.startswith("#")]
     if not rows or rows[0][1] != "doc_id,label,J,S,fpp_ratio":
         raise DataError(f"{path}: expected a measures CSV with header doc_id,label,J,S,fpp_ratio")
@@ -498,8 +498,9 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------- evaluate
 
 
-# run.json keys that evaluate, features and predict read
-_RUN_KEYS = ("model", "seed", "test_fraction", "stratified")
+# run.json keys that evaluate, features and predict read, with their JSON
+# types (exact: a bool is not an int)
+_RUN_KEYS = {"model": (str,), "seed": (int,), "test_fraction": (int, float), "stratified": (bool,)}
 
 
 def _load_run(model_dir: Path) -> dict:
@@ -507,9 +508,14 @@ def _load_run(model_dir: Path) -> dict:
     if not run_path.exists():
         raise DataError(f"{model_dir}: missing run.json (not a training output dir?)")
     run = load_json(run_path)
-    for key in _RUN_KEYS:
+    if not isinstance(run, dict):
+        raise DataError(f"{run_path}: expected a JSON object")
+    for key, types in _RUN_KEYS.items():
         if key not in run:
             raise DataError(f"{run_path}: missing key {key!r}")
+        if type(run[key]) not in types:
+            expected = " or ".join(t.__name__ for t in types)
+            raise DataError(f"{run_path}: key {key!r} must be {expected}, got {run[key]!r}")
     return run
 
 

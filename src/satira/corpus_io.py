@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .errors import DataError
+from .fileio import read_text, text_lines
 
 
 class Label(Enum):
@@ -176,13 +177,13 @@ def load_corpus(path, format: Optional[CorpusFormat] = None) -> LabeledCorpus:
         else:
             format = CorpusFormat.JSONL
     try:
-        raw = path.read_text(encoding="utf-8")
+        raw = read_text(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
     if format is CorpusFormat.JSONL:
-        docs = _parse_jsonl(raw.splitlines())
+        docs = _parse_jsonl(text_lines(raw))
     else:
         docs = _parse_csv(raw)
     return LabeledCorpus(tuple(docs))

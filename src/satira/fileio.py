@@ -1,4 +1,5 @@
-"""Shared file helpers: phrase-list files, checksums, output metadata headers.
+"""Shared file helpers: phrase-list files, checksums, output metadata headers,
+and the line reader and float codec of every serialized artifact.
 
 Phrase-list files (stop phrases and lexicons alike) are UTF-8 text, one
 phrase per line; blank lines and ``#`` comments are ignored.
@@ -9,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError
 
@@ -57,45 +60,52 @@ def metadata_header(config: dict, lexicon_checksums: dict[str, str] | None = Non
     return "".join(line + "\n" for line in lines)
 
 
-def _comment_block(lines: list[str], format_tag: str) -> tuple[dict, int]:
-    if not lines or lines[0] != f"# {format_tag}":
-        raise DataError(f"unsupported file (expected header '# {format_tag}')")
-    meta: dict[str, str] = {}
-    for i, line in enumerate(lines):
-        # comment lines never hold a tab; a tab-separated row whose first
-        # field starts with "#" (a hashtag token or feature) is body
-        if not line.startswith("#") or "\t" in line:
-            return meta, i
-        for part in line.lstrip("# ").split(" "):
-            if "=" in part:
-                key, value = part.split("=", 1)
-                meta[key] = value
-    return meta, len(lines)
+def read_text(path) -> str:
+    """UTF-8 text of a file exactly as stored: no newline translation."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
 
 
-def split_comment_block(text: str, format_tag: str) -> tuple[dict, list[str]]:
-    """Validate the leading comment block and return (meta, body lines).
+def text_lines(text: str) -> list[str]:
+    """Lines split on ``\\n`` only: ``str.splitlines`` would also cut at ``\\r``,
+    ``\\x85``, U+2028 and other characters that a feature or a text may hold."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
-    The format tag must be the first line; key=value pairs may appear on
-    any later comment line (the CLI splices tool/config metadata between
-    the tag and the body).
-    """
-    lines = text.splitlines()
-    meta, body_start = _comment_block(lines, format_tag)
-    return meta, lines[body_start:]
+
+def float_rows(values, sep: str = " ") -> list[str]:
+    """One line per leading index of ``values`` (a vector or scalar is one line),
+    each float written as the shortest ``repr`` that parses back exactly."""
+    rows = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    return [sep.join(map(repr, row.ravel().tolist())) for row in rows]
 
 
 class BodyReader:
-    """Reads the body of a serialized file line by line, checking as it goes.
+    """Reads a serialized file line by line, checking as it goes.
 
-    The comment block is read as by ``split_comment_block``; blank body
-    lines are skipped. Every ``DataError`` raised names the file line, so
-    a truncated or corrupted file fails with a usable message.
+    The format tag must be the first line; ``key=value`` pairs may follow on
+    any comment line (the CLI splices its metadata in after the tag). The
+    comment block ends at the first line not starting with ``#`` or holding
+    a tab (a row may start with a hashtag feature). Blank body lines are
+    skipped; every ``DataError`` names the file line.
     """
 
     def __init__(self, text: str, format_tag: str):
-        self._lines = text.splitlines()
-        self.meta, self._next = _comment_block(self._lines, format_tag)
+        self._lines = text_lines(text)
+        if not self._lines or self._lines[0] != f"# {format_tag}":
+            raise DataError(f"unsupported file (expected header '# {format_tag}')")
+        self.meta: dict[str, str] = {}
+        self._next = 0
+        for line in self._lines:
+            if not line.startswith("#") or "\t" in line:
+                break
+            for part in line.lstrip("# ").split(" "):
+                if "=" in part:
+                    key, value = part.split("=", 1)
+                    self.meta[key] = value
+            self._next += 1
         self.lineno = self._next  # 1-based number of the line last read
 
     def error(self, message: str) -> DataError:
@@ -133,6 +143,20 @@ class BodyReader:
         except ValueError as exc:
             raise self.error(str(exc)) from exc
 
+    def floats(self, what: str, count: int, label: str | None = None, sep: str = " ") -> np.ndarray:
+        """Next line as ``count`` floats after ``label``, if given; inverse of ``float_rows``."""
+        if label is None:
+            parts = self.fields(what, count, sep)
+        else:
+            parts = self.fields(f"{what} {label}", count + 1, sep)
+            if parts[0] != label:
+                raise self.error(f"{what} {parts[0]} where {label} was expected")
+            del parts[0]
+        try:
+            return np.array(parts, dtype=np.float64)
+        except ValueError as exc:
+            raise self.error(str(exc)) from exc
+
     def end(self) -> None:
         if self.more:
             self.lineno = self._next + 1
@@ -142,13 +166,15 @@ class BodyReader:
 def parse_file(path, parse):
     """Parse a UTF-8 serialized file; data errors are prefixed with its path."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(read_text(path))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def load_json(path) -> dict:
     """Read a JSON file, skipping the leading ``#`` metadata lines."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    body = "\n".join(l for l in lines if not l.startswith("#"))
-    return json.loads(body)
+    body = "\n".join(l for l in text_lines(read_text(path)) if not l.startswith("#"))
+    try:
+        return json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
-from ..fileio import BodyReader, parse_file
-from .boosted_trees import sigmoid
+from ..fileio import BodyReader, float_rows, parse_file
+from .boosted_trees import logistic_loss, sigmoid
 
 CNN_FORMAT = "satira-cnn v1"
 
@@ -156,11 +156,6 @@ def cnn_forward(model: ConvNetModel, token_ids) -> float:
     return float(sigmoid(logits)[0])
 
 
-def bce_loss(logits: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy, evaluated stably from logits."""
-    return float(np.mean(np.logaddexp(0.0, logits) - y * logits))
-
-
 def cnn_gradients(model: ConvNetModel, ids: np.ndarray, y: np.ndarray):
     """Analytic mean-BCE gradients for every trainable parameter."""
     ids = _check_ids(model, ids)
@@ -187,7 +182,7 @@ def cnn_gradients(model: ConvNetModel, ids: np.ndarray, y: np.ndarray):
     d_conv_w = np.einsum("bf,bfk->fk", d_z_top, win_top).reshape(F, K, d)
     d_conv_b = d_z_top.sum(axis=0)
 
-    loss = bce_loss(logits, y)
+    loss = logistic_loss(logits, y)
     grads = {
         "conv_weights": d_conv_w,
         "conv_bias": d_conv_b,
@@ -207,7 +202,7 @@ def grad_check(model: ConvNetModel, token_ids, y, h: float = 1e-5) -> float:
         shape = np.shape(getattr(model, name))
         value = flat.reshape(shape) if shape else float(flat[0])
         logits, _ = _forward_batch(replace(model, **{name: value}), ids)
-        return bce_loss(logits, y)
+        return logistic_loss(logits, y)
 
     worst = 0.0
     for name in TRAINABLE:
@@ -311,23 +306,19 @@ def cnn_predict(model: ConvNetModel, ids) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cnn_to_text(model: ConvNetModel) -> str:
-    def matrix_lines(name: str, arr: np.ndarray) -> list[str]:
-        arr2 = np.atleast_2d(np.asarray(arr, dtype=np.float64).reshape(arr.shape[0], -1))
-        lines = [f"{name} {' '.join(str(s) for s in arr.shape)}"]
-        lines.extend(" ".join(repr(float(v)) for v in row) for row in arr2)
-        return lines
-
     lines = [
         f"# {CNN_FORMAT}",
         f"# vocab={model.vocab_size} dim={model.embedding.shape[1]} "
         f"filters={model.n_filters} kernel={model.kernel_size} "
         f"max_len={model.max_sequence_length}",
     ]
-    lines.extend(matrix_lines("embedding", model.embedding))
-    lines.extend(matrix_lines("conv_weights", model.conv_weights))
-    lines.append("conv_bias " + " ".join(repr(float(v)) for v in model.conv_bias))
-    lines.append("dense_weights " + " ".join(repr(float(v)) for v in model.dense_weights))
-    lines.append(f"dense_bias {model.dense_bias!r}")
+    # matrices: a "<name> <shape>" section line, then one line per leading index
+    for name in ("embedding", "conv_weights"):
+        matrix = getattr(model, name)
+        lines.append(" ".join([name, *map(str, matrix.shape)]))
+        lines.extend(float_rows(matrix))
+    for name in ("conv_bias", "dense_weights", "dense_bias"):
+        lines.append(f"{name} " + float_rows(getattr(model, name))[0])
     return "".join(line + "\n" for line in lines)
 
 
@@ -342,24 +333,15 @@ def cnn_from_text(text: str) -> ConvNetModel:
         if r.fields(f"section {name!r}", sep=" ") != expected.split(" "):
             raise r.error(f"expected section header {expected!r}")
         row_len = int(np.prod(shape[1:]))
-        rows = [
-            r.parse(float, *r.fields(f"{name} row", row_len, sep=" "))
-            for _ in range(shape[0])
-        ]
+        rows = [r.floats(f"{name} row", row_len) for _ in range(shape[0])]
         return np.array(rows, dtype=np.float64).reshape(shape)
-
-    def read_vector(name: str, size: int) -> np.ndarray:
-        parts = r.fields(name, size + 1, sep=" ")
-        if parts[0] != name:
-            raise r.error(f"expected {name!r}, got {parts[0]!r}")
-        return np.array(r.parse(float, *parts[1:]), dtype=np.float64)
 
     model = ConvNetModel(
         embedding=read_matrix("embedding", (V, d)),
         conv_weights=read_matrix("conv_weights", (F, K, d)),
-        conv_bias=read_vector("conv_bias", F),
-        dense_weights=read_vector("dense_weights", F),
-        dense_bias=float(read_vector("dense_bias", 1)[0]),
+        conv_bias=r.floats("section", F, "conv_bias"),
+        dense_weights=r.floats("section", F, "dense_weights"),
+        dense_bias=float(r.floats("section", 1, "dense_bias")[0]),
         max_sequence_length=max_len,
     )
     r.end()

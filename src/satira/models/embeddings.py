@@ -16,7 +16,7 @@ import numpy as np
 
 from ..corpus_io import Document
 from ..errors import DataError
-from ..fileio import BodyReader, parse_file
+from ..fileio import BodyReader, parse_file, read_text, text_lines
 
 TOKEN_INDEX_FORMAT = "satira-token-index v1"
 
@@ -74,7 +74,7 @@ def load_embeddings(
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = text_lines(read_text(path))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
     except OSError as exc:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
-from ..fileio import BodyReader, parse_file
+from ..fileio import BodyReader, float_rows, parse_file
 from ..vectorize import DocTermMatrix
 
 NB_FORMAT = "satira-nb v1"
@@ -110,13 +110,10 @@ def nb_to_text(model: NaiveBayesModel) -> str:
     lines = [
         f"# {NB_FORMAT}",
         f"# alpha={model.alpha!r} n_features={model.n_features}",
-        "prior\t" + "\t".join(repr(float(v)) for v in model.class_log_prior),
+        "prior\t" + float_rows(model.class_log_prior, "\t")[0],
     ]
-    for j in range(model.n_features):
-        lines.append(
-            f"{j}\t{float(model.feature_log_prob[0, j])!r}"
-            f"\t{float(model.feature_log_prob[1, j])!r}"
-        )
+    rows = float_rows(model.feature_log_prob.T, "\t")
+    lines.extend(f"{j}\t{row}" for j, row in enumerate(rows))
     return "".join(line + "\n" for line in lines)
 
 
@@ -124,24 +121,12 @@ def nb_from_text(text: str) -> NaiveBayesModel:
     r = BodyReader(text, NB_FORMAT)
     alpha = r.meta_value("alpha", float)
     n_features = r.meta_value("n_features", int)
-    prior = r.fields("prior line", 3)
-    if prior[0] != "prior":
-        raise r.error("expected the prior line")
-    priors = np.array(r.parse(float, *prior[1:]), dtype=np.float64)
-    fake: list = [None] * n_features
-    real: list = [None] * n_features
-    # exactly n_features rows, each column index once, so every cell is filled
-    for _ in range(n_features):
-        j_s, fake_s, real_s = r.fields("feature row", 3)
-        try:
-            j, values = int(j_s), (float(fake_s), float(real_s))
-        except ValueError as exc:
-            raise r.error(str(exc)) from exc
-        if not 0 <= j < n_features or fake[j] is not None:
-            raise r.error(f"feature index {j} is out of range or repeated")
-        fake[j], real[j] = values
+    priors = r.floats("row", 2, "prior", "\t")
+    # exactly n_features rows, labelled with their column index in order
+    rows = [r.floats("feature index", 2, str(j), "\t") for j in range(n_features)]
     r.end()
-    return NaiveBayesModel(priors, np.array([fake, real], dtype=np.float64), alpha)
+    feature_log_prob = np.array(rows, dtype=np.float64).reshape(n_features, 2).T.copy()
+    return NaiveBayesModel(priors, feature_log_prob, alpha)
 
 
 def save_nb(model: NaiveBayesModel, path) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus_io import Document
 from .errors import DataError
-from .fileio import parse_file, split_comment_block
+from .fileio import BodyReader, float_rows, parse_file
 
 VOCABULARY_FORMAT = "satira-vocabulary v1"
 
@@ -230,42 +230,47 @@ def vocabulary_to_text(vocab: Vocabulary) -> str:
         f"n_docs={vocab.n_docs_fitted}",
     ]
     names = vocab.feature_names()
-    for col, feature in enumerate(names):
+    idfs = [""] * len(names) if vocab.idf is None else float_rows(vocab.idf[:, None])
+    for col, (feature, idf) in enumerate(zip(names, idfs)):
         if "\t" in feature or "\n" in feature:
             raise DataError(f"feature {feature!r} contains tab/newline; cannot serialize")
-        idf = "" if vocab.idf is None else repr(float(vocab.idf[col]))
         lines.append(f"{feature}\t{col}\t{int(vocab.document_frequency[col])}\t{idf}")
     return "".join(line + "\n" for line in lines)
 
 
 def vocabulary_from_text(text: str) -> Vocabulary:
-    meta, body = split_comment_block(text, VOCABULARY_FORMAT)
-    lo, hi = (int(v) for v in meta["ngram"].split(","))
-    cfg = VectorizerConfig(
-        weighting=Weighting(meta["weighting"]),
-        analyzer=Analyzer(meta["analyzer"]),
-        ngram_range=(lo, hi),
-        max_features=int(meta["max_features"]),
-        max_df=float(meta["max_df"]),
+    """Inverse of ``vocabulary_to_text``; rows must hold columns 0, 1, ... in order."""
+    r = BodyReader(text, VOCABULARY_FORMAT)
+    weighting = r.meta_value("weighting", Weighting)
+    settings = dict(
+        weighting=weighting,
+        analyzer=r.meta_value("analyzer", Analyzer),
+        ngram_range=r.meta_value("ngram", lambda v: tuple(map(int, v.split(",")))),
+        max_features=r.meta_value("max_features", int),
+        max_df=r.meta_value("max_df", float),
     )
+    n_docs = r.meta_value("n_docs", int)
     index: dict[str, int] = {}
     dfs: list[int] = []
     idfs: list[float] = []
-    for line in body:
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise DataError(f"vocabulary line {line!r}: expected 4 fields")
-        feature, col, df, idf = parts
-        index[feature] = int(col)
-        dfs.append(int(df))
-        if idf:
-            idfs.append(float(idf))
-    idf_arr = np.array(idfs, dtype=np.float64) if idfs else None
-    if cfg.weighting is Weighting.TFIDF and (idf_arr is None or len(idf_arr) != len(index)):
-        raise DataError("TFIDF vocabulary file is missing idf values")
-    return Vocabulary(index, np.array(dfs, dtype=np.int64), idf_arr, int(meta["n_docs"]), cfg)
+    while r.more:
+        feature, col_s, df_s, idf = r.fields("feature row", 4)
+        col, df = r.parse(int, col_s, df_s)
+        if col != len(index) or feature in index:
+            raise r.error(f"expected a new feature with column {len(index)}")
+        if (idf != "") != (weighting is Weighting.TFIDF):
+            raise r.error("idf must be given exactly when weighting is tfidf")
+        index[feature] = col
+        dfs.append(df)
+        idfs += r.parse(float, idf) if idf else []
+    if not index:
+        raise DataError("no feature rows")
+    idf_arr = np.array(idfs, dtype=np.float64) if weighting is Weighting.TFIDF else None
+    try:
+        cfg = VectorizerConfig(**settings)
+        return Vocabulary(index, np.array(dfs, dtype=np.int64), idf_arr, n_docs, cfg)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,11 @@ import pytest
 from satira import load_corpus, save_corpus
 from satira.cli import main
 from satira.fileio import load_json
+from satira.models.boosted_trees import gbt_from_text, gbt_to_text
+from satira.models.convnet import cnn_from_text, cnn_to_text
+from satira.models.embeddings import _token_index_from_text, token_index_to_text
+from satira.models.naive_bayes import nb_from_text, nb_to_text
+from satira.vectorize import vocabulary_from_text, vocabulary_to_text
 from tests.conftest import synthetic_corpus, write_embedding_file
 
 
@@ -37,6 +43,22 @@ def train(corpus_file, kind, out, *flags) -> int:
         vectors = write_embedding_file(out.parent / "vec.txt", tokens, dim=16, seed=3)
         flags += ("--embeddings", vectors)
     return run("train", "--corpus", corpus_file, "--model", kind, *flags, "--out", out)
+
+
+def evaluate_with_edited_run(corpus_file, tmp_path, capsys, edit):
+    """Train nb, replace its run.json body by ``edit(record)``, check that
+    evaluate exits 2 without a traceback; returns the run.json path and stderr."""
+    model_dir = tmp_path / "run"
+    assert train(corpus_file, "nb", model_dir) == 0
+    path = model_dir / "run.json"
+    header = [l for l in path.read_text(encoding="utf-8").splitlines() if l.startswith("#")]
+    path.write_text("\n".join(header) + "\n" + edit(load_json(path)), encoding="utf-8")
+    capsys.readouterr()
+    assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
+               "--out", tmp_path / "eval") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return path, err
 
 
 def header_hash(path) -> str:
@@ -268,19 +290,25 @@ class TestTrainEvaluatePredict:
 
     @pytest.mark.parametrize("key", ["model", "seed", "test_fraction", "stratified"])
     def test_run_json_missing_key_exits_2(self, corpus_file, tmp_path, capsys, key):
-        model_dir = tmp_path / "run"
-        assert train(corpus_file, "nb", model_dir) == 0
-        path = model_dir / "run.json"
-        header = [l for l in path.read_text(encoding="utf-8").splitlines() if l.startswith("#")]
-        record = load_json(path)
-        del record[key]
-        path.write_text("\n".join(header) + "\n" + json.dumps(record), encoding="utf-8")
-        capsys.readouterr()
-        assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
-                   "--out", tmp_path / "eval") == 2
-        err = capsys.readouterr().err
+        path, err = evaluate_with_edited_run(
+            corpus_file, tmp_path, capsys,
+            lambda record: json.dumps({k: v for k, v in record.items() if k != key}))
         assert f"{path}: missing key {key!r}" in err
-        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("model", 3), ("seed", "x"), ("seed", True), ("seed", 7.0), ("test_fraction", "0.2"),
+         ("stratified", 1)],
+    )
+    def test_run_json_wrong_type_exits_2(self, corpus_file, tmp_path, capsys, key, value):
+        path, err = evaluate_with_edited_run(
+            corpus_file, tmp_path, capsys, lambda record: json.dumps(dict(record, **{key: value})))
+        assert f"{path}: key {key!r} must be" in err
+
+    @pytest.mark.parametrize("body", ["3", "{"])
+    def test_run_json_not_an_object_exits_2(self, corpus_file, tmp_path, capsys, body):
+        path, err = evaluate_with_edited_run(corpus_file, tmp_path, capsys, lambda record: body)
+        assert f"{path}: " in err
 
     def test_predict_missing_text_exits_2_with_line(self, corpus_file, tmp_path, capsys):
         model_dir = tmp_path / "run"
@@ -294,7 +322,7 @@ class TestTrainEvaluatePredict:
     @pytest.mark.parametrize(
         "kind, filename",
         [("nb", "model.txt"), ("gbt", "model.txt"), ("cnn", "model.txt"),
-         ("cnn", "token_index.txt")],
+         ("cnn", "token_index.txt"), ("nb", "vocabulary.txt")],
     )
     def test_corrupt_artifact_exits_2(self, corpus_file, tmp_path, capsys, kind, filename):
         model_dir = tmp_path / "run"
@@ -303,6 +331,9 @@ class TestTrainEvaluatePredict:
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         if filename == "model.txt":
             corrupted = "".join(lines[:-5])  # cut the tail
+        elif filename == "vocabulary.txt":
+            corrupted = re.sub(r" n_docs=\d+", "", "".join(lines))  # drop a header key
+            assert corrupted != "".join(lines)
         else:
             corrupted = "# satira-token-index v0\n" + "".join(lines[1:])  # wrong tag
         path.write_text(corrupted, encoding="utf-8")
@@ -383,3 +414,33 @@ class TestReproducibility:
         assert run("train", "--config", config, "--seed", 11, "--out", out2) == 0
         run2 = load_json(out2 / "run.json")
         assert run2["seed"] == 11
+
+
+class TestTextRoundTrip:
+    """Every trained artifact is a fixed point of its text codec."""
+
+    CODECS = {
+        "nb/model.txt": (nb_to_text, nb_from_text),
+        "gbt/model.txt": (gbt_to_text, gbt_from_text),
+        "cnn/model.txt": (cnn_to_text, cnn_from_text),
+        "cnn/token_index.txt": (token_index_to_text, _token_index_from_text),
+        "nb/vocabulary.txt": (vocabulary_to_text, vocabulary_from_text),
+    }
+
+    @pytest.mark.parametrize(
+        "kind, filename, flags",
+        [("nb", "model.txt", ()), ("nb", "vocabulary.txt", ()),
+         ("nb", "vocabulary.txt", ("--weighting", "tfidf", "--analyzer", "char", "--ngram", "2,4")),
+         ("gbt", "model.txt", ()), ("cnn", "model.txt", ()), ("cnn", "token_index.txt", ())],
+        ids=["nb-model", "nb-vocabulary", "nb-tfidf-char-vocabulary", "gbt-model", "cnn-model",
+             "cnn-token-index"],
+    )
+    def test_to_text_inverts_from_text(self, corpus_file, tmp_path, kind, filename, flags):
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, kind, model_dir, *flags) == 0
+        lines = (model_dir / filename).read_bytes().decode("utf-8").split("\n")
+        # the CLI puts its metadata lines between the format tag and the rest
+        assert lines[1].startswith("# satira ") and lines[2].startswith("# config-hash ")
+        expected = "\n".join(lines[:1] + lines[3:])
+        to_text, from_text = self.CODECS[f"{kind}/{filename}"]
+        assert to_text(from_text(expected)) == expected

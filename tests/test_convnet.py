@@ -15,11 +15,11 @@ from satira.models import (
     encode_corpus,
     grad_check,
     init_convnet,
+    logistic_loss,
 )
 from satira.models.convnet import (
     PREDICT_CHUNK,
     _forward_batch,
-    bce_loss,
     cnn_from_text,
     cnn_to_text,
     load_cnn,
@@ -230,7 +230,7 @@ class TestGradients:
             from satira.models.convnet import _forward_batch
 
             logits, _ = _forward_batch(replace(model, dense_bias=bias), ids)
-            return bce_loss(logits, y)
+            return logistic_loss(logits, y)
 
         numeric = (loss_at(model.dense_bias + h) - loss_at(model.dense_bias - h)) / (2 * h)
         assert grads["dense_bias"] == pytest.approx(numeric, abs=1e-7)

@@ -173,6 +173,16 @@ class TestRoundTrip:
         assert corpus_to_jsonl(corpus2) == serialized
         assert serialized.encode("utf-8") == reloaded_path.read_bytes()
 
+    def test_line_separator_characters_in_text_round_trip(self, tmp_path):
+        # json.dumps leaves these unescaped; str.splitlines would cut there
+        texts = ["قال\x85الناطق", "خبر\u2028عاجل", "بدون\u2029تصنيف"]
+        corpus = LabeledCorpus(
+            tuple(make_document(f"a{i}", t, Label.FAKE) for i, t in enumerate(texts))
+        )
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus, path)
+        assert [d.text for d in load_corpus(path).documents] == texts
+
     def test_serialized_form_is_canonical_json(self, tmp_path):
         corpus = balanced_corpus(2, 2)
         for line in corpus_to_jsonl(corpus).splitlines():

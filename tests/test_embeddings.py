@@ -84,6 +84,12 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match="line 3"):
             load_embeddings(path, {"good": 1, "bad": 2}, expected_dim=3)
 
+    def test_line_separator_characters_in_tokens_stay_in_their_line(self, tmp_path):
+        path = write_vectors(tmp_path, "3 2\nin 1 2\no\x85ut 3 4\nc\u2028d 5 6\n")
+        matrix, coverage = load_embeddings(path, {"in": 1}, expected_dim=2)
+        assert coverage == 1.0
+        assert matrix[1].tolist() == [1.0, 2.0]
+
     def test_out_of_vocabulary_lines_skipped(self, tmp_path):
         path = write_vectors(tmp_path, "2 2\nin 1 2\nout 3 4\n")
         matrix, coverage = load_embeddings(path, {"in": 1}, expected_dim=2)

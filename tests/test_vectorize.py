@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,7 +195,70 @@ class TestSerialization:
         assert loaded.index == vocab.index
         assert np.array_equal(loaded.document_frequency, vocab.document_frequency)
 
+    @pytest.mark.parametrize(
+        "char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_line_separator_characters_in_features_round_trip(self, tmp_path, char):
+        cfg = VectorizerConfig(
+            weighting=Weighting.TFIDF, analyzer=Analyzer.CHAR, ngram_range=(2, 2), max_df=1.0
+        )
+        vocab = fit([make_document("d0", f"a{char}b"), make_document("d1", "ab")], cfg)
+        assert f"a{char}" in vocab.index
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(vocab, path)
+        loaded = load_vocabulary(path)
+        assert loaded.index == vocab.index
+        assert np.array_equal(loaded.document_frequency, vocab.document_frequency)
+        assert np.array_equal(loaded.idf, vocab.idf)
+
     def test_text_is_stable(self):
         docs = docs_of(["b", "a"])
         vocab = fit(docs, WORD_CFG)
         assert vocabulary_to_text(vocab) == vocabulary_to_text(vocab)
+
+
+class TestStrictLoader:
+    """The vocabulary loader checks its header and every row."""
+
+    def vocabulary_lines(self):
+        # features a (df 2), b, c, d (df 1); rows start at line 3
+        vocab = fit(docs_of(["a", "b"], ["a", "c"], ["d"]), WORD_CFG)
+        return vocabulary_to_text(vocab).split("\n")
+
+    def test_swapped_rows_name_the_line(self):
+        lines = self.vocabulary_lines()
+        assert lines[2].startswith("a\t0\t2\t") and lines[3].startswith("b\t1\t1\t")
+        lines[2], lines[3] = lines[3], lines[2]
+        with pytest.raises(DataError, match="line 3: expected a new feature with column 0"):
+            vocabulary_from_text("\n".join(lines))
+
+    def test_repeated_row_names_the_line(self):
+        lines = self.vocabulary_lines()
+        lines.insert(3, lines[2])
+        with pytest.raises(DataError, match="line 4: expected a new feature with column 1"):
+            vocabulary_from_text("\n".join(lines))
+
+    def test_missing_header_key(self):
+        text = "\n".join(self.vocabulary_lines()).replace(" n_docs=3", "")
+        with pytest.raises(DataError, match="header lacks n_docs="):
+            vocabulary_from_text(text)
+
+    def test_non_integer_column_names_path_and_line(self, tmp_path):
+        lines = self.vocabulary_lines()
+        lines[3] = lines[3].replace("\t1\t", "\tone\t")
+        path = tmp_path / "vocabulary.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 4: invalid literal")):
+            load_vocabulary(path)
+
+    @pytest.mark.parametrize("weighting, idf", [("count", "1.5"), ("tfidf", "")])
+    def test_idf_present_exactly_for_tfidf(self, weighting, idf):
+        lines = self.vocabulary_lines()
+        lines[1] = lines[1].replace("weighting=count", f"weighting={weighting}")
+        lines[2:6] = [row.rsplit("\t", 1)[0] + "\t" + idf for row in lines[2:6]]
+        with pytest.raises(DataError, match="line 3: idf must be given"):
+            vocabulary_from_text("\n".join(lines))
+
+    def test_empty_body_rejected(self):
+        with pytest.raises(DataError, match="no feature rows"):
+            vocabulary_from_text("\n".join(self.vocabulary_lines()[:2]))
