@@ -2,12 +2,15 @@
 
 Subcommands: clean, boilerplate, measure, ttest, train, evaluate,
 features, predict, plot-data. Exit codes: 0 success, 1 usage error,
-2 data error. ``SATIRA_LOG`` sets the log level. Options may come from a
-JSON config file (``--config``); explicit flags win over the file.
+2 data error. ``SATIRA_LOG`` sets the log level. Each subcommand takes
+``--config``, ``--out`` and the options of its rows in ``_COMMANDS``, which
+both the parser and the config lookup read. A JSON config file is keyed by
+flag name without the dashes; flags win over it, its values must have the
+row's JSON type, and keys the subcommand does not read are ignored.
 
 Every output file starts with ``#`` metadata lines (tool version, config
-hash, lexicon checksums) so results stay attributable; all randomness
-derives from the single ``--seed`` value.
+hash, lexicon checksums) so results stay attributable; all randomness of
+``train`` derives from its single ``--seed`` value.
 """
 
 from __future__ import annotations
@@ -113,26 +116,57 @@ def _setup_logging():
 
 def _load_config_file(path) -> dict:
     try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"config file {path}: {exc}") from exc
+        config = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if not isinstance(config, dict):
-        raise DataError(f"config file {path}: expected a JSON object")
+        raise DataError(f"{path}: expected a JSON object")
     return config
 
 
-def _resolve(args, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if args.file_config and key in args.file_config:
-        return args.file_config[key]
-    return default
+class _Option(NamedTuple):
+    flag: str  # without the leading dashes; also the config-file key
+    kind: object  # bool (a switch), int, float, str, _ngram_range, or a tuple of choices
+    default: object  # None: required
+    help: str
+
+
+# JSON types a config-file or run.json value may have, per kind (exact: a bool is not an int)
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _config_value(args, flag: str):
+    """The config file's value of ``flag``, checked against its row's kind."""
+    kind, value = args.options[flag].kind, args.file_config[flag]
+    if isinstance(kind, tuple):
+        ok, expected = value in kind, "one of " + ", ".join(kind)
+    elif kind is _ngram_range:
+        ok = type(value) is str or (
+            type(value) is list and len(value) == 2 and all(type(v) is int for v in value))
+        expected = "'LO,HI' or [LO, HI]"
+    else:
+        ok = type(value) in _JSON_TYPES[kind]
+        expected = " or ".join(t.__name__ for t in _JSON_TYPES[kind])
+    if not ok:
+        raise DataError(f"{args.config}: key {flag!r} must be {expected}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _resolve(args, flag: str, default=None):
+    """Flag value if given, else the config file's, else ``default`` or the
+    row's default; an option left without a value is a usage error."""
+    value = getattr(args, flag.replace("-", "_"))
+    if value is None and flag in args.file_config:
+        value = _config_value(args, flag)
+    if value is None:
+        value = args.options[flag].default if default is None else default
+    if value is None:
+        raise UsageError(f"missing required option --{flag}")
+    return value
 
 
 def _out_dir(args) -> Path:
-    out = Path(_resolve(args, "out", "out"))
+    out = Path(_resolve(args, "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -142,31 +176,20 @@ def _write(path: Path, header: str, body: str):
     log.info("wrote %s", path)
 
 
-def _require(args, key: str):
-    value = _resolve(args, key)
-    if value is None:
-        raise UsageError(f"missing required option --{key}")
-    return value
-
-
 def _lexicon_checksums(paths: dict) -> dict:
     return {name: file_checksum(p) for name, p in paths.items() if p}
-
-
-def _corpus(args, key: str = "corpus") -> LabeledCorpus:
-    return load_corpus(_require(args, key))
 
 
 # ---------------------------------------------------------------- clean
 
 
 def cmd_clean(args) -> int:
-    corpus = _corpus(args)
+    corpus = load_corpus(_resolve(args, "corpus"))
     cfg = NormalizationConfig(
-        strip_diacritics=not args.keep_diacritics,
-        strip_latin=not args.keep_latin,
-        strip_special=not args.keep_special,
-        collapse_whitespace=not args.no_collapse_whitespace,
+        strip_diacritics=not _resolve(args, "keep-diacritics"),
+        strip_latin=not _resolve(args, "keep-latin"),
+        strip_special=not _resolve(args, "keep-special"),
+        collapse_whitespace=not _resolve(args, "no-collapse-whitespace"),
     )
     stop_path = _resolve(args, "stop-phrases")
     stop = StopPhraseList.from_file(stop_path) if stop_path else None
@@ -177,7 +200,7 @@ def cmd_clean(args) -> int:
         "corpus": str(_resolve(args, "corpus")),
         "normalization": dataclasses.asdict(cfg),
         "stop_phrases": str(stop_path) if stop_path else None,
-        "segmented": bool(_resolve(args, "segmented", False)),
+        "segmented": _resolve(args, "segmented"),
     }
     checksums = _lexicon_checksums({"stop_phrases": stop_path})
     _write(out / "cleaned.jsonl", metadata_header(run_config, checksums), corpus_to_jsonl(cleaned))
@@ -188,8 +211,8 @@ def cmd_clean(args) -> int:
 
 
 def cmd_boilerplate(args) -> int:
-    corpus = _corpus(args)
-    fraction = float(_resolve(args, "fraction", 0.1))
+    corpus = load_corpus(_resolve(args, "corpus"))
+    fraction = _resolve(args, "fraction")
     out = _out_dir(args)
     run_config = {
         "command": "boilerplate",
@@ -210,13 +233,13 @@ def cmd_boilerplate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    corpus = _corpus(args).labeled_only()
-    cliches = Lexicon.from_file(_require(args, "cliches"), name="cliches")
-    emotions = Lexicon.from_file(_require(args, "emotions"), name="emotions")
+    corpus = load_corpus(_resolve(args, "corpus")).labeled_only()
+    cliches = Lexicon.from_file(_resolve(args, "cliches"), name="cliches")
+    emotions = Lexicon.from_file(_resolve(args, "emotions"), name="emotions")
     tagged = None
     tagged_path = _resolve(args, "tagged")
     if tagged_path:
-        tagged = parse_tagged_file(Path(tagged_path).read_text(encoding="utf-8"))
+        tagged = parse_tagged_file(read_text(tagged_path))
     profile = corpus_profile(corpus, cliches, emotions, tagged)
     out = _out_dir(args)
     run_config = {
@@ -225,7 +248,7 @@ def cmd_measure(args) -> int:
         "cliches": str(_resolve(args, "cliches")),
         "emotions": str(_resolve(args, "emotions")),
         "tagged": str(tagged_path) if tagged_path else None,
-        "segmented": bool(_resolve(args, "segmented", False)),
+        "segmented": _resolve(args, "segmented"),
     }
     checksums = _lexicon_checksums(
         {"cliches": _resolve(args, "cliches"), "emotions": _resolve(args, "emotions")}
@@ -260,12 +283,12 @@ def _read_measures(path) -> dict[str, dict[Label, list[float]]]:
 
 
 def cmd_ttest(args) -> int:
-    columns = _read_measures(_require(args, "measures"))
-    variant = TTestVariant(_resolve(args, "variant", "pooled"))
-    # fpp may carry NaN for verbless documents, so omit is the working default
-    policy = NanPolicy(_resolve(args, "nan-policy", "omit"))
-    run_all = args.measure == "all"
-    names = ("J", "S", "fpp") if run_all else (args.measure,)
+    columns = _read_measures(_resolve(args, "measures"))
+    variant = TTestVariant(_resolve(args, "variant"))
+    policy = NanPolicy(_resolve(args, "nan-policy"))
+    measure = _resolve(args, "measure")
+    run_all = measure == "all"
+    names = ("J", "S", "fpp") if run_all else (measure,)
     out_lines = []
     for name in names:
         fake = columns[name][Label.FAKE]
@@ -303,8 +326,8 @@ def cmd_ttest(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    columns = _read_measures(_require(args, "measures"))
-    bins = int(_resolve(args, "bins", 50))
+    columns = _read_measures(_resolve(args, "measures"))
+    bins = _resolve(args, "bins")
     out = _out_dir(args)
     run_config = {
         "command": "plot-data",
@@ -344,14 +367,6 @@ def _ngram_range(value) -> list[int]:
     except ValueError as exc:
         raise UsageError(f"--ngram must be LO,HI, got {value!r}") from exc
     return [lo, hi]
-
-
-def _split_config(args) -> SplitConfig:
-    return SplitConfig(
-        test_fraction=float(_resolve(args, "test-fraction", 0.2)),
-        seed=int(_resolve(args, "seed", 42)),
-        stratified=True,
-    )
 
 
 def _vectorize(cfg: dict, docs):
@@ -458,12 +473,12 @@ PIPELINES = {
 
 
 def cmd_train(args) -> int:
-    corpus = _corpus(args).labeled_only()
-    model_kind = _require(args, "model")
-    pipeline = PIPELINES.get(model_kind)
-    if pipeline is None:
-        raise UsageError(f"unknown model {model_kind!r}; expected {', '.join(PIPELINES)}")
-    split_cfg = _split_config(args)
+    corpus = load_corpus(_resolve(args, "corpus")).labeled_only()
+    model_kind = _resolve(args, "model")
+    pipeline = PIPELINES[model_kind]
+    split_cfg = SplitConfig(
+        test_fraction=_resolve(args, "test-fraction"), seed=_resolve(args, "seed"), stratified=True
+    )
     train_set, _ = split(corpus, split_cfg)
     out = _out_dir(args)
 
@@ -474,12 +489,11 @@ def cmd_train(args) -> int:
         "seed": split_cfg.seed,
         "test_fraction": split_cfg.test_fraction,
         "stratified": split_cfg.stratified,
-        "segmented": bool(_resolve(args, "segmented", False)),
+        "segmented": _resolve(args, "segmented"),
         "version": __version__,
     }
     for key, flag, cast, default in pipeline.options:
-        value = _require(args, flag) if default is None else _resolve(args, flag, default)
-        run_config[key] = cast(value)
+        run_config[key] = cast(_resolve(args, flag, default))
 
     # the header hash covers the resolved input config, fixed before training
     header = metadata_header(run_config)
@@ -498,9 +512,8 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------- evaluate
 
 
-# run.json keys that evaluate, features and predict read, with their JSON
-# types (exact: a bool is not an int)
-_RUN_KEYS = {"model": (str,), "seed": (int,), "test_fraction": (int, float), "stratified": (bool,)}
+# run.json keys that evaluate, features and predict read, with their kinds
+_RUN_KEYS = {"model": str, "seed": int, "test_fraction": float, "stratified": bool}
 
 
 def _load_run(model_dir: Path) -> dict:
@@ -510,11 +523,11 @@ def _load_run(model_dir: Path) -> dict:
     run = load_json(run_path)
     if not isinstance(run, dict):
         raise DataError(f"{run_path}: expected a JSON object")
-    for key, types in _RUN_KEYS.items():
+    for key, kind in _RUN_KEYS.items():
         if key not in run:
             raise DataError(f"{run_path}: missing key {key!r}")
-        if type(run[key]) not in types:
-            expected = " or ".join(t.__name__ for t in types)
+        if type(run[key]) not in _JSON_TYPES[kind]:
+            expected = " or ".join(t.__name__ for t in _JSON_TYPES[kind])
             raise DataError(f"{run_path}: key {key!r} must be {expected}, got {run[key]!r}")
     return run
 
@@ -535,12 +548,15 @@ def _scoring_header(command: str, args, model_dir: Path, run: dict) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    model_dir = Path(_require(args, "model-dir"))
+    model_dir = Path(_resolve(args, "model-dir"))
     run = _load_run(model_dir)
-    corpus = _corpus(args).labeled_only()
-    split_cfg = SplitConfig(
-        test_fraction=run["test_fraction"], seed=run["seed"], stratified=run["stratified"]
-    )
+    corpus = load_corpus(_resolve(args, "corpus")).labeled_only()
+    try:
+        split_cfg = SplitConfig(
+            test_fraction=run["test_fraction"], seed=run["seed"], stratified=run["stratified"]
+        )
+    except ValueError as exc:
+        raise DataError(f"{model_dir / 'run.json'}: {exc}") from exc
     _, test_set = split(corpus, split_cfg)
     pred = _predict_with_run(run, model_dir, test_set.documents)
     gold = [d.label for d in test_set.documents]
@@ -558,7 +574,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_features(args) -> int:
-    model_dir = Path(_require(args, "model-dir"))
+    model_dir = Path(_resolve(args, "model-dir"))
     run = _load_run(model_dir)
     if run["model"] != "nb":
         raise DataError(
@@ -566,7 +582,7 @@ def cmd_features(args) -> int:
         )
     model = load_nb(model_dir / "model.txt")
     vocab = load_vocabulary(model_dir / "vocabulary.txt")
-    k = int(_resolve(args, "k", 30))
+    k = _resolve(args, "k")
     out = _out_dir(args)
     run_config = {"command": "features", "model_dir": str(model_dir), "k": k}
     header = metadata_header(run_config)
@@ -581,9 +597,9 @@ def cmd_features(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model_dir = Path(_require(args, "model-dir"))
+    model_dir = Path(_resolve(args, "model-dir"))
     run = _load_run(model_dir)
-    corpus = _corpus(args)
+    corpus = load_corpus(_resolve(args, "corpus"))
     pred = _predict_with_run(run, model_dir, corpus.documents)
     out = _out_dir(args)
     lines = []
@@ -600,94 +616,85 @@ def cmd_predict(args) -> int:
 # ----------------------------------------------------------------- main
 
 
+def _opt(flag: str, kind, default, text: str) -> _Option:
+    """A row whose help ends with its default."""
+    if default is None:
+        text += " (required)"
+    elif default is not False and default != "":
+        text += f" (default {default})"
+    return _Option(flag, kind, default, text)
+
+
+def _model_options() -> tuple:
+    """One train row per PIPELINES flag, added once however many models read it;
+    its help names each model's default, which cmd_train passes to _resolve."""
+    # the rows cast these two with str; the parser and the config check take the choices
+    choices = {"weighting": ("count", "tfidf"), "analyzer": ("word", "char")}
+    kinds, users = {}, {}
+    for model, pipeline in PIPELINES.items():
+        for _, flag, cast, default in pipeline.options:
+            kinds[flag] = choices.get(flag, cast)
+            use = "required" if default is None else f"default {default}"
+            users.setdefault(flag, {}).setdefault(use, []).append(model)
+    return tuple(
+        _Option(flag, kind, None, "; ".join(f"{', '.join(models)}: {use}"
+                                            for use, models in users[flag].items()))
+        for flag, kind in kinds.items()
+    )
+
+
+_CORPUS = _opt("corpus", str, None, "corpus file (JSONL or CSV)")
+_SEGMENTED = _opt("segmented", bool, False, "record that the corpus is the segmented variant")
+_MEASURES = _opt("measures", str, None, "measures CSV from the measure subcommand")
+_MODEL_DIR = _opt("model-dir", str, None, "directory written by train")
+_OUT = _opt("out", str, "out", "output directory")
+
+# subcommand -> (function, help, option rows besides --config and --out)
+_COMMANDS = {
+    "clean": (cmd_clean, "normalize text and drop stop phrases", (
+        _CORPUS, _SEGMENTED, _opt("stop-phrases", str, "", "stop-phrase list file"),
+        _opt("keep-diacritics", bool, False, "keep Arabic diacritics"),
+        _opt("keep-latin", bool, False, "keep Latin letters"),
+        _opt("keep-special", bool, False, "keep special characters"),
+        _opt("no-collapse-whitespace", bool, False, "keep runs of whitespace"))),
+    "boilerplate": (cmd_boilerplate, "n-gram dictionaries and top candidates", (
+        _CORPUS, _opt("fraction", float, 0.1, "top fraction to keep"))),
+    "measure": (cmd_measure, "per-article stylometric measures CSV", (
+        _CORPUS, _SEGMENTED, _opt("cliches", str, None, "cliche lexicon file"),
+        _opt("emotions", str, None, "emotion lexicon file"),
+        _opt("tagged", str, "", "CoNLL-like surface<TAB>pos file"))),
+    "ttest": (cmd_ttest, "two-sample t-test per measure", (
+        _MEASURES, _opt("measure", ("J", "S", "fpp", "all"), "all", "measure column"),
+        _opt("variant", ("pooled", "welch"), "pooled", "t-test variant"),
+        # fpp may carry NaN for verbless documents, so omit is the working default
+        _opt("nan-policy", ("propagate", "omit"), "omit", "NaN handling"))),
+    "plot-data": (cmd_plot_data, "density CSVs for measure distributions", (
+        _MEASURES, _opt("bins", int, 50, "histogram bins"))),
+    "train": (cmd_train, "fit a model on the train split", (
+        _CORPUS, _SEGMENTED, _opt("model", tuple(PIPELINES), None, "model to fit"),
+        _opt("test-fraction", float, 0.2, "held-out share of each class"),
+        _opt("seed", int, 42, "seed of the split and of the model")) + _model_options()),
+    "evaluate": (cmd_evaluate, "score the held-out split", (_MODEL_DIR, _CORPUS)),
+    "features": (cmd_features, "most informative NB features", (
+        _MODEL_DIR, _opt("k", int, 30, "entries per ranking"))),
+    "predict": (cmd_predict, "label an unlabeled corpus", (_MODEL_DIR, _CORPUS)),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="satira", description=__doc__)
     parser.add_argument("--version", action="version", version=f"satira {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--corpus", help="corpus file (JSONL or CSV)")
-        p.add_argument("--segmented", action="store_true", default=None,
-                       help="record that the corpus is the segmented variant")
-        p.add_argument("--seed", type=int, help="master seed (default 42)")
-        p.add_argument("--out", help="output directory (default ./out)")
-
-    p_clean = sub.add_parser("clean", help="normalize text and drop stop phrases")
-    common(p_clean)
-    p_clean.add_argument("--stop-phrases", help="stop-phrase list file")
-    p_clean.add_argument("--keep-diacritics", action="store_true")
-    p_clean.add_argument("--keep-latin", action="store_true")
-    p_clean.add_argument("--keep-special", action="store_true")
-    p_clean.add_argument("--no-collapse-whitespace", action="store_true")
-    p_clean.set_defaults(func=cmd_clean)
-
-    p_boiler = sub.add_parser("boilerplate", help="n-gram dictionaries and top candidates")
-    common(p_boiler)
-    p_boiler.add_argument("--fraction", type=float, help="top fraction to keep (default 0.1)")
-    p_boiler.set_defaults(func=cmd_boilerplate)
-
-    p_measure = sub.add_parser("measure", help="per-article stylometric measures CSV")
-    common(p_measure)
-    p_measure.add_argument("--cliches", help="cliche lexicon file")
-    p_measure.add_argument("--emotions", help="emotion lexicon file")
-    p_measure.add_argument("--tagged", help="CoNLL-like surface<TAB>pos file")
-    p_measure.set_defaults(func=cmd_measure)
-
-    p_ttest = sub.add_parser("ttest", help="two-sample t-test per measure")
-    common(p_ttest)
-    p_ttest.add_argument("--measures", help="measures CSV from the measure subcommand")
-    p_ttest.add_argument("--measure", choices=["J", "S", "fpp", "all"], default="all")
-    p_ttest.add_argument("--variant", choices=["pooled", "welch"])
-    p_ttest.add_argument("--nan-policy", choices=["propagate", "omit"])
-    p_ttest.set_defaults(func=cmd_ttest)
-
-    p_plot = sub.add_parser("plot-data", help="density CSVs for measure distributions")
-    common(p_plot)
-    p_plot.add_argument("--measures", help="measures CSV from the measure subcommand")
-    p_plot.add_argument("--bins", type=int, help="histogram bins (default 50)")
-    p_plot.set_defaults(func=cmd_plot_data)
-
-    p_train = sub.add_parser("train", help="fit a model on the train split")
-    common(p_train)
-    p_train.add_argument("--model", choices=list(PIPELINES))
-    p_train.add_argument("--weighting", choices=["count", "tfidf"])
-    p_train.add_argument("--analyzer", choices=["word", "char"])
-    p_train.add_argument("--ngram", help="LO,HI n-gram range (default 1,1)")
-    p_train.add_argument("--max-features", type=int)
-    p_train.add_argument("--max-df", type=float)
-    p_train.add_argument("--test-fraction", type=float)
-    p_train.add_argument("--alpha", type=float, help="NB smoothing (default 1.0)")
-    p_train.add_argument("--rounds", type=int, help="GBT boosting rounds (default 100)")
-    p_train.add_argument("--depth", type=int, help="GBT max tree depth (default 3)")
-    p_train.add_argument("--reg-lambda", type=float, help="GBT leaf L2 (default 1.0)")
-    p_train.add_argument("--learning-rate", type=float,
-                         help="GBT shrinkage (default 0.1) / CNN Adam lr (default 1e-3)")
-    p_train.add_argument("--embeddings", help="pretrained word-vector text file (CNN)")
-    p_train.add_argument("--embed-dim", type=int, help="expected embedding dim (default 300)")
-    p_train.add_argument("--filters", type=int, help="CNN conv filters (default 126)")
-    p_train.add_argument("--kernel", type=int, help="CNN kernel size (default 5)")
-    p_train.add_argument("--max-seq-len", type=int, help="CNN padded length (default 400)")
-    p_train.add_argument("--epochs", type=int, help="CNN epochs (default 10)")
-    p_train.add_argument("--batch-size", type=int, help="CNN batch size (default 10)")
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("evaluate", help="score the held-out split")
-    common(p_eval)
-    p_eval.add_argument("--model-dir", help="directory written by train")
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_feat = sub.add_parser("features", help="most informative NB features")
-    common(p_feat)
-    p_feat.add_argument("--model-dir", help="directory written by train")
-    p_feat.add_argument("--k", type=int, help="entries per ranking (default 30)")
-    p_feat.set_defaults(func=cmd_features)
-
-    p_pred = sub.add_parser("predict", help="label an unlabeled corpus")
-    common(p_pred)
-    p_pred.add_argument("--model-dir", help="directory written by train")
-    p_pred.set_defaults(func=cmd_predict)
-
+    for name, (func, text, rows) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON config file keyed by flag name; flags override it")
+        rows += (_OUT,)
+        for opt in rows:
+            kwargs = ({"action": "store_true", "default": None} if opt.kind is bool
+                      else {"choices": opt.kind} if isinstance(opt.kind, tuple)
+                      else {"type": opt.kind} if opt.kind in (int, float) else {})
+            p.add_argument(f"--{opt.flag}", help=opt.help, **kwargs)
+        p.set_defaults(func=func, options={opt.flag: opt for opt in rows})
     return parser
 
 
@@ -702,9 +709,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     try:
-        args.file_config = (
-            _load_config_file(args.config) if getattr(args, "config", None) else {}
-        )
+        args.file_config = _load_config_file(args.config) if args.config else {}
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -176,12 +176,7 @@ def load_corpus(path, format: Optional[CorpusFormat] = None) -> LabeledCorpus:
             format = CorpusFormat.CSV
         else:
             format = CorpusFormat.JSONL
-    try:
-        raw = read_text(path)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    raw = read_text(path)
     if format is CorpusFormat.JSONL:
         docs = _parse_jsonl(text_lines(raw))
     else:

@@ -25,15 +25,8 @@ def tool_version() -> str:
 
 
 def read_phrase_file(path) -> list[str]:
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
     phrases = []
-    for line in raw.splitlines():
+    for line in read_text(path).splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -61,9 +54,15 @@ def metadata_header(config: dict, lexicon_checksums: dict[str, str] | None = Non
 
 
 def read_text(path) -> str:
-    """UTF-8 text of a file exactly as stored: no newline translation."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return fh.read()
+    """UTF-8 text of a file exactly as stored: no newline translation. A file
+    that cannot be read or decoded is a ``DataError`` naming its path."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def text_lines(text: str) -> list[str]:
@@ -165,8 +164,9 @@ class BodyReader:
 
 def parse_file(path, parse):
     """Parse a UTF-8 serialized file; data errors are prefixed with its path."""
+    text = read_text(path)
     try:
-        return parse(read_text(path))
+        return parse(text)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

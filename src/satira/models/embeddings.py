@@ -9,7 +9,6 @@ order under a format-tag line.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,13 +71,7 @@ def load_embeddings(
     the padding row 0) stay zero. Coverage is covered / |vocabulary|, 1.0
     for an empty vocabulary.
     """
-    path = Path(path)
-    try:
-        lines = text_lines(read_text(path))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    lines = text_lines(read_text(path))
     if not lines:
         raise DataError(f"{path}: empty embedding file")
     header = lines[0].split()

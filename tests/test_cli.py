@@ -84,6 +84,25 @@ class TestUsageErrors:
     def test_help_exits_0(self):
         assert run("--help") == 0
 
+    # a subcommand has no flag for an option it does not read
+    @pytest.mark.parametrize(
+        "argv",
+        [(cmd, "--seed", 7) for cmd in ("clean", "boilerplate", "measure", "ttest", "plot-data",
+                                         "evaluate", "features", "predict")]
+        + [(cmd, "--segmented") for cmd in ("boilerplate", "ttest", "plot-data", "evaluate",
+                                             "features", "predict")]
+        + [(cmd, "--corpus", "x") for cmd in ("ttest", "plot-data", "features")],
+        ids=lambda argv: " ".join(map(str, argv)),
+    )
+    def test_flag_the_subcommand_does_not_read_exits_1(self, capsys, argv):
+        assert run(*argv) == 1
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    def test_bad_choice_exits_1(self, corpus_file, tmp_path, capsys):
+        assert run("train", "--corpus", corpus_file, "--model", "nb", "--weighting", "bogus",
+                   "--out", tmp_path / "o") == 1
+        assert "--weighting: invalid choice: 'bogus'" in capsys.readouterr().err
+
 
 class TestClean:
     def test_writes_cleaned_jsonl_with_header(self, tmp_path):
@@ -305,6 +324,14 @@ class TestTrainEvaluatePredict:
             corpus_file, tmp_path, capsys, lambda record: json.dumps(dict(record, **{key: value})))
         assert f"{path}: key {key!r} must be" in err
 
+    @pytest.mark.parametrize("value", [1.5, 0])
+    def test_run_json_test_fraction_out_of_range_exits_2(self, corpus_file, tmp_path, capsys,
+                                                          value):
+        path, err = evaluate_with_edited_run(
+            corpus_file, tmp_path, capsys,
+            lambda record: json.dumps(dict(record, test_fraction=value)))
+        assert f"{path}: test_fraction must lie strictly between 0 and 1" in err
+
     @pytest.mark.parametrize("body", ["3", "{"])
     def test_run_json_not_an_object_exits_2(self, corpus_file, tmp_path, capsys, body):
         path, err = evaluate_with_edited_run(corpus_file, tmp_path, capsys, lambda record: body)
@@ -320,23 +347,30 @@ class TestTrainEvaluatePredict:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "kind, filename",
-        [("nb", "model.txt"), ("gbt", "model.txt"), ("cnn", "model.txt"),
-         ("cnn", "token_index.txt"), ("nb", "vocabulary.txt")],
+        "kind, filename, corruption",
+        [("nb", "model.txt", "cut"), ("gbt", "model.txt", "cut"), ("cnn", "model.txt", "cut"),
+         ("cnn", "token_index.txt", "tag"), ("nb", "vocabulary.txt", "key"),
+         ("nb", "model.txt", "byte")],
+        ids=["nb-model.txt", "gbt-model.txt", "cnn-model.txt", "cnn-token_index.txt",
+             "nb-vocabulary.txt", "nb-model.txt-not-utf8"],
     )
-    def test_corrupt_artifact_exits_2(self, corpus_file, tmp_path, capsys, kind, filename):
+    def test_corrupt_artifact_exits_2(self, corpus_file, tmp_path, capsys, kind, filename,
+                                      corruption):
         model_dir = tmp_path / "run"
         assert train(corpus_file, kind, model_dir) == 0
         path = model_dir / filename
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        if filename == "model.txt":
+        data = path.read_bytes()
+        lines = data.decode("utf-8").splitlines(keepends=True)
+        if corruption == "cut":
             corrupted = "".join(lines[:-5])  # cut the tail
-        elif filename == "vocabulary.txt":
+        elif corruption == "key":
             corrupted = re.sub(r" n_docs=\d+", "", "".join(lines))  # drop a header key
             assert corrupted != "".join(lines)
-        else:
+        elif corruption == "tag":
             corrupted = "# satira-token-index v0\n" + "".join(lines[1:])  # wrong tag
-        path.write_text(corrupted, encoding="utf-8")
+        else:
+            corrupted = data[: len(data) // 2] + b"\xff" + data[len(data) // 2:]  # not UTF-8
+        path.write_bytes(corrupted if isinstance(corrupted, bytes) else corrupted.encode("utf-8"))
         capsys.readouterr()
         assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
                    "--out", tmp_path / "eval") == 2
@@ -414,6 +448,68 @@ class TestReproducibility:
         assert run("train", "--config", config, "--seed", 11, "--out", out2) == 0
         run2 = load_json(out2 / "run.json")
         assert run2["seed"] == 11
+
+
+class TestConfigFile:
+    @staticmethod
+    def config(tmp_path, **values):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(values), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "switch", ["keep-diacritics", "keep-latin", "keep-special", "no-collapse-whitespace"])
+    def test_clean_switch_from_config_acts_as_the_flag(self, tmp_path, switch):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text('{"id":"a","text":"قالَ  abc! الناطق","label":"fake"}\n',
+                       encoding="utf-8")
+        config = self.config(tmp_path, **{switch: True})
+        outputs = []
+        for name, flags in (("flag", (f"--{switch}",)), ("config", ("--config", config)),
+                            ("neither", ())):
+            assert run("clean", "--corpus", raw, *flags, "--out", tmp_path / name) == 0
+            outputs.append((tmp_path / name / "cleaned.jsonl").read_bytes())
+        assert outputs[0] == outputs[1] != outputs[2]
+
+    def test_ttest_measure_from_config_acts_as_the_flag(self, tmp_path, capsys):
+        rows = ["doc_id,label,J,S,fpp_ratio", "f0,fake,0.1,0.1,", "f1,fake,0.2,0.3,",
+                "r0,real,0.3,0.2,", "r1,real,0.4,0.1,"]
+        measures = tmp_path / "measures.csv"
+        measures.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+        config = self.config(tmp_path, measure="S")
+        outputs = []
+        for name, flags in (("flag", ("--measure", "S")), ("config", ("--config", config)),
+                            ("neither", ())):
+            assert run("ttest", "--measures", measures, *flags, "--out", tmp_path / name) == 0
+            outputs.append((tmp_path / name / "ttest.txt").read_bytes())
+        assert outputs[0] == outputs[1] != outputs[2]
+        assert b"measure=J" not in outputs[1]
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("train", "segmented", "false"), ("train", "seed", 7.9), ("train", "seed", True),
+         ("train", "max-features", 20.7), ("train", "test-fraction", "0.2"),
+         ("train", "model", "svm"), ("train", "weighting", "bogus"), ("train", "ngram", [1.5, 2]),
+         ("train", "corpus", 3), ("clean", "keep-latin", 1), ("ttest", "measure", "all "),
+         ("plot-data", "bins", 5.0)],
+    )
+    def test_wrong_type_exits_2(self, corpus_file, tmp_path, capsys, command, key, value):
+        measures = tmp_path / "m.csv"
+        measures.write_text("doc_id,label,J,S,fpp_ratio\nf0,fake,0.1,0.1,\n", encoding="utf-8")
+        values = {"corpus": str(corpus_file), "model": "nb", "measures": str(measures)}
+        config = self.config(tmp_path, **dict(values, **{key: value}))
+        assert run(command, "--config", config, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{config}: key {key!r} must be " in err
+        assert "Traceback" not in err
+
+    def test_json_numbers_and_lists_accepted(self, corpus_file, tmp_path):
+        config = self.config(tmp_path, corpus=str(corpus_file), model="nb", ngram=[1, 2],
+                             **{"max-df": 1, "segmented": True, "unread-key": None})
+        assert run("train", "--config", config, "--out", tmp_path / "o") == 0
+        record = load_json(tmp_path / "o" / "run.json")
+        assert (record["ngram"], record["max_df"], record["segmented"]) == ([1, 2], 1.0, True)
+        assert type(record["max_df"]) is float
 
 
 class TestTextRoundTrip:
