@@ -44,7 +44,7 @@ from .evaluation import (
     report_to_text,
     top_informative_features,
 )
-from .fileio import file_checksum, load_json, metadata_header, read_text, text_lines
+from .fileio import file_checksum, json_object, load_json, metadata_header, parse_file, text_lines
 from .models import (
     AdamConfig,
     BoostConfig,
@@ -114,16 +114,6 @@ def _setup_logging():
     )
 
 
-def _load_config_file(path) -> dict:
-    try:
-        config = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    return config
-
-
 class _Option(NamedTuple):
     flag: str  # without the leading dashes; also the config-file key
     kind: object  # bool (a switch), int, float, str, _ngram_range, or a tuple of choices
@@ -189,7 +179,6 @@ def cmd_clean(args) -> int:
         strip_diacritics=not _resolve(args, "keep-diacritics"),
         strip_latin=not _resolve(args, "keep-latin"),
         strip_special=not _resolve(args, "keep-special"),
-        collapse_whitespace=not _resolve(args, "no-collapse-whitespace"),
     )
     stop_path = _resolve(args, "stop-phrases")
     stop = StopPhraseList.from_file(stop_path) if stop_path else None
@@ -239,7 +228,7 @@ def cmd_measure(args) -> int:
     tagged = None
     tagged_path = _resolve(args, "tagged")
     if tagged_path:
-        tagged = parse_tagged_file(read_text(tagged_path))
+        tagged = parse_file(tagged_path, parse_tagged_file)
     profile = corpus_profile(corpus, cliches, emotions, tagged)
     out = _out_dir(args)
     run_config = {
@@ -257,23 +246,23 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _read_measures(path) -> dict[str, dict[Label, list[float]]]:
-    lines = text_lines(read_text(path))
+def _measures_from_text(text: str) -> dict[str, dict[Label, list[float]]]:
+    lines = text_lines(text)
     rows = [(n, l) for n, l in enumerate(lines, start=1) if l and not l.startswith("#")]
     if not rows or rows[0][1] != "doc_id,label,J,S,fpp_ratio":
-        raise DataError(f"{path}: expected a measures CSV with header doc_id,label,J,S,fpp_ratio")
+        raise DataError("expected a measures CSV with header doc_id,label,J,S,fpp_ratio")
     columns = {
         name: {Label.FAKE: [], Label.REAL: []} for name in ("J", "S", "fpp")
     }
     for lineno, row in rows[1:]:
         parts = row.split(",")
         if len(parts) != 5:
-            raise DataError(f"{path}: line {lineno}: expected 5 fields")
+            raise DataError(f"line {lineno}: expected 5 fields")
         try:
             label = Label(parts[1])
             values = (float(parts[2]), float(parts[3]), float(parts[4]) if parts[4] else math.nan)
         except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            raise DataError(f"line {lineno}: {exc}") from exc
         for name, value in zip(("J", "S", "fpp"), values):
             columns[name][label].append(value)
     return columns
@@ -283,7 +272,7 @@ def _read_measures(path) -> dict[str, dict[Label, list[float]]]:
 
 
 def cmd_ttest(args) -> int:
-    columns = _read_measures(_resolve(args, "measures"))
+    columns = parse_file(_resolve(args, "measures"), _measures_from_text)
     variant = TTestVariant(_resolve(args, "variant"))
     policy = NanPolicy(_resolve(args, "nan-policy"))
     measure = _resolve(args, "measure")
@@ -326,7 +315,7 @@ def cmd_ttest(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    columns = _read_measures(_resolve(args, "measures"))
+    columns = parse_file(_resolve(args, "measures"), _measures_from_text)
     bins = _resolve(args, "bins")
     out = _out_dir(args)
     run_config = {
@@ -516,27 +505,30 @@ def cmd_train(args) -> int:
 _RUN_KEYS = {"model": str, "seed": int, "test_fraction": float, "stratified": bool}
 
 
-def _load_run(model_dir: Path) -> dict:
+def _load_run(model_dir: Path) -> tuple[dict, SplitConfig]:
     run_path = model_dir / "run.json"
     if not run_path.exists():
         raise DataError(f"{model_dir}: missing run.json (not a training output dir?)")
-    run = load_json(run_path)
-    if not isinstance(run, dict):
-        raise DataError(f"{run_path}: expected a JSON object")
+    return parse_file(run_path, _run_from_text)
+
+
+def _run_from_text(text: str) -> tuple[dict, SplitConfig]:
+    run = json_object(text)
     for key, kind in _RUN_KEYS.items():
         if key not in run:
-            raise DataError(f"{run_path}: missing key {key!r}")
+            raise DataError(f"missing key {key!r}")
         if type(run[key]) not in _JSON_TYPES[kind]:
             expected = " or ".join(t.__name__ for t in _JSON_TYPES[kind])
-            raise DataError(f"{run_path}: key {key!r} must be {expected}, got {run[key]!r}")
-    return run
-
-
-def _predict_with_run(run: dict, model_dir: Path, docs) -> np.ndarray:
-    pipeline = PIPELINES.get(run.get("model"))
-    if pipeline is None:
-        raise DataError(f"run.json names unknown model {run.get('model')!r}")
-    return pipeline.predict(model_dir, docs)
+            raise DataError(f"key {key!r} must be {expected}, got {run[key]!r}")
+    if run["model"] not in PIPELINES:
+        raise DataError(f"unknown model {run['model']!r}")
+    try:
+        split_cfg = SplitConfig(
+            test_fraction=run["test_fraction"], seed=run["seed"], stratified=run["stratified"]
+        )
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+    return run, split_cfg
 
 
 def _scoring_header(command: str, args, model_dir: Path, run: dict) -> str:
@@ -549,16 +541,10 @@ def _scoring_header(command: str, args, model_dir: Path, run: dict) -> str:
 
 def cmd_evaluate(args) -> int:
     model_dir = Path(_resolve(args, "model-dir"))
-    run = _load_run(model_dir)
+    run, split_cfg = _load_run(model_dir)
     corpus = load_corpus(_resolve(args, "corpus")).labeled_only()
-    try:
-        split_cfg = SplitConfig(
-            test_fraction=run["test_fraction"], seed=run["seed"], stratified=run["stratified"]
-        )
-    except ValueError as exc:
-        raise DataError(f"{model_dir / 'run.json'}: {exc}") from exc
     _, test_set = split(corpus, split_cfg)
-    pred = _predict_with_run(run, model_dir, test_set.documents)
+    pred = PIPELINES[run["model"]].predict(model_dir, test_set.documents)
     gold = [d.label for d in test_set.documents]
     report = evaluate(_int_labels_to_enum(pred), gold)
     text = report_to_text(report)
@@ -575,7 +561,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_features(args) -> int:
     model_dir = Path(_resolve(args, "model-dir"))
-    run = _load_run(model_dir)
+    run, _ = _load_run(model_dir)
     if run["model"] != "nb":
         raise DataError(
             f"feature rankings need a Naive Bayes model, run dir has {run['model']!r}"
@@ -598,9 +584,9 @@ def cmd_features(args) -> int:
 
 def cmd_predict(args) -> int:
     model_dir = Path(_resolve(args, "model-dir"))
-    run = _load_run(model_dir)
+    run, _ = _load_run(model_dir)
     corpus = load_corpus(_resolve(args, "corpus"))
-    pred = _predict_with_run(run, model_dir, corpus.documents)
+    pred = PIPELINES[run["model"]].predict(model_dir, corpus.documents)
     out = _out_dir(args)
     lines = []
     for doc, label in zip(corpus.documents, _int_labels_to_enum(pred)):
@@ -655,8 +641,7 @@ _COMMANDS = {
         _CORPUS, _SEGMENTED, _opt("stop-phrases", str, "", "stop-phrase list file"),
         _opt("keep-diacritics", bool, False, "keep Arabic diacritics"),
         _opt("keep-latin", bool, False, "keep Latin letters"),
-        _opt("keep-special", bool, False, "keep special characters"),
-        _opt("no-collapse-whitespace", bool, False, "keep runs of whitespace"))),
+        _opt("keep-special", bool, False, "keep special characters"))),
     "boilerplate": (cmd_boilerplate, "n-gram dictionaries and top candidates", (
         _CORPUS, _opt("fraction", float, 0.1, "top fraction to keep"))),
     "measure": (cmd_measure, "per-article stylometric measures CSV", (
@@ -709,7 +694,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     try:
-        args.file_config = _load_config_file(args.config) if args.config else {}
+        args.file_config = load_json(args.config) if args.config else {}
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .errors import DataError
-from .fileio import read_text, text_lines
+from .fileio import parse_file, text_lines
 
 
 class Label(Enum):
@@ -32,14 +32,13 @@ class CorpusFormat(Enum):
     CSV = "csv"
 
 
-def parse_label(raw: str, where: str = "") -> Label:
+def parse_label(raw: str, where: str) -> Label:
     """Map the on-disk label string to a Label; anything else is an error."""
     if raw == "fake":
         return Label.FAKE
     if raw == "real":
         return Label.REAL
-    suffix = f" ({where})" if where else ""
-    raise DataError(f"unknown label {raw!r}; expected 'fake' or 'real'{suffix}")
+    raise DataError(f"{where}: unknown label {raw!r}; expected 'fake' or 'real'")
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,9 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _parse_jsonl(lines: Iterable[str]) -> list[Document]:
+def _parse_jsonl(text: str) -> list[Document]:
     docs = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -143,10 +142,14 @@ def _parse_jsonl(lines: Iterable[str]) -> list[Document]:
 
 
 def _parse_csv(text: str) -> list[Document]:
+    # the reader runs over the whole text, since a quoted field may hold newlines;
+    # its line_num is the file line on which the record just read ends
     reader = csv.reader(io.StringIO(text))
-    rows = [(i, row) for i, row in enumerate(reader, start=1)]
-    # drop metadata comment lines that precede the header
-    rows = [(i, row) for i, row in rows if row and not row[0].startswith("#")]
+    try:
+        # blank lines and metadata comment lines are skipped
+        rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from exc
     if not rows:
         return []
     header_line, header = rows[0]
@@ -171,17 +174,9 @@ def load_corpus(path, format: Optional[CorpusFormat] = None) -> LabeledCorpus:
     """
     path = Path(path)
     if format is None:
-        suffix = path.suffix.lower()
-        if suffix == ".csv":
-            format = CorpusFormat.CSV
-        else:
-            format = CorpusFormat.JSONL
-    raw = read_text(path)
-    if format is CorpusFormat.JSONL:
-        docs = _parse_jsonl(text_lines(raw))
-    else:
-        docs = _parse_csv(raw)
-    return LabeledCorpus(tuple(docs))
+        format = CorpusFormat.CSV if path.suffix.lower() == ".csv" else CorpusFormat.JSONL
+    parse = _parse_csv if format is CorpusFormat.CSV else _parse_jsonl
+    return parse_file(path, lambda text: LabeledCorpus(tuple(parse(text))))
 
 
 def corpus_to_jsonl(corpus: LabeledCorpus) -> str:

@@ -1,5 +1,6 @@
-"""Shared file helpers: phrase-list files, checksums, output metadata headers,
-and the line reader and float codec of every serialized artifact.
+"""Shared file helpers: ``parse_file``, the reader of every input file,
+phrase-list and JSON files, checksums, output metadata headers, and the
+line reader and float codec of every serialized artifact.
 
 Phrase-list files (stop phrases and lexicons alike) are UTF-8 text, one
 phrase per line; blank lines and ``#`` comments are ignored.
@@ -22,16 +23,6 @@ def tool_version() -> str:
     from . import __version__
 
     return __version__
-
-
-def read_phrase_file(path) -> list[str]:
-    phrases = []
-    for line in read_text(path).splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        phrases.append(stripped)
-    return phrases
 
 
 def file_checksum(path) -> str:
@@ -66,8 +57,8 @@ def read_text(path) -> str:
 
 
 def text_lines(text: str) -> list[str]:
-    """Lines split on ``\\n`` only: ``str.splitlines`` would also cut at ``\\r``,
-    ``\\x85``, U+2028 and other characters that a feature or a text may hold."""
+    """Lines split on ``\\n`` only, never at ``\\r``, ``\\x85``, U+2028 or another
+    line-break character that a feature or a text may hold."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -163,7 +154,8 @@ class BodyReader:
 
 
 def parse_file(path, parse):
-    """Parse a UTF-8 serialized file; data errors are prefixed with its path."""
+    """``parse`` applied to the text of a UTF-8 input file; its data errors are
+    prefixed with the path, so this is where every input error names its file."""
     text = read_text(path)
     try:
         return parse(text)
@@ -171,10 +163,37 @@ def parse_file(path, parse):
         raise DataError(f"{path}: {exc}") from exc
 
 
-def load_json(path) -> dict:
-    """Read a JSON file, skipping the leading ``#`` metadata lines."""
-    body = "\n".join(l for l in text_lines(read_text(path)) if not l.startswith("#"))
+def parse_phrase_file(path, build):
+    """``build`` applied to the phrases of a phrase-list file, in file order;
+    a ``ValueError`` it raises on them is a ``DataError`` naming the file."""
+
+    def parse(text: str):
+        lines = (line.strip() for line in text_lines(text))
+        try:
+            return build([line for line in lines if line and not line.startswith("#")])
+        except ValueError as exc:
+            raise DataError(str(exc)) from exc
+
+    return parse_file(path, parse)
+
+
+def read_phrase_file(path) -> list[str]:
+    return parse_phrase_file(path, list)
+
+
+def json_object(text: str) -> dict:
+    """A JSON object from text whose ``#`` metadata lines are blanked, not
+    dropped, so an error names the line of the file."""
+    body = "\n".join("" if line.startswith("#") else line for line in text_lines(text))
     try:
-        return json.loads(body)
+        value = json.loads(body)
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        raise DataError(f"line {exc.lineno}: {exc.msg} (column {exc.colno})") from exc
+    if not isinstance(value, dict):
+        raise DataError("expected a JSON object")
+    return value
+
+
+def load_json(path) -> dict:
+    """A JSON object file such as ``run.json`` or a ``--config`` file."""
+    return parse_file(path, json_object)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..corpus_io import Document
 from ..errors import DataError
-from ..fileio import BodyReader, parse_file, read_text, text_lines
+from ..fileio import BodyReader, parse_file, text_lines
 
 TOKEN_INDEX_FORMAT = "satira-token-index v1"
 
@@ -71,19 +71,22 @@ def load_embeddings(
     the padding row 0) stay zero. Coverage is covered / |vocabulary|, 1.0
     for an empty vocabulary.
     """
-    lines = text_lines(read_text(path))
+    return parse_file(path, lambda text: _embeddings_from_text(text, token_index, expected_dim))
+
+
+def _embeddings_from_text(
+    text: str, token_index: dict[str, int], expected_dim: int
+) -> tuple[np.ndarray, float]:
+    lines = text_lines(text)
     if not lines:
-        raise DataError(f"{path}: empty embedding file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise DataError(f"{path}: line 1: header must be '<vocab_size> <dim>'")
+        raise DataError("empty embedding file")
     try:
-        _, dim = int(header[0]), int(header[1])
+        _, dim = map(int, lines[0].split())
     except ValueError as exc:
-        raise DataError(f"{path}: line 1: malformed header: {exc}") from exc
+        raise DataError(f"line 1: header must be '<vocab_size> <dim>': {exc}") from exc
     if dim != expected_dim:
         raise DataError(
-            f"{path}: embedding dimension {dim} does not match expected {expected_dim}"
+            f"line 1: embedding dimension {dim} does not match expected {expected_dim}"
         )
 
     matrix = np.zeros((len(token_index) + 1, dim), dtype=np.float64)
@@ -94,8 +97,7 @@ def load_embeddings(
         parts = line.rstrip().split(" ")
         if len(parts) != dim + 1:
             raise DataError(
-                f"{path}: line {lineno}: expected token plus {dim} values, "
-                f"got {len(parts) - 1}"
+                f"line {lineno}: expected token plus {dim} values, got {len(parts) - 1}"
             )
         token = parts[0]
         idx = token_index.get(token)
@@ -104,7 +106,7 @@ def load_embeddings(
         try:
             matrix[idx] = [float(v) for v in parts[1:]]
         except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: malformed value: {exc}") from exc
+            raise DataError(f"line {lineno}: malformed value: {exc}") from exc
         covered.add(token)
     coverage = 1.0 if not token_index else len(covered) / len(token_index)
     return matrix, coverage

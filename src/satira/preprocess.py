@@ -17,7 +17,7 @@ from typing import Iterable
 
 from ._matching import longest_match_at, phrase_index
 from .corpus_io import Document, LabeledCorpus, replace_tokens
-from .fileio import read_phrase_file
+from .fileio import parse_phrase_file
 
 # Harakat, tanween, sukun, shadda and friends (U+064B..U+065F) plus the
 # superscript alef. Kept out of the strip_special class so the two flags
@@ -27,12 +27,13 @@ _DIACRITICS_RE = re.compile(r"[ً-ٰٟ]")
 _LATIN_RE = re.compile(r"[A-Za-z]")
 
 # strip_special keeps Arabic letters (tatweel U+0640 excluded), Arabic
-# combining marks, Arabic-Indic and ASCII digits, and whitespace.
+# combining marks, Arabic-Indic and ASCII digits, and whitespace. Latin
+# letters are kept too: strip_latin alone decides whether they go.
 _NON_KEPT_RE = re.compile(
     r"[^ء-ؿف-يً-ٰٟ"  # letters + marks
     r"ٱ-ۓەۥۦۮۯۺ-ۿ"
     r"ݐ-ݿࢠ-ࢽ"
-    r"0-9٠-٩۰-۹\s]"
+    r"A-Za-z0-9٠-٩۰-۹\s]"
 )
 
 _WHITESPACE_RE = re.compile(r"\s+")
@@ -43,20 +44,18 @@ class NormalizationConfig:
     strip_diacritics: bool = True
     strip_latin: bool = True
     strip_special: bool = True
-    collapse_whitespace: bool = True
 
 
 def normalize(text: str, cfg: NormalizationConfig = NormalizationConfig()) -> str:
-    """Apply the configured character-level cleanups. Idempotent."""
+    """Apply the configured character-level cleanups, then collapse runs of
+    whitespace to one space. Idempotent."""
     if cfg.strip_diacritics:
         text = _DIACRITICS_RE.sub("", text)
     if cfg.strip_latin:
         text = _LATIN_RE.sub("", text)
     if cfg.strip_special:
         text = _NON_KEPT_RE.sub("", text)
-    if cfg.collapse_whitespace:
-        text = _WHITESPACE_RE.sub(" ", text).strip()
-    return text
+    return _WHITESPACE_RE.sub(" ", text).strip()
 
 
 def tokenize(text: str) -> list[str]:
@@ -135,7 +134,7 @@ class StopPhraseList:
 
     @classmethod
     def from_file(cls, path) -> "StopPhraseList":
-        return cls(tuple(read_phrase_file(path)))
+        return parse_phrase_file(path, lambda phrases: cls(tuple(phrases)))
 
 
 def apply_stop_phrases(doc: Document, phrases: StopPhraseList) -> Document:

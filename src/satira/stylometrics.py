@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from ._matching import longest_match_at, phrase_index
 from .corpus_io import Document, Label, LabeledCorpus
 from .errors import DataError
-from .fileio import read_phrase_file
+from .fileio import parse_phrase_file, text_lines
 
 FPP_PREFIX = "ن"
 FPP_SUFFIX = "نا"
@@ -43,8 +43,7 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path, name: Optional[str] = None) -> "Lexicon":
-        phrases = read_phrase_file(path)
-        return cls(name=name or str(path), phrases=frozenset(phrases))
+        return parse_phrase_file(path, lambda p: cls(name=name or str(path), phrases=frozenset(p)))
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def parse_tagged_file(text: str) -> list[list[PosToken]]:
     """CoNLL-like input: ``surface<TAB>pos`` per line, blank line between docs."""
     docs: list[list[PosToken]] = []
     current: list[PosToken] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(text), start=1):
         stripped = line.strip()
         if stripped.startswith("#"):
             continue

@@ -91,7 +91,8 @@ class TestUsageErrors:
                                          "evaluate", "features", "predict")]
         + [(cmd, "--segmented") for cmd in ("boilerplate", "ttest", "plot-data", "evaluate",
                                              "features", "predict")]
-        + [(cmd, "--corpus", "x") for cmd in ("ttest", "plot-data", "features")],
+        + [(cmd, "--corpus", "x") for cmd in ("ttest", "plot-data", "features")]
+        + [("clean", "--no-collapse-whitespace")],
         ids=lambda argv: " ".join(map(str, argv)),
     )
     def test_flag_the_subcommand_does_not_read_exits_1(self, capsys, argv):
@@ -119,6 +120,14 @@ class TestClean:
         assert text.startswith("# satira")
         record = json.loads([l for l in text.splitlines() if not l.startswith("#")][0])
         assert record["text"] == "قال الناطق"
+
+    def test_keep_latin_alone_keeps_latin_letters(self, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text('{"id":"a","text":"قالَ  abc! الناطق","label":"fake"}\n',
+                       encoding="utf-8")
+        assert run("clean", "--corpus", raw, "--keep-latin", "--out", tmp_path / "o") == 0
+        (record,) = load_corpus(tmp_path / "o" / "cleaned.jsonl")
+        assert record.text == "قال abc الناطق"
 
     def test_data_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -379,6 +388,71 @@ class TestTrainEvaluatePredict:
         assert "Traceback" not in err
 
 
+# one case per outside input: (file name, file text, argv given the bad file, the corpus
+# fixture and a good lexicon, what stderr holds after "<bad file>: ")
+BAD_INPUTS = {
+    "jsonl-corpus": (
+        "c.jsonl", '# satira 0.1.0\n{"id":"a","text":"x","label":"fake"}\n{broken\n',
+        lambda bad, corpus, lex: ("clean", "--corpus", bad), "line 3: malformed JSON record"),
+    "csv-corpus": (
+        "c.csv", 'id,text,label\n"a","one\ntwo\nthree",fake\nb,y,bogus\n',
+        lambda bad, corpus, lex: ("clean", "--corpus", bad), "line 5: unknown label 'bogus'"),
+    "stop-phrases-long": (
+        "stops.txt", "a\nb c d e\n",
+        lambda bad, corpus, lex: ("clean", "--corpus", corpus, "--stop-phrases", bad),
+        "phrase 'b c d e' must have 1 to 3 tokens"),
+    "stop-phrases-duplicate": (
+        "stops.txt", "a\n# comment\na\n",
+        lambda bad, corpus, lex: ("clean", "--corpus", corpus, "--stop-phrases", bad),
+        "duplicate phrase 'a'"),
+    "lexicon-empty": (
+        "cliches.txt", "# no phrase\n\n",
+        lambda bad, corpus, lex: ("measure", "--corpus", corpus, "--cliches", bad,
+                                  "--emotions", lex),
+        "lexicon 'cliches' is empty"),
+    "lexicon-long": (
+        "emotions.txt", "a b c d\n",
+        lambda bad, corpus, lex: ("measure", "--corpus", corpus, "--cliches", lex,
+                                  "--emotions", bad),
+        "lexicon phrase 'a b c d' must have 1 to 3 tokens"),
+    "tagged": (
+        "tags.txt", "# tagger output\nنروي\tVERB\n\nno-tab-here\n",
+        lambda bad, corpus, lex: ("measure", "--corpus", corpus, "--cliches", lex,
+                                  "--emotions", lex, "--tagged", bad),
+        "line 4: expected surface<TAB>pos"),
+    "measures": (
+        "measures.csv", "# satira 0.1.0\ndoc_id,label,J,S,fpp_ratio\nf0,fake,0.1,0.1,\nr0,real\n",
+        lambda bad, corpus, lex: ("ttest", "--measures", bad), "line 4: expected 5 fields"),
+    "embeddings": (
+        "vec.txt", "2 2\nfake000 0.1 0.2\nfake001 0.1\n",
+        lambda bad, corpus, lex: ("train", "--corpus", corpus, "--model", "cnn",
+                                  "--embeddings", bad, "--embed-dim", 2),
+        "line 3: expected token plus 2 values, got 1"),
+    "run-json": (
+        "run.json", '# satira 0.1.0\n# config-hash 0\n{\n  "model": "nb",\n  "seed": 42,,\n}\n',
+        lambda bad, corpus, lex: ("evaluate", "--model-dir", bad.parent, "--corpus", corpus),
+        "line 5: Expecting property name"),
+    "config": (
+        "config.json", '{\n  "seed": 7,\n  "model": nb\n}\n',
+        lambda bad, corpus, lex: ("train", "--config", bad, "--corpus", corpus),
+        "line 3: Expecting value"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_2_naming_file_and_line(corpus_file, tmp_path, capsys, case):
+    name, text, argv, expected = BAD_INPUTS[case]
+    lex = tmp_path / "lex.txt"
+    lex.write_text("fake000\n", encoding="utf-8")
+    bad = tmp_path / "bad" / name
+    bad.parent.mkdir()
+    bad.write_text(text, encoding="utf-8")
+    assert run(*argv(bad, corpus_file, lex), "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {expected}" in err
+    assert "Traceback" not in err
+
+
 class TestMetadataHeaders:
     @pytest.mark.parametrize("kind", ["nb", "gbt", "cnn"])
     def test_every_artifact_starts_with_metadata(self, corpus_file, tmp_path, kind):
@@ -458,7 +532,7 @@ class TestConfigFile:
         return path
 
     @pytest.mark.parametrize(
-        "switch", ["keep-diacritics", "keep-latin", "keep-special", "no-collapse-whitespace"])
+        "switch", ["keep-diacritics", "keep-latin", "keep-special"])
     def test_clean_switch_from_config_acts_as_the_flag(self, tmp_path, switch):
         raw = tmp_path / "raw.jsonl"
         raw.write_text('{"id":"a","text":"قالَ  abc! الناطق","label":"fake"}\n',

@@ -85,6 +85,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="header"):
             load_corpus(path, CorpusFormat.CSV)
 
+    def test_bare_carriage_return_names_line(self, tmp_path):
+        path = write(tmp_path, "c.csv", "id,text,label\na,x,fake\nb,y\rz,real\n")
+        with pytest.raises(DataError, match=r"c\.csv: line 3: new-line character"):
+            load_corpus(path, CorpusFormat.CSV)
+
     def test_empty_label_field_is_unlabeled(self, tmp_path):
         path = write(tmp_path, "c.csv", "id,text,label\na,x,\n")
         corpus = load_corpus(path, CorpusFormat.CSV)

@@ -24,7 +24,6 @@ norm_configs = st.builds(
     strip_diacritics=st.booleans(),
     strip_latin=st.booleans(),
     strip_special=st.booleans(),
-    collapse_whitespace=st.booleans(),
 )
 
 
@@ -43,6 +42,7 @@ class TestNormalize:
         assert "ُ" in normalize("مُحمد", cfg)
         cfg = NormalizationConfig(strip_latin=False, strip_special=False)
         assert normalize("BBC!", cfg) == "BBC!"
+        assert normalize("BBC!", NormalizationConfig(strip_latin=False)) == "BBC"
 
     def test_digits_kept(self):
         assert normalize("عام 2020 و٣ أيام") == "عام 2020 و٣ أيام"
@@ -187,6 +187,11 @@ class TestPhraseFile:
         path.write_text("# comment\n\nخاص للحدود\nالحدود\n", encoding="utf-8")
         stops = StopPhraseList.from_file(path)
         assert stops.phrases == ("خاص للحدود", "الحدود")
+
+    def test_line_separator_characters_stay_in_their_line(self, tmp_path):
+        path = tmp_path / "stops.txt"
+        path.write_text("c\x85d\ne\u2028f\n", encoding="utf-8")
+        assert StopPhraseList.from_file(path).phrases == ("c\x85d", "e\u2028f")
 
 
 class TestNgramFrequencyInvariants:

@@ -174,6 +174,10 @@ class TestTaggedFile:
         assert docs[0][0] == PosToken("نروي", "VERB")
         assert docs[1] == [PosToken("قال", "VERB")]
 
+    def test_line_separator_characters_stay_in_their_line(self):
+        docs = parse_tagged_file("a\x85b\tNOUN\nc\u2028d\tVERB\n")
+        assert docs == [[PosToken("a\x85b", "NOUN"), PosToken("c\u2028d", "VERB")]]
+
     def test_malformed_line(self):
         with pytest.raises(DataError, match="line 1"):
             parse_tagged_file("no-tab-here\n")
