@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Run the byte-identity check set and print the sha256 of every output.
+
+    python3 scripts/check_set.py OUT [--checkout DIR] > sums.txt
+
+Writes a small synthetic corpus into the empty directory OUT, then runs
+every `satira` subcommand on it from inside OUT with relative paths, so
+the metadata headers do not depend on where OUT is: NB on word counts, NB
+on char 2-4 TF-IDF, GBT on counts (5 rounds) and on TF-IDF (100 rounds),
+the CNN, `evaluate` and `predict` of each, `features`, `clean`,
+`boilerplate`, `measure`, `ttest` and `plot-data`. It prints one
+`sha256  relative/path` line per file under OUT, sorted by path.
+
+`--checkout` names the satira source tree to run (default: the one this
+script is in), so two checkouts are compared by running this script once
+against each and diffing the two listings.
+"""
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CORPUS = "data/corpus.jsonl"
+# run directory -> train flags besides --corpus and --out
+RUNS = {
+    "nb": ("--model", "nb"),
+    "nbc": ("--model", "nb", "--weighting", "tfidf", "--analyzer", "char", "--ngram", "2,4"),
+    "gbt": ("--model", "gbt", "--rounds", "5"),
+    "gbt_tfidf": ("--model", "gbt", "--weighting", "tfidf"),
+    "cnn": ("--model", "cnn", "--embeddings", "data/vectors.txt", "--embed-dim", "16",
+            "--filters", "6", "--kernel", "3", "--max-seq-len", "20", "--epochs", "2"),
+}
+
+
+def commands(checkout: Path):
+    """The check set's command lines, in order, each run from the output directory."""
+    yield (str(checkout / "scripts" / "make_synthetic_corpus.py"), "--out", "data",
+           "--n-per-class", "60", "--vocab-size", "40", "--doc-len", "30", "--dim", "16",
+           "--seed", "5")
+    satira = ("-m", "satira.cli")
+    for run, flags in RUNS.items():
+        yield (*satira, "train", "--corpus", CORPUS, *flags, "--out", f"o/{run}")
+        for command, sub in (("evaluate", "eval"), ("predict", "pred")):
+            yield (*satira, command, "--model-dir", f"o/{run}", "--corpus", CORPUS,
+                   "--out", f"o/{run}/{sub}")
+    yield (*satira, "features", "--model-dir", "o/nb", "--out", "o/feat")
+    yield (*satira, "clean", "--corpus", CORPUS, "--stop-phrases", "lexicons/stop_phrases.txt",
+           "--out", "o/clean")
+    yield (*satira, "boilerplate", "--corpus", "o/clean/cleaned.jsonl", "--out", "o/boiler")
+    yield (*satira, "measure", "--corpus", "o/clean/cleaned.jsonl",
+           "--cliches", "lexicons/cliches.txt", "--emotions", "lexicons/emotions.txt",
+           "--out", "o/measure")
+    yield (*satira, "ttest", "--measures", "o/measure/measures.csv", "--out", "o/ttest")
+    yield (*satira, "plot-data", "--measures", "o/measure/measures.csv", "--out", "o/plot")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, help="empty or missing output directory")
+    parser.add_argument("--checkout", type=Path, default=ROOT, help="satira source tree to run")
+    args = parser.parse_args()
+    checkout = args.checkout.resolve()
+    if args.out.exists() and any(args.out.iterdir()):
+        parser.error(f"{args.out} is not empty")
+    args.out.mkdir(parents=True, exist_ok=True)
+    shutil.copytree(checkout / "lexicons", args.out / "lexicons")
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    for argv in commands(checkout):
+        subprocess.run((sys.executable, *argv), cwd=args.out, env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+    for path in sorted(p for p in args.out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(args.out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -222,18 +222,27 @@ def cmd_boilerplate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    corpus = load_corpus(_resolve(args, "corpus")).labeled_only()
+    corpus_path = _resolve(args, "corpus")
+    corpus = load_corpus(corpus_path).labeled_only()
     cliches = Lexicon.from_file(_resolve(args, "cliches"), name="cliches")
     emotions = Lexicon.from_file(_resolve(args, "emotions"), name="emotions")
+
+    def parse_tagged(text: str):
+        docs = parse_tagged_file(text)
+        if len(docs) != len(corpus.documents):
+            raise DataError(f"tagged input has {len(docs)} documents, corpus {corpus_path} "
+                            f"has {len(corpus.documents)} labeled documents")
+        return docs
+
     tagged = None
     tagged_path = _resolve(args, "tagged")
     if tagged_path:
-        tagged = parse_file(tagged_path, parse_tagged_file)
+        tagged = parse_file(tagged_path, parse_tagged)
     profile = corpus_profile(corpus, cliches, emotions, tagged)
     out = _out_dir(args)
     run_config = {
         "command": "measure",
-        "corpus": str(_resolve(args, "corpus")),
+        "corpus": str(corpus_path),
         "cliches": str(_resolve(args, "cliches")),
         "emotions": str(_resolve(args, "emotions")),
         "tagged": str(tagged_path) if tagged_path else None,

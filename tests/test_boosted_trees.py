@@ -6,8 +6,10 @@ import pytest
 from satira import DataError
 from satira.models import BoostConfig, BoostedTreesModel, gbt_fit, gbt_predict
 from satira.models.boosted_trees import (
+    TIE_RTOL,
     RegressionTree,
     TreeNode,
+    _segment_cumsum,
     gbt_from_text,
     gbt_margins,
     gbt_to_text,
@@ -115,6 +117,133 @@ class TestFit:
         X = np.array([[1.0], [2.0]])
         with pytest.raises(DataError, match="binary"):
             gbt_fit(X, np.array([0.0, 2.0]), BoostConfig(n_rounds=1))
+
+
+
+def reference_split(X, g, h, rows, reg_lambda):
+    """Brute-force split search: sort each feature's column within the node and
+    score every cut between distinct values. Ties as in the model: the first
+    gain within TIE_RTOL of the best, by feature, then threshold."""
+    G = g[rows].sum()
+    H = h[rows].sum()
+    candidates = []  # (gain, feature, threshold) by feature, then threshold
+    for j in range(X.shape[1]):
+        order = np.argsort(X[rows, j], kind="stable")
+        xs = X[rows, j][order]
+        gs = np.cumsum(g[rows][order])
+        hs = np.cumsum(h[rows][order])
+        for i in np.flatnonzero(xs[:-1] < xs[1:]):
+            gain = 0.5 * (
+                gs[i] ** 2 / (hs[i] + reg_lambda)
+                + (G - gs[i]) ** 2 / (H - hs[i] + reg_lambda)
+                - G * G / (H + reg_lambda)
+            )
+            candidates.append((gain, j, float(0.5 * (xs[i] + xs[i + 1]))))
+    best = max((gain for gain, _, _ in candidates), default=0.0)
+    if not best > 0:
+        return None
+    return next((j, t) for gain, j, t in candidates if gain >= best - TIE_RTOL * best)
+
+
+def reference_fit(X, y, cfg):
+    """gbt_fit's boosting loop over reference_split; returns the trees."""
+    p_bar = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
+    base_score = float(np.log(p_bar / (1.0 - p_bar)))
+    margins = np.full(len(y), base_score)
+    tree_sum = np.zeros(len(y))
+    trees = []
+    for _ in range(cfg.n_rounds):
+        p = sigmoid(margins)
+        g = p - y
+        h = p * (1.0 - p)
+        nodes = []
+
+        def build(rows, depth):
+            node_id = len(nodes)
+            nodes.append(None)
+            split = None
+            if depth < cfg.max_depth and len(rows) >= 2:
+                split = reference_split(X, g, h, rows, cfg.reg_lambda)
+            if split is None:
+                weight = -g[rows].sum() / (h[rows].sum() + cfg.reg_lambda)
+                nodes[node_id] = TreeNode(is_leaf=True, weight=float(weight))
+                return node_id
+            feature, threshold = split
+            goes_left = X[rows, feature] < threshold
+            left = build(rows[goes_left], depth + 1)
+            right = build(rows[~goes_left], depth + 1)
+            nodes[node_id] = TreeNode(
+                is_leaf=False, feature=feature, threshold=threshold, left=left, right=right
+            )
+            return node_id
+
+        build(np.arange(len(y)), 0)
+        trees.append(RegressionTree(tuple(nodes)))
+        tree_sum += trees[-1].predict(X)
+        margins = base_score + cfg.learning_rate * tree_sum
+    return trees
+
+
+MATRIX_KINDS = ("counts", "tfidf", "signed")
+
+
+def random_matrix(rng, kind, n):
+    """An n-row matrix of one kind of values, plus an all-zero column, a
+    constant non-zero column and a column with a single non-zero, shuffled."""
+    f = int(rng.integers(1, 7))
+    if kind == "counts":
+        X = rng.poisson(0.7, size=(n, f)).astype(float)
+    elif kind == "tfidf":
+        X = np.where(rng.random((n, f)) < 0.4, rng.integers(1, 4, (n, f)), 0.0)
+        X *= np.log((1 + n) / (1 + (X > 0).sum(axis=0))) + 1.0
+        X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+    else:  # negative values put the zero bin in the middle of the value order
+        X = np.where(rng.random((n, f)) < 0.5, np.round(rng.normal(size=(n, f)), 1), 0.0)
+    single = np.zeros(n)
+    single[rng.integers(n)] = rng.choice([-1.5, 2.0])
+    X = np.column_stack([X, np.zeros(n), np.full(n, 3.0), single])
+    return X[:, rng.permutation(X.shape[1])]
+
+
+class TestReferenceSearch:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_every_node_matches_brute_force_search(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        kind = MATRIX_KINDS[seed % len(MATRIX_KINDS)]
+        n = (2, 3, 5)[seed % 3] if seed < 6 else int(rng.integers(6, 50))
+        X = random_matrix(rng, kind, n)
+        y = (rng.random(n) < 0.5).astype(float)
+        y[:2] = [0.0, 1.0]
+        cfg = BoostConfig(n_rounds=6, max_depth=4, reg_lambda=(1.0, 0.3)[seed % 2])
+        model = gbt_fit(X, y, cfg)
+        expected = reference_fit(X, y, cfg)
+        for t, (tree, ref) in enumerate(zip(model.trees, expected)):
+            for node_id, (node, want) in enumerate(zip(tree.nodes, ref.nodes)):
+                assert (node.feature, node.threshold) == (want.feature, want.threshold), (
+                    f"tree {t} node {node_id}"
+                )
+        assert model.trees == tuple(expected)
+
+    def test_segment_cumsum_error_stays_at_segment_scale(self):
+        rng = np.random.default_rng(4)
+        lengths = rng.integers(1, 8, 3000)
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        values = rng.normal(size=lengths.sum()) + 1000.0
+        expected = np.concatenate([np.cumsum(values[s : s + k]) for s, k in zip(starts, lengths)])
+        # a plain cumsum minus each segment's offset is off by ~1e-9 here
+        atol = 8 * np.finfo(float).eps * np.abs(expected).max()
+        np.testing.assert_allclose(_segment_cumsum(values, starts), expected, rtol=0, atol=atol)
+
+    def test_duplicated_column_tie_picks_lowest_feature(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=40)
+        y = (x + 0.5 * rng.normal(size=40) > 0).astype(float)
+        # the copy, the mirror and the shift cut the rows as column 0 does,
+        # with sums grouped differently
+        X = np.column_stack([x, x, -x, x + 1.0])
+        model = gbt_fit(X, y, BoostConfig(n_rounds=10, max_depth=3))
+        features = {n.feature for tree in model.trees for n in tree.nodes if not n.is_leaf}
+        assert features == {0}
 
 
 class TestPredict:

@@ -389,7 +389,8 @@ class TestTrainEvaluatePredict:
 
 
 # one case per outside input: (file name, file text, argv given the bad file, the corpus
-# fixture and a good lexicon, what stderr holds after "<bad file>: ")
+# fixture and a good lexicon, what stderr holds after "<bad file>: ", with {corpus} for
+# the corpus fixture's path)
 BAD_INPUTS = {
     "jsonl-corpus": (
         "c.jsonl", '# satira 0.1.0\n{"id":"a","text":"x","label":"fake"}\n{broken\n',
@@ -420,6 +421,11 @@ BAD_INPUTS = {
         lambda bad, corpus, lex: ("measure", "--corpus", corpus, "--cliches", lex,
                                   "--emotions", lex, "--tagged", bad),
         "line 4: expected surface<TAB>pos"),
+    "tagged-count": (
+        "tags.txt", "نروي\tVERB\n",
+        lambda bad, corpus, lex: ("measure", "--corpus", corpus, "--cliches", lex,
+                                  "--emotions", lex, "--tagged", bad),
+        "tagged input has 1 documents, corpus {corpus} has 100 labeled documents"),
     "measures": (
         "measures.csv", "# satira 0.1.0\ndoc_id,label,J,S,fpp_ratio\nf0,fake,0.1,0.1,\nr0,real\n",
         lambda bad, corpus, lex: ("ttest", "--measures", bad), "line 4: expected 5 fields"),
@@ -449,7 +455,7 @@ def test_bad_input_exits_2_naming_file_and_line(corpus_file, tmp_path, capsys, c
     bad.write_text(text, encoding="utf-8")
     assert run(*argv(bad, corpus_file, lex), "--out", tmp_path / "o") == 2
     err = capsys.readouterr().err
-    assert f"{bad}: {expected}" in err
+    assert f"{bad}: {expected.format(corpus=corpus_file)}" in err
     assert "Traceback" not in err
 
 
