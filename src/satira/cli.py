@@ -7,6 +7,7 @@ features, predict, plot-data. Exit codes: 0 success, 1 usage error,
 both the parser and the config lookup read. A JSON config file is keyed by
 flag name without the dashes; flags win over it, its values must have the
 row's JSON type, and keys the subcommand does not read are ignored.
+``train`` rejects a flag that only models other than ``--model`` read.
 
 Every output file starts with ``#`` metadata lines (tool version, config
 hash, lexicon checksums) so results stay attributable; all randomness of
@@ -470,9 +471,31 @@ PIPELINES = {
 }
 
 
+def _flag_readers() -> dict[str, dict[str, tuple]]:
+    """flag -> {model: (type, default)} for each PIPELINES model that reads it."""
+    readers: dict[str, dict[str, tuple]] = {}
+    for model, pipeline in PIPELINES.items():
+        for _, flag, cast, default in pipeline.options:
+            readers.setdefault(flag, {})[model] = (cast, default)
+    return readers
+
+
+_FLAG_READERS = _flag_readers()
+
+
+def _reject_other_models_flags(args, model_kind: str) -> None:
+    """A command-line flag that only other models read is an error; config-file
+    keys are not checked, so one file can serve every model."""
+    for flag, readers in _FLAG_READERS.items():
+        if model_kind not in readers and getattr(args, flag.replace("-", "_")) is not None:
+            raise DataError(f"--{flag} is read only by --model {', '.join(readers)}, "
+                            f"not by --model {model_kind}")
+
+
 def cmd_train(args) -> int:
-    corpus = load_corpus(_resolve(args, "corpus")).labeled_only()
     model_kind = _resolve(args, "model")
+    _reject_other_models_flags(args, model_kind)
+    corpus = load_corpus(_resolve(args, "corpus")).labeled_only()
     pipeline = PIPELINES[model_kind]
     split_cfg = SplitConfig(
         test_fraction=_resolve(args, "test-fraction"), seed=_resolve(args, "seed"), stratified=True
@@ -625,17 +648,16 @@ def _model_options() -> tuple:
     its help names each model's default, which cmd_train passes to _resolve."""
     # the rows cast these two with str; the parser and the config check take the choices
     choices = {"weighting": ("count", "tfidf"), "analyzer": ("word", "char")}
-    kinds, users = {}, {}
-    for model, pipeline in PIPELINES.items():
-        for _, flag, cast, default in pipeline.options:
-            kinds[flag] = choices.get(flag, cast)
+    rows = []
+    for flag, readers in _FLAG_READERS.items():
+        uses: dict[str, list[str]] = {}
+        for model, (_, default) in readers.items():
             use = "required" if default is None else f"default {default}"
-            users.setdefault(flag, {}).setdefault(use, []).append(model)
-    return tuple(
-        _Option(flag, kind, None, "; ".join(f"{', '.join(models)}: {use}"
-                                            for use, models in users[flag].items()))
-        for flag, kind in kinds.items()
-    )
+            uses.setdefault(use, []).append(model)
+        cast = next(iter(readers.values()))[0]
+        rows.append(_Option(flag, choices.get(flag, cast), None, "; ".join(
+            f"{', '.join(models)}: {use}" for use, models in uses.items())))
+    return tuple(rows)
 
 
 _CORPUS = _opt("corpus", str, None, "corpus file (JSONL or CSV)")

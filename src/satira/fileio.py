@@ -1,6 +1,12 @@
 """Shared file helpers: ``parse_file``, the reader of every input file,
 phrase-list and JSON files, checksums, output metadata headers, and the
-line reader and float codec of every serialized artifact.
+line reader and float codecs of every serialized artifact.
+
+Artifacts hold one text line per matrix row in one of two float codecs.
+``float_rows`` writes each float as its shortest ``repr``, for files meant
+to be read by people; ``base64_rows`` writes the base64 of the row's
+little-endian float64 bytes, or the single field ``0`` for a row whose
+bytes are all zero, for the large CNN matrices. Both read back bit for bit.
 
 Phrase-list files (stop phrases and lexicons alike) are UTF-8 text, one
 phrase per line; blank lines and ``#`` comments are ignored.
@@ -8,6 +14,7 @@ phrase per line; blank lines and ``#`` comments are ignored.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from pathlib import Path
@@ -72,20 +79,41 @@ def float_rows(values, sep: str = " ") -> list[str]:
     return [sep.join(map(repr, row.ravel().tolist())) for row in rows]
 
 
+# written for a row whose bytes are all zero; one character is never valid base64
+ZERO_ROW = "0"
+
+
+def base64_rows(values) -> list[str]:
+    """One line per leading index of ``values`` (a vector or scalar is one line):
+    the base64 of the row's little-endian float64 bytes, or ``ZERO_ROW`` when
+    every byte is zero (so ``-0.0`` is written out, not as ``ZERO_ROW``)."""
+    rows = np.atleast_2d(np.asarray(values, dtype="<f8"))
+    rows = np.ascontiguousarray(rows.reshape(len(rows), int(np.prod(rows.shape[1:]))))
+    nonzero = rows.view(np.uint64).any(axis=1).tolist()
+    return [
+        base64.b64encode(row.tobytes()).decode("ascii") if keep else ZERO_ROW
+        for row, keep in zip(rows, nonzero)
+    ]
+
+
 class BodyReader:
     """Reads a serialized file line by line, checking as it goes.
 
-    The format tag must be the first line; ``key=value`` pairs may follow on
-    any comment line (the CLI splices its metadata in after the tag). The
-    comment block ends at the first line not starting with ``#`` or holding
-    a tab (a row may start with a hashtag feature). Blank body lines are
-    skipped; every ``DataError`` names the file line.
+    The first line must be one of the format tags; ``format`` is the tag
+    found. ``key=value`` pairs may follow on any comment line (the CLI
+    splices its metadata in after the tag). The comment block ends at the
+    first line not starting with ``#`` or holding a tab (a row may start
+    with a hashtag feature). Blank body lines are skipped; every
+    ``DataError`` names the file line.
     """
 
-    def __init__(self, text: str, format_tag: str):
+    def __init__(self, text: str, *format_tags: str):
         self._lines = text_lines(text)
-        if not self._lines or self._lines[0] != f"# {format_tag}":
-            raise DataError(f"unsupported file (expected header '# {format_tag}')")
+        first = self._lines[0] if self._lines else ""
+        if first not in [f"# {tag}" for tag in format_tags]:
+            expected = " or ".join(f"'# {tag}'" for tag in format_tags)
+            raise DataError(f"unsupported file (expected header {expected})")
+        self.format = first[2:]
         self.meta: dict[str, str] = {}
         self._next = 0
         for line in self._lines:
@@ -133,19 +161,56 @@ class BodyReader:
         except ValueError as exc:
             raise self.error(str(exc)) from exc
 
-    def floats(self, what: str, count: int, label: str | None = None, sep: str = " ") -> np.ndarray:
-        """Next line as ``count`` floats after ``label``, if given; inverse of ``float_rows``."""
+    def _row(self, what: str, count: int, label: str | None, sep: str) -> list[str]:
+        """Next line's ``count`` fields after ``label``, if given."""
         if label is None:
-            parts = self.fields(what, count, sep)
-        else:
-            parts = self.fields(f"{what} {label}", count + 1, sep)
-            if parts[0] != label:
-                raise self.error(f"{what} {parts[0]} where {label} was expected")
-            del parts[0]
+            return self.fields(what, count, sep)
+        parts = self.fields(f"{what} {label}", count + 1, sep)
+        if parts[0] != label:
+            raise self.error(f"{what} {parts[0]} where {label} was expected")
+        return parts[1:]
+
+    def floats(self, what: str, count: int, label: str | None = None, sep: str = " ",
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Next line as ``count`` floats after ``label``, if given; inverse of
+        ``float_rows``. With ``out``, a zero-filled array of ``count``, the floats
+        are stored there and ``out`` is returned."""
+        parts = self._row(what, count, label, sep)
         try:
-            return np.array(parts, dtype=np.float64)
+            values = np.array(parts, dtype=np.float64)
         except ValueError as exc:
             raise self.error(str(exc)) from exc
+        if out is None:
+            return values
+        out[:] = values
+        return out
+
+    def base64_floats(self, what: str, count: int, label: str | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """As ``floats``, for the inverse of ``base64_rows``: the field must be
+        ``ZERO_ROW`` or strict base64 of exactly ``8 * count`` bytes. A
+        ``ZERO_ROW`` leaves ``out`` untouched, so reading one costs no memory
+        however large ``count`` is."""
+        (field,) = self._row(what, 1, label, " ")
+        if field == ZERO_ROW:
+            return np.zeros(count, dtype=np.float64) if out is None else out
+        try:
+            raw = base64.b64decode(field, validate=True)
+        except ValueError as exc:
+            raise self.error(f"{what}: {exc}") from exc
+        if len(raw) != 8 * count:
+            raise self.error(f"{what}: expected {count} floats ({8 * count} bytes), "
+                             f"got {len(raw)} bytes")
+        values = np.frombuffer(raw, dtype="<f8")
+        if out is None:
+            return values.astype(np.float64)
+        out[:] = values
+        return out
+
+    @property
+    def lines_left(self) -> int:
+        """Lines not read yet, blank ones included: no more rows than this can follow."""
+        return len(self._lines) - self._next
 
     def end(self) -> None:
         if self.more:

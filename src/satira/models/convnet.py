@@ -5,20 +5,30 @@ Architecture: embedding lookup (row 0 = padding/OOV, all zero) -> valid
 sigmoid unit. Trained with mini-batch Adam on binary cross-entropy; the
 embedding matrix is never updated. Everything runs in double precision so
 finite-difference gradient checks are meaningful.
+
+A model is saved as ``satira-cnn v2`` text: a ``<name> <shape>`` line per
+matrix, then one line per leading index holding the base64 of that row's
+little-endian float64 bytes, or ``0`` for a row whose bytes are all zero
+(the OOV row and the row of every token without a pretrained vector).
+Every value reads back bit for bit. ``satira-cnn v1`` files, which hold
+each float as its shortest ``repr``, are still read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import DataError
-from ..fileio import BodyReader, float_rows, parse_file
+from ..fileio import BodyReader, base64_rows, parse_file
 from .boosted_trees import logistic_loss, sigmoid
 
-CNN_FORMAT = "satira-cnn v1"
+CNN_FORMAT = "satira-cnn v2"
+# the same layout with ``repr`` floats (fileio.float_rows); read, no longer written
+CNN_FORMAT_V1 = "satira-cnn v1"
 
 # sequences per forward pass in cnn_predict
 PREDICT_CHUNK = 64
@@ -316,32 +326,43 @@ def cnn_to_text(model: ConvNetModel) -> str:
     for name in ("embedding", "conv_weights"):
         matrix = getattr(model, name)
         lines.append(" ".join([name, *map(str, matrix.shape)]))
-        lines.extend(float_rows(matrix))
+        lines.extend(base64_rows(matrix))
     for name in ("conv_bias", "dense_weights", "dense_bias"):
-        lines.append(f"{name} " + float_rows(getattr(model, name))[0])
+        lines.append(f"{name} " + base64_rows(getattr(model, name))[0])
     return "".join(line + "\n" for line in lines)
 
 
 def cnn_from_text(text: str) -> ConvNetModel:
-    r = BodyReader(text, CNN_FORMAT)
+    r = BodyReader(text, CNN_FORMAT, CNN_FORMAT_V1)
+    row = r.base64_floats if r.format == CNN_FORMAT else r.floats
     V, d, F, K, max_len = (
         r.meta_value(key, int) for key in ("vocab", "dim", "filters", "kernel", "max_len")
     )
+    if min(V, d, F, K, max_len) < 1:
+        raise DataError("header counts vocab, dim, filters, kernel and max_len must be positive")
 
     def read_matrix(name: str, shape: tuple[int, ...]) -> np.ndarray:
         expected = " ".join([name, *map(str, shape)])
         if r.fields(f"section {name!r}", sep=" ") != expected.split(" "):
             raise r.error(f"expected section header {expected!r}")
-        row_len = int(np.prod(shape[1:]))
-        rows = [r.floats(f"{name} row", row_len) for _ in range(shape[0])]
-        return np.array(rows, dtype=np.float64).reshape(shape)
+        if shape[0] > r.lines_left:
+            raise r.error(f"{name} declares {shape[0]} rows, but the file has "
+                          f"{r.lines_left} lines left")
+        try:
+            # zero-filled, so a v2 zero row is never written and costs no memory
+            matrix = np.zeros((shape[0], math.prod(shape[1:])), dtype=np.float64)
+        except (ValueError, MemoryError) as exc:
+            raise r.error(f"{name} of shape {shape} is too large to hold") from exc
+        for i in range(shape[0]):
+            row(f"{name} row", matrix.shape[1], out=matrix[i])
+        return matrix.reshape(shape)
 
     model = ConvNetModel(
         embedding=read_matrix("embedding", (V, d)),
         conv_weights=read_matrix("conv_weights", (F, K, d)),
-        conv_bias=r.floats("section", F, "conv_bias"),
-        dense_weights=r.floats("section", F, "dense_weights"),
-        dense_bias=float(r.floats("section", 1, "dense_bias")[0]),
+        conv_bias=row("section", F, "conv_bias"),
+        dense_weights=row("section", F, "dense_weights"),
+        dense_bias=float(row("section", 1, "dense_bias")[0]),
         max_sequence_length=max_len,
     )
     r.end()

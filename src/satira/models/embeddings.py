@@ -104,7 +104,8 @@ def _embeddings_from_text(
         if idx is None:
             continue
         try:
-            matrix[idx] = [float(v) for v in parts[1:]]
+            # one call per row; accepts and rounds each value exactly as float() does
+            matrix[idx] = np.array(parts[1:], dtype=np.float64)
         except ValueError as exc:
             raise DataError(f"line {lineno}: malformed value: {exc}") from exc
         covered.add(token)

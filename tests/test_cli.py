@@ -99,6 +99,28 @@ class TestUsageErrors:
         assert run(*argv) == 1
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, flag, value, readers",
+        [("nb", "--epochs", 3, "cnn"), ("nb", "--learning-rate", 0.1, "gbt, cnn"),
+         ("nb", "--rounds", 5, "gbt"), ("gbt", "--embeddings", "v.txt", "cnn"),
+         ("gbt", "--alpha", 0.5, "nb"), ("cnn", "--weighting", "tfidf", "nb, gbt")],
+    )
+    def test_flag_of_another_model_exits_2(self, corpus_file, tmp_path, capsys, model, flag,
+                                           value, readers):
+        assert run("train", "--corpus", corpus_file, "--model", model, flag, value,
+                   "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} is read only by --model {readers}, not by --model {model}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_key_of_another_model_is_ignored(self, corpus_file, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epochs": 3, "rounds": 5, "learning-rate": 0.5}),
+                          encoding="utf-8")
+        assert run("train", "--config", config, "--corpus", corpus_file, "--model", "nb",
+                   "--out", tmp_path / "o") == 0
+        assert "epochs" not in load_json(tmp_path / "o" / "run.json")
+
     def test_bad_choice_exits_1(self, corpus_file, tmp_path, capsys):
         assert run("train", "--corpus", corpus_file, "--model", "nb", "--weighting", "bogus",
                    "--out", tmp_path / "o") == 1
@@ -359,9 +381,11 @@ class TestTrainEvaluatePredict:
         "kind, filename, corruption",
         [("nb", "model.txt", "cut"), ("gbt", "model.txt", "cut"), ("cnn", "model.txt", "cut"),
          ("cnn", "token_index.txt", "tag"), ("nb", "vocabulary.txt", "key"),
-         ("nb", "model.txt", "byte")],
+         ("nb", "model.txt", "byte"), ("cnn", "token_index.txt", "cut"),
+         ("cnn", "model.txt", "vocab")],
         ids=["nb-model.txt", "gbt-model.txt", "cnn-model.txt", "cnn-token_index.txt",
-             "nb-vocabulary.txt", "nb-model.txt-not-utf8"],
+             "nb-vocabulary.txt", "nb-model.txt-not-utf8", "cnn-token_index.txt-cut",
+             "cnn-model.txt-huge-vocab"],
     )
     def test_corrupt_artifact_exits_2(self, corpus_file, tmp_path, capsys, kind, filename,
                                       corruption):
@@ -375,6 +399,10 @@ class TestTrainEvaluatePredict:
         elif corruption == "key":
             corrupted = re.sub(r" n_docs=\d+", "", "".join(lines))  # drop a header key
             assert corrupted != "".join(lines)
+        elif corruption == "vocab":  # more embedding rows than any file could hold
+            corrupted = re.sub(r"(?m)( vocab=|^embedding )\d+", r"\g<1>1000000000000",
+                               "".join(lines))
+            assert corrupted.count("1000000000000") == 2
         elif corruption == "tag":
             corrupted = "# satira-token-index v0\n" + "".join(lines[1:])  # wrong tag
         else:

@@ -26,6 +26,24 @@ from satira.models.convnet import (
     save_cnn,
 )
 
+# written by the satira-cnn v1 writer: tiny_model(71, vocab=4, dim=2, filters=2,
+# kernel=2, seq_len=4) with embedding row 2 zeroed and non-zero biases
+CNN_V1_TEXT = """\
+# satira-cnn v1
+# vocab=4 dim=2 filters=2 kernel=2 max_len=4
+embedding 4 2
+0.0 0.0
+-0.055049700488736586 -0.04451688141158078
+0.0 0.0
+0.17253783660523608 -0.7104186155396208
+conv_weights 2 2 2
+0.6756734689476 -0.9866497546431814 -0.5371034888605675 -0.7715289108093659
+0.43116660437477927 -0.3790900415699625 0.14661567537626796 -0.8962183148546059
+conv_bias 0.25 -1.5e-300
+dense_weights -0.5902448863244414 1.2829476664756132
+dense_bias 0.125
+"""
+
 
 def tiny_model(seed=0, vocab=20, dim=8, filters=4, kernel=3, seq_len=7):
     rng = np.random.default_rng(seed)
@@ -356,10 +374,92 @@ class TestSerialization:
         with pytest.raises(DataError, match="unsupported"):
             cnn_from_text("# stale-format v0\n")
 
-    def test_every_truncation_rejected(self):
-        lines = cnn_to_text(tiny_model(71, vocab=4, dim=2, filters=2, kernel=2)).splitlines(
-            keepends=True
-        )
+    @staticmethod
+    def assert_every_truncation_rejected(text):
+        lines = text.splitlines(keepends=True)
         for k in range(len(lines)):
             with pytest.raises(DataError):
                 cnn_from_text("".join(lines[:k]))
+
+    def test_every_truncation_rejected(self):
+        text = cnn_to_text(cnn_from_text(CNN_V1_TEXT))
+        assert text.startswith("# satira-cnn v2\n")
+        self.assert_every_truncation_rejected(text)
+
+    def test_every_v1_truncation_rejected(self):
+        assert cnn_from_text(CNN_V1_TEXT).vocab_size == 4
+        self.assert_every_truncation_rejected(CNN_V1_TEXT)
+
+    def test_non_positive_header_count_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(CNN_V1_TEXT.replace("vocab=4", "vocab=-1"), encoding="utf-8")
+        with pytest.raises(DataError, match="model.txt: header counts .* must be positive"):
+            load_cnn(path)
+
+    @pytest.mark.parametrize(
+        "vocab, dim, v2, message",
+        [(10**18, 2, False, "line 3: embedding declares 1000000000000000000 rows, but the file "
+                            "has 10 lines left"),
+         (4, 10**18, False, "line 3: embedding of shape .* is too large to hold"),
+         (4, 10**8, False, "line 4: embedding row: expected 100000000 fields, got 2"),
+         (4, 10**8, True, "line 5: embedding row: expected 100000000 floats")],
+        ids=["huge-vocab", "huge-dim", "large-dim-v1", "large-dim-v2-zero-row-first"],
+    )
+    def test_header_count_beyond_the_file_rejected_before_reading(self, vocab, dim, v2,
+                                                                  message):
+        # the matrix is zero-filled lazily and a v2 zero row is never written, so a
+        # large declared dim costs no memory before the first non-zero row fails
+        text = cnn_to_text(cnn_from_text(CNN_V1_TEXT)) if v2 else CNN_V1_TEXT
+        text = text.replace("vocab=4 dim=2", f"vocab={vocab} dim={dim}")
+        text = text.replace("embedding 4 2", f"embedding {vocab} {dim}")
+        with pytest.raises(DataError, match=message):
+            cnn_from_text(text)
+
+    def test_v2_writes_zero_rows_as_one_field(self):
+        lines = cnn_to_text(cnn_from_text(CNN_V1_TEXT)).splitlines()
+        assert lines[2] == "embedding 4 2"
+        assert [row == "0" for row in lines[3:7]] == [True, False, True, False]
+        assert lines[-1] == "dense_bias AAAAAAAAwD8="  # 0.125 as little-endian float64 bytes
+
+    def test_v1_and_v2_loads_predict_bitwise_alike(self):
+        v1 = cnn_from_text(CNN_V1_TEXT)
+        v2 = cnn_from_text(cnn_to_text(v1))
+        for name in ("embedding", "conv_weights", "conv_bias", "dense_weights"):
+            assert getattr(v1, name).tobytes() == getattr(v2, name).tobytes()
+        assert (v1.dense_bias, v1.max_sequence_length) == (v2.dense_bias, v2.max_sequence_length)
+        ids = np.random.default_rng(72).integers(0, 4, size=(9, 4))
+        assert cnn_predict(v1, ids)[0].tobytes() == cnn_predict(v2, ids)[0].tobytes()
+
+    def test_special_values_round_trip_bitwise(self):
+        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072e-308, 1.0]
+        model = tiny_model(73, vocab=3, dim=len(special), filters=1, kernel=1, seq_len=1)
+        embedding = model.embedding.copy()
+        embedding[1] = special
+        embedding[2] = -0.0
+        model = model.__class__(
+            embedding=embedding, conv_weights=model.conv_weights,
+            conv_bias=np.array([-0.0]), dense_weights=np.array([np.nan]),
+            dense_bias=-np.inf, max_sequence_length=1)
+        text = cnn_to_text(model)
+        embedding_rows = text.splitlines()[3:6]
+        assert embedding_rows[0] == "0" and "0" not in embedding_rows[1:]  # -0.0 is written
+        loaded = cnn_from_text(text)
+        for name in ("embedding", "conv_weights", "conv_bias", "dense_weights"):
+            assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+        assert np.float64(loaded.dense_bias).tobytes() == np.float64(-np.inf).tobytes()
+
+    @pytest.mark.parametrize(
+        "line, bad, message",
+        [(5, "AAAAAAAA!AA=", "line 5: embedding row: .*base64"),
+         (5, "AAAAAAAAAAA=", "line 5: embedding row: expected 2 floats \\(16 bytes\\), got 8"),
+         (5, "0 AAAAAAAAAAA=", "line 5: embedding row: expected 1 fields, got 2"),
+         (7, "0.5 0", "line 7: embedding row: expected 1 fields, got 2"),
+         (11, "conv_bias 0 0", "line 11: section conv_bias: expected 2 fields, got 3")],
+        ids=["bad-character", "one-float-short", "zero-and-a-row", "v1-row-with-a-zero",
+             "zero-per-value"],
+    )
+    def test_corrupt_v2_row_names_its_line(self, line, bad, message):
+        lines = cnn_to_text(cnn_from_text(CNN_V1_TEXT)).split("\n")
+        lines[line - 1] = bad
+        with pytest.raises(DataError, match=message):
+            cnn_from_text("\n".join(lines))

@@ -84,6 +84,20 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match="line 3"):
             load_embeddings(path, {"good": 1, "bad": 2}, expected_dim=3)
 
+    def test_malformed_value_names_lineno(self, tmp_path):
+        path = write_vectors(tmp_path, "2 3\ngood 1 2 3\nbad 1 x 3\n")
+        with pytest.raises(DataError, match="line 3: malformed value: .*'x'"):
+            load_embeddings(path, {"good": 1, "bad": 2}, expected_dim=3)
+
+    def test_values_parse_bitwise_as_float_does(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = [repr(v) for v in rng.normal(0.0, 0.3, size=6).tolist()]
+        values += ["-0.0", "nan", "-inf", "1e-320", "0.1000000000000000055511151231257827",
+                   "1_5", "+.5", "1e400"]
+        path = write_vectors(tmp_path, f"1 {len(values)}\nw " + " ".join(values) + "\n")
+        matrix, _ = load_embeddings(path, {"w": 1}, expected_dim=len(values))
+        assert matrix[1].tobytes() == np.array([float(v) for v in values]).tobytes()
+
     def test_line_separator_characters_in_tokens_stay_in_their_line(self, tmp_path):
         path = write_vectors(tmp_path, "3 2\nin 1 2\no\x85ut 3 4\nc\u2028d 5 6\n")
         matrix, coverage = load_embeddings(path, {"in": 1}, expected_dim=2)
