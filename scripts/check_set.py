@@ -6,10 +6,11 @@
 Writes a small synthetic corpus into the empty directory OUT, then runs
 every `satira` subcommand on it from inside OUT with relative paths, so
 the metadata headers do not depend on where OUT is: NB on word counts, NB
-on char 2-4 TF-IDF, GBT on counts (5 rounds) and on TF-IDF (100 rounds),
-the CNN, `evaluate` and `predict` of each, `features`, `clean`,
-`boilerplate`, `measure`, `ttest` and `plot-data`. It prints one
-`sha256  relative/path` line per file under OUT, sorted by path.
+on word 1-3 counts, NB on char 2-4 TF-IDF, GBT on counts (5 rounds) and
+on TF-IDF (100 rounds), the CNN, `evaluate` and `predict` of each,
+`features`, `clean`, `boilerplate`, `measure`, `ttest` and `plot-data`.
+It prints one `sha256  relative/path` line per file under OUT, sorted by
+path.
 
 `--checkout` names the satira source tree to run (default: the one this
 script is in), so two checkouts are compared by running this script once
@@ -30,6 +31,7 @@ CORPUS = "data/corpus.jsonl"
 # run directory -> train flags besides --corpus and --out
 RUNS = {
     "nb": ("--model", "nb"),
+    "nbw": ("--model", "nb", "--ngram", "1,3"),
     "nbc": ("--model", "nb", "--weighting", "tfidf", "--analyzer", "char", "--ngram", "2,4"),
     "gbt": ("--model", "gbt", "--rounds", "5"),
     "gbt_tfidf": ("--model", "gbt", "--weighting", "tfidf"),

@@ -5,13 +5,35 @@ frequency (ties broken lexicographically) after dropping features whose
 document-frequency ratio exceeds ``max_df``. TF-IDF uses the smoothed
 inverse document frequency ln((1 + n) / (1 + df)) + 1 followed by L2 row
 normalization.
+
+N-grams are counted as integer ids, not as substrings. A document is a
+sequence of units: the characters of its text for CHAR, its tokens for
+WORD. Units get dense ids (a character's is the rank of its codepoint, a
+token's the order of its first appearance), and the units of all
+documents are concatenated into one int32 array. The n-gram starting at
+position i then gets its id level by level, as in prefix doubling for
+suffix arrays (Manber & Myers 1993): the level-n id is the rank of the
+pair ``id_{n-1}[i] * n_units + unit[i + n - 1]`` among the distinct pairs
+of that level, and -1 marks an n-gram that would run past the end of its
+document. Ids stay below the number of positions, so the pair key fits
+in int64 for any ``ngram_range`` and any alphabet, and equal n-grams get
+equal ids. Each level overwrites one int32 id array, and sorting and
+counting run over blocks of whole documents of about ``BLOCK`` units, so
+the state that grows with the corpus is the unit and id arrays, 8 bytes
+per unit.
+
+``fit`` counts totals and document frequencies per id and decodes back
+to strings only the n-grams it keeps and those tied with them at the
+``max_features`` cut, so the codepoint tie-break stays exact.
+``transform`` appends the vocabulary's features to the documents as
+extra sequences, so both share one id space, then maps ids to columns.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -22,6 +44,7 @@ from .errors import DataError
 from .fileio import BodyReader, float_rows, parse_file
 
 VOCABULARY_FORMAT = "satira-vocabulary v1"
+BLOCK = 1 << 16  # units per sorting block; a block holds whole sequences
 
 
 class Weighting(Enum):
@@ -50,26 +73,6 @@ class VectorizerConfig:
             raise ValueError(f"max_features must be >= 1, got {self.max_features}")
         if not 0.0 < self.max_df <= 1.0:
             raise ValueError(f"max_df must be in (0, 1], got {self.max_df}")
-
-
-def extract_features(doc: Document, cfg: VectorizerConfig) -> list[str]:
-    """All analyzer n-grams of one document, in order of occurrence.
-
-    WORD n-grams are space-joined token windows; CHAR n-grams slide over
-    the document text itself, spaces included, so word boundaries stay
-    visible to the model.
-    """
-    lo, hi = cfg.ngram_range
-    feats: list[str] = []
-    if cfg.analyzer is Analyzer.WORD:
-        tokens = doc.tokens
-        for n in range(lo, hi + 1):
-            feats.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-    else:
-        text = doc.text
-        for n in range(lo, hi + 1):
-            feats.extend(text[i : i + n] for i in range(len(text) - n + 1))
-    return feats
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,7 @@ class DocTermMatrix:
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros((self.n_rows, self.n_cols), dtype=np.float64)
-        for r in range(self.n_rows):
-            cols, vals = self.row(r)
-            dense[r, cols] = vals
+        dense[np.repeat(np.arange(self.n_rows), np.diff(self.indptr)), self.indices] = self.values
         return dense
 
     def column_sums(self) -> np.ndarray:
@@ -135,6 +136,110 @@ class DocTermMatrix:
     @property
     def nnz(self) -> int:
         return len(self.values)
+
+
+def _unit_sequences(docs: Sequence[Document], analyzer: Analyzer) -> list:
+    """Each document's units: its characters for CHAR, its tokens for WORD."""
+    return [doc.text if analyzer is Analyzer.CHAR else doc.tokens for doc in docs]
+
+
+def _unit_ids(seqs: Sequence[Sequence[str]], analyzer: Analyzer) -> tuple[np.ndarray, int]:
+    """Dense int32 ids of the units of the concatenated sequences, and how many distinct units."""
+    if analyzer is Analyzer.CHAR:
+        # a character's id is the rank of its codepoint among those present
+        points = np.frombuffer("".join(seqs).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        present = np.zeros(int(points.max(initial=0)) + 1, dtype=bool)
+        present[points] = True
+        return (np.cumsum(present, dtype=np.int32) - 1)[points], int(np.count_nonzero(present))
+    index = {unit: i for i, unit in enumerate(dict.fromkeys(chain.from_iterable(seqs)))}
+    ids = map(index.__getitem__, chain.from_iterable(seqs))
+    return np.fromiter(ids, dtype=np.int32, count=sum(map(len, seqs))), len(index)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct keys: ``np.unique`` without its hash table, which is
+    slower on these int64 keys than one sort."""
+    ordered = np.sort(keys)
+    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+
+
+def _cut(totals: np.ndarray, k: int) -> int:
+    """The smallest total among the ``k`` largest (0 when there are no more than ``k``)."""
+    if len(totals) <= k:
+        return 0
+    return int(np.partition(totals, len(totals) - k)[len(totals) - k])
+
+
+class _Windows:
+    """Dense ids of the n-unit windows of some unit sequences, one level n at a time.
+
+    At level n, ``ids[i]`` is the id of the window of n units that starts
+    at position ``i`` of the concatenated sequences, or -1 where that
+    window would run past the end of its sequence. Equal windows have
+    equal ids, and the ids of a level are ``0 .. n_ids - 1``.
+    """
+
+    def __init__(self, seqs: Sequence[Sequence[str]], analyzer: Analyzer):
+        self.units, self.n_units = _unit_ids(seqs, analyzer)
+        self.ids = self.units.copy()
+        self.n_ids = self.n_units
+        self.lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+        self.starts = np.concatenate(([0], np.cumsum(self.lens)))
+        # blocks of whole sequences: a new one at the sequence holding each multiple of BLOCK
+        size = len(self.units)
+        first = np.searchsorted(self.starts, np.arange(0, size, BLOCK), side="right") - 1
+        bounds = np.unique(np.append(self.starts[first], size)).tolist()
+        self.blocks = list(zip(bounds[:-1], bounds[1:]))
+
+    def levels(self, hi: int):
+        """Advance from level 1 to level ``hi``, yielding each level n."""
+        for n in range(1, hi + 1):
+            if n > 1:
+                self.advance(n)
+            yield n
+
+    def sequence_of(self, pos: np.ndarray) -> np.ndarray:
+        """The index of the sequence holding each position."""
+        return np.searchsorted(self.starts, pos, side="right") - 1
+
+    def advance(self, n: int) -> None:
+        """Move from level n - 1 to level n: window (i, n) gets the rank of the pair
+        (id of window (i, n - 1), unit i + n - 1) among the level's distinct pairs."""
+        ids, units = self.ids, self.units
+        # the last window of level n - 1 in each sequence has no unit left to take
+        ids[self.starts[1:][self.lens >= n - 1] - (n - 1)] = -1
+
+        def pairs(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+            head = ids[s : max(s, e - n + 1)]
+            valid = np.flatnonzero(head >= 0)
+            return valid, head[valid].astype(np.int64) * self.n_units + units[s + n - 1 + valid]
+
+        # the level's distinct pairs; blocks' pairs are merged in once they outnumber
+        # those merged so far, so this holds O(distinct pairs), not O(positions)
+        distinct, pending = np.empty(0, dtype=np.int64), []
+        for s, e in self.blocks:
+            pending.append(_distinct(pairs(s, e)[1]))
+            if sum(map(len, pending)) > len(distinct):
+                distinct, pending = _distinct(np.concatenate([distinct, *pending])), []
+        distinct = _distinct(np.concatenate([distinct, *pending]))
+        for s, e in self.blocks:
+            valid, keys = pairs(s, e)
+            local, local_ranks = np.unique(keys, return_inverse=True)
+            ids[s + valid] = np.searchsorted(distinct, local)[local_ranks]
+        self.n_ids = len(distinct)
+
+    def keep(self, kept_ids: np.ndarray) -> None:
+        """Drop every window of this level whose id is not in ``kept_ids``:
+        it and the longer windows at its position get -1."""
+        kept = np.zeros(self.n_ids + 1, dtype=bool)  # the extra last entry is for id -1
+        kept[kept_ids] = True
+        self.ids[~kept[self.ids]] = -1
+
+    def windows(self):
+        """Per block: the positions of the current level's windows, and their ids."""
+        for s, e in self.blocks:
+            pos = np.flatnonzero(self.ids[s:e] >= 0) + s
+            yield pos, self.ids[pos]
 
 
 def fit(docs: Sequence[Document], cfg: VectorizerConfig) -> Vocabulary:
@@ -147,25 +252,51 @@ def fit(docs: Sequence[Document], cfg: VectorizerConfig) -> Vocabulary:
     """
     if len(docs) == 0:
         raise DataError("cannot fit a vectorizer on an empty corpus")
-    total_freq: Counter[str] = Counter()
-    doc_freq: Counter[str] = Counter()
-    for doc in docs:
-        feats = extract_features(doc, cfg)
-        total_freq.update(feats)
-        doc_freq.update(set(feats))
-
     n_docs = len(docs)
-    candidates = [f for f in total_freq if doc_freq[f] / n_docs <= cfg.max_df]
-    if not candidates:
+    lo, hi = cfg.ngram_range
+    seqs = _unit_sequences(docs, cfg.analyzer)
+    win = _Windows(seqs, cfg.analyzer)
+    # per level, per candidate: length in units, a position where it occurs, total count, df
+    per_level = []
+    for n in win.levels(hi):
+        if n < lo:
+            continue
+        where = np.zeros(win.n_ids, dtype=np.int64)
+        totals = np.zeros(win.n_ids, dtype=np.int64)
+        dfs = np.zeros(win.n_ids, dtype=np.int64)
+        for pos, ids in win.windows():
+            where[ids] = pos
+            doc_ids, counts = np.unique(win.sequence_of(pos) * win.n_ids + ids, return_counts=True)
+            feature = doc_ids % win.n_ids
+            np.add.at(totals, feature, counts)
+            np.add.at(dfs, feature, 1)
+        keep = np.flatnonzero(dfs / n_docs <= cfg.max_df)
+        # a feature outnumbered by max_features others of its own length is never kept
+        keep = keep[totals[keep] >= _cut(totals[keep], cfg.max_features)]
+        per_level.append((np.full(len(keep), n), where[keep], totals[keep], dfs[keep]))
+    length, where, total, doc_freq = (np.concatenate(c) for c in zip(*per_level))
+    if len(total) == 0:
         raise DataError(
             "no features survive the max_df filter "
             f"(max_df={cfg.max_df}, n_docs={n_docs})"
         )
-    candidates.sort(key=lambda f: (-total_freq[f], f))
-    retained = sorted(candidates[: cfg.max_features])
+
+    doc_of = win.sequence_of(where)
+    offset = where - win.starts[doc_of]
+
+    def name(i: int) -> str:
+        units = seqs[doc_of[i]][offset[i] : offset[i] + length[i]]
+        return units if cfg.analyzer is Analyzer.CHAR else " ".join(units)
+
+    # decode only the features above the cut and those tied at it
+    cut = _cut(total, cfg.max_features)
+    chosen = {name(i): i for i in np.flatnonzero(total > cut).tolist()}
+    tied = sorted((name(i), i) for i in np.flatnonzero(total == cut).tolist())
+    chosen.update(tied[: cfg.max_features - len(chosen)])
+    retained = sorted(chosen)
 
     index = {feature: col for col, feature in enumerate(retained)}
-    df = np.array([doc_freq[f] for f in retained], dtype=np.int64)
+    df = doc_freq[[chosen[f] for f in retained]]
     idf = None
     if cfg.weighting is Weighting.TFIDF:
         idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
@@ -190,33 +321,42 @@ def transform(docs: Sequence[Document], vocab: Vocabulary, cfg: VectorizerConfig
             f"(fit: {fitted.weighting.value}/{fitted.analyzer.value}/{fitted.ngram_range}, "
             f"transform: {cfg.weighting.value}/{cfg.analyzer.value}/{cfg.ngram_range})"
         )
-
-    indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    for doc in docs:
-        counts: Counter[int] = Counter()
-        for feature in extract_features(doc, cfg):
-            col = vocab.index.get(feature)
-            if col is not None:
-                counts[col] += 1
-        cols = np.array(sorted(counts), dtype=np.int64)
-        vals = np.array([counts[c] for c in cols], dtype=np.float64)
-        if cfg.weighting is Weighting.TFIDF and len(cols):
-            vals = vals * vocab.idf[cols]
-            norm = np.linalg.norm(vals)
+    n_rows, n_cols = len(docs), len(vocab)
+    lo, hi = cfg.ngram_range
+    names = vocab.feature_names()
+    features = names if cfg.analyzer is Analyzer.CHAR else [f.split(" ") for f in names]
+    # the features ride along as extra sequences, so they get the documents' window ids
+    win = _Windows(_unit_sequences(docs, cfg.analyzer) + features, cfg.analyzer)
+    doc_end = win.starts[n_rows]
+    feature_starts, feature_lens = win.starts[n_rows:-1], win.lens[n_rows:]
+    keys, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for n in win.levels(hi):
+        # a window that no feature starts with grows into none, so later levels skip it
+        win.keep(win.ids[feature_starts[feature_lens >= n]])
+        cols = np.flatnonzero(feature_lens == n)
+        if n < lo or len(cols) == 0:
+            continue
+        col_of = np.full(win.n_ids, -1, dtype=np.int64)
+        col_of[win.ids[feature_starts[cols]]] = cols
+        for pos, ids in win.windows():
+            hit = (col_of[ids] >= 0) & (pos < doc_end)
+            key = win.sequence_of(pos[hit]) * n_cols + col_of[ids[hit]]
+            k, c = np.unique(key, return_counts=True)
+            keys.append(k)
+            counts.append(c)
+    keys, counts = np.concatenate(keys), np.concatenate(counts)
+    order = np.argsort(keys)
+    rows, indices = np.divmod(keys[order], n_cols)  # keys is empty when n_cols is 0
+    values = counts[order].astype(np.float64)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+    if cfg.weighting is Weighting.TFIDF:
+        values *= vocab.idf[indices]
+        # one np.linalg.norm per row, the summation order the weights have always had
+        for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+            norm = np.linalg.norm(values[a:b])
             if norm > 0:
-                vals = vals / norm
-        indices.extend(cols.tolist())
-        values.extend(vals.tolist())
-        indptr.append(len(indices))
-    return DocTermMatrix(
-        n_rows=len(docs),
-        n_cols=len(vocab),
-        indptr=np.array(indptr, dtype=np.int64),
-        indices=np.array(indices, dtype=np.int64),
-        values=np.array(values, dtype=np.float64),
-    )
+                values[a:b] /= norm
+    return DocTermMatrix(n_rows, n_cols, indptr, indices, values)
 
 
 def vocabulary_to_text(vocab: Vocabulary) -> str:
@@ -239,17 +379,22 @@ def vocabulary_to_text(vocab: Vocabulary) -> str:
 
 
 def vocabulary_from_text(text: str) -> Vocabulary:
-    """Inverse of ``vocabulary_to_text``; rows must hold columns 0, 1, ... in order."""
+    """Inverse of ``vocabulary_to_text``; rows must hold columns 0, 1, ... in order,
+    each a feature that the header's analyzer and ngram range can produce."""
     r = BodyReader(text, VOCABULARY_FORMAT)
-    weighting = r.meta_value("weighting", Weighting)
-    settings = dict(
-        weighting=weighting,
-        analyzer=r.meta_value("analyzer", Analyzer),
-        ngram_range=r.meta_value("ngram", lambda v: tuple(map(int, v.split(",")))),
-        max_features=r.meta_value("max_features", int),
-        max_df=r.meta_value("max_df", float),
-    )
+    try:
+        cfg = VectorizerConfig(
+            weighting=r.meta_value("weighting", Weighting),
+            analyzer=r.meta_value("analyzer", Analyzer),
+            ngram_range=r.meta_value("ngram", lambda v: tuple(map(int, v.split(",")))),
+            max_features=r.meta_value("max_features", int),
+            max_df=r.meta_value("max_df", float),
+        )
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     n_docs = r.meta_value("n_docs", int)
+    lo, hi = cfg.ngram_range
+    tfidf = cfg.weighting is Weighting.TFIDF
     index: dict[str, int] = {}
     dfs: list[int] = []
     idfs: list[float] = []
@@ -258,16 +403,25 @@ def vocabulary_from_text(text: str) -> Vocabulary:
         col, df = r.parse(int, col_s, df_s)
         if col != len(index) or feature in index:
             raise r.error(f"expected a new feature with column {len(index)}")
-        if (idf != "") != (weighting is Weighting.TFIDF):
+        if (idf != "") != tfidf:
             raise r.error("idf must be given exactly when weighting is tfidf")
+        if cfg.analyzer is Analyzer.CHAR:
+            n, producible = len(feature), True
+        else:
+            # a word n-gram is n whitespace-free tokens joined by single spaces
+            tokens = feature.split(" ")
+            n, producible = len(tokens), feature.split() == tokens
+        if not (producible and lo <= n <= hi):
+            raise r.error(
+                f"feature {feature!r} is not a {cfg.analyzer.value} n-gram with {lo} <= n <= {hi}"
+            )
         index[feature] = col
         dfs.append(df)
         idfs += r.parse(float, idf) if idf else []
     if not index:
         raise DataError("no feature rows")
-    idf_arr = np.array(idfs, dtype=np.float64) if weighting is Weighting.TFIDF else None
+    idf_arr = np.array(idfs, dtype=np.float64) if tfidf else None
     try:
-        cfg = VectorizerConfig(**settings)
         return Vocabulary(index, np.array(dfs, dtype=np.int64), idf_arr, n_docs, cfg)
     except ValueError as exc:
         raise DataError(str(exc)) from exc

@@ -1,5 +1,7 @@
 import math
 import re
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from satira import (
     Weighting,
     make_document,
 )
+from satira import vectorize
 from satira.vectorize import (
-    extract_features,
+    DocTermMatrix,
+    Vocabulary,
     fit,
     load_vocabulary,
     save_vocabulary,
@@ -22,6 +26,177 @@ from satira.vectorize import (
     vocabulary_from_text,
     vocabulary_to_text,
 )
+
+
+# The string implementation that fit and transform replace: every n-gram is
+# sliced out as its own string and counted in per-document Counters. The
+# property tests below require the integer-id implementation to match it
+# byte for byte.
+
+
+def reference_features(doc, cfg):
+    """All analyzer n-grams of one document, in order of occurrence."""
+    lo, hi = cfg.ngram_range
+    feats = []
+    if cfg.analyzer is Analyzer.WORD:
+        tokens = doc.tokens
+        for n in range(lo, hi + 1):
+            feats.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    else:
+        text = doc.text
+        for n in range(lo, hi + 1):
+            feats.extend(text[i : i + n] for i in range(len(text) - n + 1))
+    return feats
+
+
+def reference_fit(docs, cfg):
+    if len(docs) == 0:
+        raise DataError("cannot fit a vectorizer on an empty corpus")
+    total_freq, doc_freq = Counter(), Counter()
+    for doc in docs:
+        feats = reference_features(doc, cfg)
+        total_freq.update(feats)
+        doc_freq.update(set(feats))
+    n_docs = len(docs)
+    candidates = [f for f in total_freq if doc_freq[f] / n_docs <= cfg.max_df]
+    if not candidates:
+        raise DataError("no features survive the max_df filter")
+    candidates.sort(key=lambda f: (-total_freq[f], f))
+    retained = sorted(candidates[: cfg.max_features])
+    index = {feature: col for col, feature in enumerate(retained)}
+    df = np.array([doc_freq[f] for f in retained], dtype=np.int64)
+    idf = None
+    if cfg.weighting is Weighting.TFIDF:
+        idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
+    return Vocabulary(index, df, idf, n_docs, cfg)
+
+
+def reference_transform(docs, vocab, cfg):
+    indptr, indices, values = [0], [], []
+    for doc in docs:
+        counts = Counter()
+        for feature in reference_features(doc, cfg):
+            col = vocab.index.get(feature)
+            if col is not None:
+                counts[col] += 1
+        cols = np.array(sorted(counts), dtype=np.int64)
+        vals = np.array([counts[c] for c in cols], dtype=np.float64)
+        if cfg.weighting is Weighting.TFIDF and len(cols):
+            vals = vals * vocab.idf[cols]
+            norm = np.linalg.norm(vals)
+            if norm > 0:
+                vals = vals / norm
+        indices.extend(cols.tolist())
+        values.extend(vals.tolist())
+        indptr.append(len(indices))
+    return DocTermMatrix(
+        n_rows=len(docs),
+        n_cols=len(vocab),
+        indptr=np.array(indptr, dtype=np.int64),
+        indices=np.array(indices, dtype=np.int64),
+        values=np.array(values, dtype=np.float64),
+    )
+
+
+def reference_toarray(X):
+    dense = np.zeros((X.n_rows, X.n_cols), dtype=np.float64)
+    for r in range(X.n_rows):
+        cols, vals = X.row(r)
+        dense[r, cols] = vals
+    return dense
+
+
+def assert_same_matrix(got, want):
+    assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
+    for name in ("indptr", "indices", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def assert_matches_reference(fit_docs, other_docs, cfg):
+    """fit and transform agree with the string implementation byte for byte,
+    or both reject the corpus."""
+    try:
+        want = reference_fit(fit_docs, cfg)
+    except DataError:
+        with pytest.raises(DataError):
+            fit(fit_docs, cfg)
+        return
+    vocab = fit(fit_docs, cfg)
+    text = vocabulary_to_text(vocab)
+    assert text == vocabulary_to_text(want)
+    assert vocabulary_to_text(vocabulary_from_text(text)) == text
+    for docs in (fit_docs, other_docs):
+        X = transform(docs, vocab, cfg)
+        assert_same_matrix(X, reference_transform(docs, want, cfg))
+        assert X.toarray().tobytes() == reference_toarray(X).tobytes()
+
+
+# Units mix ASCII, Arabic and a character outside the BMP, and some tokens end
+# in NUL, which numpy's fixed-width unicode dtype would silently strip. The
+# separators give char n-grams whitespace other than one space.
+TOKENS = ["a", "b", "ab", "ba", "b\x00", "\x00", "\u0643", "\u0643\u062a", "\U0001f600",
+          "a\U0001f600"]
+UNSEEN = ["zz", "\u062c", "a\x00b"]
+SEPARATORS = [" ", " ", " ", "  ", "\r", "\u2028"]
+
+
+@st.composite
+def texts(draw, tokens):
+    words = draw(st.lists(st.sampled_from(tokens), max_size=12))
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(words), max_size=len(words)))
+    return "".join(sep + word for sep, word in zip(seps, words))
+
+
+configs = st.builds(
+    lambda analyzer, weighting, ngram, max_features, max_df: VectorizerConfig(
+        weighting, analyzer, tuple(sorted(ngram)), max_features, max_df
+    ),
+    st.sampled_from(list(Analyzer)),
+    st.sampled_from(list(Weighting)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    st.integers(1, 12),
+    st.sampled_from([0.3, 0.5, 0.7, 1.0]),
+)
+
+
+def documents(texts):
+    return [make_document(f"d{i}", text) for i, text in enumerate(texts)]
+
+
+class TestMatchesStringReference:
+    """fit, transform and toarray against the string implementation above,
+    also with blocks of a few units, so documents fall across many blocks."""
+
+    @pytest.mark.parametrize("block", [vectorize.BLOCK, 3])
+    @given(
+        cfg=configs,
+        fit_texts=st.lists(texts(TOKENS), min_size=1, max_size=6),
+        other_texts=st.lists(texts(TOKENS + UNSEEN), max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_corpora(self, block, cfg, fit_texts, other_texts):
+        with mock.patch.object(vectorize, "BLOCK", block):
+            assert_matches_reference(documents(fit_texts), documents(other_texts), cfg)
+
+    @pytest.mark.parametrize("block", [vectorize.BLOCK, 50])
+    @pytest.mark.parametrize("analyzer", list(Analyzer))
+    def test_many_units_and_long_ngrams(self, analyzer, block):
+        # 8-grams over more than 3000 distinct units: a fixed-base code of
+        # the units would need 3000 ** 8 > 2 ** 63
+        rng = np.random.default_rng(3)
+        alphabet = [chr(0x4E00 + k) for k in range(3500)]
+        phrase = list(alphabet[:10])
+        docs = []
+        for i in range(40):
+            units = [alphabet[k] for k in rng.integers(0, len(alphabet), 250)]
+            if i % 3 == 0:
+                units[100:110] = phrase
+            docs.append(make_document(f"d{i}", " ".join(units)))
+        assert len({u for d in docs for u in d.tokens}) > 3000
+        cfg = VectorizerConfig(Weighting.TFIDF, analyzer, (1, 8), max_features=300, max_df=0.7)
+        with mock.patch.object(vectorize, "BLOCK", block):
+            assert_matches_reference(docs[:30], docs[30:], cfg)
 
 
 def docs_of(*token_lists):
@@ -51,13 +226,12 @@ class TestFit:
     def test_char_ngrams_include_spaces(self):
         doc = make_document("d", "ab c")
         cfg = VectorizerConfig(analyzer=Analyzer.CHAR, ngram_range=(2, 2), max_df=1.0)
-        assert "b c"[0:2] in {"b ", "ab", " c"}  # sanity on the notion
-        assert set(extract_features(doc, cfg)) == {"ab", "b ", " c"}
+        assert set(fit([doc], cfg).index) == {"ab", "b ", " c"}
 
     def test_word_range_two_three(self):
         doc = make_document("d", "a b c")
         cfg = VectorizerConfig(ngram_range=(2, 3), max_df=1.0)
-        assert set(extract_features(doc, cfg)) == {"a b", "b c", "a b c"}
+        assert set(fit([doc], cfg).index) == {"a b", "b c", "a b c"}
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError, match="empty"):
@@ -258,6 +432,35 @@ class TestStrictLoader:
         lines[2:6] = [row.rsplit("\t", 1)[0] + "\t" + idf for row in lines[2:6]]
         with pytest.raises(DataError, match="line 3: idf must be given"):
             vocabulary_from_text("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "analyzer, ngram, feature",
+        [
+            ("char", (2, 3), "a"),
+            ("char", (2, 3), "abcd"),
+            ("word", (2, 2), "a"),
+            ("word", (1, 2), "a b c"),
+            ("word", (1, 3), "a  b"),
+            ("word", (1, 2), "a "),
+            ("word", (1, 2), "a\u2028b"),
+        ],
+        ids=["char-short", "char-long", "word-few", "word-many", "word-empty-inner",
+             "word-empty-last", "word-whitespace-token"],
+    )
+    def test_unproducible_feature_names_the_line(self, analyzer, ngram, feature):
+        # such a row used to load, and gave a column that no document can fill
+        lo, hi = ngram
+        first = "x" * lo if analyzer == "char" else " ".join(["x"] * lo)
+        text = (
+            "# satira-vocabulary v1\n"
+            f"# weighting=count analyzer={analyzer} ngram={lo},{hi} max_features=10 "
+            "max_df=1.0 n_docs=2\n"
+            f"{first}\t0\t1\t\n"
+            f"{feature}\t1\t1\t\n"
+        )
+        message = f"line 4: feature {re.escape(repr(feature))} is not a {analyzer} n-gram"
+        with pytest.raises(DataError, match=message):
+            vocabulary_from_text(text)
 
     def test_empty_body_rejected(self):
         with pytest.raises(DataError, match="no feature rows"):
