@@ -9,8 +9,11 @@ the metadata headers do not depend on where OUT is: NB on word counts, NB
 on word 1-3 counts, NB on char 2-4 TF-IDF, GBT on counts (5 rounds) and
 on TF-IDF (100 rounds), the CNN, `evaluate` and `predict` of each,
 `features`, `clean`, `boilerplate`, `measure`, `ttest` and `plot-data`.
-It prints one `sha256  relative/path` line per file under OUT, sorted by
-path.
+It prints one `sha256  body-sha256  relative/path` line per file under OUT,
+sorted by path. The second digest is taken with the CLI's metadata lines
+(`# satira <version>`, `# config-hash`, `# input` and `# lexicon`) removed
+from the file's leading comment block, so it gates a change to headers
+alone: such a change moves only the first column.
 
 `--checkout` names the satira source tree to run (default: the one this
 script is in), so two checkouts are compared by running this script once
@@ -20,6 +23,7 @@ against each and diffing the two listings.
 import argparse
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -38,6 +42,17 @@ RUNS = {
     "cnn": ("--model", "cnn", "--embeddings", "data/vectors.txt", "--embed-dim", "16",
             "--filters", "6", "--kernel", "3", "--max-seq-len", "20", "--epochs", "2"),
 }
+
+# a metadata line the CLI writes (`# lexicon` lines come from older checkouts)
+METADATA = re.compile(rb"# (satira \S+|config-hash \S+|(input|lexicon) \S+ sha256:\S+)")
+
+
+def body_digest(data: bytes) -> str:
+    """sha256 of ``data`` without the CLI metadata lines of its leading comment block."""
+    lines = data.split(b"\n")
+    head = next((i for i, line in enumerate(lines) if not line.startswith(b"#")), len(lines))
+    kept = [line for line in lines[:head] if not METADATA.fullmatch(line)] + lines[head:]
+    return hashlib.sha256(b"\n".join(kept)).hexdigest()
 
 
 def commands(checkout: Path):
@@ -77,8 +92,9 @@ def main() -> int:
         subprocess.run((sys.executable, *argv), cwd=args.out, env=env, check=True,
                        stdout=subprocess.DEVNULL)
     for path in sorted(p for p in args.out.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(args.out).as_posix()}")
+        data = path.read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        print(f"{digest}  {body_digest(data)}  {path.relative_to(args.out).as_posix()}")
     return 0
 
 

@@ -4,7 +4,6 @@ satirical fake news articles."""
 __version__ = "0.1.0"
 
 from .corpus_io import (
-    CorpusFormat,
     Document,
     Label,
     LabeledCorpus,
@@ -62,7 +61,6 @@ from .vectorize import (
 
 __all__ = [
     "Analyzer",
-    "CorpusFormat",
     "DataError",
     "DensityEstimate",
     "DocTermMatrix",

@@ -9,15 +9,17 @@ flag name without the dashes; flags win over it, its values must have the
 row's JSON type, and keys the subcommand does not read are ignored.
 ``train`` rejects a flag that only models other than ``--model`` read.
 
-Every output file starts with ``#`` metadata lines (tool version, config
-hash, lexicon checksums) so results stay attributable; all randomness of
+Every output file starts with ``#`` metadata lines, all built by
+``_header``: the tool version, a hash of the subcommand and of every option
+value it resolved (``--out`` and ``--config`` aside), and one ``# input
+<flag> sha256:...`` line per input file it read (for ``--model-dir``, the
+run's ``run.json``), so results stay attributable; all randomness of
 ``train`` derives from its single ``--seed`` value.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import math
@@ -45,7 +47,7 @@ from .evaluation import (
     report_to_text,
     top_informative_features,
 )
-from .fileio import file_checksum, json_object, load_json, metadata_header, parse_file, text_lines
+from .fileio import file_checksum, json_object, load_json, metadata_header, parse_file
 from .models import (
     AdamConfig,
     BoostConfig,
@@ -84,7 +86,13 @@ from .stats import (
     density_to_csv,
     ttest_two_tailed,
 )
-from .stylometrics import Lexicon, corpus_profile, parse_tagged_file, profile_to_csv
+from .stylometrics import (
+    Lexicon,
+    corpus_profile,
+    parse_tagged_file,
+    profile_from_csv,
+    profile_to_csv,
+)
 from .vectorize import (
     Analyzer,
     VectorizerConfig,
@@ -117,13 +125,28 @@ def _setup_logging():
 
 class _Option(NamedTuple):
     flag: str  # without the leading dashes; also the config-file key
-    kind: object  # bool (a switch), int, float, str, _ngram_range, or a tuple of choices
+    # bool (a switch), int, float, str, _ngram_range, an input kind, or a tuple of choices
+    kind: object
     default: object  # None: required
     help: str
 
 
+def _input_file(value: str) -> Path:
+    """Kind of an option naming an input file: output headers checksum the file."""
+    return Path(value)
+
+
+def _run_dir(value: str) -> Path:
+    """Kind of an option naming a train output directory: output headers
+    checksum its ``run.json``."""
+    return Path(value) / "run.json"
+
+
+_INPUT_KINDS = (_input_file, _run_dir)
+
 # JSON types a config-file or run.json value may have, per kind (exact: a bool is not an int)
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
+               _input_file: (str,), _run_dir: (str,)}
 
 
 def _config_value(args, flag: str):
@@ -145,7 +168,9 @@ def _config_value(args, flag: str):
 
 def _resolve(args, flag: str, default=None):
     """Flag value if given, else the config file's, else ``default`` or the
-    row's default; an option left without a value is a usage error."""
+    row's default; an option left without a value is a usage error. An n-gram
+    range comes back as ``[lo, hi]``, however it was given. Each value returned
+    is recorded for ``_header``."""
     value = getattr(args, flag.replace("-", "_"))
     if value is None and flag in args.file_config:
         value = _config_value(args, flag)
@@ -153,7 +178,21 @@ def _resolve(args, flag: str, default=None):
         value = args.options[flag].default if default is None else default
     if value is None:
         raise UsageError(f"missing required option --{flag}")
+    if args.options[flag].kind is _ngram_range:
+        value = _ngram_range(value)
+    args.resolved[flag] = value
     return value
+
+
+def _header(args) -> str:
+    """Metadata lines of every output: the hash of the subcommand and of every
+    option value it has resolved, ``--out`` aside, and the checksum of each
+    input file among them (an optional input left empty was not read)."""
+    options = {flag: value for flag, value in args.resolved.items() if flag != "out"}
+    inputs = {flag: file_checksum(args.options[flag].kind(value))
+              for flag, value in options.items()
+              if args.options[flag].kind in _INPUT_KINDS and value}
+    return metadata_header({"command": args.command, "options": options}, inputs)
 
 
 def _out_dir(args) -> Path:
@@ -165,10 +204,6 @@ def _out_dir(args) -> Path:
 def _write(path: Path, header: str, body: str):
     path.write_text(header + body, encoding="utf-8")
     log.info("wrote %s", path)
-
-
-def _lexicon_checksums(paths: dict) -> dict:
-    return {name: file_checksum(p) for name, p in paths.items() if p}
 
 
 # ---------------------------------------------------------------- clean
@@ -184,16 +219,7 @@ def cmd_clean(args) -> int:
     stop_path = _resolve(args, "stop-phrases")
     stop = StopPhraseList.from_file(stop_path) if stop_path else None
     cleaned = clean_corpus(corpus, cfg, stop)
-    out = _out_dir(args)
-    run_config = {
-        "command": "clean",
-        "corpus": str(_resolve(args, "corpus")),
-        "normalization": dataclasses.asdict(cfg),
-        "stop_phrases": str(stop_path) if stop_path else None,
-        "segmented": _resolve(args, "segmented"),
-    }
-    checksums = _lexicon_checksums({"stop_phrases": stop_path})
-    _write(out / "cleaned.jsonl", metadata_header(run_config, checksums), corpus_to_jsonl(cleaned))
+    _write(_out_dir(args) / "cleaned.jsonl", _header(args), corpus_to_jsonl(cleaned))
     return 0
 
 
@@ -204,12 +230,7 @@ def cmd_boilerplate(args) -> int:
     corpus = load_corpus(_resolve(args, "corpus"))
     fraction = _resolve(args, "fraction")
     out = _out_dir(args)
-    run_config = {
-        "command": "boilerplate",
-        "corpus": str(_resolve(args, "corpus")),
-        "fraction": fraction,
-    }
-    header = metadata_header(run_config)
+    header = _header(args)
     for n in (1, 2, 3):
         freq = ngram_frequency(corpus, n)
         _write(out / f"ngrams_{n}.tsv", header, ngram_frequency_to_tsv(freq))
@@ -240,49 +261,29 @@ def cmd_measure(args) -> int:
     if tagged_path:
         tagged = parse_file(tagged_path, parse_tagged)
     profile = corpus_profile(corpus, cliches, emotions, tagged)
-    out = _out_dir(args)
-    run_config = {
-        "command": "measure",
-        "corpus": str(corpus_path),
-        "cliches": str(_resolve(args, "cliches")),
-        "emotions": str(_resolve(args, "emotions")),
-        "tagged": str(tagged_path) if tagged_path else None,
-        "segmented": _resolve(args, "segmented"),
-    }
-    checksums = _lexicon_checksums(
-        {"cliches": _resolve(args, "cliches"), "emotions": _resolve(args, "emotions")}
-    )
-    _write(out / "measures.csv", metadata_header(run_config, checksums), profile_to_csv(profile))
+    _write(_out_dir(args) / "measures.csv", _header(args), profile_to_csv(profile))
     return 0
 
 
-def _measures_from_text(text: str) -> dict[str, dict[Label, list[float]]]:
-    lines = text_lines(text)
-    rows = [(n, l) for n, l in enumerate(lines, start=1) if l and not l.startswith("#")]
-    if not rows or rows[0][1] != "doc_id,label,J,S,fpp_ratio":
-        raise DataError("expected a measures CSV with header doc_id,label,J,S,fpp_ratio")
-    columns = {
-        name: {Label.FAKE: [], Label.REAL: []} for name in ("J", "S", "fpp")
-    }
-    for lineno, row in rows[1:]:
-        parts = row.split(",")
-        if len(parts) != 5:
-            raise DataError(f"line {lineno}: expected 5 fields")
-        try:
-            label = Label(parts[1])
-            values = (float(parts[2]), float(parts[3]), float(parts[4]) if parts[4] else math.nan)
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
-        for name, value in zip(("J", "S", "fpp"), values):
-            columns[name][label].append(value)
-    return columns
+# measures column name -> its value in a MeasureVector, NaN where undefined
+_COLUMNS = {
+    "J": lambda v: v.journalistic_register,
+    "S": lambda v: v.sentiment_intensity,
+    "fpp": lambda v: math.nan if v.fpp_verb_ratio is None else v.fpp_verb_ratio,
+}
+
+
+def _measure_columns(args) -> dict[str, dict[Label, list[float]]]:
+    profile = parse_file(_resolve(args, "measures"), profile_from_csv)
+    return {name: {label: list(map(get, vectors)) for label, vectors in profile.items()}
+            for name, get in _COLUMNS.items()}
 
 
 # ---------------------------------------------------------------- ttest
 
 
 def cmd_ttest(args) -> int:
-    columns = parse_file(_resolve(args, "measures"), _measures_from_text)
+    columns = _measure_columns(args)
     variant = TTestVariant(_resolve(args, "variant"))
     policy = NanPolicy(_resolve(args, "nan-policy"))
     measure = _resolve(args, "measure")
@@ -310,14 +311,7 @@ def cmd_ttest(args) -> int:
         )
         print(line)
         out_lines.append(line)
-    out = _out_dir(args)
-    run_config = {
-        "command": "ttest",
-        "measures": str(_resolve(args, "measures")),
-        "variant": variant.value,
-        "nan_policy": policy.value,
-    }
-    _write(out / "ttest.txt", metadata_header(run_config), "".join(l + "\n" for l in out_lines))
+    _write(_out_dir(args) / "ttest.txt", _header(args), "".join(l + "\n" for l in out_lines))
     return 0
 
 
@@ -325,15 +319,10 @@ def cmd_ttest(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    columns = parse_file(_resolve(args, "measures"), _measures_from_text)
+    columns = _measure_columns(args)
     bins = _resolve(args, "bins")
     out = _out_dir(args)
-    run_config = {
-        "command": "plot-data",
-        "measures": str(_resolve(args, "measures")),
-        "bins": bins,
-    }
-    header = metadata_header(run_config)
+    header = _header(args)
     for name, per_label in columns.items():
         for label, values in per_label.items():
             finite = [v for v in values if not math.isnan(v)]
@@ -434,7 +423,7 @@ def _predict_cnn(model_dir: Path, docs) -> np.ndarray:
 
 
 class _Pipeline(NamedTuple):
-    # (run.json key, flag / config-file key, type, default); default None = required
+    # (run.json key, flag / config-file key, kind, default); default None = required
     options: tuple
     # fit(run config, train docs, 0/1 labels) -> ({filename: text}, extra run.json outputs)
     fit: Callable
@@ -459,7 +448,7 @@ PIPELINES = {
         ("reg_lambda", "reg-lambda", float, 1.0),
     ), _fit_gbt, _predict_gbt),
     "cnn": _Pipeline((
-        ("embeddings", "embeddings", str, None),
+        ("embeddings", "embeddings", _input_file, None),
         ("embed_dim", "embed-dim", int, 300),
         ("filters", "filters", int, 126),
         ("kernel", "kernel", int, 5),
@@ -472,11 +461,11 @@ PIPELINES = {
 
 
 def _flag_readers() -> dict[str, dict[str, tuple]]:
-    """flag -> {model: (type, default)} for each PIPELINES model that reads it."""
+    """flag -> {model: (kind, default)} for each PIPELINES model that reads it."""
     readers: dict[str, dict[str, tuple]] = {}
     for model, pipeline in PIPELINES.items():
-        for _, flag, cast, default in pipeline.options:
-            readers.setdefault(flag, {})[model] = (cast, default)
+        for _, flag, kind, default in pipeline.options:
+            readers.setdefault(flag, {})[model] = (kind, default)
     return readers
 
 
@@ -510,14 +499,12 @@ def cmd_train(args) -> int:
         "seed": split_cfg.seed,
         "test_fraction": split_cfg.test_fraction,
         "stratified": split_cfg.stratified,
-        "segmented": _resolve(args, "segmented"),
         "version": __version__,
     }
-    for key, flag, cast, default in pipeline.options:
-        run_config[key] = cast(_resolve(args, flag, default))
+    for key, flag, _, default in pipeline.options:
+        run_config[key] = _resolve(args, flag, default)
 
-    # the header hash covers the resolved input config, fixed before training
-    header = metadata_header(run_config)
+    header = _header(args)
     artifacts, outputs = pipeline.fit(run_config, train_set.documents, _binary_labels(train_set))
     for name, text in artifacts.items():
         # metadata goes between the artifact's format-tag line and its body
@@ -563,14 +550,6 @@ def _run_from_text(text: str) -> tuple[dict, SplitConfig]:
     return run, split_cfg
 
 
-def _scoring_header(command: str, args, model_dir: Path, run: dict) -> str:
-    """Header of an evaluate/predict output: its own command and scored corpus."""
-    corpus = str(_resolve(args, "corpus"))
-    return metadata_header(
-        {"command": command, "model_dir": str(model_dir), "corpus": corpus, "run": run}
-    )
-
-
 def cmd_evaluate(args) -> int:
     model_dir = Path(_resolve(args, "model-dir"))
     run, split_cfg = _load_run(model_dir)
@@ -582,7 +561,7 @@ def cmd_evaluate(args) -> int:
     text = report_to_text(report)
     print(text, end="")
     out = _out_dir(args)
-    header = _scoring_header("evaluate", args, model_dir, run)
+    header = _header(args)
     _write(out / "report.txt", header, text)
     _write(out / "report.json", header, report_to_json(report))
     return 0
@@ -602,8 +581,7 @@ def cmd_features(args) -> int:
     vocab = load_vocabulary(model_dir / "vocabulary.txt")
     k = _resolve(args, "k")
     out = _out_dir(args)
-    run_config = {"command": "features", "model_dir": str(model_dir), "k": k}
-    header = metadata_header(run_config)
+    header = _header(args)
     for score, suffix in (("log_ratio", ""), ("log_prob", "_logprob")):
         fake, real = top_informative_features(model, vocab, k, score=score)
         _write(out / f"features_fake{suffix}.tsv", header, ranking_to_tsv(fake))
@@ -623,11 +601,7 @@ def cmd_predict(args) -> int:
     lines = []
     for doc, label in zip(corpus.documents, _int_labels_to_enum(pred)):
         lines.append(json.dumps({"id": doc.id, "label": label.value}, ensure_ascii=False))
-    _write(
-        out / "predictions.jsonl",
-        _scoring_header("predict", args, model_dir, run),
-        "".join(l + "\n" for l in lines),
-    )
+    _write(out / "predictions.jsonl", _header(args), "".join(l + "\n" for l in lines))
     return 0
 
 
@@ -646,7 +620,7 @@ def _opt(flag: str, kind, default, text: str) -> _Option:
 def _model_options() -> tuple:
     """One train row per PIPELINES flag, added once however many models read it;
     its help names each model's default, which cmd_train passes to _resolve."""
-    # the rows cast these two with str; the parser and the config check take the choices
+    # PIPELINES gives these two the kind str; the parser and the config check take the choices
     choices = {"weighting": ("count", "tfidf"), "analyzer": ("word", "char")}
     rows = []
     for flag, readers in _FLAG_READERS.items():
@@ -654,31 +628,30 @@ def _model_options() -> tuple:
         for model, (_, default) in readers.items():
             use = "required" if default is None else f"default {default}"
             uses.setdefault(use, []).append(model)
-        cast = next(iter(readers.values()))[0]
-        rows.append(_Option(flag, choices.get(flag, cast), None, "; ".join(
+        kind = next(iter(readers.values()))[0]
+        rows.append(_Option(flag, choices.get(flag, kind), None, "; ".join(
             f"{', '.join(models)}: {use}" for use, models in uses.items())))
     return tuple(rows)
 
 
-_CORPUS = _opt("corpus", str, None, "corpus file (JSONL or CSV)")
-_SEGMENTED = _opt("segmented", bool, False, "record that the corpus is the segmented variant")
-_MEASURES = _opt("measures", str, None, "measures CSV from the measure subcommand")
-_MODEL_DIR = _opt("model-dir", str, None, "directory written by train")
+_CORPUS = _opt("corpus", _input_file, None, "corpus file (CSV if named *.csv, else JSONL)")
+_MEASURES = _opt("measures", _input_file, None, "measures CSV from the measure subcommand")
+_MODEL_DIR = _opt("model-dir", _run_dir, None, "directory written by train")
 _OUT = _opt("out", str, "out", "output directory")
 
 # subcommand -> (function, help, option rows besides --config and --out)
 _COMMANDS = {
     "clean": (cmd_clean, "normalize text and drop stop phrases", (
-        _CORPUS, _SEGMENTED, _opt("stop-phrases", str, "", "stop-phrase list file"),
+        _CORPUS, _opt("stop-phrases", _input_file, "", "stop-phrase list file"),
         _opt("keep-diacritics", bool, False, "keep Arabic diacritics"),
         _opt("keep-latin", bool, False, "keep Latin letters"),
         _opt("keep-special", bool, False, "keep special characters"))),
     "boilerplate": (cmd_boilerplate, "n-gram dictionaries and top candidates", (
         _CORPUS, _opt("fraction", float, 0.1, "top fraction to keep"))),
     "measure": (cmd_measure, "per-article stylometric measures CSV", (
-        _CORPUS, _SEGMENTED, _opt("cliches", str, None, "cliche lexicon file"),
-        _opt("emotions", str, None, "emotion lexicon file"),
-        _opt("tagged", str, "", "CoNLL-like surface<TAB>pos file"))),
+        _CORPUS, _opt("cliches", _input_file, None, "cliche lexicon file"),
+        _opt("emotions", _input_file, None, "emotion lexicon file"),
+        _opt("tagged", _input_file, "", "CoNLL-like surface<TAB>pos file"))),
     "ttest": (cmd_ttest, "two-sample t-test per measure", (
         _MEASURES, _opt("measure", ("J", "S", "fpp", "all"), "all", "measure column"),
         _opt("variant", ("pooled", "welch"), "pooled", "t-test variant"),
@@ -687,7 +660,7 @@ _COMMANDS = {
     "plot-data": (cmd_plot_data, "density CSVs for measure distributions", (
         _MEASURES, _opt("bins", int, 50, "histogram bins"))),
     "train": (cmd_train, "fit a model on the train split", (
-        _CORPUS, _SEGMENTED, _opt("model", tuple(PIPELINES), None, "model to fit"),
+        _CORPUS, _opt("model", tuple(PIPELINES), None, "model to fit"),
         _opt("test-fraction", float, 0.2, "held-out share of each class"),
         _opt("seed", int, 42, "seed of the split and of the model")) + _model_options()),
     "evaluate": (cmd_evaluate, "score the held-out split", (_MODEL_DIR, _CORPUS)),
@@ -726,6 +699,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.file_config = load_json(args.config) if args.config else {}
+        args.resolved = {}
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 A corpus is a flat sequence of documents, each carrying its token multiset.
 Supported on-disk formats: JSONL (one object per line, keys ``id``, ``text``,
-optional ``label``) and CSV with columns exactly ``id,text,label``. Both are
-UTF-8 without BOM. Lines starting with ``#`` are metadata headers written by
+optional ``label``) and CSV with columns exactly ``id,text,label``, chosen by
+the file suffix (``.csv``, in any case, is CSV). Both are UTF-8 without BOM. Lines starting with ``#`` are metadata headers written by
 the CLI and are skipped on load.
 """
 
@@ -25,11 +25,6 @@ from .fileio import parse_file, text_lines
 class Label(Enum):
     FAKE = "fake"
     REAL = "real"
-
-
-class CorpusFormat(Enum):
-    JSONL = "jsonl"
-    CSV = "csv"
 
 
 def parse_label(raw: str, where: str) -> Label:
@@ -167,15 +162,10 @@ def _parse_csv(text: str) -> list[Document]:
     return docs
 
 
-def load_corpus(path, format: Optional[CorpusFormat] = None) -> LabeledCorpus:
-    """Load a labeled corpus from a JSONL or CSV file.
-
-    When ``format`` is omitted it is inferred from the file suffix.
-    """
-    path = Path(path)
-    if format is None:
-        format = CorpusFormat.CSV if path.suffix.lower() == ".csv" else CorpusFormat.JSONL
-    parse = _parse_csv if format is CorpusFormat.CSV else _parse_jsonl
+def load_corpus(path) -> LabeledCorpus:
+    """Load a labeled corpus: CSV when the file suffix is ``.csv`` (in any
+    case), JSONL otherwise."""
+    parse = _parse_csv if Path(path).suffix.lower() == ".csv" else _parse_jsonl
     return parse_file(path, lambda text: LabeledCorpus(tuple(parse(text))))
 
 
@@ -190,10 +180,9 @@ def corpus_to_jsonl(corpus: LabeledCorpus) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def save_corpus(corpus: LabeledCorpus, path, header: str = "") -> None:
-    """Write canonical JSONL, optionally preceded by ``#`` metadata lines."""
-    body = corpus_to_jsonl(corpus)
-    Path(path).write_text(header + body, encoding="utf-8")
+def save_corpus(corpus: LabeledCorpus, path) -> None:
+    """Write canonical JSONL."""
+    Path(path).write_text(corpus_to_jsonl(corpus), encoding="utf-8")
 
 
 def split(corpus: LabeledCorpus, cfg: SplitConfig) -> tuple[LabeledCorpus, LabeledCorpus]:

@@ -1,6 +1,7 @@
 """Shared file helpers: ``parse_file``, the reader of every input file,
-phrase-list and JSON files, checksums, output metadata headers, and the
-line reader and float codecs of every serialized artifact.
+phrase-list and JSON files, the metadata header of every CLI output (tool
+version, config hash, a checksum per input file), and the line reader and
+float codecs of every serialized artifact.
 
 Artifacts hold one text line per matrix row in one of two float codecs.
 ``float_rows`` writes each float as its shortest ``repr``, for files meant
@@ -43,11 +44,15 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def metadata_header(config: dict, lexicon_checksums: dict[str, str] | None = None) -> str:
-    """Comment block placed at the top of every CLI output file."""
+def metadata_header(config: dict, input_checksums: dict[str, str]) -> str:
+    """Comment block placed at the top of every CLI output file: the tool
+    version, the hash of ``config`` and one ``# input <flag> sha256:<checksum>``
+    line per input file. A line names the flag, never the path, since
+    ``BodyReader`` reads ``key=value`` pairs from these lines and a path may
+    hold ``=``."""
     lines = [f"# {TOOL_NAME} {tool_version()}", f"# config-hash {config_hash(config)}"]
-    for name, checksum in sorted((lexicon_checksums or {}).items()):
-        lines.append(f"# lexicon {name} sha256:{checksum}")
+    for flag, checksum in sorted(input_checksums.items()):
+        lines.append(f"# input {flag} sha256:{checksum}")
     return "".join(line + "\n" for line in lines)
 
 

@@ -165,9 +165,12 @@ def parse_tagged_file(text: str) -> list[list[PosToken]]:
     return docs
 
 
+MEASURES_HEADER = "doc_id,label,J,S,fpp_ratio"
+
+
 def profile_to_csv(profile: Mapping[Label, Iterable[MeasureVector]]) -> str:
-    """``doc_id,label,J,S,fpp_ratio`` rows; empty last field when undefined."""
-    lines = ["doc_id,label,J,S,fpp_ratio"]
+    """``MEASURES_HEADER`` rows; empty last field when undefined."""
+    lines = [MEASURES_HEADER]
     for label in (Label.FAKE, Label.REAL):
         for vec in profile.get(label, []):
             fpp = "" if vec.fpp_verb_ratio is None else repr(vec.fpp_verb_ratio)
@@ -176,3 +179,25 @@ def profile_to_csv(profile: Mapping[Label, Iterable[MeasureVector]]) -> str:
                 f"{vec.journalistic_register!r},{vec.sentiment_intensity!r},{fpp}"
             )
     return "".join(line + "\n" for line in lines)
+
+
+def profile_from_csv(text: str) -> dict[Label, list[MeasureVector]]:
+    """Inverse of ``profile_to_csv``; blank and ``#`` lines are skipped. Each row
+    must be a valid ``MeasureVector``, so a value outside [0, 1], NaN or
+    infinite is an error naming its line."""
+    rows = [(n, line) for n, line in enumerate(text_lines(text), start=1)
+            if line and not line.startswith("#")]
+    if not rows or rows[0][1] != MEASURES_HEADER:
+        raise DataError(f"expected a measures CSV with header {MEASURES_HEADER}")
+    profile: dict[Label, list[MeasureVector]] = {Label.FAKE: [], Label.REAL: []}
+    for lineno, row in rows[1:]:
+        parts = row.split(",")
+        if len(parts) != 5:
+            raise DataError(f"line {lineno}: expected 5 fields")
+        doc_id, label, j, s, fpp = parts
+        try:
+            profile[Label(label)].append(
+                MeasureVector(doc_id, float(j), float(s), float(fpp) if fpp else None))
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: {exc}") from exc
+    return profile

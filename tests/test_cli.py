@@ -1,11 +1,14 @@
+import hashlib
 import json
 import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from satira import load_corpus, save_corpus
-from satira.cli import main
+from satira.cli import _COMMANDS, main
 from satira.fileio import load_json
 from satira.models.boosted_trees import gbt_from_text, gbt_to_text
 from satira.models.convnet import cnn_from_text, cnn_to_text
@@ -66,6 +69,19 @@ def header_hash(path) -> str:
     return next(l for l in lines if l.startswith("# config-hash "))
 
 
+def header_lines(path) -> list[str]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return lines[:next(i for i, l in enumerate(lines) if not l.startswith("#"))]
+
+
+def header_inputs(path) -> set[str]:
+    return {l for l in header_lines(path) if l.startswith("# input ")}
+
+
+def checksum(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exits_1(self, capsys):
         assert run("frobnicate") == 1
@@ -89,8 +105,9 @@ class TestUsageErrors:
         "argv",
         [(cmd, "--seed", 7) for cmd in ("clean", "boilerplate", "measure", "ttest", "plot-data",
                                          "evaluate", "features", "predict")]
-        + [(cmd, "--segmented") for cmd in ("boilerplate", "ttest", "plot-data", "evaluate",
-                                             "features", "predict")]
+        + [(cmd, "--segmented") for cmd in ("clean", "boilerplate", "measure", "ttest",
+                                             "plot-data", "train", "evaluate", "features",
+                                             "predict")]
         + [(cmd, "--corpus", "x") for cmd in ("ttest", "plot-data", "features")]
         + [("clean", "--no-collapse-whitespace")],
         ids=lambda argv: " ".join(map(str, argv)),
@@ -215,8 +232,12 @@ class TestMeasureTtestPlot:
     @pytest.mark.parametrize(
         "row, message",
         [("r9,faek,0.1,0.2,", "line 6: 'faek' is not a valid Label"),
-         ("r9,real,x,0.2,", "line 6: could not convert string to float: 'x'")],
-        ids=["label", "float"],
+         ("r9,real,x,0.2,", "line 6: could not convert string to float: 'x'"),
+         ("r9,real,1.5,0.2,", "line 6: measure 1.5 outside [0, 1]"),
+         ("r9,real,inf,0.2,", "line 6: measure inf outside [0, 1]"),
+         ("r9,real,0.1,nan,", "line 6: measure nan outside [0, 1]"),
+         ("r9,real,0.1,0.2,-3", "line 6: verb ratio -3.0 outside [0, 1]")],
+        ids=["label", "float", "J-above-1", "J-inf", "S-nan", "fpp-negative"],
     )
     def test_ttest_rejects_bad_measure_row(self, tmp_path, capsys, row, message):
         rows = ["# satira 0.1.0", "doc_id,label,J,S,fpp_ratio",
@@ -225,6 +246,12 @@ class TestMeasureTtestPlot:
         measures.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
         assert run("ttest", "--measures", measures, "--out", tmp_path / "t") == 2
         assert f"{measures}: {message}" in capsys.readouterr().err
+
+    def test_plot_data_rejects_out_of_range_measure(self, tmp_path, capsys):
+        measures = tmp_path / "measures.csv"
+        measures.write_text("doc_id,label,J,S,fpp_ratio\nf0,fake,1.5,0.1,\n", encoding="utf-8")
+        assert run("plot-data", "--measures", measures, "--out", tmp_path / "p") == 2
+        assert f"{measures}: line 2: measure 1.5 outside [0, 1]" in capsys.readouterr().err
 
     def test_plot_data_densities(self, corpus_file, tmp_path):
         measures = self.make_measures(tmp_path, corpus_file)
@@ -362,6 +389,16 @@ class TestTrainEvaluatePredict:
             corpus_file, tmp_path, capsys,
             lambda record: json.dumps(dict(record, test_fraction=value)))
         assert f"{path}: test_fraction must lie strictly between 0 and 1" in err
+
+    def test_run_json_with_segmented_key_still_loads(self, corpus_file, tmp_path):
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, "nb", model_dir) == 0
+        path = model_dir / "run.json"
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            '  "seed"', '  "segmented": false,\n  "seed"'), encoding="utf-8")
+        assert load_json(path)["segmented"] is False
+        assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
+                   "--out", tmp_path / "eval") == 0
 
     @pytest.mark.parametrize("body", ["3", "{"])
     def test_run_json_not_an_object_exits_2(self, corpus_file, tmp_path, capsys, body):
@@ -528,6 +565,154 @@ class TestMetadataHeaders:
         assert predicted != header_hash(tmp_path / "pred_other" / "predictions.jsonl")
 
 
+# each subcommand's base options; a value naming an entry of the `inputs` fixture is that file
+CORPUS = {"corpus": "corpus"}
+MEASURE = {"corpus": "corpus", "cliches": "lexicon", "emotions": "lexicon"}
+MEASURES = {"measures": "measures"}
+NB = {"corpus": "corpus", "model": "nb"}
+GBT = dict(NB, model="gbt", rounds=2)
+CNN = dict(NB, model="cnn", embeddings="vectors", **{
+    "embed-dim": 16, "filters": 4, "kernel": 3, "max-seq-len": 12, "epochs": 1})
+RUN = {"model-dir": "run"}
+SCORE = {"model-dir": "run", "corpus": "corpus"}
+
+# (subcommand, flag) -> (base options, two values of the flag); True and False are a switch
+# on and off, and each "-copy" input holds the same bytes as its original
+HASHED = {
+    ("clean", "corpus"): (CORPUS, "corpus", "corpus-copy"),
+    ("clean", "stop-phrases"): (CORPUS, "stops", "stops-copy"),
+    ("clean", "keep-diacritics"): (CORPUS, False, True),
+    ("clean", "keep-latin"): (CORPUS, False, True),
+    ("clean", "keep-special"): (CORPUS, False, True),
+    ("boilerplate", "corpus"): (CORPUS, "corpus", "corpus-copy"),
+    ("boilerplate", "fraction"): (CORPUS, 0.1, 0.2),
+    ("measure", "corpus"): (MEASURE, "corpus", "corpus-copy"),
+    ("measure", "cliches"): (MEASURE, "lexicon", "lexicon-copy"),
+    ("measure", "emotions"): (MEASURE, "lexicon", "lexicon-copy"),
+    ("measure", "tagged"): (MEASURE, "tagged", "tagged-copy"),
+    ("ttest", "measures"): (MEASURES, "measures", "measures-copy"),
+    ("ttest", "measure"): (MEASURES, "J", "all"),
+    ("ttest", "variant"): (MEASURES, "pooled", "welch"),
+    ("ttest", "nan-policy"): (MEASURES, "omit", "propagate"),
+    ("plot-data", "measures"): (MEASURES, "measures", "measures-copy"),
+    ("plot-data", "bins"): (MEASURES, 5, 6),
+    ("train", "corpus"): (NB, "corpus", "corpus-copy"),
+    ("train", "model"): (NB, "nb", "gbt"),
+    ("train", "test-fraction"): (NB, 0.2, 0.3),
+    ("train", "seed"): (NB, 1, 2),
+    ("train", "weighting"): (NB, "count", "tfidf"),
+    ("train", "analyzer"): (NB, "word", "char"),
+    ("train", "ngram"): (NB, "1,1", "1,2"),
+    ("train", "max-features"): (NB, 10, 20),
+    ("train", "max-df"): (NB, 0.7, 0.8),
+    ("train", "alpha"): (NB, 1.0, 0.5),
+    ("train", "rounds"): (GBT, 1, 2),
+    ("train", "learning-rate"): (GBT, 0.1, 0.2),
+    ("train", "depth"): (GBT, 2, 3),
+    ("train", "reg-lambda"): (GBT, 1.0, 2.0),
+    ("train", "embeddings"): (CNN, "vectors", "vectors-copy"),
+    ("train", "embed-dim"): (CNN, 16, 8),
+    ("train", "filters"): (CNN, 4, 5),
+    ("train", "kernel"): (CNN, 3, 2),
+    ("train", "max-seq-len"): (CNN, 12, 16),
+    ("train", "epochs"): (CNN, 1, 2),
+    ("train", "batch-size"): (CNN, 10, 5),
+    ("evaluate", "model-dir"): (SCORE, "run", "run-copy"),
+    ("evaluate", "corpus"): (SCORE, "corpus", "corpus-copy"),
+    ("features", "model-dir"): (RUN, "run", "run-copy"),
+    ("features", "k"): (RUN, 5, 6),
+    ("predict", "model-dir"): (SCORE, "run", "run-copy"),
+    ("predict", "corpus"): (SCORE, "corpus", "corpus-copy"),
+}
+
+# subcommand -> one of the files it writes
+OUTPUT = {"clean": "cleaned.jsonl", "boilerplate": "ngrams_1.tsv", "measure": "measures.csv",
+          "ttest": "ttest.txt", "plot-data": "density_J_fake.csv", "train": "run.json",
+          "evaluate": "report.txt", "features": "features_fake.tsv",
+          "predict": "predictions.jsonl"}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> dict:
+    """name -> an input file (or, for "run", a trained nb run directory) of each kind,
+    and under "<name>-copy" a copy with the same bytes."""
+    root = tmp_path_factory.mktemp("inputs")
+    corpus = synthetic_corpus(10, np.random.default_rng(5))
+    files = {"corpus": root / "corpus.jsonl", "lexicon": root / "lexicon.txt",
+             "stops": root / "stops.txt", "tagged": root / "tagged.txt",
+             "measures": root / "measures.csv", "vectors": root / "vectors.txt",
+             "run": root / "run"}
+    save_corpus(corpus, files["corpus"])
+    files["lexicon"].write_text("fake000\nreal003\n", encoding="utf-8")
+    files["stops"].write_text("fake001\n", encoding="utf-8")
+    files["tagged"].write_text("نروي\tVERB\n\n" * len(corpus), encoding="utf-8")
+    rows = [f"{label[0]}{i},{label},{0.1 * i + 0.5 * j},{0.05 * i},{0.2 * i}"
+            for j, label in enumerate(("fake", "real")) for i in range(1, 5)]
+    files["measures"].write_text("doc_id,label,J,S,fpp_ratio\n" + "".join(r + "\n" for r in rows),
+                                 encoding="utf-8")
+    write_embedding_file(files["vectors"], sorted({t for d in corpus for t in d.tokens}), dim=16)
+    assert run("train", "--corpus", files["corpus"], "--model", "nb", "--out", files["run"]) == 0
+    for name, path in list(files.items()):
+        copy = path.with_name(f"{path.stem}-copy{path.suffix}")
+        (shutil.copytree if path.is_dir() else shutil.copyfile)(path, copy)
+        files[f"{name}-copy"] = copy
+    return files
+
+
+def run_options(command: str, options: dict, out) -> int:
+    argv = [command, "--out", out]
+    for flag, value in options.items():
+        if value is not False:
+            argv += [f"--{flag}"] if value is True else [f"--{flag}", value]
+    return run(*argv)
+
+
+class TestHeaderBuilder:
+    def test_every_option_row_has_a_case(self):
+        rows = {(command, opt.flag) for command, (_, _, opts) in _COMMANDS.items() for opt in opts}
+        assert rows == set(HASHED)
+
+    @pytest.mark.parametrize("command, flag", HASHED)
+    def test_each_option_changes_the_config_hash(self, inputs, tmp_path, command, flag):
+        base, *values = HASHED[command, flag]
+        hashes = []
+        for i, value in enumerate(values):
+            options = {f: inputs.get(v, v) if isinstance(v, str) else v
+                       for f, v in dict(base, **{flag: value}).items()}
+            if flag == "embed-dim":  # each run needs vectors of its own dimension at one path
+                tokens = sorted({t for d in load_corpus(inputs["corpus"]) for t in d.tokens})
+                options["embeddings"] = write_embedding_file(tmp_path / "vec.txt", tokens,
+                                                             dim=value)
+            out = tmp_path / str(i)
+            assert run_options(command, options, out) == 0
+            # one line per file read, naming its flag; a run directory's is its run.json
+            assert header_inputs(out / OUTPUT[command]) == {
+                f"# input {f} sha256:{checksum(p / 'run.json' if p.is_dir() else p)}"
+                for f, p in options.items() if isinstance(p, Path)}
+            hashes.append(header_hash(out / OUTPUT[command]))
+        assert hashes[0] != hashes[1]
+
+
+    def test_boilerplate_header_changes_with_corpus_contents(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        headers = []
+        for seed in (1, 2):
+            save_corpus(synthetic_corpus(5, np.random.default_rng(seed)), corpus)
+            assert run("boilerplate", "--corpus", corpus, "--out", tmp_path / str(seed)) == 0
+            headers.append(header_lines(tmp_path / str(seed) / "ngrams_1.tsv"))
+        assert headers[0] != headers[1]
+
+    def test_features_header_changes_with_model_retrained_in_place(self, corpus_file, tmp_path):
+        model_dir = tmp_path / "run"
+        headers = []
+        for alpha in (1.0, 0.5):
+            assert train(corpus_file, "nb", model_dir, "--alpha", alpha) == 0
+            out = tmp_path / f"feat{alpha}"
+            assert run("features", "--model-dir", model_dir, "--out", out) == 0
+            headers.append(header_lines(out / "features_fake.tsv"))
+        assert headers[0] != headers[1]
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("kind", ["nb", "gbt", "cnn"])
     def test_identical_runs_are_byte_identical(self, corpus_file, tmp_path, kind):
@@ -595,7 +780,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "command, key, value",
-        [("train", "segmented", "false"), ("train", "seed", 7.9), ("train", "seed", True),
+        [("train", "seed", 7.9), ("train", "seed", True),
          ("train", "max-features", 20.7), ("train", "test-fraction", "0.2"),
          ("train", "model", "svm"), ("train", "weighting", "bogus"), ("train", "ngram", [1.5, 2]),
          ("train", "corpus", 3), ("clean", "keep-latin", 1), ("ttest", "measure", "all "),
@@ -613,10 +798,10 @@ class TestConfigFile:
 
     def test_json_numbers_and_lists_accepted(self, corpus_file, tmp_path):
         config = self.config(tmp_path, corpus=str(corpus_file), model="nb", ngram=[1, 2],
-                             **{"max-df": 1, "segmented": True, "unread-key": None})
+                             **{"max-df": 1, "unread-key": None})
         assert run("train", "--config", config, "--out", tmp_path / "o") == 0
         record = load_json(tmp_path / "o" / "run.json")
-        assert (record["ngram"], record["max_df"], record["segmented"]) == ([1, 2], 1.0, True)
+        assert (record["ngram"], record["max_df"]) == ([1, 2], 1.0)
         assert type(record["max_df"]) is float
 
 
@@ -645,6 +830,7 @@ class TestTextRoundTrip:
         lines = (model_dir / filename).read_bytes().decode("utf-8").split("\n")
         # the CLI puts its metadata lines between the format tag and the rest
         assert lines[1].startswith("# satira ") and lines[2].startswith("# config-hash ")
-        expected = "\n".join(lines[:1] + lines[3:])
+        assert lines[3] == f"# input corpus sha256:{checksum(corpus_file)}"
+        expected = "\n".join(lines[:1] + [l for l in lines[3:] if not l.startswith("# input ")])
         to_text, from_text = self.CODECS[f"{kind}/{filename}"]
         assert to_text(from_text(expected)) == expected

@@ -13,7 +13,7 @@ from satira import (
     make_document,
     split,
 )
-from satira.corpus_io import CorpusFormat, corpus_to_jsonl, save_corpus
+from satira.corpus_io import corpus_to_jsonl, save_corpus
 
 
 def write(tmp_path, name, text):
@@ -76,23 +76,23 @@ class TestLoadJsonl:
 class TestLoadCsv:
     def test_basic(self, tmp_path):
         path = write(tmp_path, "c.csv", 'id,text,label\na1,"قال الناطق",fake\n')
-        corpus = load_corpus(path, CorpusFormat.CSV)
+        corpus = load_corpus(path)
         assert corpus.documents[0].tokens == ("قال", "الناطق")
         assert corpus.documents[0].label is Label.FAKE
 
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "c.csv", "identifier,body,label\na,x,fake\n")
         with pytest.raises(DataError, match="header"):
-            load_corpus(path, CorpusFormat.CSV)
+            load_corpus(path)
 
     def test_bare_carriage_return_names_line(self, tmp_path):
         path = write(tmp_path, "c.csv", "id,text,label\na,x,fake\nb,y\rz,real\n")
         with pytest.raises(DataError, match=r"c\.csv: line 3: new-line character"):
-            load_corpus(path, CorpusFormat.CSV)
+            load_corpus(path)
 
     def test_empty_label_field_is_unlabeled(self, tmp_path):
         path = write(tmp_path, "c.csv", "id,text,label\na,x,\n")
-        corpus = load_corpus(path, CorpusFormat.CSV)
+        corpus = load_corpus(path)
         assert corpus.documents[0].label is None
 
 

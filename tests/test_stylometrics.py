@@ -8,13 +8,14 @@ from satira import (
     Label,
     LabeledCorpus,
     Lexicon,
+    MeasureVector,
     PosToken,
     corpus_profile,
     fpp_verb_ratio,
     lexicon_score,
     make_document,
 )
-from satira.stylometrics import parse_tagged_file, profile_to_csv
+from satira.stylometrics import parse_tagged_file, profile_from_csv, profile_to_csv
 
 
 def lex(*phrases):
@@ -199,3 +200,18 @@ class TestProfileCsv:
         assert lines[1] == "f1,fake,0.5,0.0,1.0"
         assert lines[2].startswith("r1,real,0.0,0.0,")
         assert lines[2].endswith(",")  # undefined ratio -> empty field
+
+    def test_from_csv_inverts_to_csv(self):
+        text = ("doc_id,label,J,S,fpp_ratio\n"
+                "f1,fake,0.5,0.0,1.0\nf2,fake,0.1,0.30000000000000004,\nr1,real,0.0,1.0,0.25\n")
+        assert profile_to_csv(profile_from_csv(text)) == text
+
+    def test_from_csv_skips_metadata_and_blank_lines(self):
+        text = "# satira 0.1.0\n# config-hash 0\ndoc_id,label,J,S,fpp_ratio\n\nr1,real,0.0,1.0,\n"
+        assert profile_from_csv(text) == {
+            Label.FAKE: [], Label.REAL: [MeasureVector("r1", 0.0, 1.0, None)]}
+
+    @pytest.mark.parametrize("text", ["", "doc_id,label,J,S\n"])
+    def test_from_csv_rejects_missing_header(self, text):
+        with pytest.raises(DataError, match="expected a measures CSV with header"):
+            profile_from_csv(text)
