@@ -8,7 +8,8 @@ every `satira` subcommand on it from inside OUT with relative paths, so
 the metadata headers do not depend on where OUT is: NB on word counts, NB
 on word 1-3 counts, NB on char 2-4 TF-IDF, GBT on counts (5 rounds) and
 on TF-IDF (100 rounds), the CNN, `evaluate` and `predict` of each,
-`features`, `clean`, `boilerplate`, `measure`, `ttest` and `plot-data`.
+`features`, `clean`, `boilerplate` (on the cleaned and on the raw corpus),
+`measure`, `ttest` and `plot-data`.
 It prints one `sha256  body-sha256  relative/path` line per file under OUT,
 sorted by path. The second digest is taken with the CLI's metadata lines
 (`# satira <version>`, `# config-hash`, `# input` and `# lexicon`) removed
@@ -70,6 +71,9 @@ def commands(checkout: Path):
     yield (*satira, "clean", "--corpus", CORPUS, "--stop-phrases", "lexicons/stop_phrases.txt",
            "--out", "o/clean")
     yield (*satira, "boilerplate", "--corpus", "o/clean/cleaned.jsonl", "--out", "o/boiler")
+    # the raw corpus too: cleaning strips its Latin letters, leaving only digit tokens to rank
+    yield (*satira, "boilerplate", "--corpus", CORPUS, "--fraction", "0.5", "--out",
+           "o/boiler_raw")
     yield (*satira, "measure", "--corpus", "o/clean/cleaned.jsonl",
            "--cliches", "lexicons/cliches.txt", "--emotions", "lexicons/emotions.txt",
            "--out", "o/measure")

@@ -3,27 +3,34 @@ lexicon measures: left-to-right, longest phrase first, non-overlapping."""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 PhraseIndex = dict[str, list[tuple[str, ...]]]
 
 
-def phrase_index(phrases: Iterable[str]) -> PhraseIndex:
-    """Group token-tuple phrases by first token, longest first per group."""
+def phrase_index(phrases: Iterable[str], what: str = "phrase") -> PhraseIndex:
+    """Group token-tuple phrases by first token, longest first per group. A
+    phrase without 1 to 3 tokens is a ``ValueError`` that calls it ``what``."""
     index: PhraseIndex = {}
     for phrase in phrases:
         parts = tuple(phrase.split())
-        if parts:
-            index.setdefault(parts[0], []).append(parts)
+        if not 1 <= len(parts) <= 3:
+            raise ValueError(f"{what} {phrase!r} must have 1 to 3 tokens")
+        index.setdefault(parts[0], []).append(parts)
     for candidates in index.values():
         candidates.sort(key=lambda t: (-len(t), t))
     return index
 
 
-def longest_match_at(tokens: Sequence[str], i: int, index: PhraseIndex) -> int:
-    """Length of the longest phrase matching at position i, or 0."""
-    for phrase in index.get(tokens[i], ()):
-        k = len(phrase)
-        if tuple(tokens[i : i + k]) == phrase:
-            return k
-    return 0
+def occurrences(tokens: Sequence[str], index: PhraseIndex) -> Iterator[tuple[int, int]]:
+    """(start, length) of each occurrence, found as the module docstring says."""
+    i = 0
+    while i < len(tokens):
+        for phrase in index.get(tokens[i], ()):
+            k = len(phrase)
+            if tuple(tokens[i : i + k]) == phrase:
+                yield i, k
+                i += k
+                break
+        else:
+            i += 1

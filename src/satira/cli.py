@@ -77,7 +77,6 @@ from .preprocess import (
     clean_corpus,
     ngram_frequency,
     ngram_frequency_to_tsv,
-    top_fraction,
 )
 from .stats import (
     NanPolicy,
@@ -234,9 +233,7 @@ def cmd_boilerplate(args) -> int:
     for n in (1, 2, 3):
         freq = ngram_frequency(corpus, n)
         _write(out / f"ngrams_{n}.tsv", header, ngram_frequency_to_tsv(freq))
-        candidates = top_fraction(freq, fraction)
-        body = "".join(f"{ngram}\t{count}\n" for ngram, count in candidates)
-        _write(out / f"candidates_{n}.tsv", header, body)
+        _write(out / f"candidates_{n}.tsv", header, ngram_frequency_to_tsv(freq, fraction))
     return 0
 
 
@@ -260,8 +257,8 @@ def cmd_measure(args) -> int:
     tagged_path = _resolve(args, "tagged")
     if tagged_path:
         tagged = parse_file(tagged_path, parse_tagged)
-    profile = corpus_profile(corpus, cliches, emotions, tagged)
-    _write(_out_dir(args) / "measures.csv", _header(args), profile_to_csv(profile))
+    body = profile_to_csv(corpus_profile(corpus, cliches, emotions, tagged))
+    _write(_out_dir(args) / "measures.csv", _header(args), body)
     return 0
 
 

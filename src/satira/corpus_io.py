@@ -1,10 +1,13 @@
 """Loading, saving and splitting labeled article collections.
 
-A corpus is a flat sequence of documents, each carrying its token multiset.
-Supported on-disk formats: JSONL (one object per line, keys ``id``, ``text``,
-optional ``label``) and CSV with columns exactly ``id,text,label``, chosen by
-the file suffix (``.csv``, in any case, is CSV). Both are UTF-8 without BOM. Lines starting with ``#`` are metadata headers written by
-the CLI and are skipped on load.
+A corpus is a flat sequence of documents. A document's tokens are derived
+from its text (``text.split()``, computed on first use), so they are never
+empty and never hold whitespace. Supported on-disk formats: JSONL (one
+object per line, keys ``id``, ``text``, optional ``label``) and CSV with
+columns exactly ``id,text,label``, chosen by the file suffix (``.csv``, in
+any case, is CSV). Both are UTF-8 without BOM. Lines starting with ``#``
+are metadata headers written by the CLI and are skipped on load; in CSV,
+only those before the header row, since a later one may hold an id.
 """
 
 from __future__ import annotations
@@ -13,10 +16,12 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import dropwhile
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import DataError
 from .fileio import parse_file, text_lines
@@ -38,22 +43,16 @@ def parse_label(raw: str, where: str) -> Label:
 
 @dataclass(frozen=True)
 class Document:
-    """One article: id, raw text, and its token multiset.
-
-    ``tokens`` is the whitespace-split form of ``text`` at load time and is
-    replaced by the cleaned token stream after preprocessing. Tokens never
-    contain whitespace or empty strings.
-    """
+    """One article: id, text and gold label (None when unlabeled)."""
 
     id: str
     text: str
-    tokens: tuple[str, ...]
     label: Optional[Label] = None
 
-    def __post_init__(self):
-        for t in self.tokens:
-            if not t or t.split() != [t]:
-                raise DataError(f"document {self.id!r}: invalid token {t!r}")
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """The whitespace-split ``text``: never empty strings, never whitespace."""
+        return tuple(self.text.split())
 
     @property
     def size(self) -> int:
@@ -62,7 +61,7 @@ class Document:
 
 
 def make_document(doc_id: str, text: str, label: Optional[Label] = None) -> Document:
-    return Document(id=doc_id, text=text, tokens=tuple(text.split()), label=label)
+    return Document(id=doc_id, text=text, label=label)
 
 
 @dataclass(frozen=True)
@@ -141,10 +140,11 @@ def _parse_csv(text: str) -> list[Document]:
     # its line_num is the file line on which the record just read ends
     reader = csv.reader(io.StringIO(text))
     try:
-        # blank lines and metadata comment lines are skipped
-        rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
+        # blank lines are skipped, and so are the metadata comment lines before the header
+        rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
         raise DataError(f"line {reader.line_num}: {exc}") from exc
+    rows = list(dropwhile(lambda numbered: numbered[1][0].startswith("#"), rows))
     if not rows:
         return []
     header_line, header = rows[0]
@@ -219,7 +219,3 @@ def split(corpus: LabeledCorpus, cfg: SplitConfig) -> tuple[LabeledCorpus, Label
     test_docs = tuple(d for d in corpus.documents if d.id in test_ids)
     return LabeledCorpus(train_docs), LabeledCorpus(test_docs)
 
-
-def replace_tokens(doc: Document, tokens: Sequence[str]) -> Document:
-    """New Document with the given token stream and text rebuilt from it."""
-    return replace(doc, text=" ".join(tokens), tokens=tuple(tokens))

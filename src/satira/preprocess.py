@@ -5,19 +5,25 @@ Boilerplate discovery is semi-manual by design: ``ngram_frequency`` plus
 ``top_fraction`` produce candidate phrases; a human curates the final
 stop-phrase list, which ``apply_stop_phrases`` then removes from every
 document. Candidates are never deleted automatically.
+
+``ngram_frequency`` counts with the vectorizer's integer-id n-gram counter
+and builds each distinct n-gram's string once. An ``NgramFrequency`` ranks
+its counts when built (count descending, ties in codepoint order), so
+``top_fraction`` and ``ngram_frequency_to_tsv`` slice and join that ranking.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from itertools import islice, repeat
 from typing import Iterable
 
-from ._matching import longest_match_at, phrase_index
-from .corpus_io import Document, LabeledCorpus, replace_tokens
+from ._matching import PhraseIndex, occurrences, phrase_index
+from .corpus_io import Document, LabeledCorpus
 from .fileio import parse_phrase_file
+from .vectorize import Analyzer, _Windows
 
 # Harakat, tanween, sukun, shadda and friends (U+064B..U+065F) plus the
 # superscript alef. Kept out of the strip_special class so the two flags
@@ -65,17 +71,19 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class NgramFrequency:
-    """Counts of space-joined n-token windows over a corpus."""
+    """Counts of space-joined n-token windows over a corpus, ranked when built."""
 
     n: int
     counts: dict[str, int]
 
     def __post_init__(self):
-        for key, count in self.counts.items():
-            if len(key.split(" ")) != self.n:
-                raise ValueError(f"key {key!r} is not a {self.n}-gram")
-            if count < 1:
-                raise ValueError(f"key {key!r} has count {count} < 1")
+        if set(map(str.count, self.counts, repeat(" "))) - {self.n - 1}:
+            raise ValueError(f"every key must be a {self.n}-gram")
+        if min(self.counts.values(), default=1) < 1:
+            raise ValueError("every count must be at least 1")
+        # by key, then stably by count descending: the (-count, key) order
+        ranked = sorted(sorted(self.counts), key=self.counts.__getitem__, reverse=True)
+        object.__setattr__(self, "counts", {key: self.counts[key] for key in ranked})
 
 
 def ngram_frequency(corpus: LabeledCorpus | Iterable[Document], n: int) -> NgramFrequency:
@@ -85,12 +93,11 @@ def ngram_frequency(corpus: LabeledCorpus | Iterable[Document], n: int) -> Ngram
     """
     if n not in (1, 2, 3):
         raise ValueError(f"n must be 1, 2 or 3, got {n}")
-    counts: Counter[str] = Counter()
-    for doc in corpus:
-        tokens = doc.tokens
-        for i in range(len(tokens) - n + 1):
-            counts[" ".join(tokens[i : i + n])] += 1
-    return NgramFrequency(n=n, counts=dict(counts))
+    win = _Windows([doc.tokens for doc in corpus], Analyzer.WORD)
+    for level in range(2, n + 1):
+        win.advance(level)
+    where, totals, _ = win.count()
+    return NgramFrequency(n, dict(zip(win.names(where, n), totals.tolist())))
 
 
 def top_fraction(freq: NgramFrequency, fraction: float) -> list[tuple[str, int]]:
@@ -103,17 +110,13 @@ def top_fraction(freq: NgramFrequency, fraction: float) -> list[tuple[str, int]]
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     n_keys = len(freq.counts)
-    if n_keys == 0:
-        return []
     k = min(n_keys, max(1, int(math.floor(fraction * n_keys + 0.5))))
-    ranked = sorted(freq.counts.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    return list(islice(freq.counts.items(), k))
 
 
-def ngram_frequency_to_tsv(freq: NgramFrequency) -> str:
-    """``ngram<TAB>count`` lines, highest count first, ties in codepoint order."""
-    ranked = sorted(freq.counts.items(), key=lambda item: (-item[1], item[0]))
-    return "".join(f"{ngram}\t{count}\n" for ngram, count in ranked)
+def ngram_frequency_to_tsv(freq: NgramFrequency, fraction: float = 1.0) -> str:
+    """``ngram<TAB>count`` lines of ``top_fraction(freq, fraction)``, by default all."""
+    return "".join(f"{ngram}\t{count}\n" for ngram, count in top_fraction(freq, fraction))
 
 
 @dataclass(frozen=True)
@@ -121,13 +124,12 @@ class StopPhraseList:
     """Curated website-specific phrases to delete from the token stream."""
 
     phrases: tuple[str, ...]
+    index: PhraseIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "index", phrase_index(self.phrases))
         seen = set()
         for phrase in self.phrases:
-            parts = phrase.split()
-            if not 1 <= len(parts) <= 3:
-                raise ValueError(f"phrase {phrase!r} must have 1 to 3 tokens")
             if phrase in seen:
                 raise ValueError(f"duplicate phrase {phrase!r}")
             seen.add(phrase)
@@ -144,22 +146,15 @@ def apply_stop_phrases(doc: Document, phrases: StopPhraseList) -> Document:
     consumed (non-overlapping, no rescan of the shrunk stream). The input
     document is left unmodified.
     """
-    index = phrase_index(phrases.phrases)
-    if not index:
-        return doc
     tokens = doc.tokens
     kept: list[str] = []
-    i = 0
-    while i < len(tokens):
-        matched = longest_match_at(tokens, i, index)
-        if matched:
-            i += matched
-        else:
-            kept.append(tokens[i])
-            i += 1
-    if len(kept) == len(tokens):
+    end = 0
+    for start, length in occurrences(tokens, phrases.index):
+        kept += tokens[end:start]
+        end = start + length
+    if end == 0:  # no occurrence
         return doc
-    return replace_tokens(doc, kept)
+    return replace(doc, text=" ".join(kept + list(tokens[end:])))
 
 
 def clean_corpus(
@@ -167,10 +162,10 @@ def clean_corpus(
     cfg: NormalizationConfig = NormalizationConfig(),
     stop_phrases: StopPhraseList | None = None,
 ) -> LabeledCorpus:
-    """Normalize + retokenize every document, then drop stop phrases."""
+    """Normalize every document's text (its tokens follow), then drop stop phrases."""
     cleaned: list[Document] = []
     for doc in corpus:
-        new_doc = replace_tokens(doc, tokenize(normalize(doc.text, cfg)))
+        new_doc = replace(doc, text=normalize(doc.text, cfg))
         if stop_phrases is not None:
             new_doc = apply_stop_phrases(new_doc, stop_phrases)
         cleaned.append(new_doc)

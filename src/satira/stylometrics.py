@@ -17,10 +17,11 @@ which keeps every score inside [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import dropwhile
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._matching import longest_match_at, phrase_index
+from ._matching import PhraseIndex, occurrences, phrase_index
 from .corpus_io import Document, Label, LabeledCorpus
 from .errors import DataError
 from .fileio import parse_phrase_file, text_lines
@@ -33,13 +34,12 @@ FPP_SUFFIX = "نا"
 class Lexicon:
     name: str
     phrases: frozenset[str]
+    index: PhraseIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.phrases:
             raise ValueError(f"lexicon {self.name!r} is empty")
-        for phrase in self.phrases:
-            if not 1 <= len(phrase.split()) <= 3:
-                raise ValueError(f"lexicon phrase {phrase!r} must have 1 to 3 tokens")
+        object.__setattr__(self, "index", phrase_index(self.phrases, "lexicon phrase"))
 
     @classmethod
     def from_file(cls, path, name: Optional[str] = None) -> "Lexicon":
@@ -81,18 +81,7 @@ def lexicon_score(doc: Document, lexicon: Lexicon) -> float:
     """
     if doc.size == 0:
         raise ValueError(f"document {doc.id!r} has no tokens; score undefined")
-    index = phrase_index(lexicon.phrases)
-    tokens = doc.tokens
-    matches = 0
-    i = 0
-    while i < len(tokens):
-        consumed = longest_match_at(tokens, i, index)
-        if consumed:
-            matches += 1
-            i += consumed
-        else:
-            i += 1
-    return matches / doc.size
+    return sum(1 for _ in occurrences(doc.tokens, lexicon.index)) / doc.size
 
 
 def fpp_verb_ratio(tagged: Sequence[PosToken]) -> Optional[float]:
@@ -169,10 +158,14 @@ MEASURES_HEADER = "doc_id,label,J,S,fpp_ratio"
 
 
 def profile_to_csv(profile: Mapping[Label, Iterable[MeasureVector]]) -> str:
-    """``MEASURES_HEADER`` rows; empty last field when undefined."""
+    """``MEASURES_HEADER`` rows; empty last field when undefined. A document id
+    holding a comma or a line break is a ``DataError``."""
     lines = [MEASURES_HEADER]
     for label in (Label.FAKE, Label.REAL):
         for vec in profile.get(label, []):
+            if "," in vec.doc_id or "\n" in vec.doc_id:
+                raise DataError(f"document id {vec.doc_id!r} holds a comma or a line break; "
+                                "the measures CSV cannot hold it")
             fpp = "" if vec.fpp_verb_ratio is None else repr(vec.fpp_verb_ratio)
             lines.append(
                 f"{vec.doc_id},{label.value},"
@@ -182,11 +175,11 @@ def profile_to_csv(profile: Mapping[Label, Iterable[MeasureVector]]) -> str:
 
 
 def profile_from_csv(text: str) -> dict[Label, list[MeasureVector]]:
-    """Inverse of ``profile_to_csv``; blank and ``#`` lines are skipped. Each row
-    must be a valid ``MeasureVector``, so a value outside [0, 1], NaN or
-    infinite is an error naming its line."""
-    rows = [(n, line) for n, line in enumerate(text_lines(text), start=1)
-            if line and not line.startswith("#")]
+    """Inverse of ``profile_to_csv``; blank lines and the ``#`` lines before the
+    header are skipped. Each row must be a valid ``MeasureVector``, so a value
+    outside [0, 1], NaN or infinite is an error naming its line."""
+    rows = [(n, line) for n, line in enumerate(text_lines(text), start=1) if line]
+    rows = list(dropwhile(lambda numbered: numbered[1].startswith("#"), rows))
     if not rows or rows[0][1] != MEASURES_HEADER:
         raise DataError(f"expected a measures CSV with header {MEASURES_HEADER}")
     profile: dict[Label, list[MeasureVector]] = {Label.FAKE: [], Label.REAL: []}

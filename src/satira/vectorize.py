@@ -176,10 +176,12 @@ class _Windows:
     At level n, ``ids[i]`` is the id of the window of n units that starts
     at position ``i`` of the concatenated sequences, or -1 where that
     window would run past the end of its sequence. Equal windows have
-    equal ids, and the ids of a level are ``0 .. n_ids - 1``.
+    equal ids, and the ids of a level are ``0 .. n_ids - 1``. ``fit``,
+    ``transform`` and ``preprocess.ngram_frequency`` all count with it.
     """
 
     def __init__(self, seqs: Sequence[Sequence[str]], analyzer: Analyzer):
+        self.seqs, self.analyzer = seqs, analyzer
         self.units, self.n_units = _unit_ids(seqs, analyzer)
         self.ids = self.units.copy()
         self.n_ids = self.n_units
@@ -241,6 +243,29 @@ class _Windows:
             pos = np.flatnonzero(self.ids[s:e] >= 0) + s
             yield pos, self.ids[pos]
 
+    def count(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per id of the current level: a position where it occurs, its total
+        count and the number of sequences it occurs in."""
+        where = np.zeros(self.n_ids, dtype=np.int64)
+        totals = np.zeros(self.n_ids, dtype=np.int64)
+        dfs = np.zeros(self.n_ids, dtype=np.int64)
+        for pos, ids in self.windows():
+            where[ids] = pos
+            seq_ids, counts = np.unique(self.sequence_of(pos) * self.n_ids + ids, return_counts=True)
+            window = seq_ids % self.n_ids
+            np.add.at(totals, window, counts)
+            np.add.at(dfs, window, 1)
+        return where, totals, dfs
+
+    def names(self, where: np.ndarray, length) -> list[str]:
+        """The window of ``length`` units at each position in ``where``: its
+        characters for CHAR, its tokens joined by single spaces for WORD."""
+        seq_of = self.sequence_of(where)
+        offset = where - self.starts[seq_of]
+        spans = zip(seq_of.tolist(), offset.tolist(), (offset + length).tolist())
+        windows = (self.seqs[s][a:b] for s, a, b in spans)
+        return list(windows) if self.analyzer is Analyzer.CHAR else list(map(" ".join, windows))
+
 
 def fit(docs: Sequence[Document], cfg: VectorizerConfig) -> Vocabulary:
     """Build the vocabulary from training documents.
@@ -254,22 +279,13 @@ def fit(docs: Sequence[Document], cfg: VectorizerConfig) -> Vocabulary:
         raise DataError("cannot fit a vectorizer on an empty corpus")
     n_docs = len(docs)
     lo, hi = cfg.ngram_range
-    seqs = _unit_sequences(docs, cfg.analyzer)
-    win = _Windows(seqs, cfg.analyzer)
+    win = _Windows(_unit_sequences(docs, cfg.analyzer), cfg.analyzer)
     # per level, per candidate: length in units, a position where it occurs, total count, df
     per_level = []
     for n in win.levels(hi):
         if n < lo:
             continue
-        where = np.zeros(win.n_ids, dtype=np.int64)
-        totals = np.zeros(win.n_ids, dtype=np.int64)
-        dfs = np.zeros(win.n_ids, dtype=np.int64)
-        for pos, ids in win.windows():
-            where[ids] = pos
-            doc_ids, counts = np.unique(win.sequence_of(pos) * win.n_ids + ids, return_counts=True)
-            feature = doc_ids % win.n_ids
-            np.add.at(totals, feature, counts)
-            np.add.at(dfs, feature, 1)
+        where, totals, dfs = win.count()
         keep = np.flatnonzero(dfs / n_docs <= cfg.max_df)
         # a feature outnumbered by max_features others of its own length is never kept
         keep = keep[totals[keep] >= _cut(totals[keep], cfg.max_features)]
@@ -281,17 +297,11 @@ def fit(docs: Sequence[Document], cfg: VectorizerConfig) -> Vocabulary:
             f"(max_df={cfg.max_df}, n_docs={n_docs})"
         )
 
-    doc_of = win.sequence_of(where)
-    offset = where - win.starts[doc_of]
-
-    def name(i: int) -> str:
-        units = seqs[doc_of[i]][offset[i] : offset[i] + length[i]]
-        return units if cfg.analyzer is Analyzer.CHAR else " ".join(units)
-
     # decode only the features above the cut and those tied at it
     cut = _cut(total, cfg.max_features)
-    chosen = {name(i): i for i in np.flatnonzero(total > cut).tolist()}
-    tied = sorted((name(i), i) for i in np.flatnonzero(total == cut).tolist())
+    above, at_cut = np.flatnonzero(total > cut), np.flatnonzero(total == cut)
+    chosen = dict(zip(win.names(where[above], length[above]), above.tolist()))
+    tied = sorted(zip(win.names(where[at_cut], length[at_cut]), at_cut.tolist()))
     chosen.update(tied[: cfg.max_features - len(chosen)])
     retained = sorted(chosen)
 

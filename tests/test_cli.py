@@ -247,6 +247,27 @@ class TestMeasureTtestPlot:
         assert run("ttest", "--measures", measures, "--out", tmp_path / "t") == 2
         assert f"{measures}: {message}" in capsys.readouterr().err
 
+    def test_measure_rejects_id_the_csv_cannot_hold(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a,1", "text": "x y", "label": "fake"}\n'
+                          '{"id": "b", "text": "x z", "label": "real"}\n', encoding="utf-8")
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("x\n", encoding="utf-8")
+        out = tmp_path / "m"
+        assert run("measure", "--corpus", corpus, "--cliches", lexicon,
+                   "--emotions", lexicon, "--out", out) == 2
+        assert "document id 'a,1' holds a comma" in capsys.readouterr().err
+        assert not (out / "measures.csv").exists()
+
+    def test_ttest_reads_hash_id_after_the_header(self, tmp_path, capsys):
+        rows = ["# satira 0.1.0", "doc_id,label,J,S,fpp_ratio", "#a,fake,0.1,0.1,",
+                "f1,fake,0.2,0.3,", "f2,fake,0.3,0.3,", "r0,real,0.3,0.2,", "r1,real,0.4,0.2,"]
+        measures = tmp_path / "measures.csv"
+        measures.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+        assert run("ttest", "--measures", measures, "--measure", "J",
+                   "--out", tmp_path / "t") == 0
+        assert "n_fake=3 n_real=2" in capsys.readouterr().out
+
     def test_plot_data_rejects_out_of_range_measure(self, tmp_path, capsys):
         measures = tmp_path / "measures.csv"
         measures.write_text("doc_id,label,J,S,fpp_ratio\nf0,fake,1.5,0.1,\n", encoding="utf-8")

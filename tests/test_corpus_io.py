@@ -8,7 +8,11 @@ from satira import (
     DataError,
     Label,
     LabeledCorpus,
+    NormalizationConfig,
     SplitConfig,
+    StopPhraseList,
+    apply_stop_phrases,
+    clean_corpus,
     load_corpus,
     make_document,
     split,
@@ -89,6 +93,13 @@ class TestLoadCsv:
         path = write(tmp_path, "c.csv", "id,text,label\na,x,fake\nb,y\rz,real\n")
         with pytest.raises(DataError, match=r"c\.csv: line 3: new-line character"):
             load_corpus(path)
+
+    def test_hash_id_after_the_header_is_a_document(self, tmp_path):
+        path = write(tmp_path, "c.csv",
+                     "# satira 0.1.0\nid,text,label\n#a,قال الناطق,fake\nb,خبر,real\n")
+        corpus = load_corpus(path)
+        assert [doc.id for doc in corpus] == ["#a", "b"]
+        assert corpus.documents[0].tokens == ("قال", "الناطق")
 
     def test_empty_label_field_is_unlabeled(self, tmp_path):
         path = write(tmp_path, "c.csv", "id,text,label\na,x,\n")
@@ -195,15 +206,25 @@ class TestRoundTrip:
             assert list(record) == ["id", "text", "label"]
 
 
-class TestDocumentInvariants:
-    def test_whitespace_bearing_token_rejected(self):
-        from satira import Document
+any_text = st.text(alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=30)
 
-        with pytest.raises(DataError, match="invalid token"):
-            Document(id="d", text="a b", tokens=("a b",))
 
-    def test_empty_token_rejected(self):
-        from satira import Document
+class TestTokensFollowText:
+    """A document's tokens are the whitespace split of its text, whether it
+    was loaded, cleaned or had stop phrases removed."""
 
-        with pytest.raises(DataError, match="invalid token"):
-            Document(id="d", text="", tokens=("",))
+    @given(texts=st.lists(any_text, min_size=1, max_size=5), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_tokens_are_the_split_text(self, tmp_path_factory, texts, data):
+        path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        save_corpus(LabeledCorpus(tuple(make_document(f"d{i}", t) for i, t in enumerate(texts))),
+                    path)
+        loaded = load_corpus(path)
+        words = sorted({t for doc in loaded for t in doc.tokens}) or ["x"]
+        phrase = st.lists(st.sampled_from(words), min_size=1, max_size=3).map(" ".join)
+        stops = StopPhraseList(tuple(data.draw(st.lists(phrase, unique=True, max_size=4))))
+        cfg = NormalizationConfig(*data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans())))
+        cleaned = clean_corpus(loaded, cfg, stops)
+        stripped = [apply_stop_phrases(doc, stops) for doc in loaded]
+        for doc in (*loaded, *cleaned, *stripped):
+            assert doc.tokens == tuple(doc.text.split())

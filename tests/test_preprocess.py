@@ -1,3 +1,7 @@
+import math
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,38 @@ from satira import (
     tokenize,
     top_fraction,
 )
+from satira import vectorize
+from satira.preprocess import ngram_frequency_to_tsv
+
+
+# The string implementation that ngram_frequency, top_fraction and
+# ngram_frequency_to_tsv replace: every window is joined into its own
+# string and counted in a Counter, and each output sorts all keys again.
+# The property tests below require the integer-id counter and its single
+# ranking to match it byte for byte.
+
+
+def reference_counts(corpus, n) -> dict[str, int]:
+    counts: Counter[str] = Counter()
+    for doc in corpus:
+        tokens = doc.tokens
+        for i in range(len(tokens) - n + 1):
+            counts[" ".join(tokens[i : i + n])] += 1
+    return dict(counts)
+
+
+def reference_top_fraction(counts, fraction) -> list[tuple[str, int]]:
+    n_keys = len(counts)
+    if n_keys == 0:
+        return []
+    k = min(n_keys, max(1, int(math.floor(fraction * n_keys + 0.5))))
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return ranked[:k]
+
+
+def reference_tsv(counts) -> str:
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return "".join(f"{ngram}\t{count}\n" for ngram, count in ranked)
 
 any_text = st.text(
     alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=80
@@ -100,6 +136,46 @@ class TestNgramFrequency:
         corpus = corpus_of(*token_lists)
         freq = ngram_frequency(corpus, 1)
         assert sum(freq.counts.values()) == sum(len(t) for t in token_lists)
+
+
+# Tokens whose space-joined n-grams order differently from their token
+# tuples ("a b" sorts after "a\x01"), non-BMP characters, and a small
+# alphabet so that n-grams repeat and counts tie.
+TRICKY_TOKENS = ["a", "a\x00", "a\x01", "b", "b\x01", "\x01", "ab", "\uffff", "\U0001f600",
+                 "\U00010000a", "قال"]
+any_token = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)), min_size=1, max_size=3
+).filter(lambda t: t.split() == [t])
+token_lists = st.lists(
+    st.lists(st.one_of(st.sampled_from(TRICKY_TOKENS), any_token), max_size=10), max_size=6
+)
+
+
+class TestMatchesCounterReference:
+    """ngram_frequency, its ranking, top_fraction and the TSV against the
+    Counter implementation above, also with blocks of a few tokens, so
+    documents fall across many blocks."""
+
+    @pytest.mark.parametrize("block", [vectorize.BLOCK, 3])
+    @given(token_lists=token_lists,
+           fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    @settings(max_examples=150, deadline=None)
+    def test_random_corpora(self, block, token_lists, fraction):
+        corpus = corpus_of(*token_lists)
+        with mock.patch.object(vectorize, "BLOCK", block):
+            for n in (1, 2, 3):
+                freq = ngram_frequency(corpus, n)
+                counts = reference_counts(corpus, n)
+                ranked = reference_top_fraction(counts, 1.0)
+                assert list(freq.counts.items()) == ranked
+                assert ngram_frequency_to_tsv(freq) == reference_tsv(counts)
+                assert top_fraction(freq, fraction) == reference_top_fraction(counts, fraction)
+
+    def test_prefix_token_below_space_ranks_by_string(self):
+        # token tuples order ("a", "b") first; the joined strings put "a\x01 c" first
+        corpus = corpus_of(["a", "b"], ["a\x01", "c"], ["a\x01"])
+        assert list(ngram_frequency(corpus, 1).counts) == ["a\x01", "a", "b", "c"]
+        assert list(ngram_frequency(corpus, 2).counts) == ["a\x01 c", "a b"]
 
 
 class TestTopFraction:
@@ -198,6 +274,10 @@ class TestNgramFrequencyInvariants:
     def test_wrong_arity_key_rejected(self):
         with pytest.raises(ValueError, match="gram"):
             NgramFrequency(2, {"single": 1})
+
+    def test_counts_ranked_when_built(self):
+        freq = NgramFrequency(1, {"b": 1, "c": 2, "a": 1})
+        assert list(freq.counts.items()) == [("c", 2), ("a", 1), ("b", 1)]
 
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError, match="count"):
