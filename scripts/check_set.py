@@ -9,7 +9,10 @@ the metadata headers do not depend on where OUT is: NB on word counts, NB
 on word 1-3 counts, NB on char 2-4 TF-IDF, GBT on counts (5 rounds) and
 on TF-IDF (100 rounds), the CNN, `evaluate` and `predict` of each,
 `features`, `clean`, `boilerplate` (on the cleaned and on the raw corpus),
-`measure`, `ttest` and `plot-data`.
+and `measure` with `ttest` and `plot-data` on its CSV, once without and
+once with `--tagged`. The POS-tagged file is the fixed `data/tags.conll`
+this script writes itself (see `tagged_text`), so runs against two
+checkouts read the same bytes.
 It prints one `sha256  body-sha256  relative/path` line per file under OUT,
 sorted by path. The second digest is taken with the CLI's metadata lines
 (`# satira <version>`, `# config-hash`, `# input` and `# lexicon`) removed
@@ -33,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CORPUS = "data/corpus.jsonl"
+TAGS = "data/tags.conll"
 # run directory -> train flags besides --corpus and --out
 RUNS = {
     "nb": ("--model", "nb"),
@@ -46,6 +50,28 @@ RUNS = {
 
 # a metadata line the CLI writes (`# lexicon` lines come from older checkouts)
 METADATA = re.compile(rb"# (satira \S+|config-hash \S+|(input|lexicon) \S+ sha256:\S+)")
+
+
+# surfaces of the tagged file: first-person-plural verbs (prefix ن or suffix نا),
+# other verbs, and nouns, one of which starts with ن
+FPP_VERBS = ("نكتب", "قلنا", "نروي", "شارفنا")
+OTHER_VERBS = ("قال", "كتب", "ذهب")
+NOUNS = ("خبر", "ناطق", "بيت")
+
+
+def tagged_text() -> str:
+    """A fixed `surface<TAB>pos` file for the check corpus's 120 documents (60
+    fake, then 60 real): fake documents carry more first-person-plural verbs,
+    and documents 7 and 67 carry no verb, so their ratio is undefined."""
+    blocks = ["# fixed POS tags of the check set\n"]
+    for i in range(120):
+        n_verbs = 0 if i % 60 == 7 else 3 + i % 4
+        n_fpp = min(n_verbs, i % 3 + (2 if i < 60 else 0))
+        tokens = [(NOUNS[(i + k) % 3], "NOUN") for k in range(1 + i % 3)]
+        tokens += [(FPP_VERBS[(i + k) % 4], "VERB") for k in range(n_fpp)]
+        tokens += [(OTHER_VERBS[(i + k) % 3], "VERB") for k in range(n_verbs - n_fpp)]
+        blocks.append("".join(f"{surface}\t{pos}\n" for surface, pos in tokens) + "\n")
+    return "".join(blocks)
 
 
 def body_digest(data: bytes) -> str:
@@ -74,11 +100,13 @@ def commands(checkout: Path):
     # the raw corpus too: cleaning strips its Latin letters, leaving only digit tokens to rank
     yield (*satira, "boilerplate", "--corpus", CORPUS, "--fraction", "0.5", "--out",
            "o/boiler_raw")
-    yield (*satira, "measure", "--corpus", "o/clean/cleaned.jsonl",
-           "--cliches", "lexicons/cliches.txt", "--emotions", "lexicons/emotions.txt",
-           "--out", "o/measure")
-    yield (*satira, "ttest", "--measures", "o/measure/measures.csv", "--out", "o/ttest")
-    yield (*satira, "plot-data", "--measures", "o/measure/measures.csv", "--out", "o/plot")
+    measure = (*satira, "measure", "--corpus", "o/clean/cleaned.jsonl",
+               "--cliches", "lexicons/cliches.txt", "--emotions", "lexicons/emotions.txt")
+    for suffix, tagged in (("", ()), ("_tagged", ("--tagged", TAGS))):
+        yield (*measure, *tagged, "--out", f"o/measure{suffix}")
+        measures = f"o/measure{suffix}/measures.csv"
+        yield (*satira, "ttest", "--measures", measures, "--out", f"o/ttest{suffix}")
+        yield (*satira, "plot-data", "--measures", measures, "--out", f"o/plot{suffix}")
 
 
 def main() -> int:
@@ -91,6 +119,8 @@ def main() -> int:
         parser.error(f"{args.out} is not empty")
     args.out.mkdir(parents=True, exist_ok=True)
     shutil.copytree(checkout / "lexicons", args.out / "lexicons")
+    (args.out / TAGS).parent.mkdir()
+    (args.out / TAGS).write_text(tagged_text(), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     for argv in commands(checkout):
         subprocess.run((sys.executable, *argv), cwd=args.out, env=env, check=True,

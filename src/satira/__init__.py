@@ -28,7 +28,6 @@ from .preprocess import (
     clean_corpus,
     ngram_frequency,
     normalize,
-    tokenize,
     top_fraction,
 )
 from .stats import (
@@ -44,9 +43,7 @@ from .stats import (
 from .stylometrics import (
     Lexicon,
     MeasureVector,
-    PosToken,
     corpus_profile,
-    fpp_verb_ratio,
     lexicon_score,
 )
 from .vectorize import (
@@ -74,7 +71,6 @@ __all__ = [
     "NanPolicy",
     "NgramFrequency",
     "NormalizationConfig",
-    "PosToken",
     "SatiraError",
     "SplitConfig",
     "StopPhraseList",
@@ -89,7 +85,6 @@ __all__ = [
     "density_histogram",
     "evaluate",
     "fit",
-    "fpp_verb_ratio",
     "lexicon_score",
     "load_corpus",
     "make_document",
@@ -99,7 +94,6 @@ __all__ = [
     "save_corpus",
     "split",
     "student_t_sf",
-    "tokenize",
     "top_fraction",
     "top_informative_features",
     "transform",

@@ -247,17 +247,17 @@ def cmd_measure(args) -> int:
     emotions = Lexicon.from_file(_resolve(args, "emotions"), name="emotions")
 
     def parse_tagged(text: str):
-        docs = parse_tagged_file(text)
-        if len(docs) != len(corpus.documents):
-            raise DataError(f"tagged input has {len(docs)} documents, corpus {corpus_path} "
+        ratios = parse_tagged_file(text)
+        if len(ratios) != len(corpus.documents):
+            raise DataError(f"tagged input has {len(ratios)} documents, corpus {corpus_path} "
                             f"has {len(corpus.documents)} labeled documents")
-        return docs
+        return ratios
 
-    tagged = None
+    fpp_ratios = None
     tagged_path = _resolve(args, "tagged")
     if tagged_path:
-        tagged = parse_file(tagged_path, parse_tagged)
-    body = profile_to_csv(corpus_profile(corpus, cliches, emotions, tagged))
+        fpp_ratios = parse_file(tagged_path, parse_tagged)
+    body = profile_to_csv(corpus_profile(corpus, cliches, emotions, fpp_ratios))
     _write(_out_dir(args) / "measures.csv", _header(args), body)
     return 0
 
@@ -429,8 +429,8 @@ class _Pipeline(NamedTuple):
 
 
 _VECTORIZER_OPTIONS = (
-    ("weighting", "weighting", str, "count"),
-    ("analyzer", "analyzer", str, "word"),
+    ("weighting", "weighting", ("count", "tfidf"), "count"),
+    ("analyzer", "analyzer", ("word", "char"), "word"),
     ("ngram", "ngram", _ngram_range, "1,1"),
     ("max_features", "max-features", int, 1500),
     ("max_df", "max-df", float, 0.7),
@@ -617,8 +617,6 @@ def _opt(flag: str, kind, default, text: str) -> _Option:
 def _model_options() -> tuple:
     """One train row per PIPELINES flag, added once however many models read it;
     its help names each model's default, which cmd_train passes to _resolve."""
-    # PIPELINES gives these two the kind str; the parser and the config check take the choices
-    choices = {"weighting": ("count", "tfidf"), "analyzer": ("word", "char")}
     rows = []
     for flag, readers in _FLAG_READERS.items():
         uses: dict[str, list[str]] = {}
@@ -626,7 +624,7 @@ def _model_options() -> tuple:
             use = "required" if default is None else f"default {default}"
             uses.setdefault(use, []).append(model)
         kind = next(iter(readers.values()))[0]
-        rows.append(_Option(flag, choices.get(flag, kind), None, "; ".join(
+        rows.append(_Option(flag, kind, None, "; ".join(
             f"{', '.join(models)}: {use}" for use, models in uses.items())))
     return tuple(rows)
 

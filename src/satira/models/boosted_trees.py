@@ -106,8 +106,8 @@ class BoostedTreesModel:
     trees: tuple[RegressionTree, ...]
     base_score: float
     config: BoostConfig
+    n_features: int
     train_loss: tuple[float, ...] = field(default=())
-    n_features: int | None = None  # None when hand-assembled for testing
 
     @property
     def learning_rate(self) -> float:
@@ -280,9 +280,7 @@ def gbt_fit(X, y, config: BoostConfig = BoostConfig()) -> BoostedTreesModel:
         tree_sum += tree.predict(X)
         margins = base_score + config.learning_rate * tree_sum
         losses.append(logistic_loss(margins, y))
-    return BoostedTreesModel(
-        tuple(trees), base_score, config, tuple(losses), n_features=X.shape[1]
-    )
+    return BoostedTreesModel(tuple(trees), base_score, config, X.shape[1], tuple(losses))
 
 
 def gbt_margins(model: BoostedTreesModel, X: np.ndarray) -> np.ndarray:
@@ -298,7 +296,7 @@ def gbt_predict(model: BoostedTreesModel, X) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DataError("X must be a 2-D feature matrix")
-    if model.n_features is not None and X.shape[1] != model.n_features:
+    if X.shape[1] != model.n_features:
         raise DataError(
             f"matrix has {X.shape[1]} features, model expects {model.n_features}"
         )
@@ -328,7 +326,7 @@ def gbt_to_text(model: BoostedTreesModel) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _node_from_fields(r: BodyReader, node_id: int, n_nodes: int, n_features) -> TreeNode:
+def _node_from_fields(r: BodyReader, node_id: int, n_nodes: int, n_features: int) -> TreeNode:
     parts = r.fields(f"node {node_id}")
     if parts[0] != str(node_id):
         raise r.error(f"expected node {node_id}, got {parts[0]!r}")
@@ -339,7 +337,7 @@ def _node_from_fields(r: BodyReader, node_id: int, n_nodes: int, n_features) -> 
         raise r.error("expected 'leaf <weight>' or 'split <feature> <threshold> <left> <right>'")
     feature, left, right = r.parse(int, parts[2], parts[4], parts[5])
     (threshold,) = r.parse(float, parts[3])
-    if feature < 0 or (n_features is not None and feature >= n_features):
+    if not 0 <= feature < n_features:
         raise r.error(f"feature {feature} is out of range")
     # children follow their parent, which also rules out cycles
     if not (node_id < left < n_nodes and node_id < right < n_nodes):
@@ -355,7 +353,7 @@ def gbt_from_text(text: str) -> BoostedTreesModel:
         max_depth=r.meta_value("max_depth", int),
         reg_lambda=r.meta_value("reg_lambda", float),
     )
-    n_features = None if r.meta.get("n_features") == "None" else r.meta_value("n_features", int)
+    n_features = r.meta_value("n_features", int)
     trees: list[RegressionTree] = []
     for i in range(config.n_rounds):
         header = r.fields(f"tree {i} header", sep=" ")
@@ -367,9 +365,7 @@ def gbt_from_text(text: str) -> BoostedTreesModel:
         nodes = [_node_from_fields(r, k, n_nodes, n_features) for k in range(n_nodes)]
         trees.append(RegressionTree(tuple(nodes)))
     r.end()
-    return BoostedTreesModel(
-        tuple(trees), r.meta_value("base_score", float), config, n_features=n_features
-    )
+    return BoostedTreesModel(tuple(trees), r.meta_value("base_score", float), config, n_features)
 
 
 def save_gbt(model: BoostedTreesModel, path) -> None:

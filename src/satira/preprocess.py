@@ -64,11 +64,6 @@ def normalize(text: str, cfg: NormalizationConfig = NormalizationConfig()) -> st
     return _WHITESPACE_RE.sub(" ", text).strip()
 
 
-def tokenize(text: str) -> list[str]:
-    """Whitespace tokenization of already-normalized text."""
-    return text.split()
-
-
 @dataclass(frozen=True)
 class NgramFrequency:
     """Counts of space-joined n-token windows over a corpus, ranked when built."""

@@ -6,7 +6,8 @@ Three measures per document:
   by the document's token count;
 * sentiment intensity: the same ratio over an emotion lexicon;
 * first-person-plural verb ratio: share of VERB-tagged tokens carrying the
-  Arabic first-person-plural inflection.
+  Arabic first-person-plural inflection. ``parse_tagged_file`` reduces each
+  document of a POS-tagged file to this ratio as it reads the file.
 
 Lexicon matching is one left-to-right scan with the longest matching
 phrase consumed at each position (the same rule as stop-phrase removal):
@@ -18,7 +19,7 @@ which keeps every score inside [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import dropwhile
+from itertools import chain, dropwhile
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._matching import PhraseIndex, occurrences, phrase_index
@@ -44,16 +45,6 @@ class Lexicon:
     @classmethod
     def from_file(cls, path, name: Optional[str] = None) -> "Lexicon":
         return parse_phrase_file(path, lambda p: cls(name=name or str(path), phrases=frozenset(p)))
-
-
-@dataclass(frozen=True)
-class PosToken:
-    surface: str
-    pos: str
-
-    def __post_init__(self):
-        if not self.surface:
-            raise ValueError("PosToken surface must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -84,38 +75,20 @@ def lexicon_score(doc: Document, lexicon: Lexicon) -> float:
     return sum(1 for _ in occurrences(doc.tokens, lexicon.index)) / doc.size
 
 
-def fpp_verb_ratio(tagged: Sequence[PosToken]) -> Optional[float]:
-    """Share of VERB tokens inflected for first person plural.
-
-    A verb counts when its surface starts with the prefix ن or ends with
-    the suffix نا, applied to the surface form as tagged (no morphological
-    disambiguation). Returns None when there are no VERB tokens.
-    """
-    verbs = [t for t in tagged if t.pos == "VERB"]
-    if not verbs:
-        return None
-    hits = sum(
-        1
-        for t in verbs
-        if t.surface.startswith(FPP_PREFIX) or t.surface.endswith(FPP_SUFFIX)
-    )
-    return hits / len(verbs)
-
-
 def corpus_profile(
     corpus: LabeledCorpus,
     cliches: Lexicon,
     emotions: Lexicon,
-    tagged: Optional[Sequence[Sequence[PosToken]]] = None,
+    fpp_ratios: Optional[Sequence[Optional[float]]] = None,
 ) -> dict[Label, list[MeasureVector]]:
     """One MeasureVector per document, grouped by gold label.
 
-    ``tagged`` is order-aligned with the corpus documents; when omitted the
-    verb ratio is absent from every vector.
+    ``fpp_ratios`` (from ``parse_tagged_file``) is order-aligned with the
+    corpus documents; when omitted the verb ratio is absent from every vector.
     """
-    if tagged is not None and len(tagged) != len(corpus.documents):
+    if fpp_ratios is not None and len(fpp_ratios) != len(corpus.documents):
         raise DataError(
-            f"tagged input has {len(tagged)} documents, corpus has "
+            f"tagged input has {len(fpp_ratios)} documents, corpus has "
             f"{len(corpus.documents)}"
         )
     profile: dict[Label, list[MeasureVector]] = {Label.FAKE: [], Label.REAL: []}
@@ -127,31 +100,43 @@ def corpus_profile(
             s = lexicon_score(doc, emotions)
         except ValueError as exc:
             raise DataError(f"document {doc.id!r}: {exc}") from exc
-        ratio = fpp_verb_ratio(tagged[i]) if tagged is not None else None
+        ratio = fpp_ratios[i] if fpp_ratios is not None else None
         profile[doc.label].append(MeasureVector(doc.id, j, s, ratio))
     return profile
 
 
-def parse_tagged_file(text: str) -> list[list[PosToken]]:
-    """CoNLL-like input: ``surface<TAB>pos`` per line, blank line between docs."""
-    docs: list[list[PosToken]] = []
-    current: list[PosToken] = []
-    for lineno, line in enumerate(text_lines(text), start=1):
+def parse_tagged_file(text: str) -> list[Optional[float]]:
+    """Each document's first-person-plural verb ratio, from CoNLL-like input:
+    ``surface<TAB>pos`` per line, blank lines between docs, ``#`` lines skipped.
+
+    A VERB counts when its surface starts with the prefix ن or ends with the
+    suffix نا, applied to the surface form as tagged (no morphological
+    disambiguation). Only the two counts are kept while a document is read;
+    its ratio is None when it has no VERB.
+    """
+    ratios: list[Optional[float]] = []
+    verbs = hits = 0
+    in_doc = False
+    # one more blank line ends the last document
+    for lineno, line in enumerate(chain(text_lines(text), [""]), start=1):
         stripped = line.strip()
         if stripped.startswith("#"):
             continue
         if not stripped:
-            if current:
-                docs.append(current)
-                current = []
+            if in_doc:
+                ratios.append(hits / verbs if verbs else None)
+                verbs = hits = 0
+                in_doc = False
             continue
         parts = stripped.split("\t")
         if len(parts) != 2:
             raise DataError(f"line {lineno}: expected surface<TAB>pos, got {line!r}")
-        current.append(PosToken(surface=parts[0], pos=parts[1]))
-    if current:
-        docs.append(current)
-    return docs
+        in_doc = True
+        surface, pos = parts
+        if pos == "VERB":
+            verbs += 1
+            hits += surface.startswith(FPP_PREFIX) or surface.endswith(FPP_SUFFIX)
+    return ratios
 
 
 MEASURES_HEADER = "doc_id,label,J,S,fpp_ratio"

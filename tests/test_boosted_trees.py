@@ -248,7 +248,7 @@ class TestReferenceSearch:
 
 class TestPredict:
     def test_zero_trees_is_base_probability(self):
-        model = BoostedTreesModel((), base_score=0.4, config=BoostConfig(n_rounds=1))
+        model = BoostedTreesModel((), base_score=0.4, config=BoostConfig(n_rounds=1), n_features=2)
         proba, _ = gbt_predict(model, np.zeros((5, 2)))
         assert np.allclose(proba, 1.0 / (1.0 + math.exp(-0.4)))
 
@@ -262,7 +262,7 @@ class TestPredict:
             )
         )
         cfg = BoostConfig(n_rounds=1, learning_rate=0.1)
-        model = BoostedTreesModel((stump,), base_score=0.0, config=cfg)
+        model = BoostedTreesModel((stump,), base_score=0.0, config=cfg, n_features=1)
         X = np.array([[0.0], [1.0]])
         proba, labels = gbt_predict(model, X)
         assert proba[0] == pytest.approx(1 / (1 + math.exp(0.1 * w)), abs=1e-12)
@@ -278,7 +278,7 @@ class TestPredict:
     def test_margins_additive_in_trees(self):
         X, y = separable_1d(12)
         model = gbt_fit(X, y, BoostConfig(n_rounds=3))
-        partial = BoostedTreesModel(model.trees[:2], model.base_score, model.config)
+        partial = BoostedTreesModel(model.trees[:2], model.base_score, model.config, 1)
         third = model.trees[2].predict(X)
         assert np.allclose(
             gbt_margins(model, X),
@@ -302,6 +302,14 @@ class TestSerialization:
     def test_version_mismatch(self):
         with pytest.raises(DataError, match="unsupported"):
             gbt_from_text("# not-a-model v0\n")
+
+    @pytest.mark.parametrize("value", ["None", "1.5", "x"])
+    def test_malformed_n_features_header(self, value):
+        X, y = separable_1d(16)
+        text = gbt_to_text(gbt_fit(X, y, BoostConfig(n_rounds=2)))
+        assert " n_features=1\n" in text
+        with pytest.raises(DataError, match=f"header n_features='{value}' is malformed"):
+            gbt_from_text(text.replace(" n_features=1\n", f" n_features={value}\n"))
 
     def test_every_truncation_rejected(self):
         X, y = separable_1d(16)

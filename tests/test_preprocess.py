@@ -16,7 +16,6 @@ from satira import (
     make_document,
     ngram_frequency,
     normalize,
-    tokenize,
     top_fraction,
 )
 from satira import vectorize
@@ -88,17 +87,6 @@ class TestNormalize:
     def test_idempotent(self, text, cfg):
         once = normalize(text, cfg)
         assert normalize(once, cfg) == once
-
-
-class TestTokenize:
-    def test_basic(self):
-        assert tokenize("قال الناطق") == ["قال", "الناطق"]
-
-    def test_surrounding_whitespace(self):
-        assert tokenize("  خبر  ") == ["خبر"]
-
-    def test_empty(self):
-        assert tokenize("") == []
 
 
 def corpus_of(*token_lists):

@@ -9,9 +9,7 @@ from satira import (
     LabeledCorpus,
     Lexicon,
     MeasureVector,
-    PosToken,
     corpus_profile,
-    fpp_verb_ratio,
     lexicon_score,
     make_document,
 )
@@ -80,41 +78,57 @@ class TestLexiconScore:
         )
 
 
+def reference_ratio(tokens):
+    """The per-token rule parse_tagged_file reduces each document to: the
+    share of VERB surfaces starting with ن or ending with نا, None without a VERB."""
+    verbs = [surface for surface, pos in tokens if pos == "VERB"]
+    if not verbs:
+        return None
+    return sum(1 for v in verbs if v.startswith("ن") or v.endswith("نا")) / len(verbs)
+
+
+def tagged(*docs):
+    """CoNLL-like text of documents given as (surface, pos) pairs."""
+    return "\n".join("".join(f"{s}\t{p}\n" for s, p in doc) for doc in docs)
+
+
 class TestFppVerbRatio:
     def test_prefix_match(self):
-        tagged = [PosToken("نروي", "VERB"), PosToken("قال", "VERB")]
-        assert fpp_verb_ratio(tagged) == pytest.approx(0.5)
+        assert parse_tagged_file(tagged([("نروي", "VERB"), ("قال", "VERB")])) == [0.5]
 
     def test_no_verbs_undefined(self):
-        assert fpp_verb_ratio([PosToken("ناطق", "NOUN")]) is None
+        assert parse_tagged_file(tagged([("ناطق", "NOUN")])) == [None]
 
     def test_known_fpp_verbs(self):
-        tagged = [PosToken("شارفنا", "VERB"), PosToken("نأسف", "VERB")]
-        assert fpp_verb_ratio(tagged) == pytest.approx(1.0)
+        assert parse_tagged_file(tagged([("شارفنا", "VERB"), ("نأسف", "VERB")])) == [1.0]
 
     def test_suffix_match(self):
-        assert fpp_verb_ratio([PosToken("قلنا", "VERB")]) == pytest.approx(1.0)
+        assert parse_tagged_file(tagged([("قلنا", "VERB")])) == [1.0]
 
     def test_empty_input_undefined(self):
-        assert fpp_verb_ratio([]) is None
+        assert parse_tagged_file("\n# no documents\n\n") == []
 
-    @given(
-        verbs=st.lists(
-            st.sampled_from(["نروي", "قال", "شارفنا", "كتب"]), min_size=1, max_size=8
-        ),
-        fillers=st.lists(
-            st.sampled_from(["ناطق", "نهر", "بيت"]), max_size=8
-        ),
-        seed=st.integers(0, 1000),
+    token = st.tuples(
+        st.sampled_from(["نروي", "قال", "شارفنا", "كتب", "ناطق", "نهر", "بيت", "قلنا"]),
+        st.sampled_from(["VERB", "NOUN", "نعت", "ن"]),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_depends_only_on_verbs(self, verbs, fillers, seed):
-        tagged_verbs = [PosToken(v, "VERB") for v in verbs]
-        rng = np.random.default_rng(seed)
-        mixed = list(tagged_verbs)
-        for f in fillers:
-            mixed.insert(int(rng.integers(0, len(mixed) + 1)), PosToken(f, "NOUN"))
-        assert fpp_verb_ratio(mixed) == fpp_verb_ratio(tagged_verbs)
+    # a document: token lines with `#` lines among them, at least one token line
+    document = st.lists(st.one_of(token, st.just("# note")), min_size=1, max_size=10).filter(
+        lambda lines: any(isinstance(line, tuple) for line in lines))
+
+    @given(docs=st.lists(document, max_size=6),
+           gaps=st.lists(st.sampled_from(["\n", "\n\n", "\n \n", "\n# between\n\n"]),
+                         min_size=7, max_size=7),
+           lead=st.sampled_from(["", "\n", "# header\n", "\n\n# header\n\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_depends_only_on_verbs(self, docs, gaps, lead):
+        text = lead + "".join(
+            "".join(line + "\n" if isinstance(line, str) else f"{line[0]}\t{line[1]}\n"
+                    for line in doc) + gap
+            for doc, gap in zip(docs, gaps))
+        expected = [reference_ratio([line for line in doc if isinstance(line, tuple)])
+                    for doc in docs]
+        assert parse_tagged_file(text) == expected
 
 
 class TestCorpusProfile:
@@ -158,7 +172,7 @@ class TestCorpusProfile:
     def test_tagged_length_mismatch(self):
         with pytest.raises(DataError, match="tagged"):
             corpus_profile(
-                self.two_doc_corpus(), lex("قال"), lex("رائع"), tagged=[[]]
+                self.two_doc_corpus(), lex("قال"), lex("رائع"), fpp_ratios=[None]
             )
 
     def test_empty_document_error_names_doc(self):
@@ -170,18 +184,18 @@ class TestCorpusProfile:
 class TestTaggedFile:
     def test_parse(self):
         text = "نروي\tVERB\nخبر\tNOUN\n\nقال\tVERB\n"
-        docs = parse_tagged_file(text)
-        assert len(docs) == 2
-        assert docs[0][0] == PosToken("نروي", "VERB")
-        assert docs[1] == [PosToken("قال", "VERB")]
+        assert parse_tagged_file(text) == [1.0, 0.0]
 
     def test_line_separator_characters_stay_in_their_line(self):
-        docs = parse_tagged_file("a\x85b\tNOUN\nc\u2028d\tVERB\n")
-        assert docs == [[PosToken("a\x85b", "NOUN"), PosToken("c\u2028d", "VERB")]]
+        assert parse_tagged_file("a\x85b\tNOUN\nc\u2028d\tVERB\n") == [0.0]
 
     def test_malformed_line(self):
         with pytest.raises(DataError, match="line 1"):
             parse_tagged_file("no-tab-here\n")
+
+    def test_malformed_line_counts_skipped_lines(self):
+        with pytest.raises(DataError, match="line 4: expected surface<TAB>pos"):
+            parse_tagged_file("# c\nقال\tVERB\n\na\tb\tc\n")
 
 
 class TestProfileCsv:
@@ -192,8 +206,8 @@ class TestProfileCsv:
                 make_document("r1", "خبر اخر", Label.REAL),
             )
         )
-        tagged = [[PosToken("نروي", "VERB")], [PosToken("بيت", "NOUN")]]
-        profile = corpus_profile(corpus, lex("قال"), lex("رائع"), tagged)
+        ratios = parse_tagged_file(tagged([("نروي", "VERB")], [("بيت", "NOUN")]))
+        profile = corpus_profile(corpus, lex("قال"), lex("رائع"), ratios)
         csv_text = profile_to_csv(profile)
         lines = csv_text.splitlines()
         assert lines[0] == "doc_id,label,J,S,fpp_ratio"
