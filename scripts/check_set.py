@@ -8,10 +8,12 @@ every `satira` subcommand on it from inside OUT with relative paths, so
 the metadata headers do not depend on where OUT is: NB on word counts, NB
 on word 1-3 counts, NB on char 2-4 TF-IDF, GBT on counts (5 rounds) and
 on TF-IDF (100 rounds), the CNN, `evaluate` and `predict` of each,
-`features`, `clean`, `boilerplate` (on the cleaned and on the raw corpus),
-and `measure` with `ttest` and `plot-data` on its CSV, once without and
-once with `--tagged`. The POS-tagged file is the fixed `data/tags.conll`
-this script writes itself (see `tagged_text`), so runs against two
+`features`, `clean`, `boilerplate` (on the cleaned and on the raw corpus,
+and on a fixed corpus of tokens that are prefixes of one another), and
+`measure` with `ttest` and `plot-data` on its CSV, once without and once
+with `--tagged`. The POS-tagged file `data/tags.conll` and the prefix
+corpus `data/prefixes.jsonl` are fixed files this script writes itself
+(see `tagged_text` and `prefix_corpus_text`), so runs against two
 checkouts read the same bytes.
 It prints one `sha256  body-sha256  relative/path` line per file under OUT,
 sorted by path. The second digest is taken with the CLI's metadata lines
@@ -26,6 +28,7 @@ against each and diffing the two listings.
 
 import argparse
 import hashlib
+import json
 import os
 import re
 import shutil
@@ -37,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CORPUS = "data/corpus.jsonl"
 TAGS = "data/tags.conll"
+PREFIXES = "data/prefixes.jsonl"
 # run directory -> train flags besides --corpus and --out
 RUNS = {
     "nb": ("--model", "nb"),
@@ -74,6 +78,23 @@ def tagged_text() -> str:
     return "".join(blocks)
 
 
+# tokens that are prefixes of one another, the longer ones continuing with a
+# character below the space: "a\x01 c" sorts before "a b" though ("a\x01", "c")
+# sorts after ("a", "b"), so the n-gram ranking must compare the joined strings
+PREFIX_TOKENS = ("a", "a\x00", "a\x01", "b", "b\x01", "c")
+
+
+def prefix_corpus_text() -> str:
+    """A fixed 24-document JSONL corpus over `PREFIX_TOKENS`, in which many
+    n-grams tie in count, so their order comes from the codepoint tie-break."""
+    lines = []
+    for i in range(24):
+        tokens = [PREFIX_TOKENS[(i * (j + 1) + j * j) % len(PREFIX_TOKENS)] for j in range(6)]
+        record = {"id": f"p{i:02d}", "text": " ".join(tokens), "label": ("fake", "real")[i % 2]}
+        lines.append(json.dumps(record) + "\n")
+    return "".join(lines)
+
+
 def body_digest(data: bytes) -> str:
     """sha256 of ``data`` without the CLI metadata lines of its leading comment block."""
     lines = data.split(b"\n")
@@ -100,6 +121,7 @@ def commands(checkout: Path):
     # the raw corpus too: cleaning strips its Latin letters, leaving only digit tokens to rank
     yield (*satira, "boilerplate", "--corpus", CORPUS, "--fraction", "0.5", "--out",
            "o/boiler_raw")
+    yield (*satira, "boilerplate", "--corpus", PREFIXES, "--out", "o/boiler_prefixes")
     measure = (*satira, "measure", "--corpus", "o/clean/cleaned.jsonl",
                "--cliches", "lexicons/cliches.txt", "--emotions", "lexicons/emotions.txt")
     for suffix, tagged in (("", ()), ("_tagged", ("--tagged", TAGS))):
@@ -121,6 +143,7 @@ def main() -> int:
     shutil.copytree(checkout / "lexicons", args.out / "lexicons")
     (args.out / TAGS).parent.mkdir()
     (args.out / TAGS).write_text(tagged_text(), encoding="utf-8")
+    (args.out / PREFIXES).write_text(prefix_corpus_text(), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     for argv in commands(checkout):
         subprocess.run((sys.executable, *argv), cwd=args.out, env=env, check=True,

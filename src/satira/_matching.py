@@ -3,7 +3,7 @@ lexicon measures: left-to-right, longest phrase first, non-overlapping."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 PhraseIndex = dict[str, list[tuple[str, ...]]]
 
@@ -22,15 +22,16 @@ def phrase_index(phrases: Iterable[str], what: str = "phrase") -> PhraseIndex:
     return index
 
 
-def occurrences(tokens: Sequence[str], index: PhraseIndex) -> Iterator[tuple[int, int]]:
-    """(start, length) of each occurrence, found as the module docstring says."""
-    i = 0
-    while i < len(tokens):
-        for phrase in index.get(tokens[i], ()):
+def occurrences(tokens: tuple[str, ...], index: PhraseIndex) -> Iterator[tuple[int, int]]:
+    """(start, length) of each occurrence, found as the module docstring says.
+    Only positions whose token starts some phrase are visited."""
+    end = 0
+    for i in [i for i, token in enumerate(tokens) if token in index]:
+        if i < end:  # inside the previous occurrence
+            continue
+        for phrase in index[tokens[i]]:
             k = len(phrase)
-            if tuple(tokens[i : i + k]) == phrase:
+            if tokens[i : i + k] == phrase:
                 yield i, k
-                i += k
+                end = i + k
                 break
-        else:
-            i += 1

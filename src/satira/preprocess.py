@@ -7,18 +7,32 @@ stop-phrase list, which ``apply_stop_phrases`` then removes from every
 document. Candidates are never deleted automatically.
 
 ``ngram_frequency`` counts with the vectorizer's integer-id n-gram counter
-and builds each distinct n-gram's string once. An ``NgramFrequency`` ranks
-its counts when built (count descending, ties in codepoint order), so
+and ranks the n-grams as ids, by count descending, ties in codepoint order
+of the space-joined key, in one ``np.lexsort``. Its keys after the count are
+one rank per token position: the rank of the token followed by a space at
+every position but the last, where it is the bare token's rank. Tokens hold
+no whitespace, so the first token where two keys differ decides their order,
+compared with the space that follows it unless it is the last token; that is
+the codepoint order of the joined strings, also where a token is a prefix of
+another whose next character sorts below the space (``"a\x01 c" < "a b"``).
+Each n-gram's string is then built once, in ranked order.
+
+An ``NgramFrequency`` keeps its counts in that (-count, key) ranking: it
+ranks a hand-built dictionary when built, and checks in one pass that an
+already ranked one, such as ``ngram_frequency``'s, needs no sort. So
 ``top_fraction`` and ``ngram_frequency_to_tsv`` slice and join that ranking.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
 from typing import Iterable
+
+import numpy as np
 
 from ._matching import PhraseIndex, occurrences, phrase_index
 from .corpus_io import Document, LabeledCorpus
@@ -76,13 +90,31 @@ class NgramFrequency:
             raise ValueError(f"every key must be a {self.n}-gram")
         if min(self.counts.values(), default=1) < 1:
             raise ValueError("every count must be at least 1")
-        # by key, then stably by count descending: the (-count, key) order
-        ranked = sorted(sorted(self.counts), key=self.counts.__getitem__, reverse=True)
-        object.__setattr__(self, "counts", {key: self.counts[key] for key in ranked})
+        if not _ranked(self.counts):
+            # by key, then stably by count descending: the (-count, key) order
+            ranked = sorted(sorted(self.counts), key=self.counts.__getitem__, reverse=True)
+            object.__setattr__(self, "counts", {key: self.counts[key] for key in ranked})
+
+
+def _ranked(counts: dict[str, int]) -> bool:
+    """Whether every key comes before the next in (-count, key) order."""
+    keys, values = list(counts), np.array(list(counts.values()))
+    key_below = np.fromiter(map(operator.lt, keys, keys[1:]), dtype=bool, count=len(keys[1:]))
+    above, tied = values[:-1] > values[1:], values[:-1] == values[1:]
+    return bool(np.all(above | (tied & key_below)))
+
+
+def _codepoint_ranks(strings: list[str]) -> np.ndarray:
+    """The rank of each string in codepoint order (the strings are distinct).
+    Python's sort, because numpy's fixed-width strings drop trailing NULs."""
+    ranks = np.empty(len(strings), dtype=np.int64)
+    ranks[sorted(range(len(strings)), key=strings.__getitem__)] = np.arange(len(strings))
+    return ranks
 
 
 def ngram_frequency(corpus: LabeledCorpus | Iterable[Document], n: int) -> NgramFrequency:
-    """Frequency dictionary of contiguous n-token windows.
+    """Frequency dictionary of contiguous n-token windows, ranked as the
+    module docstring says.
 
     Windows never cross document boundaries.
     """
@@ -92,7 +124,13 @@ def ngram_frequency(corpus: LabeledCorpus | Iterable[Document], n: int) -> Ngram
     for level in range(2, n + 1):
         win.advance(level)
     where, totals, _ = win.count()
-    return NgramFrequency(n, dict(zip(win.names(where, n), totals.tolist())))
+    tokens = win.table.tolist()
+    spaced, bare = _codepoint_ranks([t + " " for t in tokens]), _codepoint_ranks(tokens)
+    # lexsort's last key is its first: the count, then positions 0 .. n - 1
+    keys = [bare[win.units[where + n - 1]]]
+    keys += [spaced[win.units[where + k]] for k in reversed(range(n - 1))]
+    order = np.lexsort((*keys, -totals))
+    return NgramFrequency(n, dict(zip(win.names(where[order], n), totals[order].tolist())))
 
 
 def top_fraction(freq: NgramFrequency, fraction: float) -> list[tuple[str, int]]:

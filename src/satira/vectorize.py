@@ -22,9 +22,12 @@ counting run over blocks of whole documents of about ``BLOCK`` units, so
 the state that grows with the corpus is the unit and id arrays, 8 bytes
 per unit.
 
-``fit`` counts totals and document frequencies per id and decodes back
-to strings only the n-grams it keeps and those tied with them at the
-``max_features`` cut, so the codepoint tie-break stays exact.
+The distinct units are kept in a table by id, so an n-gram's string is
+built from its position: its n units looked up in that table, joined by
+single spaces for WORD and by nothing for CHAR. ``fit`` counts totals and
+document frequencies per id and decodes back to strings only the n-grams
+it keeps and those tied with them at the ``max_features`` cut, so the
+codepoint tie-break stays exact.
 ``transform`` appends the vocabulary's features to the documents as
 extra sequences, so both share one id space, then maps ids to columns.
 """
@@ -143,17 +146,18 @@ def _unit_sequences(docs: Sequence[Document], analyzer: Analyzer) -> list:
     return [doc.text if analyzer is Analyzer.CHAR else doc.tokens for doc in docs]
 
 
-def _unit_ids(seqs: Sequence[Sequence[str]], analyzer: Analyzer) -> tuple[np.ndarray, int]:
-    """Dense int32 ids of the units of the concatenated sequences, and how many distinct units."""
+def _unit_ids(seqs: Sequence[Sequence[str]], analyzer: Analyzer) -> tuple[np.ndarray, list[str]]:
+    """Dense int32 ids of the units of the concatenated sequences, and the distinct units by id."""
     if analyzer is Analyzer.CHAR:
         # a character's id is the rank of its codepoint among those present
         points = np.frombuffer("".join(seqs).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
         present = np.zeros(int(points.max(initial=0)) + 1, dtype=bool)
         present[points] = True
-        return (np.cumsum(present, dtype=np.int32) - 1)[points], int(np.count_nonzero(present))
+        table = list(map(chr, np.flatnonzero(present).tolist()))
+        return (np.cumsum(present, dtype=np.int32) - 1)[points], table
     index = {unit: i for i, unit in enumerate(dict.fromkeys(chain.from_iterable(seqs)))}
     ids = map(index.__getitem__, chain.from_iterable(seqs))
-    return np.fromiter(ids, dtype=np.int32, count=sum(map(len, seqs))), len(index)
+    return np.fromiter(ids, dtype=np.int32, count=sum(map(len, seqs))), list(index)
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -181,8 +185,10 @@ class _Windows:
     """
 
     def __init__(self, seqs: Sequence[Sequence[str]], analyzer: Analyzer):
-        self.seqs, self.analyzer = seqs, analyzer
-        self.units, self.n_units = _unit_ids(seqs, analyzer)
+        self.analyzer = analyzer
+        self.units, table = _unit_ids(seqs, analyzer)
+        self.n_units = len(table)
+        self.table = np.array(table, dtype=object)  # the distinct units by id
         self.ids = self.units.copy()
         self.n_ids = self.n_units
         self.lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
@@ -258,13 +264,17 @@ class _Windows:
         return where, totals, dfs
 
     def names(self, where: np.ndarray, length) -> list[str]:
-        """The window of ``length`` units at each position in ``where``: its
-        characters for CHAR, its tokens joined by single spaces for WORD."""
-        seq_of = self.sequence_of(where)
-        offset = where - self.starts[seq_of]
-        spans = zip(seq_of.tolist(), offset.tolist(), (offset + length).tolist())
-        windows = (self.seqs[s][a:b] for s, a, b in spans)
-        return list(windows) if self.analyzer is Analyzer.CHAR else list(map(" ".join, windows))
+        """The window of ``length`` units (one length for all, or one per position)
+        at each position in ``where``: its units from the table, joined by single
+        spaces for WORD and by nothing for CHAR."""
+        sep = "" if self.analyzer is Analyzer.CHAR else " "
+        lengths = np.broadcast_to(length, np.shape(where))
+        names = np.empty(len(where), dtype=object)
+        for n in np.unique(lengths).tolist():
+            at = np.flatnonzero(lengths == n)
+            units = (self.table[self.units[where[at] + k]].tolist() for k in range(n))
+            names[at] = list(map(sep.join, zip(*units)))
+        return names.tolist()
 
 
 def fit(docs: Sequence[Document], cfg: VectorizerConfig) -> Vocabulary:

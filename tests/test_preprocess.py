@@ -18,7 +18,7 @@ from satira import (
     normalize,
     top_fraction,
 )
-from satira import vectorize
+from satira import preprocess, vectorize
 from satira.preprocess import ngram_frequency_to_tsv
 
 
@@ -166,6 +166,40 @@ class TestMatchesCounterReference:
         assert list(ngram_frequency(corpus, 2).counts) == ["a\x01 c", "a b"]
 
 
+def lexsorted(corpus, n) -> list[tuple[str, int]]:
+    """ngram_frequency's ranking as its lexsort made it: NgramFrequency is
+    told that every input is ranked, so it sorts nothing again."""
+    with mock.patch.object(preprocess, "_ranked", lambda counts: True):
+        return list(ngram_frequency(corpus, n).counts.items())
+
+
+class TestLexsortRanking:
+    """The token-rank lexsort alone gives the (-count, key) order of the
+    space-joined keys."""
+
+    def test_prefix_token_below_space_at_a_middle_position(self):
+        # equal counts; at position 1 "a\x01" + " " sorts before "a" + " "
+        corpus = corpus_of(["x", "a", "b"], ["x", "a\x01", "c"])
+        assert lexsorted(corpus, 3) == [("x a\x01 c", 1), ("x a b", 1)]
+        assert list(ngram_frequency(corpus, 3).counts) == ["x a\x01 c", "x a b"]
+
+    def test_prefix_token_at_the_last_position(self):
+        # equal counts; at the last position the bare "a" sorts before "a\x01"
+        corpus = corpus_of(["x", "a"], ["x", "a\x01"])
+        assert lexsorted(corpus, 2) == [("x a", 1), ("x a\x01", 1)]
+        assert list(ngram_frequency(corpus, 2).counts) == ["x a", "x a\x01"]
+
+    @pytest.mark.parametrize("block", [vectorize.BLOCK, 3])
+    @given(token_lists=token_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_random_corpora(self, block, token_lists):
+        corpus = corpus_of(*token_lists)
+        with mock.patch.object(vectorize, "BLOCK", block):
+            for n in (1, 2, 3):
+                want = reference_top_fraction(reference_counts(corpus, n), 1.0)
+                assert lexsorted(corpus, n) == want
+
+
 class TestTopFraction:
     def test_ten_keys_tenth(self):
         counts = {f"k{i}": i + 1 for i in range(10)}
@@ -270,3 +304,26 @@ class TestNgramFrequencyInvariants:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError, match="count"):
             NgramFrequency(1, {"a": 0})
+
+    @given(token_lists=token_lists, rng=st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_ranked_counts_kept_and_shuffled_counts_reranked(self, token_lists, rng):
+        corpus = corpus_of(*token_lists)
+        for n in (1, 2, 3):
+            freq = ngram_frequency(corpus, n)
+            ranked = list(freq.counts.items())
+            assert list(NgramFrequency(n, freq.counts).counts.items()) == ranked
+            shuffled = list(ranked)
+            rng.shuffle(shuffled)
+            assert list(NgramFrequency(n, dict(shuffled)).counts.items()) == ranked
+
+    @pytest.mark.parametrize("counts, ranked", [
+        ({}, True),
+        ({"a": 1}, True),
+        ({"b": 2, "a": 1, "c": 1}, True),
+        ({"a": 1, "b": 2}, False),
+        ({"b": 1, "a": 1}, False),
+        ({"a": 1, "a\x01": 1, "b": 1}, True),
+    ])
+    def test_ranked_check(self, counts, ranked):
+        assert preprocess._ranked(counts) is ranked

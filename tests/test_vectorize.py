@@ -199,6 +199,43 @@ class TestMatchesStringReference:
             assert_matches_reference(docs[:30], docs[30:], cfg)
 
 
+def reference_names(seqs, win, where, length):
+    """The slicing ``_Windows.names`` that the unit table replaces: each window
+    sliced out of its sequence, tokens joined by single spaces for WORD."""
+    seq_of = win.sequence_of(where)
+    offset = where - win.starts[seq_of]
+    spans = zip(seq_of.tolist(), offset.tolist(), (offset + length).tolist())
+    windows = (seqs[s][a:b] for s, a, b in spans)
+    return list(windows) if win.analyzer is Analyzer.CHAR else list(map(" ".join, windows))
+
+
+class TestNamesMatchSlicing:
+    """``_Windows.names`` builds each window from the unit table; the slices of
+    the sequences are the oracle, with one length for all and mixed lengths."""
+
+    @given(
+        analyzer=st.sampled_from(list(Analyzer)),
+        doc_texts=st.lists(texts(TOKENS), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_windows(self, analyzer, doc_texts, data):
+        seqs = vectorize._unit_sequences(documents(doc_texts), analyzer)
+        win = vectorize._Windows(seqs, analyzer)
+        # (sequence, offset, length) of windows that fit in their sequence
+        spans = st.sampled_from(
+            [(s, a, n) for s, seq in enumerate(seqs)
+             for a in range(len(seq)) for n in range(1, len(seq) - a + 1)] or [None]
+        )
+        chosen = [span for span in data.draw(st.lists(spans, max_size=20)) if span]
+        where = np.array([win.starts[s] + a for s, a, _ in chosen], dtype=np.int64)
+        lengths = np.array([n for _, _, n in chosen], dtype=np.int64)
+        assert win.names(where, lengths) == reference_names(seqs, win, where, lengths)
+        for n in set(lengths.tolist()):
+            at = where[lengths == n]
+            assert win.names(at, n) == reference_names(seqs, win, at, n)
+
+
 def docs_of(*token_lists):
     return [make_document(f"d{i}", " ".join(t)) for i, t in enumerate(token_lists)]
 
