@@ -7,14 +7,15 @@ Writes a small synthetic corpus into the empty directory OUT, then runs
 every `satira` subcommand on it from inside OUT with relative paths, so
 the metadata headers do not depend on where OUT is: NB on word counts, NB
 on word 1-3 counts, NB on char 2-4 TF-IDF, GBT on counts (5 rounds) and
-on TF-IDF (100 rounds), the CNN, `evaluate` and `predict` of each,
-`features`, `clean`, `boilerplate` (on the cleaned and on the raw corpus,
-and on a fixed corpus of tokens that are prefixes of one another), and
-`measure` with `ttest` and `plot-data` on its CSV, once without and once
-with `--tagged`. The POS-tagged file `data/tags.conll` and the prefix
-corpus `data/prefixes.jsonl` are fixed files this script writes itself
-(see `tagged_text` and `prefix_corpus_text`), so runs against two
-checkouts read the same bytes.
+on TF-IDF (100 rounds), the CNN (with the default batch size and
+learning rate, and with batch size 7 and learning rate 0.01), `evaluate`
+and `predict` of each, `features`, `clean`, `boilerplate` (on the
+cleaned and on the raw corpus, and on a fixed corpus of tokens that are
+prefixes of one another), and `measure` with `ttest` and `plot-data` on
+its CSV, once without and once with `--tagged`. The POS-tagged file
+`data/tags.conll` and the prefix corpus `data/prefixes.jsonl` are fixed
+files this script writes itself (see `tagged_text` and
+`prefix_corpus_text`), so runs against two checkouts read the same bytes.
 It prints one `sha256  body-sha256  relative/path` line per file under OUT,
 sorted by path. The second digest is taken with the CLI's metadata lines
 (`# satira <version>`, `# config-hash`, `# input` and `# lexicon`) removed
@@ -51,6 +52,9 @@ RUNS = {
     "cnn": ("--model", "cnn", "--embeddings", "data/vectors.txt", "--embed-dim", "16",
             "--filters", "6", "--kernel", "3", "--max-seq-len", "20", "--epochs", "2"),
 }
+# the CNN again with another batch size (96 training documents: 13 batches of 7 and one
+# of 5) and a learning rate other than the default
+RUNS["cnn_b7"] = RUNS["cnn"] + ("--batch-size", "7", "--learning-rate", "0.01")
 
 # a metadata line the CLI writes (`# lexicon` lines come from older checkouts)
 METADATA = re.compile(rb"# (satira \S+|config-hash \S+|(input|lexicon) \S+ sha256:\S+)")

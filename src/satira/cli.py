@@ -49,7 +49,6 @@ from .evaluation import (
 )
 from .fileio import file_checksum, json_object, load_json, metadata_header, parse_file
 from .models import (
-    AdamConfig,
     BoostConfig,
     TrainConfig,
     build_token_index,
@@ -385,7 +384,7 @@ def _fit_cnn(cfg: dict, docs, y):
     model = init_convnet(matrix, n_filters=cfg["filters"], kernel_size=cfg["kernel"],
                          max_sequence_length=cfg["max_seq_len"], seed=cfg["seed"])
     train_cfg = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                            adam=AdamConfig(lr=cfg["adam_lr"]), seed=cfg["seed"])
+                            learning_rate=cfg["adam_lr"], seed=cfg["seed"])
     ids = encode_corpus(docs, index, cfg["max_seq_len"])
     model, history = cnn_train(model, ids, y, train_cfg)
     artifacts = {"model.txt": cnn_to_text(model), "token_index.txt": token_index_to_text(index)}
@@ -483,9 +482,8 @@ def cmd_train(args) -> int:
     _reject_other_models_flags(args, model_kind)
     corpus = load_corpus(_resolve(args, "corpus")).labeled_only()
     pipeline = PIPELINES[model_kind]
-    split_cfg = SplitConfig(
-        test_fraction=_resolve(args, "test-fraction"), seed=_resolve(args, "seed"), stratified=True
-    )
+    split_cfg = SplitConfig(test_fraction=_resolve(args, "test-fraction"),
+                            seed=_resolve(args, "seed"))
     train_set, _ = split(corpus, split_cfg)
     out = _out_dir(args)
 
@@ -495,7 +493,6 @@ def cmd_train(args) -> int:
         "model": model_kind,
         "seed": split_cfg.seed,
         "test_fraction": split_cfg.test_fraction,
-        "stratified": split_cfg.stratified,
         "version": __version__,
     }
     for key, flag, _, default in pipeline.options:
@@ -518,7 +515,7 @@ def cmd_train(args) -> int:
 
 
 # run.json keys that evaluate, features and predict read, with their kinds
-_RUN_KEYS = {"model": str, "seed": int, "test_fraction": float, "stratified": bool}
+_RUN_KEYS = {"model": str, "seed": int, "test_fraction": float}
 
 
 def _load_run(model_dir: Path) -> tuple[dict, SplitConfig]:
@@ -539,9 +536,7 @@ def _run_from_text(text: str) -> tuple[dict, SplitConfig]:
     if run["model"] not in PIPELINES:
         raise DataError(f"unknown model {run['model']!r}")
     try:
-        split_cfg = SplitConfig(
-            test_fraction=run["test_fraction"], seed=run["seed"], stratified=run["stratified"]
-        )
+        split_cfg = SplitConfig(test_fraction=run["test_fraction"], seed=run["seed"])
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     return run, split_cfg

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import dropwhile
@@ -67,7 +67,6 @@ def make_document(doc_id: str, text: str, label: Optional[Label] = None) -> Docu
 @dataclass(frozen=True)
 class LabeledCorpus:
     documents: tuple[Document, ...]
-    class_counts: dict[Label, int] = field(default_factory=dict)
 
     def __post_init__(self):
         ids = set()
@@ -75,11 +74,15 @@ class LabeledCorpus:
             if doc.id in ids:
                 raise DataError(f"duplicate document id {doc.id!r}")
             ids.add(doc.id)
+
+    @property
+    def class_counts(self) -> dict[Label, int]:
+        """Labeled documents per class; unlabeled ones are not counted."""
         counts = {Label.FAKE: 0, Label.REAL: 0}
         for doc in self.documents:
             if doc.label is not None:
                 counts[doc.label] += 1
-        object.__setattr__(self, "class_counts", counts)
+        return counts
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -96,11 +99,11 @@ class LabeledCorpus:
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Train/test split parameters. Defaults give a reproducible 80/20 split."""
+    """Train/test split parameters. Defaults give a reproducible 80/20 split;
+    every split is stratified by class."""
 
     test_fraction: float = 0.2
     seed: int = 42
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
@@ -188,9 +191,9 @@ def save_corpus(corpus: LabeledCorpus, path) -> None:
 def split(corpus: LabeledCorpus, cfg: SplitConfig) -> tuple[LabeledCorpus, LabeledCorpus]:
     """Deterministic train/test partition of a fully labeled corpus.
 
-    Stratified splits draw round(class_count * test_fraction) test documents
-    per class (half-up rounding). The same corpus, config and seed always
-    produce the same partition.
+    The split is stratified: round(class_count * test_fraction) test
+    documents per class (half-up rounding). The same corpus, config and
+    seed always produce the same partition.
     """
     for doc in corpus.documents:
         if doc.label is None:
@@ -198,19 +201,13 @@ def split(corpus: LabeledCorpus, cfg: SplitConfig) -> tuple[LabeledCorpus, Label
 
     rng = random.Random(cfg.seed)
     test_ids: set[str] = set()
-    if cfg.stratified:
-        for label in (Label.FAKE, Label.REAL):
-            members = [d.id for d in corpus.documents if d.label is label]
-            if 0 < len(members) < 2:
-                raise DataError(
-                    f"class {label.value!r} has {len(members)} document(s); "
-                    "stratified split needs at least 2 per class"
-                )
-            rng.shuffle(members)
-            n_test = _round_half_up(len(members) * cfg.test_fraction)
-            test_ids.update(members[:n_test])
-    else:
-        members = [d.id for d in corpus.documents]
+    for label in (Label.FAKE, Label.REAL):
+        members = [d.id for d in corpus.documents if d.label is label]
+        if 0 < len(members) < 2:
+            raise DataError(
+                f"class {label.value!r} has {len(members)} document(s); "
+                "stratified split needs at least 2 per class"
+            )
         rng.shuffle(members)
         n_test = _round_half_up(len(members) * cfg.test_fraction)
         test_ids.update(members[:n_test])

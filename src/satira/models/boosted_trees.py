@@ -31,6 +31,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..fileio import BodyReader, parse_file
+from ._labels import binary_labels
 
 GBT_FORMAT = "satira-gbt v1"
 
@@ -253,13 +254,9 @@ def gbt_fit(X, y, config: BoostConfig = BoostConfig()) -> BoostedTreesModel:
     recorded on the returned model.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise DataError("X must be a 2-D feature matrix")
-    if len(y) != len(X):
-        raise DataError(f"labels length {len(y)} != matrix rows {len(X)}")
-    if not set(np.unique(y)) <= {0.0, 1.0}:
-        raise DataError("labels must be binary 0/1 (1 = fake)")
+    y = binary_labels(y, len(X), "matrix rows")
     if not np.isfinite(X).all():
         raise DataError("features must be finite")
 

@@ -3,8 +3,11 @@
 Architecture: embedding lookup (row 0 = padding/OOV, all zero) -> valid
 1-D convolution -> ReLU -> per-filter global max pool -> single dense
 sigmoid unit. Trained with mini-batch Adam on binary cross-entropy; the
-embedding matrix is never updated. Everything runs in double precision so
-finite-difference gradient checks are meaningful.
+embedding matrix is never updated. During training the conv weights, conv
+bias, dense weights and dense bias are views into one float64 vector, which
+Adam updates in place; only the learning rate is set, the betas and eps are
+fixed at ``BETA1``, ``BETA2`` and ``EPS``. Everything runs in double
+precision so finite-difference gradient checks are meaningful.
 
 A model is saved as ``satira-cnn v2`` text: a ``<name> <shape>`` line per
 matrix, then one line per leading index holding the base64 of that row's
@@ -24,6 +27,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..fileio import BodyReader, base64_rows, parse_file
+from ._labels import binary_labels
 from .boosted_trees import logistic_loss, sigmoid
 
 CNN_FORMAT = "satira-cnn v2"
@@ -36,19 +40,15 @@ PREDICT_CHUNK = 64
 TRAINABLE = ("conv_weights", "conv_bias", "dense_weights", "dense_bias")
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+# Adam's decay rates and epsilon (Kingma & Ba 2015); only the learning rate is set
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
     batch_size: int = 10
-    adam: AdamConfig = AdamConfig()
+    learning_rate: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -232,23 +232,6 @@ def grad_check(model: ConvNetModel, token_ids, y, h: float = 1e-5) -> float:
     return worst
 
 
-def _adam_step(params, grads, state, cfg: AdamConfig):
-    state["t"] += 1
-    t = state["t"]
-    for name in TRAINABLE:
-        g = np.asarray(grads[name], dtype=np.float64)
-        state["m"][name] = cfg.beta1 * state["m"][name] + (1.0 - cfg.beta1) * g
-        state["v"][name] = cfg.beta2 * state["v"][name] + (1.0 - cfg.beta2) * g * g
-        m_hat = state["m"][name] / (1.0 - cfg.beta1**t)
-        v_hat = state["v"][name] / (1.0 - cfg.beta2**t)
-        update = cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        if np.shape(params[name]):
-            params[name] = params[name] - update
-        else:
-            params[name] = float(params[name] - update)
-    return params
-
-
 def cnn_train(
     model: ConvNetModel, ids, y, cfg: TrainConfig = TrainConfig()
 ) -> tuple[ConvNetModel, list[float]]:
@@ -259,30 +242,26 @@ def cnn_train(
     shuffle stream is seeded per call.
     """
     ids = _check_ids(model, ids)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if len(y) != len(ids):
-        raise DataError(f"labels length {len(y)} != sequences {len(ids)}")
-    uniq = {float(v) for v in np.unique(y)}
-    if not uniq <= {0.0, 1.0}:
-        raise DataError("labels must be binary 0/1 (1 = fake)")
-    if cfg.epochs > 0 and uniq != {0.0, 1.0}:
+    y = binary_labels(y, len(ids), "sequences")
+    if cfg.epochs > 0 and len(np.unique(y)) < 2:
         raise DataError("training needs at least one example of each class")
 
-    params = {
-        "conv_weights": model.conv_weights.copy(),
-        "conv_bias": model.conv_bias.copy(),
-        "dense_weights": model.dense_weights.copy(),
-        "dense_bias": float(model.dense_bias),
-    }
-    state = {
-        "t": 0,
-        "m": {k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in params.items()},
-        "v": {k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in params.items()},
-    }
-    current = replace(model, **params)
+    # one vector holds every trainable value; the model being trained views it
+    theta = np.concatenate([np.ravel(getattr(model, name)) for name in TRAINABLE],
+                           dtype=np.float64)
+    views, offset = {}, 0
+    for name in TRAINABLE:
+        shape = np.shape(getattr(model, name))
+        stop = offset + math.prod(shape)
+        views[name] = theta[offset:stop].reshape(shape)  # dense_bias: a 0-d view
+        offset = stop
+    current = replace(model, **views)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
     n = len(y)
+    t = 0  # Adam steps taken
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         total = 0.0
@@ -294,10 +273,17 @@ def cnn_train(
                     f"nan training loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
             total += loss * len(batch)
-            params = _adam_step(params, grads, state, cfg.adam)
-            current = replace(current, **params)
+            g = np.concatenate([np.ravel(grads[name]) for name in TRAINABLE])
+            # Adam (Kingma & Ba 2015, Algorithm 1), element by element
+            t += 1
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            theta -= (cfg.learning_rate * (m / (1.0 - BETA1**t))
+                      / (np.sqrt(v / (1.0 - BETA2**t)) + EPS))
         history.append(total / n)
-    return current, history
+    return replace(current, dense_bias=float(current.dense_bias)), history
 
 
 def cnn_predict(model: ConvNetModel, ids) -> tuple[np.ndarray, np.ndarray]:

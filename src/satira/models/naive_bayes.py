@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import DataError
 from ..fileio import BodyReader, float_rows, parse_file
 from ..vectorize import DocTermMatrix
+from ._labels import binary_labels
 
 NB_FORMAT = "satira-nb v1"
 
@@ -45,11 +46,7 @@ def nb_fit(X: DocTermMatrix, y, alpha: float = 1.0) -> NaiveBayesModel:
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    y = np.asarray(y, dtype=np.int64)
-    if len(y) != X.n_rows:
-        raise DataError(f"labels length {len(y)} != matrix rows {X.n_rows}")
-    if not set(np.unique(y)) <= {0, 1}:
-        raise DataError("labels must be binary 0/1 (1 = fake)")
+    y = binary_labels(y, X.n_rows, "matrix rows")
     if (X.values < 0).any():
         raise DataError("feature values must be non-negative")
 

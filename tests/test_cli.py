@@ -386,7 +386,7 @@ class TestTrainEvaluatePredict:
         lines = (out / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
         assert lines and all(l.startswith("#") for l in lines)
 
-    @pytest.mark.parametrize("key", ["model", "seed", "test_fraction", "stratified"])
+    @pytest.mark.parametrize("key", ["model", "seed", "test_fraction"])
     def test_run_json_missing_key_exits_2(self, corpus_file, tmp_path, capsys, key):
         path, err = evaluate_with_edited_run(
             corpus_file, tmp_path, capsys,
@@ -395,8 +395,7 @@ class TestTrainEvaluatePredict:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("model", 3), ("seed", "x"), ("seed", True), ("seed", 7.0), ("test_fraction", "0.2"),
-         ("stratified", 1)],
+        [("model", 3), ("seed", "x"), ("seed", True), ("seed", 7.0), ("test_fraction", "0.2")],
     )
     def test_run_json_wrong_type_exits_2(self, corpus_file, tmp_path, capsys, key, value):
         path, err = evaluate_with_edited_run(
@@ -418,6 +417,17 @@ class TestTrainEvaluatePredict:
         path.write_text(path.read_text(encoding="utf-8").replace(
             '  "seed"', '  "segmented": false,\n  "seed"'), encoding="utf-8")
         assert load_json(path)["segmented"] is False
+        assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
+                   "--out", tmp_path / "eval") == 0
+
+    def test_run_json_with_stratified_key_still_loads(self, corpus_file, tmp_path):
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, "nb", model_dir) == 0
+        path = model_dir / "run.json"
+        assert "stratified" not in load_json(path)
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            '  "seed"', '  "stratified": true,\n  "seed"'), encoding="utf-8")
+        assert load_json(path)["stratified"] is True
         assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
                    "--out", tmp_path / "eval") == 0
 

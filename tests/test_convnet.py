@@ -1,12 +1,12 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from satira import DataError
 from satira.models import (
-    AdamConfig,
     TrainConfig,
     cnn_forward,
     cnn_gradients,
@@ -18,7 +18,11 @@ from satira.models import (
     logistic_loss,
 )
 from satira.models.convnet import (
+    BETA1,
+    BETA2,
+    EPS,
     PREDICT_CHUNK,
+    TRAINABLE,
     _forward_batch,
     cnn_from_text,
     cnn_to_text,
@@ -291,7 +295,7 @@ class TestTraining:
         model = init_convnet(embedding, n_filters=8, kernel_size=3,
                              max_sequence_length=12, seed=51)
         ids, y = disjoint_token_ids(20, 12, vocab_half, rng)
-        cfg = TrainConfig(epochs=10, batch_size=10, adam=AdamConfig(lr=0.01), seed=52)
+        cfg = TrainConfig(epochs=10, batch_size=10, learning_rate=0.01, seed=52)
         trained, history = cnn_train(model, ids, y, cfg)
         _, labels = cnn_predict(trained, ids)
         assert np.array_equal(labels, y.astype(np.int64))
@@ -355,6 +359,73 @@ class TestTraining:
         ids = np.ones((3, model.max_sequence_length), dtype=np.int64)
         with pytest.raises(DataError, match="each class"):
             cnn_train(model, ids, np.array([1.0, 1.0, 1.0]), TrainConfig(epochs=1))
+
+
+def reference_adam_step(params, grads, state, lr):
+    """Adam over a dict of per-parameter arrays, the scalar dense bias a float."""
+    state["t"] += 1
+    t = state["t"]
+    for name in TRAINABLE:
+        g = np.asarray(grads[name], dtype=np.float64)
+        state["m"][name] = BETA1 * state["m"][name] + (1.0 - BETA1) * g
+        state["v"][name] = BETA2 * state["v"][name] + (1.0 - BETA2) * g * g
+        m_hat = state["m"][name] / (1.0 - BETA1**t)
+        v_hat = state["v"][name] / (1.0 - BETA2**t)
+        update = lr * m_hat / (np.sqrt(v_hat) + EPS)
+        if np.shape(params[name]):
+            params[name] = params[name] - update
+        else:
+            params[name] = float(params[name] - update)
+    return params
+
+
+def reference_train(model, ids, y, cfg):
+    """Oracle for cnn_train: one copy per parameter and a new model per batch."""
+    y = np.asarray(y, dtype=np.float64)
+    params = {name: np.asarray(getattr(model, name), dtype=np.float64).copy()
+              for name in TRAINABLE}
+    params["dense_bias"] = float(model.dense_bias)
+    state = {
+        "t": 0,
+        "m": {k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in params.items()},
+        "v": {k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in params.items()},
+    }
+    current = replace(model, **params)
+    rng = np.random.default_rng(cfg.seed)
+    history = []
+    n = len(y)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = perm[start : start + cfg.batch_size]
+            loss, grads = cnn_gradients(current, ids[batch], y[batch])
+            total += loss * len(batch)
+            params = reference_adam_step(params, grads, state, cfg.learning_rate)
+            current = replace(current, **params)
+        history.append(total / n)
+    return current, history
+
+
+class TestReferenceAdam:
+    @pytest.mark.parametrize("epochs", [0, 3])
+    @pytest.mark.parametrize("learning_rate", [1e-3, 0.01])
+    @pytest.mark.parametrize("batch_size", [5, 13])
+    def test_bitwise_equal_to_per_parameter_adam(self, epochs, learning_rate, batch_size):
+        model = replace(tiny_model(80, vocab=30, dim=6, filters=5, kernel=3, seq_len=9),
+                        dense_bias=-0.37)
+        rng = np.random.default_rng(81)
+        ids = rng.integers(0, model.vocab_size, size=(13, model.max_sequence_length))
+        y = np.array([i % 3 == 0 for i in range(13)], dtype=np.float64)
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size,
+                          learning_rate=learning_rate, seed=82)
+        expected, expected_history = reference_train(model, ids, y, cfg)
+        trained, history = cnn_train(model, ids, y, cfg)
+        assert [x.hex() for x in history] == [x.hex() for x in expected_history]
+        assert type(trained.dense_bias) is float
+        assert cnn_to_text(trained) == cnn_to_text(expected)
+        if epochs:
+            assert cnn_to_text(trained) != cnn_to_text(model)
 
 
 class TestSerialization:

@@ -50,6 +50,14 @@ class TestLoadJsonl:
         assert corpus.documents[1].label is None
         assert corpus.class_counts == {Label.FAKE: 1, Label.REAL: 0}
 
+    def test_class_counts_follow_the_documents(self):
+        corpus = balanced_corpus(3, 2)
+        assert corpus.class_counts == {Label.FAKE: 3, Label.REAL: 2}
+        with pytest.raises(TypeError):
+            LabeledCorpus(corpus.documents, {Label.FAKE: 0, Label.REAL: 0})
+        with pytest.raises(AttributeError):
+            corpus.class_counts = {}
+
     def test_malformed_record_names_line(self, tmp_path):
         path = write(tmp_path, "c.jsonl", '{"id":"a","text":"x"}\n{broken\n')
         with pytest.raises(DataError, match="line 2"):
@@ -161,12 +169,11 @@ class TestSplit:
         n_real=st.integers(2, 30),
         fraction=st.floats(0.05, 0.95),
         seed=st.integers(0, 2**32 - 1),
-        stratified=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_split_is_partition(self, n_fake, n_real, fraction, seed, stratified):
+    def test_split_is_partition(self, n_fake, n_real, fraction, seed):
         corpus = balanced_corpus(n_fake, n_real)
-        train, test = split(corpus, SplitConfig(fraction, seed, stratified))
+        train, test = split(corpus, SplitConfig(fraction, seed))
         train_ids = {d.id for d in train}
         test_ids = {d.id for d in test}
         assert train_ids & test_ids == set()
