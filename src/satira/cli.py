@@ -73,8 +73,9 @@ from .models.naive_bayes import nb_to_text
 from .preprocess import (
     NormalizationConfig,
     StopPhraseList,
+    _check_fraction,
+    _ngram_frequencies,
     clean_corpus,
-    ngram_frequency,
     ngram_frequency_to_tsv,
 )
 from .stats import (
@@ -225,14 +226,14 @@ def cmd_clean(args) -> int:
 
 
 def cmd_boilerplate(args) -> int:
-    corpus = load_corpus(_resolve(args, "corpus"))
     fraction = _resolve(args, "fraction")
+    _check_fraction(fraction)
+    corpus = load_corpus(_resolve(args, "corpus"))
     out = _out_dir(args)
     header = _header(args)
-    for n in (1, 2, 3):
-        freq = ngram_frequency(corpus, n)
-        _write(out / f"ngrams_{n}.tsv", header, ngram_frequency_to_tsv(freq))
-        _write(out / f"candidates_{n}.tsv", header, ngram_frequency_to_tsv(freq, fraction))
+    for freq in _ngram_frequencies(corpus, (1, 2, 3)):
+        _write(out / f"ngrams_{freq.n}.tsv", header, ngram_frequency_to_tsv(freq))
+        _write(out / f"candidates_{freq.n}.tsv", header, ngram_frequency_to_tsv(freq, fraction))
     return 0
 
 

@@ -15,12 +15,14 @@ no whitespace, so the first token where two keys differ decides their order,
 compared with the space that follows it unless it is the last token; that is
 the codepoint order of the joined strings, also where a token is a prefix of
 another whose next character sorts below the space (``"a\x01 c" < "a b"``).
-Each n-gram's string is then built once, in ranked order.
 
-An ``NgramFrequency`` keeps its counts in that (-count, key) ranking: it
-ranks a hand-built dictionary when built, and checks in one pass that an
-already ranked one, such as ``ngram_frequency``'s, needs no sort. So
-``top_fraction`` and ``ngram_frequency_to_tsv`` slice and join that ranking.
+An ``NgramFrequency``'s ``counts`` is a read-only mapping in that (-count,
+key) ranking whose keys are built only when read: its length builds none,
+iterating it builds the keys in ranked order a chunk at a time, and the
+first lookup by key builds one dict and keeps it. A hand-built dictionary is
+checked and ranked into the same mapping. So ``top_fraction`` builds only
+the keys it returns, and ``ngram_frequency_to_tsv`` writes the ranking chunk
+by chunk.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field, replace
-from itertools import islice, repeat
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -78,30 +79,69 @@ def normalize(text: str, cfg: NormalizationConfig = NormalizationConfig()) -> st
     return _WHITESPACE_RE.sub(" ", text).strip()
 
 
+_CHUNK = 1 << 16  # keys built at a time when a ranking is read
+
+
+class _RankedCounts(Mapping[str, int]):
+    """Read-only n-gram counts in (-count, key) order. The n-gram ranked i-th
+    is the window of n units at position ``where[i]`` of a ``_Windows``, with
+    count ``totals[i]``; its key is built from the unit table when read, so
+    the windows' ids may move on to a longer level meanwhile."""
+
+    def __init__(self, n: int, win: _Windows, where: np.ndarray, totals: np.ndarray):
+        # a key joins n units by single spaces, so it is an n-gram exactly
+        # when every unit is a non-empty run of non-whitespace
+        if not all(unit.split() == [unit] for unit in win.table.tolist()):
+            raise ValueError(f"every key must be a {n}-gram")
+        if len(totals) and totals.min() < 1:
+            raise ValueError("every count must be at least 1")
+        self.n, self._win, self._where, self._totals = n, win, where, totals
+        self._index: dict[str, int] | None = None
+
+    @classmethod
+    def ranked(cls, n: int, counts: Mapping[str, int]) -> _RankedCounts:
+        """Any mapping of n-grams to counts, checked and ranked."""
+        # by key, then stably by count descending: the (-count, key) order
+        keys = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
+        win = _Windows([key.split(" ") for key in keys], Analyzer.WORD)
+        if np.any(win.lens != n):
+            raise ValueError(f"every key must be a {n}-gram")
+        totals = np.array([operator.index(counts[key]) for key in keys], dtype=np.int64)
+        return cls(n, win, win.starts[:-1], totals)
+
+    def chunks(self, stop: int) -> Iterator[tuple[list[str], list[int]]]:
+        """The keys and counts of the first ``stop`` n-grams, a chunk at a time."""
+        for start in range(0, stop, _CHUNK):
+            end = min(start + _CHUNK, stop)
+            yield self._win.names(self._where[start:end], self.n), self._totals[start:end].tolist()
+
+    def __len__(self) -> int:
+        return len(self._totals)
+
+    def __iter__(self) -> Iterator[str]:
+        for keys, _ in self.chunks(len(self)):
+            yield from keys
+
+    def __getitem__(self, key: str) -> int:
+        if self._index is None:
+            self._index = dict(zip(self, self._totals.tolist()))
+        return self._index[key]
+
+
 @dataclass(frozen=True)
 class NgramFrequency:
-    """Counts of space-joined n-token windows over a corpus, ranked when built."""
+    """Counts of space-joined n-token windows over a corpus, ranked when built.
+
+    ``counts`` is a read-only mapping in (-count, key) order whose keys are
+    built when read. Any other mapping is checked and ranked into one.
+    """
 
     n: int
-    counts: dict[str, int]
+    counts: Mapping[str, int]
 
     def __post_init__(self):
-        if set(map(str.count, self.counts, repeat(" "))) - {self.n - 1}:
-            raise ValueError(f"every key must be a {self.n}-gram")
-        if min(self.counts.values(), default=1) < 1:
-            raise ValueError("every count must be at least 1")
-        if not _ranked(self.counts):
-            # by key, then stably by count descending: the (-count, key) order
-            ranked = sorted(sorted(self.counts), key=self.counts.__getitem__, reverse=True)
-            object.__setattr__(self, "counts", {key: self.counts[key] for key in ranked})
-
-
-def _ranked(counts: dict[str, int]) -> bool:
-    """Whether every key comes before the next in (-count, key) order."""
-    keys, values = list(counts), np.array(list(counts.values()))
-    key_below = np.fromiter(map(operator.lt, keys, keys[1:]), dtype=bool, count=len(keys[1:]))
-    above, tied = values[:-1] > values[1:], values[:-1] == values[1:]
-    return bool(np.all(above | (tied & key_below)))
+        if not (isinstance(self.counts, _RankedCounts) and self.counts.n == self.n):
+            object.__setattr__(self, "counts", _RankedCounts.ranked(self.n, self.counts))
 
 
 def _codepoint_ranks(strings: list[str]) -> np.ndarray:
@@ -118,19 +158,42 @@ def ngram_frequency(corpus: LabeledCorpus | Iterable[Document], n: int) -> Ngram
 
     Windows never cross document boundaries.
     """
-    if n not in (1, 2, 3):
-        raise ValueError(f"n must be 1, 2 or 3, got {n}")
+    return next(_ngram_frequencies(corpus, (n,)))
+
+
+def _ngram_frequencies(
+    corpus: LabeledCorpus | Iterable[Document], ns: Sequence[int]
+) -> Iterator[NgramFrequency]:
+    """``ngram_frequency`` for each n in ``ns``, by increasing n, from one
+    ``_Windows`` walked once."""
+    for n in ns:
+        if n not in (1, 2, 3):
+            raise ValueError(f"n must be 1, 2 or 3, got {n}")
     win = _Windows([doc.tokens for doc in corpus], Analyzer.WORD)
-    for level in range(2, n + 1):
-        win.advance(level)
-    where, totals, _ = win.count()
     tokens = win.table.tolist()
     spaced, bare = _codepoint_ranks([t + " " for t in tokens]), _codepoint_ranks(tokens)
-    # lexsort's last key is its first: the count, then positions 0 .. n - 1
-    keys = [bare[win.units[where + n - 1]]]
-    keys += [spaced[win.units[where + k]] for k in reversed(range(n - 1))]
-    order = np.lexsort((*keys, -totals))
-    return NgramFrequency(n, dict(zip(win.names(where[order], n), totals[order].tolist())))
+    for n in win.levels(max(ns)):
+        if n not in ns:
+            continue
+        where, totals, _ = win.count()
+        # lexsort's last key is its first: the count, then positions 0 .. n - 1
+        keys = [bare[win.units[where + n - 1]]]
+        keys += [spaced[win.units[where + k]] for k in reversed(range(n - 1))]
+        order = np.lexsort((*keys, -totals))
+        yield NgramFrequency(n, _RankedCounts(n, win, where[order], totals[order]))
+
+
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+
+
+def _top_chunks(freq: NgramFrequency, fraction: float) -> Iterator[tuple[list[str], list[int]]]:
+    """The keys and counts of ``top_fraction(freq, fraction)``, a chunk at a time."""
+    _check_fraction(fraction)
+    n_keys = len(freq.counts)
+    k = min(n_keys, max(1, int(math.floor(fraction * n_keys + 0.5))))
+    return freq.counts.chunks(k)
 
 
 def top_fraction(freq: NgramFrequency, fraction: float) -> list[tuple[str, int]]:
@@ -140,16 +203,13 @@ def top_fraction(freq: NgramFrequency, fraction: float) -> list[tuple[str, int]]
     one for a non-empty dictionary), sorted by count descending with ties
     broken by codepoint order of the n-gram.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    n_keys = len(freq.counts)
-    k = min(n_keys, max(1, int(math.floor(fraction * n_keys + 0.5))))
-    return list(islice(freq.counts.items(), k))
+    return [item for keys, counts in _top_chunks(freq, fraction) for item in zip(keys, counts)]
 
 
 def ngram_frequency_to_tsv(freq: NgramFrequency, fraction: float = 1.0) -> str:
     """``ngram<TAB>count`` lines of ``top_fraction(freq, fraction)``, by default all."""
-    return "".join(f"{ngram}\t{count}\n" for ngram, count in top_fraction(freq, fraction))
+    return "".join("".join(map("{}\t{}\n".format, keys, counts))
+                   for keys, counts in _top_chunks(freq, fraction))
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,14 @@ class TestBoilerplate:
         ngram, count = body[0].split("\t")
         assert int(count) >= 1
 
+    @pytest.mark.parametrize("fraction", ["0", "1.5", "nan", "-1"])
+    def test_bad_fraction_exits_2_before_writing(self, corpus_file, tmp_path, capsys, fraction):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("boilerplate", "--corpus", corpus_file, f"--fraction={fraction}", "--out", out) == 2
+        assert "fraction must be in (0, 1]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestMeasureTtestPlot:
     def make_measures(self, tmp_path, corpus_file):

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -167,10 +168,9 @@ class TestMatchesCounterReference:
 
 
 def lexsorted(corpus, n) -> list[tuple[str, int]]:
-    """ngram_frequency's ranking as its lexsort made it: NgramFrequency is
-    told that every input is ranked, so it sorts nothing again."""
-    with mock.patch.object(preprocess, "_ranked", lambda counts: True):
-        return list(ngram_frequency(corpus, n).counts.items())
+    """ngram_frequency's ranking as its lexsort made it: NgramFrequency keeps
+    that ranking and sorts nothing again."""
+    return list(ngram_frequency(corpus, n).counts.items())
 
 
 class TestLexsortRanking:
@@ -326,4 +326,93 @@ class TestNgramFrequencyInvariants:
         ({"a": 1, "a\x01": 1, "b": 1}, True),
     ])
     def test_ranked_check(self, counts, ranked):
-        assert preprocess._ranked(counts) is ranked
+        # ranking a hand-built dictionary keeps its order exactly when it is ranked
+        assert (list(NgramFrequency(1, counts).counts) == list(counts)) is ranked
+
+    @pytest.mark.parametrize("n, counts", [
+        (3, {"a  ": 1}),
+        (2, {" a": 1}),
+        (1, {"a\tb": 1}),
+        (1, {"": 1}),
+        (2, {"a\nb c": 2}),
+    ])
+    def test_key_that_is_not_an_n_gram_rejected(self, n, counts):
+        with pytest.raises(ValueError, match=f"every key must be a {n}-gram"):
+            NgramFrequency(n, counts)
+
+    def test_ranking_of_another_n_rejected(self):
+        unigrams = ngram_frequency(corpus_of(["a", "b", "a"]), 1).counts
+        with pytest.raises(ValueError, match="every key must be a 2-gram"):
+            NgramFrequency(2, unigrams)
+
+
+@contextmanager
+def keys_built():
+    """Records how many keys each call of ``_Windows.names`` builds."""
+    names, built = vectorize._Windows.names, []
+
+    def recording(win, where, length):
+        built.append(len(where))
+        return names(win, where, length)
+
+    with mock.patch.object(vectorize._Windows, "names", recording):
+        yield built
+
+
+class TestRankedCounts:
+    """ngram_frequency's counts are a read-only mapping whose keys are built
+    only when read."""
+
+    def test_mapping_contract(self):
+        corpus = corpus_of(["a", "b", "a"], ["b", "a", "c"])
+        for n in (1, 2, 3):
+            freq = ngram_frequency(corpus, n)
+            want = reference_counts(corpus, n)
+            assert NgramFrequency(n, freq.counts).counts is freq.counts
+            assert NgramFrequency(n, freq.counts) == freq
+            assert freq.counts == want and want == freq.counts
+            assert dict(freq.counts) == want
+            assert all(freq.counts[key] == count for key, count in want.items())
+            assert "z" not in freq.counts
+            with pytest.raises(KeyError):
+                freq.counts["z"]
+            with pytest.raises(TypeError):
+                freq.counts["a"] = 1
+
+    @given(token_lists=token_lists,
+           fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    @settings(max_examples=100, deadline=None)
+    def test_length_builds_no_key_and_top_fraction_only_its_own(self, token_lists, fraction):
+        corpus = corpus_of(*token_lists)
+        with keys_built() as built:
+            for n in (1, 2, 3):
+                freq = ngram_frequency(corpus, n)
+                assert len(freq.counts) == len(reference_counts(corpus, n))
+                assert built == []
+                top = top_fraction(freq, fraction)
+                assert sum(built) <= len(top)
+                built.clear()
+
+    @given(token_lists=token_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_keys_built_a_chunk_at_a_time(self, token_lists):
+        corpus = corpus_of(*token_lists)
+        with mock.patch.object(preprocess, "_CHUNK", 2), keys_built() as built:
+            for n in (1, 2, 3):
+                freq = ngram_frequency(corpus, n)
+                counts = reference_counts(corpus, n)
+                assert list(freq.counts.items()) == reference_top_fraction(counts, 1.0)
+                assert ngram_frequency_to_tsv(freq) == reference_tsv(counts)
+                assert max(built, default=0) <= 2
+
+    @given(token_lists=token_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_one_walk_yields_each_level_asked_for(self, token_lists):
+        # every level is read only after the walk has gone on to the longest
+        corpus = corpus_of(*token_lists)
+        for ns in [(1, 2, 3), (2,), (1, 3)]:
+            freqs = list(preprocess._ngram_frequencies(corpus, ns))
+            assert [freq.n for freq in freqs] == list(ns)
+            for freq in freqs:
+                want = reference_top_fraction(reference_counts(corpus, freq.n), 1.0)
+                assert list(freq.counts.items()) == want
