@@ -8,11 +8,14 @@ every `satira` subcommand on it from inside OUT with relative paths, so
 the metadata headers do not depend on where OUT is: NB on word counts, NB
 on word 1-3 counts, NB on char 2-4 TF-IDF, GBT on counts (5 rounds) and
 on TF-IDF (100 rounds), the CNN (with the default batch size and
-learning rate, and with batch size 7 and learning rate 0.01), `evaluate`
-and `predict` of each, `features`, `clean`, `boilerplate` (on the
-cleaned and on the raw corpus, and on a fixed corpus of tokens that are
-prefixes of one another), and `measure` with `ttest` and `plot-data` on
-its CSV, once without and once with `--tagged`. The POS-tagged file
+learning rate, and with batch size 7 and learning rate 0.01), NB on word
+1-3 and on char 1-3 counts of a fixed corpus of tokens that are prefixes
+of one another, with few enough `--max-features` that the kept
+vocabulary comes from the codepoint tie-break, `evaluate` and `predict`
+of each, `features`, `clean`, `boilerplate` (on the cleaned and on the
+raw corpus, and on the prefix corpus), and `measure` with `ttest` and
+`plot-data` on its CSV, once without and once with `--tagged`. The
+POS-tagged file
 `data/tags.conll` and the prefix corpus `data/prefixes.jsonl` are fixed
 files this script writes itself (see `tagged_text` and
 `prefix_corpus_text`), so runs against two checkouts read the same bytes.
@@ -42,15 +45,20 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = "data/corpus.jsonl"
 TAGS = "data/tags.conll"
 PREFIXES = "data/prefixes.jsonl"
-# run directory -> train flags besides --corpus and --out
+# run directory -> the corpus that train, evaluate and predict read, then the
+# train flags besides --corpus and --out
 RUNS = {
-    "nb": ("--model", "nb"),
-    "nbw": ("--model", "nb", "--ngram", "1,3"),
-    "nbc": ("--model", "nb", "--weighting", "tfidf", "--analyzer", "char", "--ngram", "2,4"),
-    "gbt": ("--model", "gbt", "--rounds", "5"),
-    "gbt_tfidf": ("--model", "gbt", "--weighting", "tfidf"),
-    "cnn": ("--model", "cnn", "--embeddings", "data/vectors.txt", "--embed-dim", "16",
+    "nb": (CORPUS, "--model", "nb"),
+    "nbw": (CORPUS, "--model", "nb", "--ngram", "1,3"),
+    "nbc": (CORPUS, "--model", "nb", "--weighting", "tfidf", "--analyzer", "char",
+            "--ngram", "2,4"),
+    "gbt": (CORPUS, "--model", "gbt", "--rounds", "5"),
+    "gbt_tfidf": (CORPUS, "--model", "gbt", "--weighting", "tfidf"),
+    "cnn": (CORPUS, "--model", "cnn", "--embeddings", "data/vectors.txt", "--embed-dim", "16",
             "--filters", "6", "--kernel", "3", "--max-seq-len", "20", "--epochs", "2"),
+    "nb_prefixes": (PREFIXES, "--model", "nb", "--ngram", "1,3", "--max-features", "15"),
+    "nbc_prefixes": (PREFIXES, "--model", "nb", "--analyzer", "char", "--ngram", "1,3",
+                     "--max-features", "10"),
 }
 # the CNN again with another batch size (96 training documents: 13 batches of 7 and one
 # of 5) and a learning rate other than the default
@@ -113,10 +121,10 @@ def commands(checkout: Path):
            "--n-per-class", "60", "--vocab-size", "40", "--doc-len", "30", "--dim", "16",
            "--seed", "5")
     satira = ("-m", "satira.cli")
-    for run, flags in RUNS.items():
-        yield (*satira, "train", "--corpus", CORPUS, *flags, "--out", f"o/{run}")
+    for run, (corpus, *flags) in RUNS.items():
+        yield (*satira, "train", "--corpus", corpus, *flags, "--out", f"o/{run}")
         for command, sub in (("evaluate", "eval"), ("predict", "pred")):
-            yield (*satira, command, "--model-dir", f"o/{run}", "--corpus", CORPUS,
+            yield (*satira, command, "--model-dir", f"o/{run}", "--corpus", corpus,
                    "--out", f"o/{run}/{sub}")
     yield (*satira, "features", "--model-dir", "o/nb", "--out", "o/feat")
     yield (*satira, "clean", "--corpus", CORPUS, "--stop-phrases", "lexicons/stop_phrases.txt",

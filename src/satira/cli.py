@@ -536,11 +536,7 @@ def _run_from_text(text: str) -> tuple[dict, SplitConfig]:
             raise DataError(f"key {key!r} must be {expected}, got {run[key]!r}")
     if run["model"] not in PIPELINES:
         raise DataError(f"unknown model {run['model']!r}")
-    try:
-        split_cfg = SplitConfig(test_fraction=run["test_fraction"], seed=run["seed"])
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    return run, split_cfg
+    return run, SplitConfig(test_fraction=run["test_fraction"], seed=run["seed"])
 
 
 def cmd_evaluate(args) -> int:

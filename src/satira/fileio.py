@@ -134,6 +134,13 @@ class BodyReader:
     def error(self, message: str) -> DataError:
         return DataError(f"line {self.lineno}: {message}")
 
+    def meta_count(self, key: str, least: int) -> int:
+        """Header ``key=value`` as an integer of at least ``least``."""
+        value = self.meta_value(key, int)
+        if value < least:
+            raise DataError(f"header {key}={value} must be >= {least}")
+        return value
+
     def meta_value(self, key: str, cast):
         """Header ``key=value`` converted by ``cast``."""
         if key not in self.meta:
@@ -224,25 +231,22 @@ class BodyReader:
 
 
 def parse_file(path, parse):
-    """``parse`` applied to the text of a UTF-8 input file; its data errors are
-    prefixed with the path, so this is where every input error names its file."""
+    """``parse`` applied to the text of a UTF-8 input file; its data errors, and
+    the ``ValueError`` of a value it rejects, are ``DataError``s prefixed with
+    the path, so this is where every input error names its file."""
     text = read_text(path)
     try:
         return parse(text)
-    except DataError as exc:
+    except (DataError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def parse_phrase_file(path, build):
-    """``build`` applied to the phrases of a phrase-list file, in file order;
-    a ``ValueError`` it raises on them is a ``DataError`` naming the file."""
+    """``build`` applied to the phrases of a phrase-list file, in file order."""
 
     def parse(text: str):
         lines = (line.strip() for line in text_lines(text))
-        try:
-            return build([line for line in lines if line and not line.startswith("#")])
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
+        return build([line for line in lines if line and not line.startswith("#")])
 
     return parse_file(path, parse)
 

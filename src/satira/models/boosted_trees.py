@@ -350,7 +350,7 @@ def gbt_from_text(text: str) -> BoostedTreesModel:
         max_depth=r.meta_value("max_depth", int),
         reg_lambda=r.meta_value("reg_lambda", float),
     )
-    n_features = r.meta_value("n_features", int)
+    n_features = r.meta_count("n_features", 0)
     trees: list[RegressionTree] = []
     for i in range(config.n_rounds):
         header = r.fields(f"tree {i} header", sep=" ")

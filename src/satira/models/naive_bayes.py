@@ -117,7 +117,7 @@ def nb_to_text(model: NaiveBayesModel) -> str:
 def nb_from_text(text: str) -> NaiveBayesModel:
     r = BodyReader(text, NB_FORMAT)
     alpha = r.meta_value("alpha", float)
-    n_features = r.meta_value("n_features", int)
+    n_features = r.meta_count("n_features", 0)
     priors = r.floats("row", 2, "prior", "\t")
     # exactly n_features rows, labelled with their column index in order
     rows = [r.floats("feature index", 2, str(j), "\t") for j in range(n_features)]

@@ -6,29 +6,19 @@ Boilerplate discovery is semi-manual by design: ``ngram_frequency`` plus
 stop-phrase list, which ``apply_stop_phrases`` then removes from every
 document. Candidates are never deleted automatically.
 
-``ngram_frequency`` counts with the vectorizer's integer-id n-gram counter
-and ranks the n-grams as ids, by count descending, ties in codepoint order
-of the space-joined key, in one ``np.lexsort``. Its keys after the count are
-one rank per token position: the rank of the token followed by a space at
-every position but the last, where it is the bare token's rank. Tokens hold
-no whitespace, so the first token where two keys differ decides their order,
-compared with the space that follows it unless it is the last token; that is
-the codepoint order of the joined strings, also where a token is a prefix of
-another whose next character sorts below the space (``"a\x01 c" < "a b"``).
-
-An ``NgramFrequency``'s ``counts`` is a read-only mapping in that (-count,
-key) ranking whose keys are built only when read: its length builds none,
-iterating it builds the keys in ranked order a chunk at a time, and the
-first lookup by key builds one dict and keeps it. A hand-built dictionary is
-checked and ranked into the same mapping. So ``top_fraction`` builds only
-the keys it returns, and ``ngram_frequency_to_tsv`` writes the ranking chunk
-by chunk.
+``ngram_frequency`` counts and ranks with the vectorizer's integer-id
+n-gram counter: by count descending, ties in codepoint order of the
+space-joined key (``vectorize._Windows.ranking``). An ``NgramFrequency``'s
+``counts`` is a read-only mapping in that (-count, key) ranking whose keys
+are built only when read: its length builds none, iterating it builds the
+keys in ranked order a chunk at a time, and the first lookup by key builds
+one dict and keeps it. So ``top_fraction`` builds only the keys it returns,
+and ``ngram_frequency_to_tsv`` writes the ranking chunk by chunk.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -89,25 +79,8 @@ class _RankedCounts(Mapping[str, int]):
     the windows' ids may move on to a longer level meanwhile."""
 
     def __init__(self, n: int, win: _Windows, where: np.ndarray, totals: np.ndarray):
-        # a key joins n units by single spaces, so it is an n-gram exactly
-        # when every unit is a non-empty run of non-whitespace
-        if not all(unit.split() == [unit] for unit in win.table.tolist()):
-            raise ValueError(f"every key must be a {n}-gram")
-        if len(totals) and totals.min() < 1:
-            raise ValueError("every count must be at least 1")
         self.n, self._win, self._where, self._totals = n, win, where, totals
         self._index: dict[str, int] | None = None
-
-    @classmethod
-    def ranked(cls, n: int, counts: Mapping[str, int]) -> _RankedCounts:
-        """Any mapping of n-grams to counts, checked and ranked."""
-        # by key, then stably by count descending: the (-count, key) order
-        keys = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
-        win = _Windows([key.split(" ") for key in keys], Analyzer.WORD)
-        if np.any(win.lens != n):
-            raise ValueError(f"every key must be a {n}-gram")
-        totals = np.array([operator.index(counts[key]) for key in keys], dtype=np.int64)
-        return cls(n, win, win.starts[:-1], totals)
 
     def chunks(self, stop: int) -> Iterator[tuple[list[str], list[int]]]:
         """The keys and counts of the first ``stop`` n-grams, a chunk at a time."""
@@ -130,26 +103,12 @@ class _RankedCounts(Mapping[str, int]):
 
 @dataclass(frozen=True)
 class NgramFrequency:
-    """Counts of space-joined n-token windows over a corpus, ranked when built.
-
-    ``counts`` is a read-only mapping in (-count, key) order whose keys are
-    built when read. Any other mapping is checked and ranked into one.
-    """
+    """Counts of space-joined n-token windows over a corpus, as ``ngram_frequency``
+    ranks them: ``counts`` is a read-only mapping in (-count, key) order whose
+    keys are built when read."""
 
     n: int
-    counts: Mapping[str, int]
-
-    def __post_init__(self):
-        if not (isinstance(self.counts, _RankedCounts) and self.counts.n == self.n):
-            object.__setattr__(self, "counts", _RankedCounts.ranked(self.n, self.counts))
-
-
-def _codepoint_ranks(strings: list[str]) -> np.ndarray:
-    """The rank of each string in codepoint order (the strings are distinct).
-    Python's sort, because numpy's fixed-width strings drop trailing NULs."""
-    ranks = np.empty(len(strings), dtype=np.int64)
-    ranks[sorted(range(len(strings)), key=strings.__getitem__)] = np.arange(len(strings))
-    return ranks
+    counts: _RankedCounts
 
 
 def ngram_frequency(corpus: LabeledCorpus | Iterable[Document], n: int) -> NgramFrequency:
@@ -170,16 +129,11 @@ def _ngram_frequencies(
         if n not in (1, 2, 3):
             raise ValueError(f"n must be 1, 2 or 3, got {n}")
     win = _Windows([doc.tokens for doc in corpus], Analyzer.WORD)
-    tokens = win.table.tolist()
-    spaced, bare = _codepoint_ranks([t + " " for t in tokens]), _codepoint_ranks(tokens)
     for n in win.levels(max(ns)):
         if n not in ns:
             continue
         where, totals, _ = win.count()
-        # lexsort's last key is its first: the count, then positions 0 .. n - 1
-        keys = [bare[win.units[where + n - 1]]]
-        keys += [spaced[win.units[where + k]] for k in reversed(range(n - 1))]
-        order = np.lexsort((*keys, -totals))
+        order = win.ranking(where, n, totals)
         yield NgramFrequency(n, _RankedCounts(n, win, where[order], totals[order]))
 
 

@@ -24,10 +24,24 @@ per unit.
 
 The distinct units are kept in a table by id, so an n-gram's string is
 built from its position: its n units looked up in that table, joined by
-single spaces for WORD and by nothing for CHAR. ``fit`` counts totals and
-document frequencies per id and decodes back to strings only the n-grams
-it keeps and those tied with them at the ``max_features`` cut, so the
-codepoint tie-break stays exact.
+single spaces for WORD and by nothing for CHAR.
+
+N-grams are ranked without building their strings, by count descending and
+then in codepoint order of the string, in one ``np.lexsort`` over one rank
+per unit position (``_Windows.ranking``). A CHAR unit's id already is its
+codepoint rank. A WORD token has two ranks in one codepoint ranking of every
+``token + " "`` and every bare ``token``: an n-gram's last token takes the
+bare rank and every other token the spaced one. Tokens hold no whitespace,
+so the first position where two n-grams differ decides their order,
+compared with the space that follows unless it is the last token; that is
+the order of the joined strings, also across lengths (``"a" < "a b"``) and
+where a token is a prefix of another whose next character sorts below the
+space (``"a\x01 c" < "a b"``). A position past an n-gram's end ranks -1, so
+an n-gram that is a prefix of another sorts first. ``fit`` counts totals
+and document frequencies per id, ranks the candidates and decodes back to
+strings only the ``max_features`` n-grams it keeps; ``preprocess`` ranks
+its n-gram frequency dictionaries with the same method.
+
 ``transform`` appends the vocabulary's features to the documents as
 extra sequences, so both share one id space, then maps ids to columns.
 """
@@ -36,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
@@ -181,7 +196,8 @@ class _Windows:
     at position ``i`` of the concatenated sequences, or -1 where that
     window would run past the end of its sequence. Equal windows have
     equal ids, and the ids of a level are ``0 .. n_ids - 1``. ``fit``,
-    ``transform`` and ``preprocess.ngram_frequency`` all count with it.
+    ``transform`` and ``preprocess.ngram_frequency`` all count with it, and
+    ``fit`` and ``ngram_frequency`` rank with it.
     """
 
     def __init__(self, seqs: Sequence[Sequence[str]], analyzer: Analyzer):
@@ -276,6 +292,34 @@ class _Windows:
             names[at] = list(map(sep.join, zip(*units)))
         return names.tolist()
 
+    @cached_property
+    def _unit_ranks(self) -> np.ndarray:
+        """Each unit's rank inside a name, then each unit's rank as a name's last
+        unit, both by ``id``: for CHAR its id twice, for WORD its rank in one
+        codepoint ranking of every ``token + " "`` and every bare ``token``."""
+        if self.analyzer is Analyzer.CHAR:
+            return np.tile(np.arange(self.n_units, dtype=np.int64), 2)
+        tokens = self.table.tolist()
+        strings = [token + " " for token in tokens] + tokens  # all distinct
+        # Python's sort, because numpy's fixed-width strings drop trailing NULs
+        ranks = np.empty(len(strings), dtype=np.int64)
+        ranks[sorted(range(len(strings)), key=strings.__getitem__)] = np.arange(len(strings))
+        return ranks
+
+    def ranking(self, where: np.ndarray, length, totals: np.ndarray) -> np.ndarray:
+        """The permutation that orders the windows of ``length`` units (one length
+        for all, or one per window) at ``where`` by ``totals`` descending, then
+        by their names in codepoint order, as the module docstring says."""
+        lengths = np.broadcast_to(length, np.shape(where))
+        keys = []
+        for k in range(int(lengths.max(initial=0))):
+            inside = k < lengths
+            units = self.units[np.where(inside, where + k, 0)]
+            last = (k == lengths - 1) * self.n_units
+            keys.append(np.where(inside, self._unit_ranks[units + last], -1))
+        # lexsort's last key is its first: the total, then unit positions 0, 1, ...
+        return np.lexsort((*reversed(keys), -totals))
+
 
 def fit(docs: Sequence[Document], cfg: VectorizerConfig) -> Vocabulary:
     """Build the vocabulary from training documents.
@@ -307,12 +351,9 @@ def fit(docs: Sequence[Document], cfg: VectorizerConfig) -> Vocabulary:
             f"(max_df={cfg.max_df}, n_docs={n_docs})"
         )
 
-    # decode only the features above the cut and those tied at it
-    cut = _cut(total, cfg.max_features)
-    above, at_cut = np.flatnonzero(total > cut), np.flatnonzero(total == cut)
-    chosen = dict(zip(win.names(where[above], length[above]), above.tolist()))
-    tied = sorted(zip(win.names(where[at_cut], length[at_cut]), at_cut.tolist()))
-    chosen.update(tied[: cfg.max_features - len(chosen)])
+    # decode only the features kept
+    kept = win.ranking(where, length, total)[: cfg.max_features]
+    chosen = dict(zip(win.names(where[kept], length[kept]), kept.tolist()))
     retained = sorted(chosen)
 
     index = {feature: col for col, feature in enumerate(retained)}
@@ -402,17 +443,14 @@ def vocabulary_from_text(text: str) -> Vocabulary:
     """Inverse of ``vocabulary_to_text``; rows must hold columns 0, 1, ... in order,
     each a feature that the header's analyzer and ngram range can produce."""
     r = BodyReader(text, VOCABULARY_FORMAT)
-    try:
-        cfg = VectorizerConfig(
-            weighting=r.meta_value("weighting", Weighting),
-            analyzer=r.meta_value("analyzer", Analyzer),
-            ngram_range=r.meta_value("ngram", lambda v: tuple(map(int, v.split(",")))),
-            max_features=r.meta_value("max_features", int),
-            max_df=r.meta_value("max_df", float),
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    n_docs = r.meta_value("n_docs", int)
+    cfg = VectorizerConfig(
+        weighting=r.meta_value("weighting", Weighting),
+        analyzer=r.meta_value("analyzer", Analyzer),
+        ngram_range=r.meta_value("ngram", lambda v: tuple(map(int, v.split(",")))),
+        max_features=r.meta_value("max_features", int),
+        max_df=r.meta_value("max_df", float),
+    )
+    n_docs = r.meta_count("n_docs", 1)
     lo, hi = cfg.ngram_range
     tfidf = cfg.weighting is Weighting.TFIDF
     index: dict[str, int] = {}
@@ -423,6 +461,8 @@ def vocabulary_from_text(text: str) -> Vocabulary:
         col, df = r.parse(int, col_s, df_s)
         if col != len(index) or feature in index:
             raise r.error(f"expected a new feature with column {len(index)}")
+        if df < 1:
+            raise r.error(f"df must be >= 1, got {df}")
         if (idf != "") != tfidf:
             raise r.error("idf must be given exactly when weighting is tfidf")
         if cfg.analyzer is Analyzer.CHAR:
@@ -441,10 +481,7 @@ def vocabulary_from_text(text: str) -> Vocabulary:
     if not index:
         raise DataError("no feature rows")
     idf_arr = np.array(idfs, dtype=np.float64) if tfidf else None
-    try:
-        return Vocabulary(index, np.array(dfs, dtype=np.int64), idf_arr, n_docs, cfg)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    return Vocabulary(index, np.array(dfs, dtype=np.int64), idf_arr, n_docs, cfg)
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,6 +311,19 @@ class TestSerialization:
         assert " n_features=1\n" in text
         with pytest.raises(DataError, match=f"header n_features='{value}' is malformed"):
             gbt_from_text(text.replace(" n_features=1\n", f" n_features={value}\n"))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_rounds", "0", "n_rounds must be >= 1, got 0"),
+        ("max_depth", "-1", "max_depth must be >= 0, got -1"),
+        ("n_features", "-1", "header n_features=-1 must be >= 0"),
+    ])
+    def test_impossible_header_value_names_the_file(self, tmp_path, key, value, message):
+        X, y = separable_1d(16)
+        text = gbt_to_text(gbt_fit(X, y, BoostConfig(n_rounds=1, max_depth=0)))
+        path = tmp_path / "model.txt"
+        path.write_text(re.sub(rf" {key}=\S+", f" {key}={value}", text), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_gbt(path)
 
     def test_every_truncation_rejected(self):
         X, y = separable_1d(16)

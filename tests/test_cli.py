@@ -491,6 +491,28 @@ class TestTrainEvaluatePredict:
         assert str(path) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, filename, key, value, message", [
+        ("gbt", "model.txt", "n_rounds", "0", "n_rounds must be >= 1, got 0"),
+        ("gbt", "model.txt", "max_depth", "-1", "max_depth must be >= 0, got -1"),
+        ("gbt", "model.txt", "n_features", "-1", "header n_features=-1 must be >= 0"),
+        ("nb", "model.txt", "n_features", "-1", "header n_features=-1 must be >= 0"),
+        ("nb", "vocabulary.txt", "n_docs", "0", "header n_docs=0 must be >= 1"),
+    ])
+    def test_impossible_header_value_exits_2_naming_the_file(
+            self, corpus_file, tmp_path, capsys, kind, filename, key, value, message):
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, kind, model_dir) == 0
+        path = model_dir / filename
+        text, count = re.subn(rf" {key}=\S+", f" {key}={value}", path.read_text(encoding="utf-8"))
+        assert count == 1
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
+                   "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: {message}" in err
+        assert "Traceback" not in err
+
 
 # one case per outside input: (file name, file text, argv given the bad file, the corpus
 # fixture and a good lexicon, what stderr holds after "<bad file>: ", with {corpus} for

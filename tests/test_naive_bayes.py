@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,15 @@ class TestSerialization:
         for k in range(len(lines)):
             with pytest.raises(DataError):
                 nb_from_text("".join(lines[:k]))
+
+    def test_negative_feature_count_rejected(self, tmp_path):
+        # with only its prior row, such a file used to load as a 0-feature model
+        lines = nb_to_text(fixture_model()[0]).splitlines(keepends=True)
+        lines[1] = re.sub(r"n_features=\d+", "n_features=-1", lines[1])
+        path = tmp_path / "model.txt"
+        path.write_text("".join(lines[:3]), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: header n_features=-1 must be >= 0")):
+            load_nb(path)
 
     def test_repeated_feature_index_names_line(self):
         lines = nb_to_text(fixture_model()[0]).splitlines(keepends=True)

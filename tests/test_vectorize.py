@@ -133,10 +133,12 @@ def assert_matches_reference(fit_docs, other_docs, cfg):
 
 
 # Units mix ASCII, Arabic and a character outside the BMP, and some tokens end
-# in NUL, which numpy's fixed-width unicode dtype would silently strip. The
+# in NUL, which numpy's fixed-width unicode dtype would silently strip. Some
+# continue a shorter token with a character below the space, so "a\x01 c"
+# sorts before "a b" and "a" before both, across n-gram lengths. The
 # separators give char n-grams whitespace other than one space.
-TOKENS = ["a", "b", "ab", "ba", "b\x00", "\x00", "\u0643", "\u0643\u062a", "\U0001f600",
-          "a\U0001f600"]
+TOKENS = ["a", "b", "ab", "ba", "b\x00", "\x00", "a\x01", "a\x1f", "\u0643", "\u0643\u062a",
+          "\U0001f600", "a\U0001f600"]
 UNSEEN = ["zz", "\u062c", "a\x00b"]
 SEPARATORS = [" ", " ", " ", "  ", "\r", "\u2028"]
 
@@ -234,6 +236,34 @@ class TestNamesMatchSlicing:
         for n in set(lengths.tolist()):
             at = where[lengths == n]
             assert win.names(at, n) == reference_names(seqs, win, at, n)
+
+
+class TestFitBuildsOnlyKeptNames:
+    """``fit`` ranks the candidates as ids and builds the names of only the
+    ``max_features`` n-grams it keeps."""
+
+    @given(
+        cfg=configs,
+        fit_texts=st.lists(texts(TOKENS), min_size=1, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_names_built(self, cfg, fit_texts):
+        docs = documents(fit_texts)
+        doc_freq = Counter(f for doc in docs for f in set(reference_features(doc, cfg)))
+        candidates = sum(df / len(docs) <= cfg.max_df for df in doc_freq.values())
+        names, built = vectorize._Windows.names, []
+
+        def recording(win, where, length):
+            built.append(len(where))
+            return names(win, where, length)
+
+        with mock.patch.object(vectorize._Windows, "names", recording):
+            if candidates == 0:
+                with pytest.raises(DataError):
+                    fit(docs, cfg)
+                return
+            vocab = fit(docs, cfg)
+        assert sum(built) == len(vocab) == min(cfg.max_features, candidates)
 
 
 def docs_of(*token_lists):
@@ -498,6 +528,19 @@ class TestStrictLoader:
         message = f"line 4: feature {re.escape(repr(feature))} is not a {analyzer} n-gram"
         with pytest.raises(DataError, match=message):
             vocabulary_from_text(text)
+
+    @pytest.mark.parametrize("n_docs", ["0", "-3"])
+    def test_impossible_document_count_rejected(self, n_docs):
+        text = "\n".join(self.vocabulary_lines()).replace(" n_docs=3", f" n_docs={n_docs}")
+        with pytest.raises(DataError, match=f"header n_docs={n_docs} must be >= 1"):
+            vocabulary_from_text(text)
+
+    @pytest.mark.parametrize("df", ["0", "-1"])
+    def test_impossible_document_frequency_names_the_line(self, df):
+        lines = self.vocabulary_lines()
+        lines[3] = lines[3].replace("\t1\t1\t", f"\t1\t{df}\t")
+        with pytest.raises(DataError, match=f"line 4: df must be >= 1, got {df}"):
+            vocabulary_from_text("\n".join(lines))
 
     def test_empty_body_rejected(self):
         with pytest.raises(DataError, match="no feature rows"):
