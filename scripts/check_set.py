@@ -13,8 +13,12 @@ learning rate, and with batch size 7 and learning rate 0.01), NB on word
 of one another, with few enough `--max-features` that the kept
 vocabulary comes from the codepoint tie-break, `evaluate` and `predict`
 of each, `features`, `clean`, `boilerplate` (on the cleaned and on the
-raw corpus, and on the prefix corpus), and `measure` with `ttest` and
-`plot-data` on its CSV, once without and once with `--tagged`. The
+raw corpus, and on the prefix corpus), NB on word 1-3 and on char 2-4
+counts of a second synthetic corpus large enough that its word tokens and
+its characters span several sorting blocks (`vectorize.BLOCK` units
+each), with `evaluate`, `predict` and `boilerplate` on it, and `measure`
+with `ttest` and `plot-data` on its CSV, once without and once with
+`--tagged`. The
 POS-tagged file
 `data/tags.conll` and the prefix corpus `data/prefixes.jsonl` are fixed
 files this script writes itself (see `tagged_text` and
@@ -45,6 +49,11 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = "data/corpus.jsonl"
 TAGS = "data/tags.conll"
 PREFIXES = "data/prefixes.jsonl"
+# make_synthetic_corpus.py options of the multi-block corpus: about 208k word
+# tokens (4 blocks) and 1.7M characters (26 blocks), so n-gram ids are merged
+# across blocks
+BIG = "big/corpus.jsonl"
+BIG_OPTIONS = {"n_per_class": 700, "vocab_size": 30, "doc_len": 200, "seed": 11}
 # run directory -> the corpus that train, evaluate and predict read, then the
 # train flags besides --corpus and --out
 RUNS = {
@@ -59,6 +68,8 @@ RUNS = {
     "nb_prefixes": (PREFIXES, "--model", "nb", "--ngram", "1,3", "--max-features", "15"),
     "nbc_prefixes": (PREFIXES, "--model", "nb", "--analyzer", "char", "--ngram", "1,3",
                      "--max-features", "10"),
+    "nbw_big": (BIG, "--model", "nb", "--ngram", "1,3"),
+    "nbc_big": (BIG, "--model", "nb", "--analyzer", "char", "--ngram", "2,4"),
 }
 # the CNN again with another batch size (96 training documents: 13 batches of 7 and one
 # of 5) and a learning rate other than the default
@@ -120,6 +131,9 @@ def commands(checkout: Path):
     yield (str(checkout / "scripts" / "make_synthetic_corpus.py"), "--out", "data",
            "--n-per-class", "60", "--vocab-size", "40", "--doc-len", "30", "--dim", "16",
            "--seed", "5")
+    big = (f"--{name.replace('_', '-')}={value}" for name, value in BIG_OPTIONS.items())
+    yield (str(checkout / "scripts" / "make_synthetic_corpus.py"), "--out", "big", "--dim", "2",
+           *big)
     satira = ("-m", "satira.cli")
     for run, (corpus, *flags) in RUNS.items():
         yield (*satira, "train", "--corpus", corpus, *flags, "--out", f"o/{run}")
@@ -134,6 +148,7 @@ def commands(checkout: Path):
     yield (*satira, "boilerplate", "--corpus", CORPUS, "--fraction", "0.5", "--out",
            "o/boiler_raw")
     yield (*satira, "boilerplate", "--corpus", PREFIXES, "--out", "o/boiler_prefixes")
+    yield (*satira, "boilerplate", "--corpus", BIG, "--out", "o/boiler_big")
     measure = (*satira, "measure", "--corpus", "o/clean/cleaned.jsonl",
                "--cliches", "lexicons/cliches.txt", "--emotions", "lexicons/emotions.txt")
     for suffix, tagged in (("", ()), ("_tagged", ("--tagged", TAGS))):

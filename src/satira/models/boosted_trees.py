@@ -24,6 +24,7 @@ threshold, so results do not depend on how the sums are grouped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -100,6 +101,10 @@ class BoostConfig:
             raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
         if self.max_depth < 0:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.reg_lambda) and self.reg_lambda >= 0):
+            raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,10 @@ class BoostedTreesModel:
     config: BoostConfig
     n_features: int
     train_loss: tuple[float, ...] = field(default=())
+
+    def __post_init__(self):
+        if not math.isfinite(self.base_score):
+            raise ValueError(f"base_score must be finite, got {self.base_score}")
 
     @property
     def learning_rate(self) -> float:
@@ -171,14 +180,13 @@ def _segment_cumsum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return running - np.repeat(base, np.diff(starts, append=len(values)))
 
 
-def _best_split(bins: _ValueBins, g, h, rows, nz, reg_lambda):
+def _best_split(bins: _ValueBins, g, h, nz, G, H, n_rows, reg_lambda):
     """Exact split search over all features and thresholds for one node.
 
-    ``nz`` indexes the node's non-zeros in ``bins``. Returns (feature,
-    threshold) or None when no split has positive gain.
+    ``nz`` indexes the node's non-zeros in ``bins``; ``G``, ``H`` and
+    ``n_rows`` are the node's gradient and hessian sums and its row count.
+    Returns (feature, threshold) or None when no split has positive gain.
     """
-    G = g[rows].sum()
-    H = h[rows].sum()
     n_bins = len(bins.value)
     b = bins.bin[nz]
     r = bins.row[nz]
@@ -186,7 +194,7 @@ def _best_split(bins: _ValueBins, g, h, rows, nz, reg_lambda):
     grad = np.bincount(b, weights=g[r], minlength=n_bins)
     hess = np.bincount(b, weights=h[r], minlength=n_bins)
     # a zero bin holds the part of the node its feature's non-zeros leave
-    count[bins.zero] = len(rows) - np.add.reduceat(count, bins.start)
+    count[bins.zero] = n_rows - np.add.reduceat(count, bins.start)
     grad[bins.zero] = G - np.add.reduceat(grad, bins.start)
     hess[bins.zero] = H - np.add.reduceat(hess, bins.start)
 
@@ -216,9 +224,11 @@ def _best_split(bins: _ValueBins, g, h, rows, nz, reg_lambda):
     return int(feature[i]), float(0.5 * (value[i] + value[i + 1]))
 
 
-def _grow_tree(X, bins: _ValueBins, g, h, cfg: BoostConfig) -> RegressionTree:
+def _grow_tree(X, bins: _ValueBins, g, h, cfg: BoostConfig) -> tuple[RegressionTree, np.ndarray]:
+    """The tree, and the weight of the leaf each training row reaches."""
     nodes: list[TreeNode] = []
     row_left = np.zeros(len(g), dtype=bool)
+    row_weight = np.empty(len(g), dtype=np.float64)
 
     def build(rows: np.ndarray, nz: np.ndarray, depth: int) -> int:
         node_id = len(nodes)
@@ -227,9 +237,11 @@ def _grow_tree(X, bins: _ValueBins, g, h, cfg: BoostConfig) -> RegressionTree:
         H = h[rows].sum()
         split = None
         if depth < cfg.max_depth and len(rows) >= 2:
-            split = _best_split(bins, g, h, rows, nz, cfg.reg_lambda)
+            split = _best_split(bins, g, h, nz, G, H, len(rows), cfg.reg_lambda)
         if split is None:
-            nodes[node_id] = TreeNode(is_leaf=True, weight=float(-G / (H + cfg.reg_lambda)))
+            weight = float(-G / (H + cfg.reg_lambda))
+            nodes[node_id] = TreeNode(is_leaf=True, weight=weight)
+            row_weight[rows] = weight
             return node_id
         feature, threshold = split
         goes_left = X[rows, feature] < threshold
@@ -243,7 +255,7 @@ def _grow_tree(X, bins: _ValueBins, g, h, cfg: BoostConfig) -> RegressionTree:
         return node_id
 
     build(np.arange(len(g)), np.arange(len(bins.row)), 0)
-    return RegressionTree(tuple(nodes))
+    return RegressionTree(tuple(nodes)), row_weight
 
 
 def gbt_fit(X, y, config: BoostConfig = BoostConfig()) -> BoostedTreesModel:
@@ -272,9 +284,9 @@ def gbt_fit(X, y, config: BoostConfig = BoostConfig()) -> BoostedTreesModel:
         p = sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_tree(X, bins, g, h, config)
+        tree, row_weight = _grow_tree(X, bins, g, h, config)
         trees.append(tree)
-        tree_sum += tree.predict(X)
+        tree_sum += row_weight
         margins = base_score + config.learning_rate * tree_sum
         losses.append(logistic_loss(margins, y))
     return BoostedTreesModel(tuple(trees), base_score, config, X.shape[1], tuple(losses))

@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,13 @@ class ConvNetModel:
     dense_weights: np.ndarray  # (n_filters,)
     dense_bias: float
     max_sequence_length: int
+
+    def __post_init__(self):
+        if np.any(self.embedding[0] != 0.0):
+            raise ValueError("embedding row 0 is reserved for padding/OOV and must be zero")
+        if self.max_sequence_length < self.kernel_size:
+            raise ValueError(f"max_sequence_length {self.max_sequence_length} "
+                             f"must be >= kernel_size {self.kernel_size}")
 
     @property
     def vocab_size(self) -> int:
@@ -91,10 +100,6 @@ def init_convnet(
     embedding = np.asarray(embedding, dtype=np.float64)
     if embedding.ndim != 2:
         raise ValueError("embedding must be a 2-D matrix")
-    if np.any(embedding[0] != 0.0):
-        raise ValueError("embedding row 0 is reserved for padding/OOV and must be zero")
-    if max_sequence_length < kernel_size:
-        raise ValueError("max_sequence_length must be >= kernel_size")
     d = embedding.shape[1]
     rng = np.random.default_rng(seed)
     conv_limit = np.sqrt(6.0 / (kernel_size * d + n_filters))

@@ -20,7 +20,8 @@ in int64 for any ``ngram_range`` and any alphabet, and equal n-grams get
 equal ids. Each level overwrites one int32 id array, and sorting and
 counting run over blocks of whole documents of about ``BLOCK`` units, so
 the state that grows with the corpus is the unit and id arrays, 8 bytes
-per unit.
+per unit, and, while ``_Windows.advance`` builds a level, each block's
+distinct pairs as int64, at most 8 bytes more per unit.
 
 The distinct units are kept in a table by id, so an n-gram's string is
 built from its position: its n units looked up in that table, joined by
@@ -232,24 +233,16 @@ class _Windows:
         ids, units = self.ids, self.units
         # the last window of level n - 1 in each sequence has no unit left to take
         ids[self.starts[1:][self.lens >= n - 1] - (n - 1)] = -1
-
-        def pairs(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-            head = ids[s : max(s, e - n + 1)]
-            valid = np.flatnonzero(head >= 0)
-            return valid, head[valid].astype(np.int64) * self.n_units + units[s + n - 1 + valid]
-
-        # the level's distinct pairs; blocks' pairs are merged in once they outnumber
-        # those merged so far, so this holds O(distinct pairs), not O(positions)
-        distinct, pending = np.empty(0, dtype=np.int64), []
-        for s, e in self.blocks:
-            pending.append(_distinct(pairs(s, e)[1]))
-            if sum(map(len, pending)) > len(distinct):
-                distinct, pending = _distinct(np.concatenate([distinct, *pending])), []
-        distinct = _distinct(np.concatenate([distinct, *pending]))
-        for s, e in self.blocks:
-            valid, keys = pairs(s, e)
-            local, local_ranks = np.unique(keys, return_inverse=True)
-            ids[s + valid] = np.searchsorted(distinct, local)[local_ranks]
+        # so the windows left are those of level n; each first takes its pair's rank
+        # among its block's distinct pairs, held in ids until the level is done
+        local = []
+        for pos, head in self.windows():
+            keys = head.astype(np.int64) * self.n_units + units[pos + n - 1]
+            pairs, ids[pos] = np.unique(keys, return_inverse=True)
+            local.append(pairs)
+        distinct = _distinct(np.concatenate([np.empty(0, dtype=np.int64), *local]))
+        for (pos, ranks), pairs in zip(self.windows(), local):
+            ids[pos] = np.searchsorted(distinct, pairs)[ranks]
         self.n_ids = len(distinct)
 
     def keep(self, kept_ids: np.ndarray) -> None:

@@ -52,6 +52,20 @@ class TestFit:
         with pytest.raises(ValueError):
             BoostConfig(n_rounds=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", math.nan), ("learning_rate", -1.0), ("learning_rate", 0.0),
+        ("learning_rate", math.inf), ("reg_lambda", -1.0), ("reg_lambda", math.nan),
+        ("reg_lambda", math.inf),
+    ])
+    def test_unusable_learning_rate_or_reg_lambda_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BoostConfig(**{name: value})
+
+    @pytest.mark.parametrize("base_score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_base_score_rejected(self, base_score):
+        with pytest.raises(ValueError, match="base_score must be finite"):
+            BoostedTreesModel((), base_score, BoostConfig(n_rounds=1), n_features=1)
+
     def test_depth_bound_respected(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(80, 4))

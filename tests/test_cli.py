@@ -9,7 +9,7 @@ import pytest
 
 from satira import load_corpus, save_corpus
 from satira.cli import _COMMANDS, main
-from satira.fileio import load_json
+from satira.fileio import base64_rows, load_json
 from satira.models.boosted_trees import gbt_from_text, gbt_to_text
 from satira.models.convnet import cnn_from_text, cnn_to_text
 from satira.models.embeddings import _token_index_from_text, token_index_to_text
@@ -458,10 +458,10 @@ class TestTrainEvaluatePredict:
         [("nb", "model.txt", "cut"), ("gbt", "model.txt", "cut"), ("cnn", "model.txt", "cut"),
          ("cnn", "token_index.txt", "tag"), ("nb", "vocabulary.txt", "key"),
          ("nb", "model.txt", "byte"), ("cnn", "token_index.txt", "cut"),
-         ("cnn", "model.txt", "vocab")],
+         ("cnn", "model.txt", "vocab"), ("cnn", "model.txt", "pad-row")],
         ids=["nb-model.txt", "gbt-model.txt", "cnn-model.txt", "cnn-token_index.txt",
              "nb-vocabulary.txt", "nb-model.txt-not-utf8", "cnn-token_index.txt-cut",
-             "cnn-model.txt-huge-vocab"],
+             "cnn-model.txt-huge-vocab", "cnn-model.txt-nonzero-pad-row"],
     )
     def test_corrupt_artifact_exits_2(self, corpus_file, tmp_path, capsys, kind, filename,
                                       corruption):
@@ -479,6 +479,11 @@ class TestTrainEvaluatePredict:
             corrupted = re.sub(r"(?m)( vocab=|^embedding )\d+", r"\g<1>1000000000000",
                                "".join(lines))
             assert corrupted.count("1000000000000") == 2
+        elif corruption == "pad-row":  # padding/OOV would no longer embed to zero
+            corrupted, count = re.subn(r"(?m)^(embedding \d+ (\d+)\n)0$",
+                                       lambda m: m[1] + base64_rows(np.ones(int(m[2])))[0],
+                                       "".join(lines))
+            assert count == 1
         elif corruption == "tag":
             corrupted = "# satira-token-index v0\n" + "".join(lines[1:])  # wrong tag
         else:
@@ -494,6 +499,11 @@ class TestTrainEvaluatePredict:
     @pytest.mark.parametrize("kind, filename, key, value, message", [
         ("gbt", "model.txt", "n_rounds", "0", "n_rounds must be >= 1, got 0"),
         ("gbt", "model.txt", "max_depth", "-1", "max_depth must be >= 0, got -1"),
+        ("gbt", "model.txt", "learning_rate", "nan", "learning_rate must be finite and > 0"),
+        ("gbt", "model.txt", "learning_rate", "-0.5", "learning_rate must be finite and > 0"),
+        ("gbt", "model.txt", "reg_lambda", "-1.0", "reg_lambda must be finite and >= 0"),
+        ("gbt", "model.txt", "base_score", "inf", "base_score must be finite, got inf"),
+        ("cnn", "model.txt", "max_len", "2", "max_sequence_length 2 must be >= kernel_size 3"),
         ("gbt", "model.txt", "n_features", "-1", "header n_features=-1 must be >= 0"),
         ("nb", "model.txt", "n_features", "-1", "header n_features=-1 must be >= 0"),
         ("nb", "vocabulary.txt", "n_docs", "0", "header n_docs=0 must be >= 1"),

@@ -354,6 +354,11 @@ class TestTraining:
         with pytest.raises(ArithmeticError, match="epoch 0"):
             cnn_train(broken, ids, y, TrainConfig(epochs=1, batch_size=2))
 
+    @pytest.mark.parametrize("learning_rate", [math.nan, -1.0, 0.0, math.inf])
+    def test_unusable_learning_rate_rejected(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=learning_rate)
+
     def test_single_class_training_rejected(self):
         model = tiny_model(66)
         ids = np.ones((3, model.max_sequence_length), dtype=np.int64)

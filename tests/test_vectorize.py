@@ -238,6 +238,32 @@ class TestNamesMatchSlicing:
             assert win.names(at, n) == reference_names(seqs, win, at, n)
 
 
+class TestWindowIds:
+    """The id contract of ``_Windows``: at level n, a window's id is the rank of
+    its tuple of unit ids among the level's distinct windows in lexicographic
+    order, or -1 where it runs past its sequence, also across blocks of a few
+    units and for a corpus with no units at all."""
+
+    @pytest.mark.parametrize("block", [vectorize.BLOCK, 3])
+    @given(
+        analyzer=st.sampled_from(list(Analyzer)),
+        doc_texts=st.lists(texts(TOKENS), max_size=6),
+        hi=st.integers(1, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ids_rank_windows(self, block, analyzer, doc_texts, hi):
+        seqs = vectorize._unit_sequences(documents(doc_texts), analyzer)
+        with mock.patch.object(vectorize, "BLOCK", block):
+            win = vectorize._Windows(seqs, analyzer)
+        units, starts = win.units.tolist(), win.starts.tolist()
+        for n in win.levels(hi):
+            windows = [tuple(units[i : i + n]) if i + n <= end else None
+                       for start, end in zip(starts, starts[1:]) for i in range(start, end)]
+            rank = {w: r for r, w in enumerate(sorted(set(windows) - {None}))}
+            assert win.ids.tolist() == [-1 if w is None else rank[w] for w in windows]
+            assert win.n_ids == len(rank)
+
+
 class TestFitBuildsOnlyKeptNames:
     """``fit`` ranks the candidates as ids and builds the names of only the
     ``max_features`` n-grams it keeps."""
