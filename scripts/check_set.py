@@ -12,17 +12,19 @@ learning rate, and with batch size 7 and learning rate 0.01), NB on word
 1-3 and on char 1-3 counts of a fixed corpus of tokens that are prefixes
 of one another, with few enough `--max-features` that the kept
 vocabulary comes from the codepoint tie-break, `evaluate` and `predict`
-of each, `features`, `clean`, `boilerplate` (on the cleaned and on the
-raw corpus, and on the prefix corpus), NB on word 1-3 and on char 2-4
-counts of a second synthetic corpus large enough that its word tokens and
-its characters span several sorting blocks (`vectorize.BLOCK` units
-each), with `evaluate`, `predict` and `boilerplate` on it, and `measure`
-with `ttest` and `plot-data` on its CSV, once without and once with
-`--tagged`. The
-POS-tagged file
-`data/tags.conll` and the prefix corpus `data/prefixes.jsonl` are fixed
-files this script writes itself (see `tagged_text` and
-`prefix_corpus_text`), so runs against two checkouts read the same bytes.
+of each, `features`, `clean` (with stop phrases, and then without them
+with no `--keep-*` switch, with each one alone and with all three, on the
+raw corpus and on a fixed noisy Arabic corpus), `boilerplate` (on the
+cleaned and on the raw corpus, and on the prefix corpus), NB on word 1-3
+and on char 2-4 counts of a second synthetic corpus large enough that its
+word tokens and its characters span several sorting blocks
+(`vectorize.BLOCK` units each), with `evaluate`, `predict` and
+`boilerplate` on it, and `measure` with `ttest` and `plot-data` on its
+CSV, once without and once with `--tagged`. The POS-tagged file
+`data/tags.conll`, the prefix corpus `data/prefixes.jsonl` and the noisy
+corpus `data/noisy.jsonl` are fixed files this script writes itself (see
+`tagged_text`, `prefix_corpus_text` and `noisy_corpus_text`), so runs
+against two checkouts read the same bytes.
 It prints one `sha256  body-sha256  relative/path` line per file under OUT,
 sorted by path. The second digest is taken with the CLI's metadata lines
 (`# satira <version>`, `# config-hash`, `# input` and `# lexicon`) removed
@@ -49,6 +51,10 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = "data/corpus.jsonl"
 TAGS = "data/tags.conll"
 PREFIXES = "data/prefixes.jsonl"
+NOISY = "data/noisy.jsonl"
+# `clean`'s normalization switches: none, each alone, and all three
+CLEAN_SWITCHES = ((), ("--keep-diacritics",), ("--keep-latin",), ("--keep-special",),
+                  ("--keep-diacritics", "--keep-latin", "--keep-special"))
 # make_synthetic_corpus.py options of the multi-block corpus: about 208k word
 # tokens (4 blocks) and 1.7M characters (26 blocks), so n-gram ids are merged
 # across blocks
@@ -86,10 +92,17 @@ OTHER_VERBS = ("قال", "كتب", "ذهب")
 NOUNS = ("خبر", "ناطق", "بيت")
 
 
+# whitespace that edges some token lines and fills some separator lines; the
+# reader strips it
+EDGES = (" ", "\r", "\t", "\x85", "\u3000")
+
+
 def tagged_text() -> str:
     """A fixed `surface<TAB>pos` file for the check corpus's 120 documents (60
     fake, then 60 real): fake documents carry more first-person-plural verbs,
-    and documents 7 and 67 carry no verb, so their ratio is undefined."""
+    and documents 7 and 67 carry no verb, so their ratio is undefined. Some
+    documents hold a comment line among their tokens, some token lines have
+    whitespace at an end, and some documents end with a whitespace-only line."""
     blocks = ["# fixed POS tags of the check set\n"]
     for i in range(120):
         n_verbs = 0 if i % 60 == 7 else 3 + i % 4
@@ -97,8 +110,37 @@ def tagged_text() -> str:
         tokens = [(NOUNS[(i + k) % 3], "NOUN") for k in range(1 + i % 3)]
         tokens += [(FPP_VERBS[(i + k) % 4], "VERB") for k in range(n_fpp)]
         tokens += [(OTHER_VERBS[(i + k) % 3], "VERB") for k in range(n_verbs - n_fpp)]
-        blocks.append("".join(f"{surface}\t{pos}\n" for surface, pos in tokens) + "\n")
+        lines = [f"{surface}\t{pos}" for surface, pos in tokens]
+        if i % 4 == 1:
+            lines.insert(len(lines) // 2, "# a comment inside the document")
+        if i % 3 == 2:  # whitespace before or after the line's last token
+            edge = EDGES[i % len(EDGES)]
+            lines[-1] = edge + lines[-1] if i % 2 else lines[-1] + edge
+        separator = EDGES[i % len(EDGES)] * 2 if i % 5 == 3 else ""
+        blocks.append("".join(line + "\n" for line in lines) + separator + "\n")
     return "".join(blocks)
+
+
+# noisy raw text: diacritics (U+064E, U+0651, U+0670), tatweel, Latin letters,
+# punctuation, ASCII and Arabic-Indic digits, the Arabic percent and
+# separators (U+066A..U+066D), an emoji, and whitespace other than the space
+NOISY_TEXTS = (
+    "قالَ الناطقُ باسمِ BBC اليومَ: «خبرٌ عاجلٌ»!",
+    "عامَ 2020 وَ٣ أيامٍ ـــ نِسبةُ ٥٪ أو ٣٫٥ أو ١٬٠٠٠ ٭",
+    "هٰذا\u00a0الخبرُ\tغيرُ صحيحٍ… 😀 Reuters\u3000نقلاً عن مصدرٍ",
+    "شارَكْنا في المؤتمرِ؛ وقُلنا: ((لا تعليقَ)) — AFP، ٢٠٢١",
+)
+
+
+def noisy_corpus_text() -> str:
+    """A fixed 8-document JSONL corpus of `NOISY_TEXTS`, which each `clean`
+    switch changes in its own way."""
+    lines = []
+    for i in range(8):
+        text = NOISY_TEXTS[i % len(NOISY_TEXTS)] + " " + NOISY_TEXTS[(i * 3 + 1) % len(NOISY_TEXTS)]
+        record = {"id": f"n{i}", "text": text, "label": ("fake", "real")[i % 2]}
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    return "".join(lines)
 
 
 # tokens that are prefixes of one another, the longer ones continuing with a
@@ -143,6 +185,10 @@ def commands(checkout: Path):
     yield (*satira, "features", "--model-dir", "o/nb", "--out", "o/feat")
     yield (*satira, "clean", "--corpus", CORPUS, "--stop-phrases", "lexicons/stop_phrases.txt",
            "--out", "o/clean")
+    for corpus in (CORPUS, NOISY):
+        for switches in CLEAN_SWITCHES:
+            name = Path(corpus).stem + "".join(s.removeprefix("--keep") for s in switches)
+            yield (*satira, "clean", "--corpus", corpus, *switches, "--out", f"o/clean_{name}")
     yield (*satira, "boilerplate", "--corpus", "o/clean/cleaned.jsonl", "--out", "o/boiler")
     # the raw corpus too: cleaning strips its Latin letters, leaving only digit tokens to rank
     yield (*satira, "boilerplate", "--corpus", CORPUS, "--fraction", "0.5", "--out",
@@ -171,6 +217,7 @@ def main() -> int:
     (args.out / TAGS).parent.mkdir()
     (args.out / TAGS).write_text(tagged_text(), encoding="utf-8")
     (args.out / PREFIXES).write_text(prefix_corpus_text(), encoding="utf-8")
+    (args.out / NOISY).write_text(noisy_corpus_text(), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     for argv in commands(checkout):
         subprocess.run((sys.executable, *argv), cwd=args.out, env=env, check=True,

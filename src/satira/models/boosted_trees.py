@@ -335,17 +335,25 @@ def gbt_to_text(model: BoostedTreesModel) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _finite(text: str) -> float:
+    """A leaf weight or split threshold: ``gbt_fit`` writes only finite ones."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _node_from_fields(r: BodyReader, node_id: int, n_nodes: int, n_features: int) -> TreeNode:
     parts = r.fields(f"node {node_id}")
     if parts[0] != str(node_id):
         raise r.error(f"expected node {node_id}, got {parts[0]!r}")
     if parts[1:2] == ["leaf"] and len(parts) == 3:
-        (weight,) = r.parse(float, parts[2])
+        (weight,) = r.parse(_finite, parts[2])
         return TreeNode(is_leaf=True, weight=weight)
     if parts[1:2] != ["split"] or len(parts) != 6:
         raise r.error("expected 'leaf <weight>' or 'split <feature> <threshold> <left> <right>'")
     feature, left, right = r.parse(int, parts[2], parts[4], parts[5])
-    (threshold,) = r.parse(float, parts[3])
+    (threshold,) = r.parse(_finite, parts[3])
     if not 0 <= feature < n_features:
         raise r.error(f"feature {feature} is out of range")
     # children follow their parent, which also rules out cycles

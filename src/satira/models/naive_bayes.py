@@ -30,9 +30,19 @@ class NaiveBayesModel:
     feature_log_prob: np.ndarray  # (2, n_features) log P(feature | class)
     alpha: float
 
+    def __post_init__(self):
+        _check_alpha(self.alpha)
+        if not (np.isfinite(self.class_log_prior).all() and np.isfinite(self.feature_log_prob).all()):
+            raise ValueError("class log-priors and feature log-probabilities must be finite")
+
     @property
     def n_features(self) -> int:
         return self.feature_log_prob.shape[1]
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
 
 
 def _entry_rows(X: DocTermMatrix) -> np.ndarray:
@@ -44,8 +54,7 @@ def nb_fit(X: DocTermMatrix, y, alpha: float = 1.0) -> NaiveBayesModel:
 
     feature_log_prob[c][f] = log((count(f, c) + alpha) / (total(c) + alpha * n_features))
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     y = binary_labels(y, X.n_rows, "matrix rows")
     if (X.values < 0).any():
         raise DataError("feature values must be non-negative")

@@ -18,6 +18,7 @@ and ``ngram_frequency_to_tsv`` writes the ranking chunk by chunk.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -31,23 +32,18 @@ from .fileio import parse_phrase_file
 from .vectorize import Analyzer, _Windows
 
 # Harakat, tanween, sukun, shadda and friends (U+064B..U+065F) plus the
-# superscript alef. Kept out of the strip_special class so the two flags
-# stay independent.
-_DIACRITICS_RE = re.compile(r"[ً-ٰٟ]")
+# superscript alef (U+0670), not the range up to U+0670, which would take
+# the Arabic-Indic digits with it. The classes below are regex class bodies.
+_DIACRITICS = "\u064b-\u065f\u0670"
 
-_LATIN_RE = re.compile(r"[A-Za-z]")
+_LATIN = "A-Za-z"
 
 # strip_special keeps Arabic letters (tatweel U+0640 excluded), Arabic
-# combining marks, Arabic-Indic and ASCII digits, and whitespace. Latin
-# letters are kept too: strip_latin alone decides whether they go.
-_NON_KEPT_RE = re.compile(
-    r"[^ء-ؿف-يً-ٰٟ"  # letters + marks
-    r"ٱ-ۓەۥۦۮۯۺ-ۿ"
-    r"ݐ-ݿࢠ-ࢽ"
-    r"A-Za-z0-9٠-٩۰-۹\s]"
-)
-
-_WHITESPACE_RE = re.compile(r"\s+")
+# combining marks, Latin letters, Arabic-Indic and ASCII digits, and
+# whitespace; strip_diacritics and strip_latin alone decide whether the
+# marks and the Latin letters go, so the three flags stay independent.
+_KEPT = ("\u0621-\u063f\u0641-\u064a\u0671-\u06d3\u06d5\u06e5\u06e6\u06ee\u06ef"
+         "\u06fa-\u06ff\u0750-\u077f\u08a0-\u08bd0-9\u0660-\u0669\u06f0-\u06f9\\s")
 
 
 @dataclass(frozen=True)
@@ -57,16 +53,30 @@ class NormalizationConfig:
     strip_special: bool = True
 
 
-def normalize(text: str, cfg: NormalizationConfig = NormalizationConfig()) -> str:
-    """Apply the configured character-level cleanups, then collapse runs of
-    whitespace to one space. Idempotent."""
-    if cfg.strip_diacritics:
-        text = _DIACRITICS_RE.sub("", text)
-    if cfg.strip_latin:
-        text = _LATIN_RE.sub("", text)
+@functools.cache
+def _deleted(cfg: NormalizationConfig) -> re.Pattern | None:
+    """One character class of every code point ``cfg`` deletes, or None."""
+    diacritics = _DIACRITICS if cfg.strip_diacritics else ""
+    latin = _LATIN if cfg.strip_latin else ""
     if cfg.strip_special:
-        text = _NON_KEPT_RE.sub("", text)
-    return _WHITESPACE_RE.sub(" ", text).strip()
+        kept = _KEPT + ("" if diacritics else _DIACRITICS) + ("" if latin else _LATIN)
+        return re.compile(f"[^{kept}]")
+    return re.compile(f"[{diacritics}{latin}]") if diacritics or latin else None
+
+
+def normalize(text: str, cfg: NormalizationConfig = NormalizationConfig()) -> str:
+    """Delete the code points the configured cleanups remove, then collapse
+    runs of whitespace to one space and trim the ends. Idempotent.
+
+    Every cleanup deletes single code points whatever their neighbours, so
+    one pass with the union of the deleted classes (one cached regex per
+    config) gives the text that applying them in turn would. ``str.split``
+    and the regex ``\\s`` agree on every code point, so splitting and
+    joining with one space is the collapse."""
+    deleted = _deleted(cfg)
+    if deleted is not None:
+        text = deleted.sub("", text)
+    return " ".join(text.split())
 
 
 _CHUNK = 1 << 16  # keys built at a time when a ranking is read
@@ -209,10 +219,15 @@ def clean_corpus(
     cfg: NormalizationConfig = NormalizationConfig(),
     stop_phrases: StopPhraseList | None = None,
 ) -> LabeledCorpus:
-    """Normalize every document's text (its tokens follow), then drop stop phrases."""
+    """Normalize every document's text (its tokens follow), then drop stop phrases.
+
+    Every text is normalized before the first document is built, so the
+    short-lived strings of ``normalize`` are not scattered among the
+    documents that stay, which would raise the peak RSS."""
     cleaned: list[Document] = []
-    for doc in corpus:
-        new_doc = replace(doc, text=normalize(doc.text, cfg))
+    texts = [normalize(doc.text, cfg) for doc in corpus]
+    for doc, text in zip(corpus, texts):
+        new_doc = replace(doc, text=text)
         if stop_phrases is not None:
             new_doc = apply_stop_phrases(new_doc, stop_phrases)
         cleaned.append(new_doc)

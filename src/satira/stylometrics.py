@@ -19,8 +19,10 @@ which keeps every score inside [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, dropwhile
+from itertools import dropwhile
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from ._matching import PhraseIndex, occurrences, phrase_index
 from .corpus_io import Document, Label, LabeledCorpus
@@ -105,38 +107,125 @@ def corpus_profile(
     return profile
 
 
-def parse_tagged_file(text: str) -> list[Optional[float]]:
-    """Each document's first-person-plural verb ratio, from CoNLL-like input:
-    ``surface<TAB>pos`` per line, blank lines between docs, ``#`` lines skipped.
+# every character ``str.isspace`` accepts, so every one ``str.strip`` removes
+_SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+           "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
-    A VERB counts when its surface starts with the prefix ن or ends with the
-    suffix نا, applied to the surface form as tagged (no morphological
-    disambiguation). Only the two counts are kept while a document is read;
-    its ratio is None when it has no VERB.
+
+def _byte_table(values: bytes) -> np.ndarray:
+    """Whether each byte value is among ``values``."""
+    return np.array([b in values for b in range(256)])
+
+
+# whether each byte value may begin, and may end, the UTF-8 of a whitespace character
+_SPACE_FIRST = _byte_table(bytes(c.encode()[0] for c in _SPACES))
+_SPACE_LAST = _byte_table(bytes(c.encode()[-1] for c in _SPACES))
+_PREFIX, _SUFFIX = FPP_PREFIX.encode(), FPP_SUFFIX.encode()
+
+TAG_BLOCK = 1 << 20  # characters of a tagged file scanned at a time, whole lines
+
+
+def _utf8(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _holds(data: bytes, at: np.ndarray, pattern: bytes) -> np.ndarray:
+    """Whether ``data`` holds ``pattern`` (2 or 4 bytes) at each offset of ``at``:
+    one compare per offset, through a view of the integer at every offset."""
+    width = len(pattern)
+    words = np.ndarray((max(len(data) - width + 1, 0),), dtype=f"<u{width}", buffer=data,
+                       strides=(1,))
+    return words[at] == int.from_bytes(pattern, "little")
+
+
+def parse_tagged_file(text: str) -> list[Optional[float]]:
+    """Each document's first-person-plural verb ratio, from CoNLL-like input.
+
+    Lines are split on ``\\n`` only, and each is read after ``str.strip``. A
+    line that is then empty ends the current document, if one is open; a line
+    that then starts with ``#`` is skipped, inside a document too; any other
+    line is a token, which must hold exactly one tab: ``surface<TAB>pos``. A
+    token with pos ``VERB`` counts as a hit when its surface starts with the
+    prefix ن or ends with the suffix نا, applied to the surface form as tagged
+    (no morphological disambiguation). A document's ratio is hits / verbs,
+    None when it has no VERB. The first line that is not a token, a comment
+    or blank is a ``DataError`` naming its line.
+
+    The text is scanned as UTF-8 bytes in blocks of about ``TAG_BLOCK``
+    characters cut at line ends, with numpy rather than a loop per line. One
+    pass finds the newlines and tabs; a line spans the bytes between two
+    newlines, and only a line whose first or last byte may belong to a
+    whitespace character is stripped as a string. A line's tabs and each
+    document's tokens, verbs and hits are counted with ``bincount``, a line's
+    document being the number of blank lines before it. The open document's
+    counts and the line number carry over from one block to the next, so
+    memory is bounded by the block, not the file.
     """
-    ratios: list[Optional[float]] = []
-    verbs = hits = 0
-    in_doc = False
-    # one more blank line ends the last document
-    for lineno, line in enumerate(chain(text_lines(text), [""]), start=1):
+    docs: list[list[int]] = []  # tokens, verbs and hits of each document
+    carried = [0, 0, 0]  # those of the document a block leaves open
+    first_line = 1
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + TAG_BLOCK - 1) + 1 or len(text)
+        data = _utf8(text[start:stop])
+        if not data.endswith(b"\n"):
+            data += b"\n"
+        counts, n_lines = _block_counts(data, first_line)
+        counts[:, 0] += carried
+        *closed, carried = counts.T.tolist()
+        docs += closed
+        first_line += n_lines
+        start = stop
+    return [hits / verbs if verbs else None for tokens, verbs, hits in docs + [carried] if tokens]
+
+
+def _block_counts(data: bytes, first_line: int) -> tuple[np.ndarray, int]:
+    """Tokens, verbs and hits (rows) of each run of lines between blank lines
+    (columns) of a block of whole lines, each ending in ``\\n``, whose first
+    line is line ``first_line`` of the file, and the block's line count. The
+    last run is the one the block leaves open."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    at = np.flatnonzero(buf <= 10)  # newlines and tabs, and rarer control bytes
+    kind = buf[at]
+    newline, is_tab = kind == 10, kind == 9
+    ends = at[newline]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    n_lines = len(ends)
+    tab_line = np.cumsum(newline)[is_tab]
+    n_tabs = np.bincount(tab_line, minlength=n_lines)
+    tab = np.zeros(n_lines, dtype=np.int64)
+    tab[tab_line] = at[is_tab]  # the line's tab, where it has only one
+    # the stripped span [lo, hi) of each line
+    lo, hi = starts.copy(), ends.copy()
+    edged = (hi > lo) & (_SPACE_FIRST[buf[lo]] | _SPACE_LAST[buf[hi - 1]])
+    for i in np.flatnonzero(edged).tolist():
+        line = data[starts[i]:ends[i]].decode("utf-8", "surrogatepass")
         stripped = line.strip()
-        if stripped.startswith("#"):
-            continue
-        if not stripped:
-            if in_doc:
-                ratios.append(hits / verbs if verbs else None)
-                verbs = hits = 0
-                in_doc = False
-            continue
-        parts = stripped.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"line {lineno}: expected surface<TAB>pos, got {line!r}")
-        in_doc = True
-        surface, pos = parts
-        if pos == "VERB":
-            verbs += 1
-            hits += surface.startswith(FPP_PREFIX) or surface.endswith(FPP_SUFFIX)
-    return ratios
+        lo[i] += len(_utf8(line[:len(line) - len(line.lstrip())]))
+        hi[i] = lo[i] + len(_utf8(stripped))
+        n_tabs[i] = stripped.count("\t")
+        tab[i] = lo[i] + len(_utf8(stripped.partition("\t")[0]))
+    blank = lo == hi
+    token = ~blank & (buf[lo] != ord("#"))
+    bad = token & (n_tabs != 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        line = data[starts[i]:ends[i]].decode("utf-8", "surrogatepass")
+        raise DataError(f"line {first_line + i}: expected surface<TAB>pos, got {line!r}")
+    doc = np.cumsum(blank)[token]
+    lo, hi, tab = lo[token], hi[token], tab[token]
+    # pos is VERB: its one tab is followed by VERB and the span's end
+    verb = hi - tab == 5
+    verb[verb] = _holds(data, tab[verb] + 1, b"VERB")
+    lo, tab = lo[verb], tab[verb]
+    hit = _holds(data, lo, _PREFIX)  # reads no further than the tab
+    long = tab - lo >= len(_SUFFIX)
+    hit[long] |= _holds(data, tab[long] - len(_SUFFIX), _SUFFIX)
+    n_docs = int(blank.sum()) + 1
+    counts = np.stack([np.bincount(doc, minlength=n_docs),
+                       np.bincount(doc[verb], minlength=n_docs),
+                       np.bincount(doc[verb][hit], minlength=n_docs)])
+    return counts, n_lines
 
 
 MEASURES_HEADER = "doc_id,label,J,S,fpp_ratio"

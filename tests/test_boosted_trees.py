@@ -339,6 +339,22 @@ class TestSerialization:
         with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             load_gbt(path)
 
+    @pytest.mark.parametrize("pattern, value", [
+        (r"(?m)^(\d+\tleaf\t)\S+$", "nan"), (r"(?m)^(\d+\tleaf\t)\S+$", "-inf"),
+        (r"(?m)^(\d+\tsplit\t\d+\t)[^\t]+", "inf"),
+        (r"(?m)^(\d+\tsplit\t\d+\t)[^\t]+", "nan"),
+    ], ids=["leaf-nan", "leaf-minus-inf", "threshold-inf", "threshold-nan"])
+    def test_non_finite_node_value_names_the_line(self, pattern, value):
+        # gbt_fit writes only finite weights and thresholds; a NaN leaf used to
+        # load and label every row that reaches it real
+        X, y = separable_1d(16)
+        text = gbt_to_text(gbt_fit(X, y, BoostConfig(n_rounds=2)))
+        text, count = re.subn(pattern, rf"\g<1>{value}", text, count=1)
+        assert count == 1
+        lineno = text[:text.index(f"\t{value}")].count("\n") + 1
+        with pytest.raises(DataError, match=f"line {lineno}: '{value}' is not a finite number"):
+            gbt_from_text(text)
+
     def test_every_truncation_rejected(self):
         X, y = separable_1d(16)
         lines = gbt_to_text(gbt_fit(X, y, BoostConfig(n_rounds=3))).splitlines(keepends=True)

@@ -453,15 +453,29 @@ class TestTrainEvaluatePredict:
                    "--out", tmp_path / "p") == 2
         assert "line 2" in capsys.readouterr().err
 
+    # corruption -> (pattern, replacement), made once
+    NON_FINITE = {
+        "leaf-nan": (r"(?m)^(\d+\tleaf\t)\S+$", r"\g<1>nan"),
+        "threshold-inf": (r"(?m)^(\d+\tsplit\t\d+\t)[^\t]+", r"\g<1>inf"),
+        "row-nan": (r"(?m)^0\t.*$", "0\tnan\tnan"),
+        "prior-nan": (r"(?m)^prior\t.*$", "prior\tnan\tnan"),
+        "alpha-nan": (r"alpha=\S+", "alpha=nan"),
+    }
+
     @pytest.mark.parametrize(
         "kind, filename, corruption",
         [("nb", "model.txt", "cut"), ("gbt", "model.txt", "cut"), ("cnn", "model.txt", "cut"),
          ("cnn", "token_index.txt", "tag"), ("nb", "vocabulary.txt", "key"),
          ("nb", "model.txt", "byte"), ("cnn", "token_index.txt", "cut"),
-         ("cnn", "model.txt", "vocab"), ("cnn", "model.txt", "pad-row")],
+         ("cnn", "model.txt", "vocab"), ("cnn", "model.txt", "pad-row"),
+         ("gbt", "model.txt", "leaf-nan"), ("gbt", "model.txt", "threshold-inf"),
+         ("nb", "model.txt", "row-nan"), ("nb", "model.txt", "prior-nan"),
+         ("nb", "model.txt", "alpha-nan")],
         ids=["nb-model.txt", "gbt-model.txt", "cnn-model.txt", "cnn-token_index.txt",
              "nb-vocabulary.txt", "nb-model.txt-not-utf8", "cnn-token_index.txt-cut",
-             "cnn-model.txt-huge-vocab", "cnn-model.txt-nonzero-pad-row"],
+             "cnn-model.txt-huge-vocab", "cnn-model.txt-nonzero-pad-row",
+             "gbt-model.txt-nan-leaf", "gbt-model.txt-inf-threshold", "nb-model.txt-nan-row",
+             "nb-model.txt-nan-prior", "nb-model.txt-nan-alpha"],
     )
     def test_corrupt_artifact_exits_2(self, corpus_file, tmp_path, capsys, kind, filename,
                                       corruption):
@@ -483,6 +497,9 @@ class TestTrainEvaluatePredict:
             corrupted, count = re.subn(r"(?m)^(embedding \d+ (\d+)\n)0$",
                                        lambda m: m[1] + base64_rows(np.ones(int(m[2])))[0],
                                        "".join(lines))
+            assert count == 1
+        elif corruption in self.NON_FINITE:  # a value the fit never writes
+            corrupted, count = re.subn(*self.NON_FINITE[corruption], "".join(lines), count=1)
             assert count == 1
         elif corruption == "tag":
             corrupted = "# satira-token-index v0\n" + "".join(lines[1:])  # wrong tag

@@ -73,6 +73,13 @@ class TestFit:
         with pytest.raises(ValueError):
             nb_fit(X, np.array([1, 0]), alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+    def test_non_finite_or_negative_alpha_rejected(self, alpha):
+        # alpha=nan used to pass the check and give an all-NaN model
+        X, _ = matrix_for([["a"], ["b"]])
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            nb_fit(X, np.array([1, 0]), alpha=alpha)
+
 
 class TestPredict:
     def test_fixture_prediction(self):
@@ -229,6 +236,21 @@ class TestSerialization:
         path = tmp_path / "model.txt"
         path.write_text("".join(lines[:3]), encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{path}: header n_features=-1 must be >= 0")):
+            load_nb(path)
+
+    @pytest.mark.parametrize("pattern, replacement, message", [
+        (r"alpha=\S+", "alpha=nan", "alpha must be finite and > 0, got nan"),
+        (r"(?m)^prior\t.*$", "prior\tnan\tnan", "must be finite"),
+        (r"(?m)^0\t.*$", "0\tnan\tnan", "must be finite"),
+        (r"(?m)^1\t[^\t]*", "1\t-inf", "must be finite"),
+    ], ids=["alpha", "prior", "row", "one-value"])
+    def test_non_finite_value_names_the_file(self, tmp_path, pattern, replacement, message):
+        # such a file used to load, and a NaN row labels every document real
+        text, count = re.subn(pattern, replacement, nb_to_text(fixture_model()[0]), count=1)
+        assert count == 1
+        path = tmp_path / "model.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
             load_nb(path)
 
     def test_repeated_feature_index_names_line(self):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -62,7 +64,47 @@ norm_configs = st.builds(
 )
 
 
+# The three regexes and the whitespace collapse that normalize replaces,
+# applied in turn: the diacritics are U+064B..U+065F and U+0670, and
+# strip_special keeps Arabic letters and marks, Latin letters, digits and
+# whitespace.
+OLD_DIACRITICS = re.compile("[\u064b-\u065f\u0670]")
+OLD_LATIN = re.compile("[A-Za-z]")
+OLD_NON_KEPT = re.compile(
+    "[^\u0621-\u063f\u0641-\u064a\u064b-\u065f\u0670"
+    "\u0671-\u06d3\u06d5\u06e5\u06e6\u06ee\u06ef\u06fa-\u06ff"
+    "\u0750-\u077f\u08a0-\u08bd"
+    "A-Za-z0-9\u0660-\u0669\u06f0-\u06f9\\s]"
+)
+
+
+def old_normalize(text, cfg):
+    if cfg.strip_diacritics:
+        text = OLD_DIACRITICS.sub("", text)
+    if cfg.strip_latin:
+        text = OLD_LATIN.sub("", text)
+    if cfg.strip_special:
+        text = OLD_NON_KEPT.sub("", text)
+    return re.sub(r"\s+", " ", text).strip()
+
+
+# every code point, whitespace runs among them
+EVERY_CODE_POINT = "".join(map(chr, range(0x110000)))
+
+
 class TestNormalize:
+    @pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=3)),
+                             ids=lambda flags: "".join("DLS"[i] if f else "-"
+                                                       for i, f in enumerate(flags)))
+    def test_every_code_point_as_the_three_regexes(self, flags):
+        cfg = NormalizationConfig(*flags)
+        assert normalize(EVERY_CODE_POINT, cfg) == old_normalize(EVERY_CODE_POINT, cfg)
+
+    @given(text=any_text, cfg=norm_configs)
+    @settings(max_examples=300, deadline=None)
+    def test_as_the_three_regexes(self, text, cfg):
+        assert normalize(text, cfg) == old_normalize(text, cfg)
+
     def test_diacritics_removed(self):
         assert normalize("مُحَمَّد") == "محمد"
 

@@ -1,3 +1,6 @@
+from itertools import chain
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from satira import (
     lexicon_score,
     make_document,
 )
+from satira import stylometrics
+from satira.fileio import text_lines
 from satira.stylometrics import parse_tagged_file, profile_from_csv, profile_to_csv
 
 
@@ -196,6 +201,96 @@ class TestTaggedFile:
     def test_malformed_line_counts_skipped_lines(self):
         with pytest.raises(DataError, match="line 4: expected surface<TAB>pos"):
             parse_tagged_file("# c\nقال\tVERB\n\na\tb\tc\n")
+
+
+def line_loop_ratios(text):
+    """The line loop ``parse_tagged_file`` replaces: each line is stripped, ``#``
+    lines are skipped, blank lines end a document, and any other line must be
+    ``surface<TAB>pos``."""
+    ratios = []
+    verbs = hits = 0
+    in_doc = False
+    for lineno, line in enumerate(chain(text_lines(text), [""]), start=1):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            continue
+        if not stripped:
+            if in_doc:
+                ratios.append(hits / verbs if verbs else None)
+                verbs = hits = 0
+                in_doc = False
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"line {lineno}: expected surface<TAB>pos, got {line!r}")
+        in_doc = True
+        surface, pos = parts
+        if pos == "VERB":
+            verbs += 1
+            hits += surface.startswith("ن") or surface.endswith("نا")
+    return ratios
+
+
+def ratios_or_error(parse, text):
+    try:
+        return parse(text)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+# whitespace that str.strip removes at a line's ends, of each UTF-8 length
+EDGES = ["", "", " ", "\t", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+SURFACES = ["نروي", "قلنا", "قال", "ن", "نا", "ا", "x y", "#x", "a\x85b", "\u3000ن"]
+POS = ["VERB", "NOUN", "VERB ", "VERBS", "ERB"]
+edge = st.sampled_from(EDGES)
+
+
+def token_lines(surfaces, pos):
+    return st.builds(lambda a, s, p, b: f"{a}{s}\t{p}{b}", edge, st.sampled_from(surfaces),
+                     st.sampled_from(pos), edge)
+
+
+comment_line = st.builds(lambda a, b: f"{a}# note{b}", edge, edge)
+blank_line = st.builds(lambda a, b: a + b, edge, edge)
+# well-formed documents: token lines (some edged with whitespace) and comment lines
+document = st.lists(st.one_of(token_lines(SURFACES, POS), comment_line), min_size=1, max_size=8)
+# any line: empty surfaces, extra tabs and stray characters too
+any_line = st.one_of(
+    token_lines(SURFACES + [""], POS + ["", "VERB\tX", "\tVERB"]), comment_line, blank_line,
+    st.text(alphabet="نا\t #VERB\r\x85\u3000", max_size=8),
+)
+BLOCKS = [1, 7, stylometrics.TAG_BLOCK]
+
+
+class TestTaggedFileAgainstLineLoop:
+    """The blocked scan gives the line loop's ratios, or its error, at block
+    sizes of one line, of 7 characters and the default, so documents and bad
+    lines fall across block boundaries."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @given(docs=st.lists(document, max_size=10), gaps=st.lists(blank_line, min_size=10),
+           end=st.sampled_from(["", "\n"]))
+    @settings(max_examples=100, deadline=None)
+    def test_same_ratios(self, block, docs, gaps, end):
+        text = "\n".join("\n".join(doc) + "\n" + gap for doc, gap in zip(docs, gaps)) + end
+        expected = line_loop_ratios(text)
+        with mock.patch.object(stylometrics, "TAG_BLOCK", block):
+            got = parse_tagged_file(text)
+        assert got == expected
+        assert all(r is None or type(r) is float for r in got)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @given(lines=st.lists(any_line, max_size=30), end=st.sampled_from(["", "\n", "\n\n"]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_ratios_or_error(self, block, lines, end):
+        text = "\n".join(lines) + end
+        expected = ratios_or_error(line_loop_ratios, text)
+        with mock.patch.object(stylometrics, "TAG_BLOCK", block):
+            assert ratios_or_error(parse_tagged_file, text) == expected
+
+    def test_spaces_are_every_whitespace_code_point(self):
+        spaces = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+        assert stylometrics._SPACES == spaces
 
 
 class TestProfileCsv:
