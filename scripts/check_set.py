@@ -19,8 +19,10 @@ cleaned and on the raw corpus, and on the prefix corpus), NB on word 1-3
 and on char 2-4 counts of a second synthetic corpus large enough that its
 word tokens and its characters span several sorting blocks
 (`vectorize.BLOCK` units each), with `evaluate`, `predict` and
-`boilerplate` on it, and `measure` with `ttest` and `plot-data` on its
-CSV, once without and once with `--tagged`. The POS-tagged file
+`boilerplate` on it, `boilerplate` on the prefix and on the large corpus
+with a `--fraction` that cuts each ranking inside a run of equal counts,
+and `measure` with `ttest` and `plot-data` on its CSV, once without and
+once with `--tagged`. The POS-tagged file
 `data/tags.conll`, the prefix corpus `data/prefixes.jsonl` and the noisy
 corpus `data/noisy.jsonl` are fixed files this script writes itself (see
 `tagged_text`, `prefix_corpus_text` and `noisy_corpus_text`), so runs
@@ -60,6 +62,10 @@ CLEAN_SWITCHES = ((), ("--keep-diacritics",), ("--keep-latin",), ("--keep-specia
 # across blocks
 BIG = "big/corpus.jsonl"
 BIG_OPTIONS = {"n_per_class": 700, "vocab_size": 30, "doc_len": 200, "seed": 11}
+# boilerplate runs whose --fraction cuts the n = 1, 2 and 3 rankings of their
+# corpus inside a run of equal counts, so the candidates' last lines come from
+# the codepoint tie-break
+TIED_CUTS = {"prefixes": (PREFIXES, 0.25), "big": (BIG, 0.37)}
 # run directory -> the corpus that train, evaluate and predict read, then the
 # train flags besides --corpus and --out
 RUNS = {
@@ -195,6 +201,9 @@ def commands(checkout: Path):
            "o/boiler_raw")
     yield (*satira, "boilerplate", "--corpus", PREFIXES, "--out", "o/boiler_prefixes")
     yield (*satira, "boilerplate", "--corpus", BIG, "--out", "o/boiler_big")
+    for name, (corpus, fraction) in TIED_CUTS.items():
+        yield (*satira, "boilerplate", "--corpus", corpus, "--fraction", str(fraction), "--out",
+               f"o/boiler_{name}_cut")
     measure = (*satira, "measure", "--corpus", "o/clean/cleaned.jsonl",
                "--cliches", "lexicons/cliches.txt", "--emotions", "lexicons/emotions.txt")
     for suffix, tagged in (("", ()), ("_tagged", ("--tagged", TAGS))):

@@ -220,8 +220,11 @@ def _best_split(bins: _ValueBins, g, h, nz, G, H, n_rows, reg_lambda):
         return None
     # cuts run by feature, then value: the first near-best is the tie winner
     i = cut[np.argmax(gains >= best - TIE_RTOL * best)]
-    value = bins.value[present]
-    return int(feature[i]), float(0.5 * (value[i] + value[i + 1]))
+    a, b = bins.value[present][i : i + 2].tolist()
+    # rows below the threshold go left: the midpoint unless it rounds to a
+    # (adjacent floats) or overflows to inf, then b, which still separates them
+    mid = 0.5 * (a + b)
+    return int(feature[i]), mid if a < mid <= b else b
 
 
 def _grow_tree(X, bins: _ValueBins, g, h, cfg: BoostConfig) -> tuple[RegressionTree, np.ndarray]:

@@ -6,14 +6,17 @@ Boilerplate discovery is semi-manual by design: ``ngram_frequency`` plus
 stop-phrase list, which ``apply_stop_phrases`` then removes from every
 document. Candidates are never deleted automatically.
 
-``ngram_frequency`` counts and ranks with the vectorizer's integer-id
-n-gram counter: by count descending, ties in codepoint order of the
+``ngram_frequency`` counts with the vectorizer's integer-id n-gram counter
+and ranks with it: by count descending, ties in codepoint order of the
 space-joined key (``vectorize._Windows.ranking``). An ``NgramFrequency``'s
-``counts`` is a read-only mapping in that (-count, key) ranking whose keys
-are built only when read: its length builds none, iterating it builds the
-keys in ranked order a chunk at a time, and the first lookup by key builds
-one dict and keeps it. So ``top_fraction`` builds only the keys it returns,
-and ``ngram_frequency_to_tsv`` writes the ranking chunk by chunk.
+``counts`` is a read-only mapping in that (-count, key) ranking, ranked and
+built only when read: its length ranks nothing, reading its first k keys
+ranks only the n-grams counted at least as often as the k-th and builds the
+keys a chunk at a time, iterating it ranks all of them, and the first
+lookup by key ranks all of them into one dict that it keeps. So
+``top_fraction`` ranks only the n-grams tied with or above its cut and
+builds only the keys it returns, and ``ngram_frequency_to_tsv`` writes the
+ranking chunk by chunk.
 """
 
 from __future__ import annotations
@@ -83,10 +86,12 @@ _CHUNK = 1 << 16  # keys built at a time when a ranking is read
 
 
 class _RankedCounts(Mapping[str, int]):
-    """Read-only n-gram counts in (-count, key) order. The n-gram ranked i-th
-    is the window of n units at position ``where[i]`` of a ``_Windows``, with
-    count ``totals[i]``; its key is built from the unit table when read, so
-    the windows' ids may move on to a longer level meanwhile."""
+    """Read-only n-gram counts in (-count, key) order. Each n-gram is the window
+    of n units at a position in ``where`` of a ``_Windows``, with its count at
+    the same index of ``totals``, both unranked. Reading the first ``stop``
+    n-grams ranks only the windows that can be among them, and keys are built
+    from the unit table when read, so the windows' ids may move on to a longer
+    level meanwhile."""
 
     def __init__(self, n: int, win: _Windows, where: np.ndarray, totals: np.ndarray):
         self.n, self._win, self._where, self._totals = n, win, where, totals
@@ -94,9 +99,10 @@ class _RankedCounts(Mapping[str, int]):
 
     def chunks(self, stop: int) -> Iterator[tuple[list[str], list[int]]]:
         """The keys and counts of the first ``stop`` n-grams, a chunk at a time."""
-        for start in range(0, stop, _CHUNK):
-            end = min(start + _CHUNK, stop)
-            yield self._win.names(self._where[start:end], self.n), self._totals[start:end].tolist()
+        order = self._win.ranking(self._where, self.n, self._totals, stop)
+        for start in range(0, len(order), _CHUNK):
+            at = order[start : start + _CHUNK]
+            yield self._win.names(self._where[at], self.n), self._totals[at].tolist()
 
     def __len__(self) -> int:
         return len(self._totals)
@@ -107,7 +113,9 @@ class _RankedCounts(Mapping[str, int]):
 
     def __getitem__(self, key: str) -> int:
         if self._index is None:
-            self._index = dict(zip(self, self._totals.tolist()))
+            self._index = {}
+            for keys, counts in self.chunks(len(self)):
+                self._index.update(zip(keys, counts))
         return self._index[key]
 
 
@@ -143,8 +151,7 @@ def _ngram_frequencies(
         if n not in ns:
             continue
         where, totals, _ = win.count()
-        order = win.ranking(where, n, totals)
-        yield NgramFrequency(n, _RankedCounts(n, win, where[order], totals[order]))
+        yield NgramFrequency(n, _RankedCounts(n, win, where, totals))
 
 
 def _check_fraction(fraction: float) -> None:

@@ -29,19 +29,27 @@ single spaces for WORD and by nothing for CHAR.
 
 N-grams are ranked without building their strings, by count descending and
 then in codepoint order of the string, in one ``np.lexsort`` over one rank
-per unit position (``_Windows.ranking``). A CHAR unit's id already is its
-codepoint rank. A WORD token has two ranks in one codepoint ranking of every
-``token + " "`` and every bare ``token``: an n-gram's last token takes the
-bare rank and every other token the spaced one. Tokens hold no whitespace,
-so the first position where two n-grams differ decides their order,
-compared with the space that follows unless it is the last token; that is
-the order of the joined strings, also across lengths (``"a" < "a b"``) and
+per unit position (``_Windows.ranking``). A CHAR unit ranks by its id, which
+is its codepoint rank. A WORD token has two ranks in one codepoint ranking of
+the ``token + " "`` and bare ``token`` strings: an n-gram's last token takes
+the bare rank and every other token the spaced one. Tokens hold no
+whitespace, so the first position where two n-grams differ decides their
+order, compared with the space that follows unless it is the last token; that
+is the order of the joined strings, also across lengths (``"a" < "a b"``) and
 where a token is a prefix of another whose next character sorts below the
-space (``"a\x01 c" < "a b"``). A position past an n-gram's end ranks -1, so
-an n-gram that is a prefix of another sorts first. ``fit`` counts totals
-and document frequencies per id, ranks the candidates and decodes back to
-strings only the ``max_features`` n-grams it keeps; ``preprocess`` ranks
-its n-gram frequency dictionaries with the same method.
+space (``"a\x01 c" < "a b"``). A position past an n-gram's end ranks 0, below
+every unit, so an n-gram that is a prefix of another sorts first. The count
+and the position ranks are folded into as few uint64 keys as hold them,
+``key * R + rank`` for the R rank values of a position; with fewer than
+2**31 units any two fit in one.
+
+A ranking is computed only for the n-grams read. Asked for the first k, it
+ranks only those counted at least as often as the k-th most frequent, which
+holds every n-gram tied with it, and it ranks only the tokens that occur in
+them. ``fit`` counts totals and document frequencies per id, ranks its first
+``max_features`` candidates and decodes back to strings only those;
+``preprocess`` ranks its n-gram frequency dictionaries with the same method
+when they are read.
 
 ``transform`` appends the vocabulary's features to the documents as
 extra sequences, so both share one id space, then maps ids to columns.
@@ -49,9 +57,9 @@ extra sequences, so both share one id space, then maps ids to columns.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
@@ -64,6 +72,9 @@ from .fileio import BodyReader, float_rows, parse_file
 
 VOCABULARY_FORMAT = "satira-vocabulary v1"
 BLOCK = 1 << 16  # units per sorting block; a block holds whole sequences
+UNIT_LIMIT = 1 << 31  # the sequences hold fewer units: int32 ids, uint64 rank keys
+KEY_SPAN = 1 << 64  # values a folded rank key can take: uint64
+_BELOW_SPACE = re.compile("[\x00-\x1f]")  # a token holding one can sort between t and t + " "
 
 
 class Weighting(Enum):
@@ -202,16 +213,21 @@ class _Windows:
     """
 
     def __init__(self, seqs: Sequence[Sequence[str]], analyzer: Analyzer):
+        self.lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+        size = int(self.lens.sum())
+        if size >= UNIT_LIMIT:
+            raise DataError(
+                f"the documents hold {size} {analyzer.value} units; "
+                f"n-gram ids are counted for fewer than {UNIT_LIMIT}"
+            )
         self.analyzer = analyzer
         self.units, table = _unit_ids(seqs, analyzer)
         self.n_units = len(table)
         self.table = np.array(table, dtype=object)  # the distinct units by id
         self.ids = self.units.copy()
         self.n_ids = self.n_units
-        self.lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
         self.starts = np.concatenate(([0], np.cumsum(self.lens)))
         # blocks of whole sequences: a new one at the sequence holding each multiple of BLOCK
-        size = len(self.units)
         first = np.searchsorted(self.starts, np.arange(0, size, BLOCK), side="right") - 1
         bounds = np.unique(np.append(self.starts[first], size)).tolist()
         self.blocks = list(zip(bounds[:-1], bounds[1:]))
@@ -285,33 +301,90 @@ class _Windows:
             names[at] = list(map(sep.join, zip(*units)))
         return names.tolist()
 
-    @cached_property
-    def _unit_ranks(self) -> np.ndarray:
-        """Each unit's rank inside a name, then each unit's rank as a name's last
-        unit, both by ``id``: for CHAR its id twice, for WORD its rank in one
-        codepoint ranking of every ``token + " "`` and every bare ``token``."""
-        if self.analyzer is Analyzer.CHAR:
-            return np.tile(np.arange(self.n_units, dtype=np.int64), 2)
-        tokens = self.table.tolist()
-        strings = [token + " " for token in tokens] + tokens  # all distinct
-        # Python's sort, because numpy's fixed-width strings drop trailing NULs
-        ranks = np.empty(len(strings), dtype=np.int64)
-        ranks[sorted(range(len(strings)), key=strings.__getitem__)] = np.arange(len(strings))
-        return ranks
-
-    def ranking(self, where: np.ndarray, length, totals: np.ndarray) -> np.ndarray:
-        """The permutation that orders the windows of ``length`` units (one length
-        for all, or one per window) at ``where`` by ``totals`` descending, then
-        by their names in codepoint order, as the module docstring says."""
-        lengths = np.broadcast_to(length, np.shape(where))
-        keys = []
+    def _position_ranks(self, where: np.ndarray, lengths: np.ndarray) -> tuple[list, list]:
+        """Per unit position of the windows of ``lengths`` units at ``where``:
+        each window's uint64 rank of its unit there, 0 past its end, and the
+        number of rank values there. Only the units of these windows are ranked,
+        at each position only those that occur there. For CHAR a unit ranks by
+        its id, for WORD a window's last token by its bare string and every
+        other token by ``token + " "``, in one codepoint sort of just those
+        strings (``_codepoint_order``)."""
+        n, word = self.n_units, self.analyzer is Analyzer.WORD
+        codes = []  # a unit's id, plus n for a WORD window's last token; 2n past the end
         for k in range(int(lengths.max(initial=0))):
             inside = k < lengths
-            units = self.units[np.where(inside, where + k, 0)]
-            last = (k == lengths - 1) * self.n_units
-            keys.append(np.where(inside, self._unit_ranks[units + last], -1))
-        # lexsort's last key is its first: the total, then unit positions 0, 1, ...
-        return np.lexsort((*reversed(keys), -totals))
+            unit = self.units[np.where(inside, where + k, 0)]
+            if word:
+                unit = unit + (k == lengths - 1) * n
+            codes.append(np.where(inside, unit, 2 * n))
+        seen = np.zeros((len(codes), 2 * n + 1), dtype=bool)
+        for k, code in enumerate(codes):
+            seen[k, code] = True
+        ranked = self._codepoint_order(seen[:, : 2 * n].any(axis=0))
+        ranks, sizes = [], []
+        rank = np.zeros(2 * n + 1, dtype=np.uint64)
+        for k, code in enumerate(codes):
+            here = ranked[seen[k, ranked]]
+            rank[here] = np.arange(1, len(here) + 1, dtype=np.uint64)
+            ranks.append(rank[code])
+            sizes.append(len(here) + 1)
+        return ranks, sizes
+
+    def _codepoint_order(self, present: np.ndarray) -> np.ndarray:
+        """The codes where ``present`` is true, in codepoint order of their
+        strings: for CHAR a code is a unit's id, its codepoint rank; for WORD it
+        is a token's id for ``token + " "``, and ``n_units`` more for the bare
+        token."""
+        codes = np.flatnonzero(present)
+        if self.analyzer is Analyzer.CHAR:
+            return codes
+        # Python's sort, because numpy's fixed-width strings drop trailing NULs
+        n = self.n_units
+        ids = np.flatnonzero(present[:n] | present[n:])
+        tokens = self.table[ids].tolist()
+        if _BELOW_SPACE.search("".join(tokens)) is None:
+            # t + " " then sorts right after t and before every other token,
+            # so one sort of the tokens orders both strings of each
+            ids = ids[sorted(range(len(tokens)), key=tokens.__getitem__)]
+            both = np.stack((ids + n, ids), axis=1).ravel()
+            return both[present[both]]
+        spaced, bare = codes[codes < n], codes[codes >= n] - n
+        strings = [t + " " for t in self.table[spaced].tolist()] + self.table[bare].tolist()
+        return codes[sorted(range(len(strings)), key=strings.__getitem__)]
+
+    def ranking(self, where: np.ndarray, length, totals: np.ndarray,
+                k: Optional[int] = None) -> np.ndarray:
+        """The first ``k`` (by default all) entries of the permutation that orders
+        the windows of ``length`` units (one length for all, or one per window) at
+        ``where`` by ``totals`` descending, then by their names in codepoint
+        order, as the module docstring says.
+
+        Only the windows whose total reaches the ``k``-th largest are ranked.
+        Every window tied at that total is among them, so their first ``k`` are
+        the first ``k`` of all."""
+        lengths = np.broadcast_to(length, np.shape(where))
+        chosen = None
+        if k is not None and k < len(totals):
+            if k == 0:
+                return np.empty(0, dtype=np.intp)
+            chosen = np.flatnonzero(totals >= _cut(totals, k))
+            where, lengths, totals = where[chosen], lengths[chosen], totals[chosen]
+        ranks, sizes = self._position_ranks(where, lengths)
+        # the count key and then the ranks, each folded into the key before it
+        # (key * size + rank) while the key's values stay below KEY_SPAN; UNIT_LIMIT
+        # keeps the count key's span and each size below 2**32, so any two fold into one
+        top = int(totals.max(initial=0))
+        key, span = (top - totals).astype(np.uint64), top - int(totals.min(initial=top)) + 1
+        keys = []
+        for rank, size in zip(ranks, sizes):
+            if span * size > KEY_SPAN:
+                keys.append(key)
+                key, span = rank, size
+            else:
+                key, span = key * np.uint64(size) + rank, span * size
+        # lexsort's last key is its first
+        order = np.lexsort([key, *reversed(keys)])
+        return order if chosen is None else chosen[order[:k]]
 
 
 def fit(docs: Sequence[Document], cfg: VectorizerConfig) -> Vocabulary:
@@ -345,7 +418,7 @@ def fit(docs: Sequence[Document], cfg: VectorizerConfig) -> Vocabulary:
         )
 
     # decode only the features kept
-    kept = win.ranking(where, length, total)[: cfg.max_features]
+    kept = win.ranking(where, length, total, cfg.max_features)
     chosen = dict(zip(win.names(where[kept], length[kept]), kept.tolist()))
     retained = sorted(chosen)
 

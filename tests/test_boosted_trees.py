@@ -153,7 +153,9 @@ def reference_split(X, g, h, rows, reg_lambda):
                 + (G - gs[i]) ** 2 / (H - hs[i] + reg_lambda)
                 - G * G / (H + reg_lambda)
             )
-            candidates.append((gain, j, float(0.5 * (xs[i] + xs[i + 1]))))
+            a, b = float(xs[i]), float(xs[i + 1])
+            mid = 0.5 * (a + b)
+            candidates.append((gain, j, mid if a < mid <= b else b))
     best = max((gain for gain, _, _ in candidates), default=0.0)
     if not best > 0:
         return None
@@ -248,6 +250,21 @@ class TestReferenceSearch:
         # a plain cumsum minus each segment's offset is off by ~1e-9 here
         atol = 8 * np.finfo(float).eps * np.abs(expected).max()
         np.testing.assert_allclose(_segment_cumsum(values, starts), expected, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("a, b", [(1e308, 1.7e308), (1.0, float(np.nextafter(1.0, 2.0)))],
+                             ids=["midpoint-overflows", "adjacent-floats"])
+    def test_threshold_separates_the_values_it_cuts_between(self, a, b):
+        # the midpoint of these is inf, or rounds down to a: a split there
+        # would send every row one way
+        X = np.array([[a], [a], [b], [b]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        model = gbt_fit(X, y, BoostConfig(n_rounds=3, max_depth=1))
+        splits = [node for tree in model.trees for node in tree.nodes if not node.is_leaf]
+        assert len(splits) == 3 and all(a < node.threshold <= b for node in splits)
+        assert model.trees == tuple(reference_fit(X, y, BoostConfig(n_rounds=3, max_depth=1)))
+        proba, _ = gbt_predict(model, X)
+        assert proba[0] == proba[1] < 0.5 < proba[2] == proba[3]
+        assert gbt_from_text(gbt_to_text(model)).trees == model.trees
 
     def test_duplicated_column_tie_picks_lowest_feature(self):
         rng = np.random.default_rng(3)

@@ -1,13 +1,15 @@
 """The byte-identity check set (``scripts/check_set.py``) runs every
 subcommand and trains every model, so none of them can change its output
-unseen. Nothing is run here: the check set's command lines are read."""
+unseen. No command is run here: the check set's command lines and inputs
+are read."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 
-from satira import vectorize
+from satira import load_corpus, ngram_frequency, vectorize
 from satira.cli import _COMMANDS, PIPELINES
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -59,3 +61,18 @@ def test_tagged_text_edges_its_lines_and_keeps_120_documents():
     # a comment line between two token lines
     assert any(line.startswith("#") and "\t" in before and "\t" in after
                for before, line, after in zip(lines, lines[1:], lines[2:]))
+
+
+def test_tied_cuts_fall_inside_runs_of_equal_counts(tmp_path):
+    check_set = load_script("check_set")
+    prefixes = tmp_path / "prefixes.jsonl"
+    prefixes.write_text(check_set.prefix_corpus_text(), encoding="utf-8")
+    options = dict(check_set.BIG_OPTIONS)
+    rng = np.random.default_rng(options.pop("seed"))
+    corpora = {check_set.PREFIXES: load_corpus(prefixes),
+               check_set.BIG: load_script("make_synthetic_corpus").build_corpus(rng=rng, **options)}
+    for corpus, fraction in check_set.TIED_CUTS.values():
+        for n in (1, 2, 3):
+            counts = sorted(ngram_frequency(corpora[corpus], n).counts.values(), reverse=True)
+            k = math.floor(fraction * len(counts) + 0.5)  # as top_fraction rounds
+            assert 1 <= k < len(counts) and counts[k - 1] == counts[k], (corpus, n)

@@ -5,6 +5,7 @@ from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -381,9 +382,22 @@ def keys_built():
         yield built
 
 
+@contextmanager
+def windows_sorted():
+    """Records how many windows each ``np.lexsort`` call sorts."""
+    lexsort, sorted_ = np.lexsort, []
+
+    def recording(keys, *args, **kwargs):
+        sorted_.append(len(keys[0]))
+        return lexsort(keys, *args, **kwargs)
+
+    with mock.patch.object(np, "lexsort", recording):
+        yield sorted_
+
+
 class TestRankedCounts:
-    """ngram_frequency's counts are a read-only mapping whose keys are built
-    only when read."""
+    """ngram_frequency's counts are a read-only mapping, ranked and built only
+    when read."""
 
     def test_mapping_contract(self):
         corpus = corpus_of(["a", "b", "a"], ["b", "a", "c"])
@@ -404,14 +418,19 @@ class TestRankedCounts:
     @settings(max_examples=100, deadline=None)
     def test_length_builds_no_key_and_top_fraction_only_its_own(self, token_lists, fraction):
         corpus = corpus_of(*token_lists)
-        with keys_built() as built:
+        with keys_built() as built, windows_sorted() as sorted_:
             for n in (1, 2, 3):
                 freq = ngram_frequency(corpus, n)
-                assert len(freq.counts) == len(reference_counts(corpus, n))
-                assert built == []
+                counts = reference_counts(corpus, n)
+                assert len(freq.counts) == len(counts)
+                assert built == [] and sorted_ == []
                 top = top_fraction(freq, fraction)
                 assert sum(built) <= len(top)
+                # only the n-grams counted at least as often as the last one returned
+                cut = top[-1][1] if top else 0
+                assert sum(sorted_) <= sum(count >= cut for count in counts.values())
                 built.clear()
+                sorted_.clear()
 
     @given(token_lists=token_lists)
     @settings(max_examples=100, deadline=None)

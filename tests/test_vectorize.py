@@ -292,6 +292,99 @@ class TestFitBuildsOnlyKeptNames:
         assert sum(built) == len(vocab) == min(cfg.max_features, candidates)
 
 
+# TOKENS and tokens whose strings order differently from their ids, outside
+# the BMP and in Arabic
+RANKED_TOKENS = TOKENS + ["b\x01", "\x01", "\uffff", "\U00010000a", "\u0642\u0627\u0644"]
+
+
+def windows_of_levels(seqs, analyzer, levels):
+    """The distinct windows of each level in ``levels``, as ``fit`` collects its
+    candidates: their lengths, a position of each, and their total counts."""
+    win = vectorize._Windows(seqs, analyzer)
+    per_level = [(np.full(win.n_ids, n), *win.count()[:2])
+                 for n in win.levels(max(levels)) if n in levels]
+    length, where, totals = (np.concatenate(c) for c in zip(*per_level))
+    return win, length, where, totals
+
+
+class TestRankingFirstK:
+    """``_Windows.ranking(where, length, totals, k)`` ranks only the windows
+    whose total reaches the k-th largest, and its result is the first ``k``
+    of the full ranking, for every k, one length or mixed lengths, counts that
+    tie at the cut, rank keys folded or each apart (``KEY_SPAN``), and blocks
+    of a few units. The full ranking is checked against a sort of the names."""
+
+    @pytest.mark.parametrize("block, key_span", [(vectorize.BLOCK, vectorize.KEY_SPAN), (3, 1),
+                                                 (vectorize.BLOCK, 1 << 12)])
+    @given(
+        analyzer=st.sampled_from(list(Analyzer)),
+        doc_texts=st.lists(texts(RANKED_TOKENS), min_size=1, max_size=6),
+        levels=st.sampled_from([(1,), (2,), (3,), (1, 2, 3), (2, 4)]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_first_k_of_the_full_ranking(self, block, key_span, analyzer, doc_texts, levels,
+                                         data):
+        seqs = vectorize._unit_sequences(documents(doc_texts), analyzer)
+        with mock.patch.object(vectorize, "BLOCK", block):
+            win, length, where, totals = windows_of_levels(seqs, analyzer, levels)
+        if data.draw(st.booleans()):  # few distinct counts, so ties at every cut
+            totals = np.array(data.draw(st.lists(st.integers(1, 3), min_size=len(totals),
+                                                 max_size=len(totals))), dtype=np.int64)
+        names = win.names(where, length)
+        want = sorted(range(len(names)), key=lambda i: (-int(totals[i]), names[i]))
+        lengths = length if len(levels) > 1 else levels[0]
+        with mock.patch.object(vectorize, "KEY_SPAN", key_span):
+            assert win.ranking(where, lengths, totals).tolist() == want
+            for k in range(len(totals) + 2):
+                assert win.ranking(where, lengths, totals, k).tolist() == want[:k]
+
+    @pytest.mark.parametrize("analyzer", list(Analyzer))
+    def test_keys_at_the_uint64_bound(self, analyzer):
+        # counts spread over [1, 2**31) and 3500 distinct units: the count and
+        # three unit ranks span more than 2**64 values, so they need two keys
+        rng = np.random.default_rng(5)
+        alphabet = [chr(0x4E00 + k) for k in range(3500)]
+        seqs = [[alphabet[k] for k in rng.integers(0, len(alphabet), 400)] for _ in range(30)]
+        if analyzer is Analyzer.CHAR:
+            seqs = ["".join(seq) for seq in seqs]
+        win, length, where, _ = windows_of_levels(seqs, analyzer, (3,))
+        totals = rng.integers(1, 1 << 31, len(where))
+        totals[::7] = totals[0]  # and some ties
+        names = win.names(where, length)
+        want = sorted(range(len(names)), key=lambda i: (-int(totals[i]), names[i]))
+        assert win.ranking(where, 3, totals).tolist() == want
+        assert win.ranking(where, 3, totals, 100).tolist() == want[:100]
+
+    @pytest.mark.parametrize("seqs, want", [
+        # "a\x01 c" sorts before "a b" though ("a\x01", "c") sorts after ("a", "b")
+        ([["a", "b"], ["a\x01", "c"], ["a"]], ["a", "a\x01", "a\x01 c", "a b"]),
+        # with no character below the space, "a b" sorts right after "a"
+        ([["a", "b"], ["ab", "c"], ["a"]], ["a", "a b", "ab", "ab c"]),
+    ], ids=["below-space", "no-below-space"])
+    def test_prefix_tokens_at_a_tied_cut(self, seqs, want):
+        # all six windows of lengths 1 and 2 tie; the first four are kept
+        win, length, where, totals = windows_of_levels(seqs, Analyzer.WORD, (1, 2))
+        names = win.names(where, length)
+        assert [names[i] for i in win.ranking(where, length, np.ones_like(totals), 4)] == want
+
+
+class TestUnitLimit:
+    """Sequences of ``UNIT_LIMIT`` units or more are refused: their int32 ids
+    would wrap, and the folded rank keys are sized for fewer."""
+
+    @pytest.mark.parametrize("analyzer", list(Analyzer))
+    def test_limit(self, analyzer):
+        docs = documents(["ab c", "de"])
+        units = sum(map(len, vectorize._unit_sequences(docs, analyzer)))
+        cfg = VectorizerConfig(analyzer=analyzer, max_df=1.0)
+        with mock.patch.object(vectorize, "UNIT_LIMIT", units + 1):
+            fit(docs, cfg)
+        with mock.patch.object(vectorize, "UNIT_LIMIT", units):
+            with pytest.raises(DataError, match=f"hold {units} {analyzer.value} units"):
+                fit(docs, cfg)
+
+
 def docs_of(*token_lists):
     return [make_document(f"d{i}", " ".join(t)) for i, t in enumerate(token_lists)]
 
