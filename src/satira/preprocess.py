@@ -13,10 +13,10 @@ space-joined key (``vectorize._Windows.ranking``). An ``NgramFrequency``'s
 built only when read: its length ranks nothing, reading its first k keys
 ranks only the n-grams counted at least as often as the k-th and builds the
 keys a chunk at a time, iterating it ranks all of them, and the first
-lookup by key ranks all of them into one dict that it keeps. So
-``top_fraction`` ranks only the n-grams tied with or above its cut and
-builds only the keys it returns, and ``ngram_frequency_to_tsv`` writes the
-ranking chunk by chunk.
+lookup by key builds every key, unranked and a chunk at a time, into one
+dict that it keeps. So ``top_fraction`` ranks only the n-grams tied with or
+above its cut and builds only the keys it returns, and
+``ngram_frequency_to_tsv`` writes the ranking chunk by chunk.
 """
 
 from __future__ import annotations
@@ -113,9 +113,10 @@ class _RankedCounts(Mapping[str, int]):
 
     def __getitem__(self, key: str) -> int:
         if self._index is None:
-            self._index = {}
-            for keys, counts in self.chunks(len(self)):
-                self._index.update(zip(keys, counts))
+            self._index = {}  # needs no order, so the windows are taken unranked
+            for at in range(0, len(self), _CHUNK):
+                keys = self._win.names(self._where[at : at + _CHUNK], self.n)
+                self._index.update(zip(keys, self._totals[at : at + _CHUNK].tolist()))
         return self._index[key]
 
 
