@@ -15,6 +15,11 @@ value it resolved (``--out`` and ``--config`` aside), and one ``# input
 <flag> sha256:...`` line per input file it read (for ``--model-dir``, the
 run's ``run.json``), so results stay attributable; all randomness of
 ``train`` derives from its single ``--seed`` value.
+
+Every output goes through ``_write``. Its first call in a command creates
+``--out`` and fixes the header, so a command resolves every option before
+it writes, and a command that fails before its first write leaves no
+``--out`` behind.
 """
 
 from __future__ import annotations
@@ -194,21 +199,23 @@ def _header(args) -> str:
     return metadata_header({"command": args.command, "options": options}, inputs)
 
 
-def _out_dir(args) -> Path:
-    out = Path(_resolve(args, "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write(path: Path, header: str, body: str):
-    path.write_text(header + body, encoding="utf-8")
+def _write(args, name: str, body: str, tag: str = "") -> None:
+    """Write ``tag``, the header and ``body`` to ``name`` in ``--out``. The
+    first call of a command resolves and creates ``--out`` and builds the
+    header from the options resolved so far, so it is the same for every
+    output of the command."""
+    if args.header is None:
+        Path(_resolve(args, "out")).mkdir(parents=True, exist_ok=True)
+        args.header = _header(args)
+    path = Path(args.resolved["out"]) / name
+    path.write_text(tag + args.header + body, encoding="utf-8")
     log.info("wrote %s", path)
 
 
 # ---------------------------------------------------------------- clean
 
 
-def cmd_clean(args) -> int:
+def cmd_clean(args) -> None:
     corpus = load_corpus(_resolve(args, "corpus"))
     cfg = NormalizationConfig(
         strip_diacritics=not _resolve(args, "keep-diacritics"),
@@ -218,29 +225,25 @@ def cmd_clean(args) -> int:
     stop_path = _resolve(args, "stop-phrases")
     stop = StopPhraseList.from_file(stop_path) if stop_path else None
     cleaned = clean_corpus(corpus, cfg, stop)
-    _write(_out_dir(args) / "cleaned.jsonl", _header(args), corpus_to_jsonl(cleaned))
-    return 0
+    _write(args, "cleaned.jsonl", corpus_to_jsonl(cleaned))
 
 
 # ---------------------------------------------------------- boilerplate
 
 
-def cmd_boilerplate(args) -> int:
+def cmd_boilerplate(args) -> None:
     fraction = _resolve(args, "fraction")
     _check_fraction(fraction)
     corpus = load_corpus(_resolve(args, "corpus"))
-    out = _out_dir(args)
-    header = _header(args)
     for freq in _ngram_frequencies(corpus, (1, 2, 3)):
-        _write(out / f"ngrams_{freq.n}.tsv", header, ngram_frequency_to_tsv(freq))
-        _write(out / f"candidates_{freq.n}.tsv", header, ngram_frequency_to_tsv(freq, fraction))
-    return 0
+        _write(args, f"ngrams_{freq.n}.tsv", ngram_frequency_to_tsv(freq))
+        _write(args, f"candidates_{freq.n}.tsv", ngram_frequency_to_tsv(freq, fraction))
 
 
 # -------------------------------------------------------------- measure
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> None:
     corpus_path = _resolve(args, "corpus")
     corpus = load_corpus(corpus_path).labeled_only()
     cliches = Lexicon.from_file(_resolve(args, "cliches"), name="cliches")
@@ -258,8 +261,7 @@ def cmd_measure(args) -> int:
     if tagged_path:
         fpp_ratios = parse_file(tagged_path, parse_tagged)
     body = profile_to_csv(corpus_profile(corpus, cliches, emotions, fpp_ratios))
-    _write(_out_dir(args) / "measures.csv", _header(args), body)
-    return 0
+    _write(args, "measures.csv", body)
 
 
 # measures column name -> its value in a MeasureVector, NaN where undefined
@@ -279,7 +281,7 @@ def _measure_columns(args) -> dict[str, dict[Label, list[float]]]:
 # ---------------------------------------------------------------- ttest
 
 
-def cmd_ttest(args) -> int:
+def cmd_ttest(args) -> None:
     columns = _measure_columns(args)
     variant = TTestVariant(_resolve(args, "variant"))
     policy = NanPolicy(_resolve(args, "nan-policy"))
@@ -308,18 +310,15 @@ def cmd_ttest(args) -> int:
         )
         print(line)
         out_lines.append(line)
-    _write(_out_dir(args) / "ttest.txt", _header(args), "".join(l + "\n" for l in out_lines))
-    return 0
+    _write(args, "ttest.txt", "".join(l + "\n" for l in out_lines))
 
 
 # ------------------------------------------------------------ plot-data
 
 
-def cmd_plot_data(args) -> int:
+def cmd_plot_data(args) -> None:
     columns = _measure_columns(args)
     bins = _resolve(args, "bins")
-    out = _out_dir(args)
-    header = _header(args)
     for name, per_label in columns.items():
         for label, values in per_label.items():
             finite = [v for v in values if not math.isnan(v)]
@@ -327,8 +326,7 @@ def cmd_plot_data(args) -> int:
                 log.info("skipping density for %s/%s: no finite values", name, label.value)
                 continue
             est = density_histogram(finite, bins)
-            _write(out / f"density_{name}_{label.value}.csv", header, density_to_csv(est))
-    return 0
+            _write(args, f"density_{name}_{label.value}.csv", density_to_csv(est))
 
 
 # ---------------------------------------------------------------- train
@@ -392,19 +390,24 @@ def _fit_cnn(cfg: dict, docs, y):
     return artifacts, {"embedding_coverage": coverage, "loss_history": history}
 
 
-def _vectorized(model_dir: Path, docs):
-    vocab = load_vocabulary(model_dir / "vocabulary.txt")
-    return transform(docs, vocab, vocab.config)
+def _load_vectorizer_run(model_dir: Path, load_model):
+    """A run's vocabulary and model, which must count the same features."""
+    path = model_dir / "vocabulary.txt"
+    vocab = load_vocabulary(path)
+    model = load_model(model_dir / "model.txt")
+    if len(vocab) != model.n_features:
+        raise DataError(f"{path}: {len(vocab)} features, but the model has {model.n_features}")
+    return vocab, model
 
 
 def _predict_nb(model_dir: Path, docs) -> np.ndarray:
-    X = _vectorized(model_dir, docs)
-    return nb_predict(load_nb(model_dir / "model.txt"), X)[0]
+    vocab, model = _load_vectorizer_run(model_dir, load_nb)
+    return nb_predict(model, transform(docs, vocab, vocab.config))[0]
 
 
 def _predict_gbt(model_dir: Path, docs) -> np.ndarray:
-    X = _vectorized(model_dir, docs)
-    return gbt_predict(load_gbt(model_dir / "model.txt"), X.toarray())[1]
+    vocab, model = _load_vectorizer_run(model_dir, load_gbt)
+    return gbt_predict(model, transform(docs, vocab, vocab.config).toarray())[1]
 
 
 def _predict_cnn(model_dir: Path, docs) -> np.ndarray:
@@ -478,7 +481,7 @@ def _reject_other_models_flags(args, model_kind: str) -> None:
                             f"not by --model {model_kind}")
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     model_kind = _resolve(args, "model")
     _reject_other_models_flags(args, model_kind)
     corpus = load_corpus(_resolve(args, "corpus")).labeled_only()
@@ -486,8 +489,6 @@ def cmd_train(args) -> int:
     split_cfg = SplitConfig(test_fraction=_resolve(args, "test-fraction"),
                             seed=_resolve(args, "seed"))
     train_set, _ = split(corpus, split_cfg)
-    out = _out_dir(args)
-
     run_config = {
         "command": "train",
         "corpus": str(_resolve(args, "corpus")),
@@ -499,17 +500,14 @@ def cmd_train(args) -> int:
     for key, flag, _, default in pipeline.options:
         run_config[key] = _resolve(args, flag, default)
 
-    header = _header(args)
     artifacts, outputs = pipeline.fit(run_config, train_set.documents, _binary_labels(train_set))
     for name, text in artifacts.items():
         # metadata goes between the artifact's format-tag line and its body
         tag, _, body = text.partition("\n")
-        _write(out / name, f"{tag}\n{header}", body)
-    record = dict(run_config, **outputs)
-    _write(out / "run.json", header,
-           json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
-    log.info("trained %s model into %s", model_kind, out)
-    return 0
+        _write(args, name, body, tag + "\n")
+    record = json.dumps(dict(run_config, **outputs), sort_keys=True, ensure_ascii=False, indent=2)
+    _write(args, "run.json", record + "\n")
+    log.info("trained %s model into %s", model_kind, args.resolved["out"])
 
 
 # ------------------------------------------------------------- evaluate
@@ -539,7 +537,7 @@ def _run_from_text(text: str) -> tuple[dict, SplitConfig]:
     return run, SplitConfig(test_fraction=run["test_fraction"], seed=run["seed"])
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     model_dir = Path(_resolve(args, "model-dir"))
     run, split_cfg = _load_run(model_dir)
     corpus = load_corpus(_resolve(args, "corpus")).labeled_only()
@@ -549,49 +547,40 @@ def cmd_evaluate(args) -> int:
     report = evaluate(_int_labels_to_enum(pred), gold)
     text = report_to_text(report)
     print(text, end="")
-    out = _out_dir(args)
-    header = _header(args)
-    _write(out / "report.txt", header, text)
-    _write(out / "report.json", header, report_to_json(report))
-    return 0
+    _write(args, "report.txt", text)
+    _write(args, "report.json", report_to_json(report))
 
 
 # ------------------------------------------------------------- features
 
 
-def cmd_features(args) -> int:
+def cmd_features(args) -> None:
     model_dir = Path(_resolve(args, "model-dir"))
     run, _ = _load_run(model_dir)
     if run["model"] != "nb":
         raise DataError(
             f"feature rankings need a Naive Bayes model, run dir has {run['model']!r}"
         )
-    model = load_nb(model_dir / "model.txt")
-    vocab = load_vocabulary(model_dir / "vocabulary.txt")
+    vocab, model = _load_vectorizer_run(model_dir, load_nb)
     k = _resolve(args, "k")
-    out = _out_dir(args)
-    header = _header(args)
     for score, suffix in (("log_ratio", ""), ("log_prob", "_logprob")):
         fake, real = top_informative_features(model, vocab, k, score=score)
-        _write(out / f"features_fake{suffix}.tsv", header, ranking_to_tsv(fake))
-        _write(out / f"features_real{suffix}.tsv", header, ranking_to_tsv(real))
-    return 0
+        _write(args, f"features_fake{suffix}.tsv", ranking_to_tsv(fake))
+        _write(args, f"features_real{suffix}.tsv", ranking_to_tsv(real))
 
 
 # -------------------------------------------------------------- predict
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     model_dir = Path(_resolve(args, "model-dir"))
     run, _ = _load_run(model_dir)
     corpus = load_corpus(_resolve(args, "corpus"))
     pred = PIPELINES[run["model"]].predict(model_dir, corpus.documents)
-    out = _out_dir(args)
     lines = []
     for doc, label in zip(corpus.documents, _int_labels_to_enum(pred)):
         lines.append(json.dumps({"id": doc.id, "label": label.value}, ensure_ascii=False))
-    _write(out / "predictions.jsonl", _header(args), "".join(l + "\n" for l in lines))
-    return 0
+    _write(args, "predictions.jsonl", "".join(l + "\n" for l in lines))
 
 
 # ----------------------------------------------------------------- main
@@ -687,7 +676,9 @@ def main(argv=None) -> int:
     try:
         args.file_config = load_json(args.config) if args.config else {}
         args.resolved = {}
-        return args.func(args)
+        args.header = None  # built by the command's first _write
+        args.func(args)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -104,21 +104,17 @@ def base64_rows(values) -> list[str]:
 class BodyReader:
     """Reads a serialized file line by line, checking as it goes.
 
-    The first line must be one of the format tags; ``format`` is the tag
-    found. ``key=value`` pairs may follow on any comment line (the CLI
-    splices its metadata in after the tag). The comment block ends at the
-    first line not starting with ``#`` or holding a tab (a row may start
-    with a hashtag feature). Blank body lines are skipped; every
-    ``DataError`` names the file line.
+    The first line must be the format tag. ``key=value`` pairs may follow
+    on any comment line (the CLI splices its metadata in after the tag).
+    The comment block ends at the first line not starting with ``#`` or
+    holding a tab (a row may start with a hashtag feature). Blank body
+    lines are skipped; every ``DataError`` names the file line.
     """
 
-    def __init__(self, text: str, *format_tags: str):
+    def __init__(self, text: str, format_tag: str):
         self._lines = text_lines(text)
-        first = self._lines[0] if self._lines else ""
-        if first not in [f"# {tag}" for tag in format_tags]:
-            expected = " or ".join(f"'# {tag}'" for tag in format_tags)
-            raise DataError(f"unsupported file (expected header {expected})")
-        self.format = first[2:]
+        if (self._lines[0] if self._lines else "") != f"# {format_tag}":
+            raise DataError(f"unsupported file (expected header '# {format_tag}')")
         self.meta: dict[str, str] = {}
         self._next = 0
         for line in self._lines:
@@ -182,27 +178,23 @@ class BodyReader:
             raise self.error(f"{what} {parts[0]} where {label} was expected")
         return parts[1:]
 
-    def floats(self, what: str, count: int, label: str | None = None, sep: str = " ",
-               out: np.ndarray | None = None) -> np.ndarray:
+    def floats(self, what: str, count: int, label: str | None = None,
+               sep: str = " ") -> np.ndarray:
         """Next line as ``count`` floats after ``label``, if given; inverse of
-        ``float_rows``. With ``out``, a zero-filled array of ``count``, the floats
-        are stored there and ``out`` is returned."""
+        ``float_rows``."""
         parts = self._row(what, count, label, sep)
         try:
-            values = np.array(parts, dtype=np.float64)
+            return np.array(parts, dtype=np.float64)
         except ValueError as exc:
             raise self.error(str(exc)) from exc
-        if out is None:
-            return values
-        out[:] = values
-        return out
 
     def base64_floats(self, what: str, count: int, label: str | None = None,
                       out: np.ndarray | None = None) -> np.ndarray:
         """As ``floats``, for the inverse of ``base64_rows``: the field must be
-        ``ZERO_ROW`` or strict base64 of exactly ``8 * count`` bytes. A
-        ``ZERO_ROW`` leaves ``out`` untouched, so reading one costs no memory
-        however large ``count`` is."""
+        ``ZERO_ROW`` or strict base64 of exactly ``8 * count`` bytes. With
+        ``out``, a zero-filled array of ``count``, the floats are stored there
+        and ``out`` is returned; a ``ZERO_ROW`` leaves it untouched, so reading
+        one costs no memory however large ``count`` is."""
         (field,) = self._row(what, 1, label, " ")
         if field == ZERO_ROW:
             return np.zeros(count, dtype=np.float64) if out is None else out

@@ -103,8 +103,9 @@ class BoostConfig:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (math.isfinite(self.reg_lambda) and self.reg_lambda >= 0):
-            raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
+        # the Newton step -G / (H + reg_lambda) needs H + reg_lambda > 0, and H may be 0
+        if not (math.isfinite(self.reg_lambda) and self.reg_lambda > 0):
+            raise ValueError(f"reg_lambda must be finite and > 0, got {self.reg_lambda}")
 
 
 @dataclass(frozen=True)

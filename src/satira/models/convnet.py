@@ -13,8 +13,7 @@ A model is saved as ``satira-cnn v2`` text: a ``<name> <shape>`` line per
 matrix, then one line per leading index holding the base64 of that row's
 little-endian float64 bytes, or ``0`` for a row whose bytes are all zero
 (the OOV row and the row of every token without a pretrained vector).
-Every value reads back bit for bit. ``satira-cnn v1`` files, which hold
-each float as its shortest ``repr``, are still read.
+Every value reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from ._labels import binary_labels
 from .boosted_trees import logistic_loss, sigmoid
 
 CNN_FORMAT = "satira-cnn v2"
-# the same layout with ``repr`` floats (fileio.float_rows); read, no longer written
-CNN_FORMAT_V1 = "satira-cnn v1"
 
 # sequences per forward pass in cnn_predict
 PREDICT_CHUNK = 64
@@ -324,8 +321,7 @@ def cnn_to_text(model: ConvNetModel) -> str:
 
 
 def cnn_from_text(text: str) -> ConvNetModel:
-    r = BodyReader(text, CNN_FORMAT, CNN_FORMAT_V1)
-    row = r.base64_floats if r.format == CNN_FORMAT else r.floats
+    r = BodyReader(text, CNN_FORMAT)
     V, d, F, K, max_len = (
         r.meta_value(key, int) for key in ("vocab", "dim", "filters", "kernel", "max_len")
     )
@@ -340,20 +336,20 @@ def cnn_from_text(text: str) -> ConvNetModel:
             raise r.error(f"{name} declares {shape[0]} rows, but the file has "
                           f"{r.lines_left} lines left")
         try:
-            # zero-filled, so a v2 zero row is never written and costs no memory
+            # zero-filled, so a zero row is never written and costs no memory
             matrix = np.zeros((shape[0], math.prod(shape[1:])), dtype=np.float64)
         except (ValueError, MemoryError) as exc:
             raise r.error(f"{name} of shape {shape} is too large to hold") from exc
         for i in range(shape[0]):
-            row(f"{name} row", matrix.shape[1], out=matrix[i])
+            r.base64_floats(f"{name} row", matrix.shape[1], out=matrix[i])
         return matrix.reshape(shape)
 
     model = ConvNetModel(
         embedding=read_matrix("embedding", (V, d)),
         conv_weights=read_matrix("conv_weights", (F, K, d)),
-        conv_bias=row("section", F, "conv_bias"),
-        dense_weights=row("section", F, "dense_weights"),
-        dense_bias=float(row("section", 1, "dense_bias")[0]),
+        conv_bias=r.base64_floats("section", F, "conv_bias"),
+        dense_weights=r.base64_floats("section", F, "dense_weights"),
+        dense_bias=float(r.base64_floats("section", 1, "dense_bias")[0]),
         max_sequence_length=max_len,
     )
     r.end()

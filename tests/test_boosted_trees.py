@@ -10,6 +10,8 @@ from satira.models.boosted_trees import (
     TIE_RTOL,
     RegressionTree,
     TreeNode,
+    _best_split,
+    _bin_values,
     _segment_cumsum,
     gbt_from_text,
     gbt_margins,
@@ -54,12 +56,24 @@ class TestFit:
 
     @pytest.mark.parametrize("name, value", [
         ("learning_rate", math.nan), ("learning_rate", -1.0), ("learning_rate", 0.0),
-        ("learning_rate", math.inf), ("reg_lambda", -1.0), ("reg_lambda", math.nan),
-        ("reg_lambda", math.inf),
+        ("learning_rate", math.inf), ("reg_lambda", -1.0), ("reg_lambda", 0.0),
+        ("reg_lambda", math.nan), ("reg_lambda", math.inf),
     ])
     def test_unusable_learning_rate_or_reg_lambda_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
             BoostConfig(**{name: value})
+
+    def test_zero_reg_lambda_rejected_as_it_hides_a_split(self):
+        # feature 0's cut leaves a side with G = H = 0, whose gain at lambda = 0
+        # is 0/0; that NaN hid feature 1's positive gain and made a leaf
+        X = np.array([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0], [2.0, 2.0]])
+        g = np.array([0.0, 0.0, 0.5, -0.5])
+        h = np.array([0.0, 0.0, 0.25, 0.25])
+        with pytest.raises(ValueError, match="reg_lambda must be finite and > 0"):
+            BoostConfig(reg_lambda=0.0)
+        bins = _bin_values(X)
+        nz = np.arange(len(bins.row))
+        assert _best_split(bins, g, h, nz, g.sum(), h.sum(), len(g), 1e-12) == (1, 1.5)
 
     @pytest.mark.parametrize("base_score", [math.nan, math.inf, -math.inf])
     def test_non_finite_base_score_rejected(self, base_score):

@@ -291,6 +291,14 @@ class TestMeasureTtestPlot:
         assert data_lines[0] == "bin_left,bin_right,density"
         assert len(data_lines) == 6
 
+    def test_plot_data_failing_before_its_first_write_leaves_no_out(self, corpus_file, tmp_path,
+                                                                    capsys):
+        measures = self.make_measures(tmp_path, corpus_file)
+        out = tmp_path / "p"
+        assert run("plot-data", "--measures", measures, "--bins", 0, "--out", out) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainEvaluatePredict:
     def test_nb_end_to_end_perfect_on_separable(self, corpus_file, tmp_path, capsys):
@@ -382,6 +390,19 @@ class TestTrainEvaluatePredict:
         ]
         assert lines[0] == {"id": "n1", "label": "fake"}
         assert lines[1] == {"id": "n2", "label": "real"}
+
+    def test_train_failing_before_its_first_write_leaves_no_out(self, corpus_file, tmp_path,
+                                                                 capsys):
+        missing = tmp_path / "missing.txt"
+        out = tmp_path / "run"
+        assert run("train", "--corpus", corpus_file, "--model", "cnn", "--embeddings", missing,
+                   "--out", out) == 2
+        assert f"error: {missing}: [Errno 2]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_reg_lambda_exits_2(self, corpus_file, tmp_path, capsys):
+        assert train(corpus_file, "gbt", tmp_path / "run", "--reg-lambda", 0) == 2
+        assert "error: reg_lambda must be finite and > 0, got 0.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["nb", "cnn"])
     def test_predict_empty_corpus_writes_no_predictions(self, corpus_file, tmp_path, kind):
@@ -513,12 +534,29 @@ class TestTrainEvaluatePredict:
         assert str(path) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, command", [
+        ("nb", "evaluate"), ("gbt", "evaluate"), ("nb", "predict"), ("gbt", "predict"),
+        ("nb", "features")])
+    def test_vocabulary_cut_at_a_line_exits_2_naming_it(self, corpus_file, tmp_path, capsys,
+                                                        kind, command):
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, kind, model_dir) == 0
+        path = model_dir / "vocabulary.txt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        n_features = len(vocabulary_from_text("".join(lines)))
+        corpus = () if command == "features" else ("--corpus", corpus_file)
+        capsys.readouterr()
+        assert run(command, *corpus, "--model-dir", model_dir, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: {n_features - 1} features, but the model has {n_features}" in err
+
     @pytest.mark.parametrize("kind, filename, key, value, message", [
         ("gbt", "model.txt", "n_rounds", "0", "n_rounds must be >= 1, got 0"),
         ("gbt", "model.txt", "max_depth", "-1", "max_depth must be >= 0, got -1"),
         ("gbt", "model.txt", "learning_rate", "nan", "learning_rate must be finite and > 0"),
         ("gbt", "model.txt", "learning_rate", "-0.5", "learning_rate must be finite and > 0"),
-        ("gbt", "model.txt", "reg_lambda", "-1.0", "reg_lambda must be finite and >= 0"),
+        ("gbt", "model.txt", "reg_lambda", "-1.0", "reg_lambda must be finite and > 0"),
         ("gbt", "model.txt", "base_score", "inf", "base_score must be finite, got inf"),
         ("cnn", "model.txt", "max_len", "2", "max_sequence_length 2 must be >= kernel_size 3"),
         ("gbt", "model.txt", "n_features", "-1", "header n_features=-1 must be >= 0"),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -30,22 +31,22 @@ from satira.models.convnet import (
     save_cnn,
 )
 
-# written by the satira-cnn v1 writer: tiny_model(71, vocab=4, dim=2, filters=2,
-# kernel=2, seq_len=4) with embedding row 2 zeroed and non-zero biases
-CNN_V1_TEXT = """\
-# satira-cnn v1
+# tiny_model(71, vocab=4, dim=2, filters=2, kernel=2, seq_len=4) with
+# embedding row 2 zeroed and non-zero biases
+CNN_TEXT = """\
+# satira-cnn v2
 # vocab=4 dim=2 filters=2 kernel=2 max_len=4
 embedding 4 2
-0.0 0.0
--0.055049700488736586 -0.04451688141158078
-0.0 0.0
-0.17253783660523608 -0.7104186155396208
+0
+cOeBbnkvrL94t5Cr6sqmvw==
+0
+5mLFRrgVxj/oygbSv7vmvw==
 conv_weights 2 2 2
-0.6756734689476 -0.9866497546431814 -0.5371034888605675 -0.7715289108093659
-0.43116660437477927 -0.3790900415699625 0.14661567537626796 -0.8962183148546059
-conv_bias 0.25 -1.5e-300
-dense_weights -0.5902448863244414 1.2829476664756132
-dense_bias 0.125
+PPR89x2f5T9+kJmBopLvvwoo56fzL+G/Agj7ZV2w6L8=
+6LA60DuY2z+0ELLgAkPYvxA4aW1NxMI/cg4MCNKt7L8=
+conv_bias AAAAAAAA0D+DtjrSlxKwgQ==
+dense_weights fqFsPknj4r9b4N8h9Ib0Pw==
+dense_bias AAAAAAAAwD8=
 """
 
 
@@ -458,53 +459,43 @@ class TestSerialization:
                 cnn_from_text("".join(lines[:k]))
 
     def test_every_truncation_rejected(self):
-        text = cnn_to_text(cnn_from_text(CNN_V1_TEXT))
-        assert text.startswith("# satira-cnn v2\n")
-        self.assert_every_truncation_rejected(text)
+        assert cnn_to_text(cnn_from_text(CNN_TEXT)) == CNN_TEXT
+        self.assert_every_truncation_rejected(CNN_TEXT)
 
-    def test_every_v1_truncation_rejected(self):
-        assert cnn_from_text(CNN_V1_TEXT).vocab_size == 4
-        self.assert_every_truncation_rejected(CNN_V1_TEXT)
+    def test_v1_file_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(CNN_TEXT.replace("satira-cnn v2", "satira-cnn v1"), encoding="utf-8")
+        expected = f"{path}: unsupported file (expected header '# satira-cnn v2')"
+        with pytest.raises(DataError, match=re.escape(expected)):
+            load_cnn(path)
 
     def test_non_positive_header_count_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
-        path.write_text(CNN_V1_TEXT.replace("vocab=4", "vocab=-1"), encoding="utf-8")
+        path.write_text(CNN_TEXT.replace("vocab=4", "vocab=-1"), encoding="utf-8")
         with pytest.raises(DataError, match="model.txt: header counts .* must be positive"):
             load_cnn(path)
 
     @pytest.mark.parametrize(
-        "vocab, dim, v2, message",
-        [(10**18, 2, False, "line 3: embedding declares 1000000000000000000 rows, but the file "
-                            "has 10 lines left"),
-         (4, 10**18, False, "line 3: embedding of shape .* is too large to hold"),
-         (4, 10**8, False, "line 4: embedding row: expected 100000000 fields, got 2"),
-         (4, 10**8, True, "line 5: embedding row: expected 100000000 floats")],
-        ids=["huge-vocab", "huge-dim", "large-dim-v1", "large-dim-v2-zero-row-first"],
+        "vocab, dim, message",
+        [(10**18, 2, "line 3: embedding declares 1000000000000000000 rows, but the file "
+                     "has 10 lines left"),
+         (4, 10**18, "line 3: embedding of shape .* is too large to hold"),
+         (4, 10**8, "line 5: embedding row: expected 100000000 floats")],
+        ids=["huge-vocab", "huge-dim", "large-dim-v2-zero-row-first"],
     )
-    def test_header_count_beyond_the_file_rejected_before_reading(self, vocab, dim, v2,
-                                                                  message):
-        # the matrix is zero-filled lazily and a v2 zero row is never written, so a
+    def test_header_count_beyond_the_file_rejected_before_reading(self, vocab, dim, message):
+        # the matrix is zero-filled lazily and a zero row is never written, so a
         # large declared dim costs no memory before the first non-zero row fails
-        text = cnn_to_text(cnn_from_text(CNN_V1_TEXT)) if v2 else CNN_V1_TEXT
-        text = text.replace("vocab=4 dim=2", f"vocab={vocab} dim={dim}")
+        text = CNN_TEXT.replace("vocab=4 dim=2", f"vocab={vocab} dim={dim}")
         text = text.replace("embedding 4 2", f"embedding {vocab} {dim}")
         with pytest.raises(DataError, match=message):
             cnn_from_text(text)
 
     def test_v2_writes_zero_rows_as_one_field(self):
-        lines = cnn_to_text(cnn_from_text(CNN_V1_TEXT)).splitlines()
+        lines = cnn_to_text(cnn_from_text(CNN_TEXT)).splitlines()
         assert lines[2] == "embedding 4 2"
         assert [row == "0" for row in lines[3:7]] == [True, False, True, False]
         assert lines[-1] == "dense_bias AAAAAAAAwD8="  # 0.125 as little-endian float64 bytes
-
-    def test_v1_and_v2_loads_predict_bitwise_alike(self):
-        v1 = cnn_from_text(CNN_V1_TEXT)
-        v2 = cnn_from_text(cnn_to_text(v1))
-        for name in ("embedding", "conv_weights", "conv_bias", "dense_weights"):
-            assert getattr(v1, name).tobytes() == getattr(v2, name).tobytes()
-        assert (v1.dense_bias, v1.max_sequence_length) == (v2.dense_bias, v2.max_sequence_length)
-        ids = np.random.default_rng(72).integers(0, 4, size=(9, 4))
-        assert cnn_predict(v1, ids)[0].tobytes() == cnn_predict(v2, ids)[0].tobytes()
 
     def test_special_values_round_trip_bitwise(self):
         special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072e-308, 1.0]
@@ -535,7 +526,7 @@ class TestSerialization:
              "zero-per-value"],
     )
     def test_corrupt_v2_row_names_its_line(self, line, bad, message):
-        lines = cnn_to_text(cnn_from_text(CNN_V1_TEXT)).split("\n")
+        lines = CNN_TEXT.split("\n")
         lines[line - 1] = bad
         with pytest.raises(DataError, match=message):
             cnn_from_text("\n".join(lines))
