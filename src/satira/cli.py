@@ -80,6 +80,7 @@ from .preprocess import (
     StopPhraseList,
     _check_fraction,
     _ngram_frequencies,
+    _top_count,
     clean_corpus,
     ngram_frequency_to_tsv,
 )
@@ -208,7 +209,9 @@ def _write(args, name: str, body: str, tag: str = "") -> None:
         Path(_resolve(args, "out")).mkdir(parents=True, exist_ok=True)
         args.header = _header(args)
     path = Path(args.resolved["out"]) / name
-    path.write_text(tag + args.header + body, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.write(tag + args.header)
+        f.write(body)
     log.info("wrote %s", path)
 
 
@@ -236,8 +239,12 @@ def cmd_boilerplate(args) -> None:
     _check_fraction(fraction)
     corpus = load_corpus(_resolve(args, "corpus"))
     for freq in _ngram_frequencies(corpus, (1, 2, 3)):
-        _write(args, f"ngrams_{freq.n}.tsv", ngram_frequency_to_tsv(freq))
-        _write(args, f"candidates_{freq.n}.tsv", ngram_frequency_to_tsv(freq, fraction))
+        tsv = ngram_frequency_to_tsv(freq)
+        _write(args, f"ngrams_{freq.n}.tsv", tsv)
+        end = 0  # the candidates are the ranking's first lines; no key holds a newline
+        for _ in range(_top_count(len(freq.counts), fraction)):
+            end = tsv.index("\n", end) + 1
+        _write(args, f"candidates_{freq.n}.tsv", tsv[:end])
 
 
 # -------------------------------------------------------------- measure
@@ -246,6 +253,8 @@ def cmd_boilerplate(args) -> None:
 def cmd_measure(args) -> None:
     corpus_path = _resolve(args, "corpus")
     corpus = load_corpus(corpus_path).labeled_only()
+    if not corpus.documents:
+        raise DataError(f"{corpus_path}: no labeled documents to measure")
     cliches = Lexicon.from_file(_resolve(args, "cliches"), name="cliches")
     emotions = Lexicon.from_file(_resolve(args, "emotions"), name="emotions")
 
@@ -684,6 +693,11 @@ def main(argv=None) -> int:
         return 1
     except (SatiraError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        log.debug("traceback", exc_info=True)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {args.command} ran out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         log.debug("traceback", exc_info=True)
         return 2
 

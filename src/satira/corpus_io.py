@@ -203,7 +203,7 @@ def split(corpus: LabeledCorpus, cfg: SplitConfig) -> tuple[LabeledCorpus, Label
     test_ids: set[str] = set()
     for label in (Label.FAKE, Label.REAL):
         members = [d.id for d in corpus.documents if d.label is label]
-        if 0 < len(members) < 2:
+        if len(members) < 2:
             raise DataError(
                 f"class {label.value!r} has {len(members)} document(s); "
                 "stratified split needs at least 2 per class"

@@ -98,6 +98,10 @@ def init_convnet(
     if embedding.ndim != 2:
         raise ValueError("embedding must be a 2-D matrix")
     d = embedding.shape[1]
+    for name, value in (("n_filters", n_filters), ("kernel_size", kernel_size),
+                        ("embedding width", d)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     conv_limit = np.sqrt(6.0 / (kernel_size * d + n_filters))
     dense_limit = np.sqrt(6.0 / (n_filters + 1))
@@ -162,10 +166,9 @@ def _forward_batch(model: ConvNetModel, ids: np.ndarray):
 
 
 def cnn_forward(model: ConvNetModel, token_ids) -> float:
-    """Probability of the positive (fake) class for one padded sequence."""
-    ids = _check_ids(model, token_ids)
-    logits, _ = _forward_batch(model, ids)
-    return float(sigmoid(logits)[0])
+    """Probability of the positive (fake) class for one padded sequence, as
+    ``cnn_predict`` gives it."""
+    return float(cnn_predict(model, token_ids)[0][0])
 
 
 def cnn_gradients(model: ConvNetModel, ids: np.ndarray, y: np.ndarray):

@@ -48,18 +48,15 @@ def load_token_index(path) -> dict[str, int]:
     return parse_file(path, _token_index_from_text)
 
 
-def encode_tokens(tokens: Sequence[str], index: dict[str, int], max_len: int) -> np.ndarray:
-    """Pad with id 0 on the right, truncate the tail beyond max_len."""
-    ids = np.zeros(max_len, dtype=np.int64)
-    for i, token in enumerate(tokens[:max_len]):
-        ids[i] = index.get(token, 0)
-    return ids
-
-
 def encode_corpus(docs: Sequence[Document], index: dict[str, int], max_len: int) -> np.ndarray:
-    """(len(docs), max_len) int64 ids; an empty corpus gives zero rows."""
-    rows = [encode_tokens(doc.tokens, index, max_len) for doc in docs]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), max_len)
+    """(len(docs), max_len) int64 ids, one row per document: its first max_len
+    tokens, id 0 for a token not in ``index`` and for the padding on the right.
+    An empty corpus gives zero rows."""
+    ids = np.zeros((len(docs), max_len), dtype=np.int64)
+    for row, doc in zip(ids, docs):
+        tokens = doc.tokens[:max_len]
+        row[: len(tokens)] = [index.get(token, 0) for token in tokens]
+    return ids
 
 
 def load_embeddings(

@@ -9,14 +9,12 @@ document. Candidates are never deleted automatically.
 ``ngram_frequency`` counts with the vectorizer's integer-id n-gram counter
 and ranks with it: by count descending, ties in codepoint order of the
 space-joined key (``vectorize._Windows.ranking``). An ``NgramFrequency``'s
-``counts`` is a read-only mapping in that (-count, key) ranking, ranked and
-built only when read: its length ranks nothing, reading its first k keys
-ranks only the n-grams counted at least as often as the k-th and builds the
-keys a chunk at a time, iterating it ranks all of them, and the first
-lookup by key builds every key, unranked and a chunk at a time, into one
-dict that it keeps. So ``top_fraction`` ranks only the n-grams tied with or
-above its cut and builds only the keys it returns, and
-``ngram_frequency_to_tsv`` writes the ranking chunk by chunk.
+``counts`` holds that (-count, key) ranking unranked until read: its length
+ranks nothing, and reading its first k n-grams ranks only the n-grams counted
+at least as often as the k-th and builds their keys a chunk at a time. So
+``top_fraction`` ranks only the n-grams tied with or above its cut and builds
+only the keys it returns, and ``ngram_frequency_to_tsv`` writes the whole
+ranking chunk by chunk.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,17 +83,16 @@ def normalize(text: str, cfg: NormalizationConfig = NormalizationConfig()) -> st
 _CHUNK = 1 << 16  # keys built at a time when a ranking is read
 
 
-class _RankedCounts(Mapping[str, int]):
-    """Read-only n-gram counts in (-count, key) order. Each n-gram is the window
-    of n units at a position in ``where`` of a ``_Windows``, with its count at
-    the same index of ``totals``, both unranked. Reading the first ``stop``
-    n-grams ranks only the windows that can be among them, and keys are built
-    from the unit table when read, so the windows' ids may move on to a longer
-    level meanwhile."""
+class _RankedCounts:
+    """N-gram counts in (-count, key) order. Each n-gram is the window of n
+    units at a position in ``where`` of a ``_Windows``, with its count at the
+    same index of ``totals``, both unranked. Reading the first ``stop`` n-grams
+    ranks only the windows that can be among them, and keys are built from the
+    unit table when read, so the windows' ids may move on to a longer level
+    meanwhile."""
 
     def __init__(self, n: int, win: _Windows, where: np.ndarray, totals: np.ndarray):
         self.n, self._win, self._where, self._totals = n, win, where, totals
-        self._index: dict[str, int] | None = None
 
     def chunks(self, stop: int) -> Iterator[tuple[list[str], list[int]]]:
         """The keys and counts of the first ``stop`` n-grams, a chunk at a time."""
@@ -107,24 +104,12 @@ class _RankedCounts(Mapping[str, int]):
     def __len__(self) -> int:
         return len(self._totals)
 
-    def __iter__(self) -> Iterator[str]:
-        for keys, _ in self.chunks(len(self)):
-            yield from keys
-
-    def __getitem__(self, key: str) -> int:
-        if self._index is None:
-            self._index = {}  # needs no order, so the windows are taken unranked
-            for at in range(0, len(self), _CHUNK):
-                keys = self._win.names(self._where[at : at + _CHUNK], self.n)
-                self._index.update(zip(keys, self._totals[at : at + _CHUNK].tolist()))
-        return self._index[key]
-
 
 @dataclass(frozen=True)
 class NgramFrequency:
     """Counts of space-joined n-token windows over a corpus, as ``ngram_frequency``
-    ranks them: ``counts`` is a read-only mapping in (-count, key) order whose
-    keys are built when read."""
+    ranks them: ``counts`` has the number of distinct n-grams as its length and
+    gives the first k of the (-count, key) ranking through ``chunks(k)``."""
 
     n: int
     counts: _RankedCounts
@@ -160,12 +145,10 @@ def _check_fraction(fraction: float) -> None:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
 
 
-def _top_chunks(freq: NgramFrequency, fraction: float) -> Iterator[tuple[list[str], list[int]]]:
-    """The keys and counts of ``top_fraction(freq, fraction)``, a chunk at a time."""
-    _check_fraction(fraction)
-    n_keys = len(freq.counts)
-    k = min(n_keys, max(1, int(math.floor(fraction * n_keys + 0.5))))
-    return freq.counts.chunks(k)
+def _top_count(n_keys: int, fraction: float) -> int:
+    """How many of ``n_keys`` ranked n-grams the top ``fraction`` holds:
+    round(fraction * n_keys), half up, and at least one of a non-empty ranking."""
+    return min(n_keys, max(1, int(math.floor(fraction * n_keys + 0.5))))
 
 
 def top_fraction(freq: NgramFrequency, fraction: float) -> list[tuple[str, int]]:
@@ -175,13 +158,15 @@ def top_fraction(freq: NgramFrequency, fraction: float) -> list[tuple[str, int]]
     one for a non-empty dictionary), sorted by count descending with ties
     broken by codepoint order of the n-gram.
     """
-    return [item for keys, counts in _top_chunks(freq, fraction) for item in zip(keys, counts)]
+    _check_fraction(fraction)
+    stop = _top_count(len(freq.counts), fraction)
+    return [item for keys, counts in freq.counts.chunks(stop) for item in zip(keys, counts)]
 
 
-def ngram_frequency_to_tsv(freq: NgramFrequency, fraction: float = 1.0) -> str:
-    """``ngram<TAB>count`` lines of ``top_fraction(freq, fraction)``, by default all."""
+def ngram_frequency_to_tsv(freq: NgramFrequency) -> str:
+    """``ngram<TAB>count`` lines of the whole ranking."""
     return "".join("".join(map("{}\t{}\n".format, keys, counts))
-                   for keys, counts in _top_chunks(freq, fraction))
+                   for keys, counts in freq.counts.chunks(len(freq.counts)))
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,8 @@ def corpus_profile(
         try:
             j = lexicon_score(doc, cliches)
             s = lexicon_score(doc, emotions)
-        except ValueError as exc:
-            raise DataError(f"document {doc.id!r}: {exc}") from exc
+        except ValueError as exc:  # it names the document
+            raise DataError(str(exc)) from exc
         ratio = fpp_ratios[i] if fpp_ratios is not None else None
         profile[doc.label].append(MeasureVector(doc.id, j, s, ratio))
     return profile
@@ -256,6 +256,8 @@ def profile_from_csv(text: str) -> dict[Label, list[MeasureVector]]:
     rows = list(dropwhile(lambda numbered: numbered[1].startswith("#"), rows))
     if not rows or rows[0][1] != MEASURES_HEADER:
         raise DataError(f"expected a measures CSV with header {MEASURES_HEADER}")
+    if len(rows) == 1:
+        raise DataError("measures CSV has no data rows")
     profile: dict[Label, list[MeasureVector]] = {Label.FAKE: [], Label.REAL: []}
     for lineno, row in rows[1:]:
         parts = row.split(",")

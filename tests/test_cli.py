@@ -3,11 +3,12 @@ import json
 import re
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from satira import load_corpus, save_corpus
+from satira import Label, load_corpus, ngram_frequency, save_corpus, top_fraction, vectorize
 from satira.cli import _COMMANDS, main
 from satira.fileio import base64_rows, load_json
 from satira.models.boosted_trees import gbt_from_text, gbt_to_text
@@ -72,6 +73,11 @@ def header_hash(path) -> str:
 def header_lines(path) -> list[str]:
     lines = path.read_text(encoding="utf-8").splitlines()
     return lines[:next(i for i, l in enumerate(lines) if not l.startswith("#"))]
+
+
+def body(path) -> str:
+    """The text of an output after its metadata lines."""
+    return path.read_text(encoding="utf-8").split("\n", len(header_lines(path)))[-1]
 
 
 def header_inputs(path) -> set[str]:
@@ -190,6 +196,26 @@ class TestBoilerplate:
         ngram, count = body[0].split("\t")
         assert int(count) >= 1
 
+    @pytest.mark.parametrize("fraction", [0.05, 0.5, 1.0])
+    def test_ranks_each_n_once_and_cuts_the_candidates_from_it(self, corpus_file, tmp_path,
+                                                             fraction):
+        ranking, calls = vectorize._Windows.ranking, []
+
+        def counting(win, where, n, totals, stop):
+            calls.append(n)
+            return ranking(win, where, n, totals, stop)
+
+        out = tmp_path / "out"
+        with mock.patch.object(vectorize._Windows, "ranking", counting):
+            assert run("boilerplate", "--corpus", corpus_file, f"--fraction={fraction}",
+                       "--out", out) == 0
+        assert calls == [1, 2, 3]
+        corpus = load_corpus(corpus_file)
+        for n in (1, 2, 3):
+            top = top_fraction(ngram_frequency(corpus, n), fraction)
+            assert body(out / f"candidates_{n}.tsv") == "".join(f"{k}\t{c}\n" for k, c in top)
+            assert body(out / f"ngrams_{n}.tsv").startswith(body(out / f"candidates_{n}.tsv"))
+
     @pytest.mark.parametrize("fraction", ["0", "1.5", "nan", "-1"])
     def test_bad_fraction_exits_2_before_writing(self, corpus_file, tmp_path, capsys, fraction):
         out = tmp_path / "out"
@@ -281,6 +307,31 @@ class TestMeasureTtestPlot:
         measures.write_text("doc_id,label,J,S,fpp_ratio\nf0,fake,1.5,0.1,\n", encoding="utf-8")
         assert run("plot-data", "--measures", measures, "--out", tmp_path / "p") == 2
         assert f"{measures}: line 2: measure 1.5 outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"id": "u", "text": "x y"}', "{corpus}: no labeled documents to measure"),
+        ('{"id": "d0", "text": " ", "label": "fake"}',
+         "document 'd0' has no tokens; score undefined"),
+    ], ids=["unlabeled", "no-tokens"])
+    def test_measure_refuses_a_corpus_it_cannot_measure(self, tmp_path, capsys, record, message):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(record + "\n", encoding="utf-8")
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("x\n", encoding="utf-8")
+        out = tmp_path / "m"
+        assert run("measure", "--corpus", corpus, "--cliches", lexicon,
+                   "--emotions", lexicon, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message.format(corpus=corpus)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ttest", "plot-data"])
+    def test_measures_without_data_rows_exit_2_naming_the_file(self, tmp_path, capsys, command):
+        measures = tmp_path / "measures.csv"
+        measures.write_text("# satira 0.1.0\ndoc_id,label,J,S,fpp_ratio\n\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(command, "--measures", measures, "--out", out) == 2
+        assert f"error: {measures}: measures CSV has no data rows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_plot_data_densities(self, corpus_file, tmp_path):
         measures = self.make_measures(tmp_path, corpus_file)
@@ -403,6 +454,27 @@ class TestTrainEvaluatePredict:
     def test_zero_reg_lambda_exits_2(self, corpus_file, tmp_path, capsys):
         assert train(corpus_file, "gbt", tmp_path / "run", "--reg-lambda", 0) == 2
         assert "error: reg_lambda must be finite and > 0, got 0.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--kernel", 0, "kernel_size"), ("--kernel", -1, "kernel_size"),
+        ("--filters", 0, "n_filters"), ("--filters", -1, "n_filters")])
+    def test_cnn_shape_below_one_exits_2_naming_it(self, corpus_file, tmp_path, capsys, flag,
+                                                   value, name):
+        out = tmp_path / "run"
+        assert train(corpus_file, "cnn", out, flag, value) == 2
+        err = capsys.readouterr().err
+        assert f"error: {name} must be >= 1, got {value}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["nb", "gbt", "cnn"])
+    def test_one_class_corpus_exits_2_for_every_model(self, corpus_file, tmp_path, capsys, kind):
+        fake = tmp_path / "fake.jsonl"
+        corpus = load_corpus(corpus_file)
+        save_corpus(corpus.with_documents([d for d in corpus if d.label is Label.FAKE]), fake)
+        out = tmp_path / "run"
+        assert train(fake, kind, out) == 2
+        assert "error: class 'real' has 0 document(s)" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["nb", "cnn"])
     def test_predict_empty_corpus_writes_no_predictions(self, corpus_file, tmp_path, kind):
@@ -648,6 +720,23 @@ def test_bad_input_exits_2_naming_file_and_line(corpus_file, tmp_path, capsys, c
     err = capsys.readouterr().err
     assert f"{bad}: {expected.format(corpus=corpus_file)}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, target, error", [
+    ("plot-data", "density_histogram", MemoryError("Unable to allocate 1.00 TiB")),
+    ("train", "nb_fit", MemoryError()),
+])
+def test_memory_error_exits_2_naming_the_subcommand(corpus_file, tmp_path, capsys, command,
+                                                    target, error):
+    measures = TestMeasureTtestPlot().make_measures(tmp_path, corpus_file)
+    inputs = {"plot-data": ("--measures", measures),
+              "train": ("--corpus", corpus_file, "--model", "nb")}
+    out = tmp_path / "o"
+    with mock.patch(f"satira.cli.{target}", side_effect=error):
+        assert run(command, *inputs[command], "--out", out) == 2
+    suffix = f": {error}" if str(error) else ""
+    assert capsys.readouterr().err == f"error: {command} ran out of memory{suffix}\n"
+    assert not out.exists()
 
 
 class TestMetadataHeaders:

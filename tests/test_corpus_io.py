@@ -158,6 +158,10 @@ class TestSplit:
         with pytest.raises(DataError, match="at least 2"):
             split(corpus, SplitConfig())
 
+    def test_empty_class_rejected(self):
+        with pytest.raises(DataError, match="class 'real' has 0 document"):
+            split(balanced_corpus(5, 0), SplitConfig())
+
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             SplitConfig(test_fraction=1.0)

@@ -5,7 +5,6 @@ from satira import DataError, make_document
 from satira.models import (
     build_token_index,
     encode_corpus,
-    encode_tokens,
     load_embeddings,
     load_token_index,
     token_index_to_text,
@@ -26,8 +25,9 @@ class TestTokenIndex:
 
     def test_encode_pads_and_truncates(self):
         index = {"a": 1, "b": 2}
-        assert encode_tokens(["a", "zz", "b"], index, 5).tolist() == [1, 0, 2, 0, 0]
-        assert encode_tokens(["a", "b", "a", "b"], index, 2).tolist() == [1, 2]
+        docs = [make_document("x", "a zz b"), make_document("y", "a b a b")]
+        assert encode_corpus(docs, index, 5).tolist() == [[1, 0, 2, 0, 0], [1, 2, 1, 2, 0]]
+        assert encode_corpus(docs, index, 2).tolist() == [[1, 0], [1, 2]]
 
     def test_text_round_trip(self, tmp_path):
         index = build_token_index([make_document("a", "b #tag c")])
@@ -47,6 +47,7 @@ class TestTokenIndex:
         index = build_token_index(docs)
         ids = encode_corpus(docs, index, 4)
         assert ids.shape == (2, 4)
+        assert encode_corpus([], index, 4).shape == (0, 4)
 
 
 class TestLoadEmbeddings:

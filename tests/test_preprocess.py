@@ -132,6 +132,15 @@ class TestNormalize:
         assert normalize(once, cfg) == once
 
 
+def ranking(freq) -> list[tuple[str, int]]:
+    """Every n-gram of ``freq`` with its count, in ranking order."""
+    return top_fraction(freq, 1.0)
+
+
+def ranking_keys(freq) -> list[str]:
+    return [key for key, _ in ranking(freq)]
+
+
 def corpus_of(*token_lists):
     docs = tuple(
         make_document(f"d{i}", " ".join(tokens), Label.FAKE)
@@ -143,15 +152,15 @@ def corpus_of(*token_lists):
 class TestNgramFrequency:
     def test_unigrams(self):
         freq = ngram_frequency(corpus_of(["a", "b", "a"]), 1)
-        assert freq.counts == {"a": 2, "b": 1}
+        assert dict(ranking(freq)) == {"a": 2, "b": 1}
 
     def test_bigrams(self):
         freq = ngram_frequency(corpus_of(["a", "b", "a"]), 2)
-        assert freq.counts == {"a b": 1, "b a": 1}
+        assert dict(ranking(freq)) == {"a b": 1, "b a": 1}
 
     def test_no_cross_document_windows(self):
         freq = ngram_frequency(corpus_of(["a"], ["b"]), 2)
-        assert freq.counts == {}
+        assert ranking(freq) == []
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
@@ -166,7 +175,7 @@ class TestNgramFrequency:
     def test_unigram_total_equals_token_total(self, token_lists):
         corpus = corpus_of(*token_lists)
         freq = ngram_frequency(corpus, 1)
-        assert sum(freq.counts.values()) == sum(len(t) for t in token_lists)
+        assert sum(count for _, count in ranking(freq)) == sum(len(t) for t in token_lists)
 
 
 # Tokens whose space-joined n-grams order differently from their token
@@ -198,21 +207,21 @@ class TestMatchesCounterReference:
                 freq = ngram_frequency(corpus, n)
                 counts = reference_counts(corpus, n)
                 ranked = reference_top_fraction(counts, 1.0)
-                assert list(freq.counts.items()) == ranked
+                assert ranking(freq) == ranked
                 assert ngram_frequency_to_tsv(freq) == reference_tsv(counts)
                 assert top_fraction(freq, fraction) == reference_top_fraction(counts, fraction)
 
     def test_prefix_token_below_space_ranks_by_string(self):
         # token tuples order ("a", "b") first; the joined strings put "a\x01 c" first
         corpus = corpus_of(["a", "b"], ["a\x01", "c"], ["a\x01"])
-        assert list(ngram_frequency(corpus, 1).counts) == ["a\x01", "a", "b", "c"]
-        assert list(ngram_frequency(corpus, 2).counts) == ["a\x01 c", "a b"]
+        assert ranking_keys(ngram_frequency(corpus, 1)) == ["a\x01", "a", "b", "c"]
+        assert ranking_keys(ngram_frequency(corpus, 2)) == ["a\x01 c", "a b"]
 
 
 def lexsorted(corpus, n) -> list[tuple[str, int]]:
     """ngram_frequency's ranking as its lexsort made it: NgramFrequency keeps
     that ranking and sorts nothing again."""
-    return list(ngram_frequency(corpus, n).counts.items())
+    return ranking(ngram_frequency(corpus, n))
 
 
 class TestLexsortRanking:
@@ -223,13 +232,13 @@ class TestLexsortRanking:
         # equal counts; at position 1 "a\x01" + " " sorts before "a" + " "
         corpus = corpus_of(["x", "a", "b"], ["x", "a\x01", "c"])
         assert lexsorted(corpus, 3) == [("x a\x01 c", 1), ("x a b", 1)]
-        assert list(ngram_frequency(corpus, 3).counts) == ["x a\x01 c", "x a b"]
+        assert ranking_keys(ngram_frequency(corpus, 3)) == ["x a\x01 c", "x a b"]
 
     def test_prefix_token_at_the_last_position(self):
         # equal counts; at the last position the bare "a" sorts before "a\x01"
         corpus = corpus_of(["x", "a"], ["x", "a\x01"])
         assert lexsorted(corpus, 2) == [("x a", 1), ("x a\x01", 1)]
-        assert list(ngram_frequency(corpus, 2).counts) == ["x a", "x a\x01"]
+        assert ranking_keys(ngram_frequency(corpus, 2)) == ["x a", "x a\x01"]
 
     @pytest.mark.parametrize("block", [vectorize.BLOCK, 3])
     @given(token_lists=token_lists)
@@ -342,7 +351,7 @@ class TestPhraseFile:
 class TestNgramFrequencyInvariants:
     def test_counts_ranked_when_built(self):
         freq = ngram_frequency(corpus_of(["b", "c"], ["a", "c"]), 1)
-        assert list(freq.counts.items()) == [("c", 2), ("a", 1), ("b", 1)]
+        assert ranking(freq) == [("c", 2), ("a", 1), ("b", 1)]
 
     @given(token_lists=token_lists, rng=st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
@@ -352,8 +361,8 @@ class TestNgramFrequencyInvariants:
         shuffled = list(token_lists)
         rng.shuffle(shuffled)
         for n in (1, 2, 3):
-            ranked = list(ngram_frequency(corpus, n).counts.items())
-            assert list(ngram_frequency(corpus_of(*shuffled), n).counts.items()) == ranked
+            ranked = ranking(ngram_frequency(corpus, n))
+            assert ranking(ngram_frequency(corpus_of(*shuffled), n)) == ranked
 
     @pytest.mark.parametrize("counts, ranked", [
         ({}, True),
@@ -366,7 +375,7 @@ class TestNgramFrequencyInvariants:
     def test_ranked_check(self, counts, ranked):
         # the ranking of a corpus keeps the order of its counts exactly when it is ranked
         freq = ngram_frequency(corpus_counting(counts), 1)
-        assert (list(freq.counts) == list(counts)) is ranked
+        assert (ranking_keys(freq) == list(counts)) is ranked
 
 
 @contextmanager
@@ -396,22 +405,15 @@ def windows_sorted():
 
 
 class TestRankedCounts:
-    """ngram_frequency's counts are a read-only mapping, ranked and built only
-    when read."""
+    """ngram_frequency's counts are ranked and their keys built only when read."""
 
     def test_mapping_contract(self):
         corpus = corpus_of(["a", "b", "a"], ["b", "a", "c"])
         for n in (1, 2, 3):
             freq = ngram_frequency(corpus, n)
             want = reference_counts(corpus, n)
-            assert freq.counts == want and want == freq.counts
-            assert dict(freq.counts) == want
-            assert all(freq.counts[key] == count for key, count in want.items())
-            assert "z" not in freq.counts
-            with pytest.raises(KeyError):
-                freq.counts["z"]
-            with pytest.raises(TypeError):
-                freq.counts["a"] = 1
+            assert len(freq.counts) == len(want)
+            assert dict(top_fraction(freq, 1.0)) == want
 
     @given(token_lists=token_lists,
            fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
@@ -440,7 +442,7 @@ class TestRankedCounts:
             for n in (1, 2, 3):
                 freq = ngram_frequency(corpus, n)
                 counts = reference_counts(corpus, n)
-                assert list(freq.counts.items()) == reference_top_fraction(counts, 1.0)
+                assert ranking(freq) == reference_top_fraction(counts, 1.0)
                 assert ngram_frequency_to_tsv(freq) == reference_tsv(counts)
                 assert max(built, default=0) <= 2
 
@@ -454,4 +456,4 @@ class TestRankedCounts:
             assert [freq.n for freq in freqs] == list(ns)
             for freq in freqs:
                 want = reference_top_fraction(reference_counts(corpus, freq.n), 1.0)
-                assert list(freq.counts.items()) == want
+                assert ranking(freq) == want

@@ -320,6 +320,10 @@ class TestProfileCsv:
         assert profile_from_csv(text) == {
             Label.FAKE: [], Label.REAL: [MeasureVector("r1", 0.0, 1.0, None)]}
 
+    def test_from_csv_rejects_a_csv_without_data_rows(self):
+        with pytest.raises(DataError, match="no data rows"):
+            profile_from_csv("# satira 0.1.0\ndoc_id,label,J,S,fpp_ratio\n\n")
+
     @pytest.mark.parametrize("text", ["", "doc_id,label,J,S\n"])
     def test_from_csv_rejects_missing_header(self, text):
         with pytest.raises(DataError, match="expected a measures CSV with header"):
