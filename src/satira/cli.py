@@ -19,19 +19,21 @@ run's ``run.json``), so results stay attributable; all randomness of
 Every output goes through ``_write``. Its first call in a command creates
 ``--out`` and fixes the header, so a command resolves every option before
 it writes, and a command that fails before its first write leaves no
-``--out`` behind.
+``--out`` behind. Each output is written under a temporary name and renamed
+when complete, so a command that fails while writing leaves no partial file.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -78,11 +80,9 @@ from .models.naive_bayes import nb_to_text
 from .preprocess import (
     NormalizationConfig,
     StopPhraseList,
-    _check_fraction,
-    _ngram_frequencies,
-    _top_count,
     clean_corpus,
-    ngram_frequency_to_tsv,
+    ngram_frequencies,
+    top_count,
 )
 from .stats import (
     NanPolicy,
@@ -200,18 +200,26 @@ def _header(args) -> str:
     return metadata_header({"command": args.command, "options": options}, inputs)
 
 
-def _write(args, name: str, body: str, tag: str = "") -> None:
-    """Write ``tag``, the header and ``body`` to ``name`` in ``--out``. The
-    first call of a command resolves and creates ``--out`` and builds the
+def _write(args, name: str, body: str | Iterable[str], tag: str = "") -> None:
+    """Write ``tag``, the header and ``body`` (text, or text chunks written as
+    they come) to ``name`` in ``--out``: to ``name.tmp``, renamed over ``name``
+    once complete and removed on any failure, so no partial output is left.
+    The first call of a command resolves and creates ``--out`` and builds the
     header from the options resolved so far, so it is the same for every
     output of the command."""
     if args.header is None:
         Path(_resolve(args, "out")).mkdir(parents=True, exist_ok=True)
         args.header = _header(args)
     path = Path(args.resolved["out"]) / name
-    with path.open("w", encoding="utf-8") as f:
-        f.write(tag + args.header)
-        f.write(body)
+    tmp = path.with_name(name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as f:
+            f.write(tag + args.header)
+            f.writelines([body] if isinstance(body, str) else body)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     log.info("wrote %s", path)
 
 
@@ -236,15 +244,14 @@ def cmd_clean(args) -> None:
 
 def cmd_boilerplate(args) -> None:
     fraction = _resolve(args, "fraction")
-    _check_fraction(fraction)
+    top_count(0, fraction)  # refuses a bad fraction before the corpus is read
     corpus = load_corpus(_resolve(args, "corpus"))
-    for freq in _ngram_frequencies(corpus, (1, 2, 3)):
-        tsv = ngram_frequency_to_tsv(freq)
-        _write(args, f"ngrams_{freq.n}.tsv", tsv)
-        end = 0  # the candidates are the ranking's first lines; no key holds a newline
-        for _ in range(_top_count(len(freq.counts), fraction)):
-            end = tsv.index("\n", end) + 1
-        _write(args, f"candidates_{freq.n}.tsv", tsv[:end])
+    for freq in ngram_frequencies(corpus, (1, 2, 3)):
+        order = freq.ranking()
+        k = top_count(len(order), fraction)
+        top = list(freq.tsv(order[:k]))  # the candidates are the ranking's first lines
+        _write(args, f"ngrams_{freq.n}.tsv", itertools.chain(top, freq.tsv(order[k:])))
+        _write(args, f"candidates_{freq.n}.tsv", top)
 
 
 # -------------------------------------------------------------- measure

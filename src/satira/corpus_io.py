@@ -108,6 +108,8 @@ class SplitConfig:
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _round_half_up(x: float) -> int:

@@ -34,9 +34,13 @@ def tool_version() -> str:
 
 
 def file_checksum(path) -> str:
-    """Short sha256 of a file, recorded in output headers for reproducibility."""
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return digest[:16]
+    """Short sha256 of a file, recorded in output headers for reproducibility.
+    It reads 1 MiB at a time, so a large input is never held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()[:16]
 
 
 def config_hash(config: dict) -> str:

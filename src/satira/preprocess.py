@@ -8,13 +8,13 @@ document. Candidates are never deleted automatically.
 
 ``ngram_frequency`` counts with the vectorizer's integer-id n-gram counter
 and ranks with it: by count descending, ties in codepoint order of the
-space-joined key (``vectorize._Windows.ranking``). An ``NgramFrequency``'s
-``counts`` holds that (-count, key) ranking unranked until read: its length
-ranks nothing, and reading its first k n-grams ranks only the n-grams counted
-at least as often as the k-th and builds their keys a chunk at a time. So
+space-joined key (``vectorize._Windows.ranking``). An ``NgramFrequency``
+holds its ``counts`` unranked, so their length ranks nothing.
+``ranking(stop)`` ranks only the n-grams counted at least as often as the
+``stop``-th, and ``entries(order)`` and ``tsv(order)`` build the keys, or the
+``ngram<TAB>count`` lines, of the n-grams at ``order`` a chunk at a time. So
 ``top_fraction`` ranks only the n-grams tied with or above its cut and builds
-only the keys it returns, and ``ngram_frequency_to_tsv`` writes the whole
-ranking chunk by chunk.
+only the keys it returns, and a whole ranking is formatted as it is written.
 """
 
 from __future__ import annotations
@@ -83,36 +83,31 @@ def normalize(text: str, cfg: NormalizationConfig = NormalizationConfig()) -> st
 _CHUNK = 1 << 16  # keys built at a time when a ranking is read
 
 
-class _RankedCounts:
-    """N-gram counts in (-count, key) order. Each n-gram is the window of n
-    units at a position in ``where`` of a ``_Windows``, with its count at the
-    same index of ``totals``, both unranked. Reading the first ``stop`` n-grams
-    ranks only the windows that can be among them, and keys are built from the
-    unit table when read, so the windows' ids may move on to a longer level
-    meanwhile."""
+class NgramFrequency:
+    """Counts of space-joined n-token windows over a corpus: ``counts[i]`` is
+    the count of the i-th distinct n-gram, unranked. Each n-gram is the window
+    of n units at a position in ``where`` of a ``_Windows``; its key is built
+    from the unit table when read, so the windows' ids may move on to a longer
+    level meanwhile."""
 
-    def __init__(self, n: int, win: _Windows, where: np.ndarray, totals: np.ndarray):
-        self.n, self._win, self._where, self._totals = n, win, where, totals
+    def __init__(self, n: int, win: _Windows, where: np.ndarray, counts: np.ndarray):
+        self.n, self.counts, self._win, self._where = n, counts, win, where
 
-    def chunks(self, stop: int) -> Iterator[tuple[list[str], list[int]]]:
-        """The keys and counts of the first ``stop`` n-grams, a chunk at a time."""
-        order = self._win.ranking(self._where, self.n, self._totals, stop)
+    def ranking(self, stop: int | None = None) -> np.ndarray:
+        """Indices into ``counts`` of the first ``stop`` n-grams (by default all)
+        in (-count, key) order; only the n-grams that can be among them are ranked."""
+        return self._win.ranking(self._where, self.n, self.counts, stop)
+
+    def entries(self, order: np.ndarray) -> Iterator[tuple[list[str], list[int]]]:
+        """The keys and counts of the n-grams at ``order``, a chunk at a time."""
         for start in range(0, len(order), _CHUNK):
             at = order[start : start + _CHUNK]
-            yield self._win.names(self._where[at], self.n), self._totals[at].tolist()
+            yield self._win.names(self._where[at], self.n), self.counts[at].tolist()
 
-    def __len__(self) -> int:
-        return len(self._totals)
-
-
-@dataclass(frozen=True)
-class NgramFrequency:
-    """Counts of space-joined n-token windows over a corpus, as ``ngram_frequency``
-    ranks them: ``counts`` has the number of distinct n-grams as its length and
-    gives the first k of the (-count, key) ranking through ``chunks(k)``."""
-
-    n: int
-    counts: _RankedCounts
+    def tsv(self, order: np.ndarray) -> Iterator[str]:
+        """``ngram<TAB>count`` lines of the n-grams at ``order``, a chunk at a time."""
+        for keys, counts in self.entries(order):
+            yield "".join(map("{}\t{}\n".format, keys, counts))
 
 
 def ngram_frequency(corpus: LabeledCorpus | Iterable[Document], n: int) -> NgramFrequency:
@@ -121,10 +116,10 @@ def ngram_frequency(corpus: LabeledCorpus | Iterable[Document], n: int) -> Ngram
 
     Windows never cross document boundaries.
     """
-    return next(_ngram_frequencies(corpus, (n,)))
+    return next(ngram_frequencies(corpus, (n,)))
 
 
-def _ngram_frequencies(
+def ngram_frequencies(
     corpus: LabeledCorpus | Iterable[Document], ns: Sequence[int]
 ) -> Iterator[NgramFrequency]:
     """``ngram_frequency`` for each n in ``ns``, by increasing n, from one
@@ -137,17 +132,15 @@ def _ngram_frequencies(
         if n not in ns:
             continue
         where, totals, _ = win.count()
-        yield NgramFrequency(n, _RankedCounts(n, win, where, totals))
+        yield NgramFrequency(n, win, where, totals)
 
 
-def _check_fraction(fraction: float) -> None:
+def top_count(n_keys: int, fraction: float) -> int:
+    """How many of ``n_keys`` ranked n-grams the top ``fraction`` holds:
+    round(fraction * n_keys), half up, and at least one of a non-empty ranking.
+    A ``fraction`` outside (0, 1] is refused whatever ``n_keys`` is."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-
-
-def _top_count(n_keys: int, fraction: float) -> int:
-    """How many of ``n_keys`` ranked n-grams the top ``fraction`` holds:
-    round(fraction * n_keys), half up, and at least one of a non-empty ranking."""
     return min(n_keys, max(1, int(math.floor(fraction * n_keys + 0.5))))
 
 
@@ -158,15 +151,8 @@ def top_fraction(freq: NgramFrequency, fraction: float) -> list[tuple[str, int]]
     one for a non-empty dictionary), sorted by count descending with ties
     broken by codepoint order of the n-gram.
     """
-    _check_fraction(fraction)
-    stop = _top_count(len(freq.counts), fraction)
-    return [item for keys, counts in freq.counts.chunks(stop) for item in zip(keys, counts)]
-
-
-def ngram_frequency_to_tsv(freq: NgramFrequency) -> str:
-    """``ngram<TAB>count`` lines of the whole ranking."""
-    return "".join("".join(map("{}\t{}\n".format, keys, counts))
-                   for keys, counts in freq.counts.chunks(len(freq.counts)))
+    order = freq.ranking(top_count(len(freq.counts), fraction))
+    return [item for keys, counts in freq.entries(order) for item in zip(keys, counts)]
 
 
 @dataclass(frozen=True)

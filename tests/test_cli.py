@@ -1,5 +1,8 @@
+import ast
 import hashlib
+import itertools
 import json
+import math
 import re
 import shutil
 from pathlib import Path
@@ -8,8 +11,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from satira import Label, load_corpus, ngram_frequency, save_corpus, top_fraction, vectorize
-from satira.cli import _COMMANDS, main
+from satira import (Label, cli, load_corpus, ngram_frequency, preprocess, save_corpus,
+                    top_fraction, vectorize)
+from satira.cli import _COMMANDS, _FLAG_READERS, PIPELINES, main
 from satira.fileio import base64_rows, load_json
 from satira.models.boosted_trees import gbt_from_text, gbt_to_text
 from satira.models.convnet import cnn_from_text, cnn_to_text
@@ -17,6 +21,7 @@ from satira.models.embeddings import _token_index_from_text, token_index_to_text
 from satira.models.naive_bayes import nb_from_text, nb_to_text
 from satira.vectorize import vocabulary_from_text, vocabulary_to_text
 from tests.conftest import synthetic_corpus, write_embedding_file
+from tests.test_preprocess import reference_counts, reference_tsv
 
 
 @pytest.fixture
@@ -215,6 +220,47 @@ class TestBoilerplate:
             top = top_fraction(ngram_frequency(corpus, n), fraction)
             assert body(out / f"candidates_{n}.tsv") == "".join(f"{k}\t{c}\n" for k, c in top)
             assert body(out / f"ngrams_{n}.tsv").startswith(body(out / f"candidates_{n}.tsv"))
+
+    def test_streams_each_ranking_a_chunk_at_a_time(self, corpus_file, tmp_path):
+        write, bodies = cli._write, {}
+
+        def recording(args, name, body, tag=""):
+            bodies[name] = body if isinstance(body, str) else list(body)
+            return write(args, name, bodies[name], tag)
+
+        out = tmp_path / "out"
+        with mock.patch.object(preprocess, "_CHUNK", 2), mock.patch.object(cli, "_write",
+                                                                           recording):
+            assert run("boilerplate", "--corpus", corpus_file, "--out", out) == 0
+        corpus = load_corpus(corpus_file)
+        for n in (1, 2, 3):
+            chunks = bodies[f"ngrams_{n}.tsv"]
+            assert isinstance(chunks, list) and len(chunks) > 1
+            assert all(chunk.count("\n") <= 2 for chunk in chunks)
+            path = out / f"ngrams_{n}.tsv"
+            written = path.read_bytes().split(b"\n", len(header_lines(path)))[-1]
+            assert written == reference_tsv(reference_counts(corpus, n)).encode("utf-8")
+            top = top_fraction(ngram_frequency(corpus, n), 0.1)
+            assert body(out / f"candidates_{n}.tsv") == "".join(f"{k}\t{c}\n" for k, c in top)
+
+    def test_failing_mid_stream_leaves_no_partial_output(self, corpus_file, tmp_path, capsys):
+        tsv, calls, out = preprocess.NgramFrequency.tsv, [], tmp_path / "out"
+
+        def failing(freq, order):
+            # the second formatting of n = 2 is the rest of ngrams_2.tsv, after the candidates
+            chunks = tsv(freq, order)
+            calls.append(freq.n)
+            yield from itertools.islice(chunks, 1)
+            if calls == [1, 1, 2, 2]:
+                assert (out / "ngrams_2.tsv.tmp").is_file()
+                raise MemoryError
+            yield from chunks
+
+        with mock.patch.object(preprocess, "_CHUNK", 2), mock.patch.object(
+                preprocess.NgramFrequency, "tsv", failing):
+            assert run("boilerplate", "--corpus", corpus_file, "--out", out) == 2
+        assert capsys.readouterr().err == "error: boilerplate ran out of memory\n"
+        assert sorted(p.name for p in out.iterdir()) == ["candidates_1.tsv", "ngrams_1.tsv"]
 
     @pytest.mark.parametrize("fraction", ["0", "1.5", "nan", "-1"])
     def test_bad_fraction_exits_2_before_writing(self, corpus_file, tmp_path, capsys, fraction):
@@ -467,6 +513,13 @@ class TestTrainEvaluatePredict:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["nb", "gbt", "cnn"])
+    def test_negative_seed_exits_2_for_every_model(self, corpus_file, tmp_path, capsys, kind):
+        out = tmp_path / "run"
+        assert train(corpus_file, kind, out, "--seed=-1") == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["nb", "gbt", "cnn"])
     def test_one_class_corpus_exits_2_for_every_model(self, corpus_file, tmp_path, capsys, kind):
         fake = tmp_path / "fake.jsonl"
         corpus = load_corpus(corpus_file)
@@ -510,6 +563,11 @@ class TestTrainEvaluatePredict:
             corpus_file, tmp_path, capsys,
             lambda record: json.dumps(dict(record, test_fraction=value)))
         assert f"{path}: test_fraction must lie strictly between 0 and 1" in err
+
+    def test_run_json_negative_seed_exits_2(self, corpus_file, tmp_path, capsys):
+        path, err = evaluate_with_edited_run(
+            corpus_file, tmp_path, capsys, lambda record: json.dumps(dict(record, seed=-1)))
+        assert f"{path}: seed must be non-negative, got -1" in err
 
     def test_run_json_with_segmented_key_still_loads(self, corpus_file, tmp_path):
         model_dir = tmp_path / "run"
@@ -926,6 +984,54 @@ class TestHeaderBuilder:
             assert run("features", "--model-dir", model_dir, "--out", out) == 0
             headers.append(header_lines(out / "features_fake.tsv"))
         assert headers[0] != headers[1]
+
+
+def option_values() -> list[tuple[str, str, str, object]]:
+    """(subcommand, model, flag, value) of every int option at -1, 0 and 1 and every
+    float option also at NaN and +-inf; a train flag once per model that reads it."""
+    values = {int: (-1, 0, 1), float: (-1.0, 0.0, 1.0, math.nan, math.inf, -math.inf)}
+    return [(command, model, opt.flag, value)
+            for command, (_, _, rows) in _COMMANDS.items() for opt in rows
+            if opt.kind in values
+            for model in (_FLAG_READERS.get(opt.flag, PIPELINES) if command == "train" else "-")
+            for value in values[opt.kind]]
+
+
+TRAIN_BASE = {"nb": NB, "gbt": GBT, "cnn": CNN}
+
+
+@pytest.mark.parametrize("command, model, flag, value", option_values())
+def test_every_number_option_value_exits_cleanly(inputs, tmp_path, capsys, command, model,
+                                                 flag, value):
+    base = TRAIN_BASE[model] if command == "train" else HASHED[command, flag][0]
+    argv = [command, "--out", tmp_path / "out", f"--{flag}={value}"]
+    for f, v in base.items():
+        if f != flag:
+            argv += [f"--{f}", inputs.get(v, v) if isinstance(v, str) else v]
+    code = run(*argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.out + captured.err
+    if command == "train" and code == 0:
+        assert run("evaluate", "--model-dir", tmp_path / "out", "--corpus", inputs["corpus"],
+                   "--out", tmp_path / "eval") == 0
+
+
+def test_cli_imports_no_private_satira_name():
+    """The CLI is a client of the library: it reads no underscore-prefixed name of it."""
+    def private(name):
+        return any(part.startswith("_") and not part.endswith("__") for part in name.split("."))
+
+    found = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("satira")):
+            module = "." * node.level + (node.module or "")
+            found += [f"{module} {alias.name}" for alias in node.names
+                      if private(module) or private(alias.name)]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.startswith("satira") and private(alias.name)]
+    assert found == []
 
 
 class TestReproducibility:

@@ -168,6 +168,10 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitConfig(test_fraction=0.0)
 
+    def test_negative_seed_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SplitConfig(seed=-1)
+
     @given(
         n_fake=st.integers(2, 30),
         n_real=st.integers(2, 30),

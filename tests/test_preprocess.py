@@ -22,11 +22,15 @@ from satira import (
     top_fraction,
 )
 from satira import preprocess, vectorize
-from satira.preprocess import ngram_frequency_to_tsv
+
+
+def ranked_tsv(freq) -> str:
+    """The ``ngram<TAB>count`` lines of ``freq``'s whole ranking."""
+    return "".join(freq.tsv(freq.ranking()))
 
 
 # The string implementation that ngram_frequency, top_fraction and
-# ngram_frequency_to_tsv replace: every window is joined into its own
+# NgramFrequency.tsv replace: every window is joined into its own
 # string and counted in a Counter, and each output sorts all keys again.
 # The property tests below require the integer-id counter and its single
 # ranking to match it byte for byte.
@@ -208,7 +212,7 @@ class TestMatchesCounterReference:
                 counts = reference_counts(corpus, n)
                 ranked = reference_top_fraction(counts, 1.0)
                 assert ranking(freq) == ranked
-                assert ngram_frequency_to_tsv(freq) == reference_tsv(counts)
+                assert ranked_tsv(freq) == reference_tsv(counts)
                 assert top_fraction(freq, fraction) == reference_top_fraction(counts, fraction)
 
     def test_prefix_token_below_space_ranks_by_string(self):
@@ -443,7 +447,7 @@ class TestRankedCounts:
                 freq = ngram_frequency(corpus, n)
                 counts = reference_counts(corpus, n)
                 assert ranking(freq) == reference_top_fraction(counts, 1.0)
-                assert ngram_frequency_to_tsv(freq) == reference_tsv(counts)
+                assert ranked_tsv(freq) == reference_tsv(counts)
                 assert max(built, default=0) <= 2
 
     @given(token_lists=token_lists)
@@ -452,7 +456,7 @@ class TestRankedCounts:
         # every level is read only after the walk has gone on to the longest
         corpus = corpus_of(*token_lists)
         for ns in [(1, 2, 3), (2,), (1, 3)]:
-            freqs = list(preprocess._ngram_frequencies(corpus, ns))
+            freqs = list(preprocess.ngram_frequencies(corpus, ns))
             assert [freq.n for freq in freqs] == list(ns)
             for freq in freqs:
                 want = reference_top_fraction(reference_counts(corpus, freq.n), 1.0)
