@@ -252,6 +252,7 @@ def cmd_boilerplate(args) -> None:
         top = list(freq.tsv(order[:k]))  # the candidates are the ranking's first lines
         _write(args, f"ngrams_{freq.n}.tsv", itertools.chain(top, freq.tsv(order[k:])))
         _write(args, f"candidates_{freq.n}.tsv", top)
+        del order, top  # so the next n's ranking does not peak on top of them
 
 
 # -------------------------------------------------------------- measure

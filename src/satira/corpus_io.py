@@ -130,13 +130,14 @@ def _parse_jsonl(text: str) -> list[Document]:
             raise DataError(f"line {lineno}: malformed JSON record: {exc}") from exc
         if not isinstance(record, dict):
             raise DataError(f"line {lineno}: record is not an object")
-        if "id" not in record or "text" not in record:
-            missing = [k for k in ("id", "text") if k not in record]
-            raise DataError(f"line {lineno}: record missing {missing}")
+        for key in ("id", "text"):
+            if not isinstance(record.get(key), str):
+                got = json.dumps(record[key])[:40] if key in record else "nothing"
+                raise DataError(f"line {lineno}: {key!r} must be a string, got {got}")
         label = None
         if record.get("label") is not None:
             label = parse_label(record["label"], where=f"line {lineno}")
-        docs.append(make_document(str(record["id"]), str(record["text"]), label))
+        docs.append(make_document(record["id"], record["text"], label))
     return docs
 
 

@@ -1,7 +1,7 @@
 """Pretrained word-vector loading and token-id encoding for the convnet.
 
 Embedding files are UTF-8 text: a ``<vocab_size> <dim>`` header line, then
-one line per token holding the token and ``dim`` space-separated floats.
+``vocab_size`` non-blank lines, each a token and ``dim`` space-separated floats.
 Token ids are 1-based; id 0 is the shared padding/OOV slot whose embedding
 row stays all-zero. A token index is saved as ``token<TAB>id`` lines in id
 order under a format-tag line.
@@ -78,7 +78,7 @@ def _embeddings_from_text(
     if not lines:
         raise DataError("empty embedding file")
     try:
-        _, dim = map(int, lines[0].split())
+        count, dim = map(int, lines[0].split())
     except ValueError as exc:
         raise DataError(f"line 1: header must be '<vocab_size> <dim>': {exc}") from exc
     if dim != expected_dim:
@@ -88,9 +88,11 @@ def _embeddings_from_text(
 
     matrix = np.zeros((len(token_index) + 1, dim), dtype=np.float64)
     covered: set[str] = set()
+    rows = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        rows += 1
         parts = line.rstrip().split(" ")
         if len(parts) != dim + 1:
             raise DataError(
@@ -106,5 +108,7 @@ def _embeddings_from_text(
         except ValueError as exc:
             raise DataError(f"line {lineno}: malformed value: {exc}") from exc
         covered.add(token)
+    if rows != count:
+        raise DataError(f"line 1: header declares {count} vectors, the file holds {rows}")
     coverage = 1.0 if not token_index else len(covered) / len(token_index)
     return matrix, coverage

@@ -42,6 +42,8 @@ every unit, so an n-gram that is a prefix of another sorts first. The count
 and the position ranks are folded into as few uint64 keys as hold them,
 ``key * R + rank`` for the R rank values of a position: 0 and one per unit
 string that occurs there. With fewer than 2**31 units any two fit in one.
+The folding goes one position at a time, in place, building that position's
+codes again, so a ranking holds its keys and one position's codes, whatever n.
 
 A ranking is computed only for the n-grams read. Asked for the first k, it
 ranks only those counted at least as often as the k-th most frequent, which
@@ -299,36 +301,15 @@ class _Windows:
             names[at] = list(map(sep.join, zip(*units)))
         return names.tolist()
 
-    def _position_ranks(self, where: np.ndarray, lengths: np.ndarray) -> tuple[list, list]:
-        """Per unit position of the windows of ``lengths`` units at ``where``:
-        each window's uint64 rank of its unit there, 0 past its end, and the
-        number of rank values there. Only the units of these windows are ranked,
-        at each position only those that occur there. For CHAR a unit ranks by
-        its id, for WORD a window's last token by its bare string and every
-        other token by ``token + " "``, in one codepoint sort of just those
-        strings (``_codepoint_order``). Ranks shared by all positions would
-        need no table, but each position's R is smaller, so more positions fold
-        into one key: 1.76 M trigrams over 131 k tokens take one, not two."""
-        n, word = self.n_units, self.analyzer is Analyzer.WORD
-        codes = []  # a unit's id, plus n for a WORD window's last token; 2n past the end
-        for k in range(int(lengths.max(initial=0))):
-            inside = k < lengths
-            unit = self.units[np.where(inside, where + k, 0)]
-            if word:
-                unit = unit + (k == lengths - 1) * n
-            codes.append(np.where(inside, unit, 2 * n))
-        seen = np.zeros((len(codes), 2 * n + 1), dtype=bool)
-        for k, code in enumerate(codes):
-            seen[k, code] = True
-        ranked = self._codepoint_order(seen[:, : 2 * n].any(axis=0))
-        ranks, sizes = [], []
-        rank = np.zeros(2 * n + 1, dtype=np.uint64)
-        for k, code in enumerate(codes):
-            here = ranked[seen[k, ranked]]
-            rank[here] = np.arange(1, len(here) + 1, dtype=np.uint64)
-            ranks.append(rank[code])
-            sizes.append(len(here) + 1)
-        return ranks, sizes
+    def _codes(self, where: np.ndarray, lengths: np.ndarray, k: int) -> np.ndarray:
+        """Each window's code at its unit position ``k``: its unit's id there, plus
+        ``n_units`` for a WORD window's last token, and ``2 * n_units`` past its end."""
+        # clipped, so no int64 ``where + k`` is built; a clipped code is past the end
+        code = np.take(self.units[k:], where, mode="clip").astype(np.intp)
+        code[lengths <= k] = 2 * self.n_units
+        if self.analyzer is Analyzer.WORD:
+            code[lengths == k + 1] += self.n_units
+        return code
 
     def _codepoint_order(self, present: np.ndarray) -> np.ndarray:
         """The codes where ``present`` is true, in codepoint order of their
@@ -361,19 +342,31 @@ class _Windows:
                 return np.empty(0, dtype=np.intp)
             chosen = np.flatnonzero(totals >= _cut(totals, k))
             where, lengths, totals = where[chosen], lengths[chosen], totals[chosen]
-        ranks, sizes = self._position_ranks(where, lengths)
-        # the count key and then the ranks, each folded into the key before it
-        # (key * size + rank) while the key's values stay below KEY_SPAN; UNIT_LIMIT
-        # keeps the count key's span and each size below 2**32, so any two fold into one
+        # each position ranks only the codes that occur there, in one codepoint order
+        # of just those strings; a smaller R per position folds more positions into
+        # one key: 1.76 M trigrams over 131 k tokens take one, not two
+        n, positions = self.n_units, range(int(lengths.max(initial=0)))
+        seen = np.zeros((len(positions), 2 * n + 1), dtype=bool)
+        for p in positions:
+            seen[p, self._codes(where, lengths, p)] = True
+        ranked = self._codepoint_order(seen[:, : 2 * n].any(axis=0))
+        # the count key, then each position's rank folded into it in place (key * R +
+        # rank) while its values stay below KEY_SPAN, its codes built again, so one
+        # position's are alive at a time; UNIT_LIMIT keeps the count's span and each
+        # R below 2**32, so any two fold into one key
         top = int(totals.max(initial=0))
         key, span = (top - totals).astype(np.uint64), top - int(totals.min(initial=top)) + 1
-        keys = []
-        for rank, size in zip(ranks, sizes):
+        keys, rank = [], np.zeros(2 * n + 1, dtype=np.uint32)  # past the end ranks 0
+        for p in positions:
+            here = ranked[seen[p, ranked]]
+            rank[here] = np.arange(1, len(here) + 1, dtype=np.uint32)
+            size = len(here) + 1
             if span * size > KEY_SPAN:
                 keys.append(key)
-                key, span = rank, size
-            else:
-                key, span = key * np.uint64(size) + rank, span * size
+                key, span = np.zeros(len(where), dtype=np.uint64), 1
+            key *= np.uint64(size)
+            key += rank[self._codes(where, lengths, p)]
+            span *= size
         # lexsort's last key is its first
         order = np.lexsort([key, *reversed(keys)])
         return order if chosen is None else chosen[order[:k]]

@@ -185,6 +185,13 @@ class TestClean:
         assert run("clean", "--corpus", bad, "--out", tmp_path / "o") == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_text_that_is_not_a_string_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id":"a","text":"x"}\n{"id":"b","text":null}\n', encoding="utf-8")
+        assert run("clean", "--corpus", bad, "--out", tmp_path / "o") == 2
+        assert "line 2: 'text' must be a string, got null" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestBoilerplate:
     def test_writes_dictionaries_and_candidates(self, corpus_file, tmp_path):

@@ -81,8 +81,22 @@ class TestLoadJsonl:
 
     def test_missing_text_field_names_line(self, tmp_path):
         path = write(tmp_path, "c.jsonl", '{"id":"a"}\n')
-        with pytest.raises(DataError, match="line 1"):
+        with pytest.raises(DataError, match="line 1: 'text' must be a string, got nothing"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("record, key, got", [
+        ('{"id":"a","text":null}', "text", "null"),
+        ('{"id":true,"text":"x"}', "id", "true"),
+        ('{"id":"a","text":{"k":1}}', "text", '{"k": 1}'),
+        ('{"id":7,"text":"x"}', "id", "7"),
+        ('{"id":"a","text":["x"]}', "text", '["x"]'),
+    ])
+    def test_id_and_text_must_be_json_strings(self, tmp_path, record, key, got):
+        # no other JSON value is turned into a string
+        path = write(tmp_path, "c.jsonl", '{"id":"ok","text":"x"}\n' + record + "\n")
+        with pytest.raises(DataError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}: line 2: {key!r} must be a string, got {got}"
 
 
 class TestLoadCsv:

@@ -105,6 +105,22 @@ class TestLoadEmbeddings:
         assert coverage == 1.0
         assert matrix[1].tolist() == [1.0, 2.0]
 
+    @pytest.mark.parametrize("header, rows", [("5 2", 2), ("1 2", 2), ("0 2", 2), ("-2 2", 2),
+                                              ("3 2", 0)])
+    def test_declared_count_must_match_the_rows(self, tmp_path, header, rows):
+        # a truncated file loads no fewer vectors unseen; blank lines are not rows
+        body = "".join(f"w{i} 1 2\n\n" for i in range(rows))
+        path = write_vectors(tmp_path, f"{header}\n{body}")
+        declared = header.split()[0]
+        with pytest.raises(DataError, match=f"line 1: header declares {declared} vectors, "
+                                            f"the file holds {rows}"):
+            load_embeddings(path, {"w0": 1, "w1": 2}, expected_dim=2)
+
+    def test_a_malformed_row_is_named_before_the_count(self, tmp_path):
+        path = write_vectors(tmp_path, "5 2\nw0 1 2\nw1 1\n")
+        with pytest.raises(DataError, match="line 3: expected token plus 2 values, got 1"):
+            load_embeddings(path, {"w0": 1}, expected_dim=2)
+
     def test_out_of_vocabulary_lines_skipped(self, tmp_path):
         path = write_vectors(tmp_path, "2 2\nin 1 2\nout 3 4\n")
         matrix, coverage = load_embeddings(path, {"in": 1}, expected_dim=2)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -461,3 +462,21 @@ class TestRankedCounts:
             for freq in freqs:
                 want = reference_top_fraction(reference_counts(corpus, freq.n), 1.0)
                 assert ranking(freq) == want
+
+    def test_ranking_memory_per_window_does_not_grow_with_n(self):
+        # 400 documents of 300 tokens from 5000 words: about 1.2e5 distinct
+        # bigrams and as many trigrams. Only the folded key, one position's
+        # codes and the lexsort's own arrays span every window, whatever n is
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(5000)]
+        corpus = corpus_of(*([words[j] for j in rng.integers(0, len(words), 300)]
+                             for _ in range(400)))
+        for freq in preprocess.ngram_frequencies(corpus, (2, 3)):
+            assert len(freq.counts) > 100_000
+            tracemalloc.start()
+            try:
+                freq.ranking()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / len(freq.counts) <= 36, f"n = {freq.n}"
