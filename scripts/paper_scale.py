@@ -1,24 +1,26 @@
 #!/usr/bin/env python3
 """Time `satira` commands at paper scale, one child process per run.
 
-    python3 scripts/paper_scale.py OUT [--checkout DIR [--checkout DIR]]
+    python3 scripts/paper_scale.py OUT [--checkout DIR ...]
         [--commands boilerplate,...] [--pairs N] [--n-docs 6895] > runs.json
 
 Writes two corpora of N documents (the paper's 3185 + 3710 = 6895 by
 default) under OUT/data with the benchmark's generator
-(`perfbench/corpus.py`, `GeneratorConfig(n_docs, 8000)`, read only): a raw,
-noisy one that `clean` and `boilerplate` read, and a clean one with its POS
-tags that `measure --tagged`, `train` (NB on word counts) and `predict`
-read. A child's peak RSS starts at its parent's peak when it is forked, so
-the corpora are written by a child before any timed run, and every timed
-child is started by a small launcher process, not by this script, which
-reads each output whole to hash it.
+(`perfbench/corpus.py`, `GeneratorConfig(n_docs, 8000)`, seed 1, read only):
+a raw, noisy one that `clean` and `boilerplate` read, and a clean one with
+its POS tags that `measure --tagged`, `train` (NB on word counts) and
+`predict` read. A child's peak RSS starts at its parent's peak when it is
+forked, so the corpora are written by a child before any timed run, and
+every timed child is started by a small launcher process, not by this
+script, which reads each output whole to hash it.
 
 Then, for each of `--pairs` pairs, each chosen command runs once per
 `--checkout` tree (default: the one this script is in), as
-`python -m satira.cli` with that tree's `src` on `PYTHONPATH`. With two
-trees, the pairs alternate which tree runs first, so a drift in the host's
-load does not favour one side. `predict` reads the model its own tree's
+`python -m satira.cli` with that tree's `src` on `PYTHONPATH`. With more
+than one tree, odd pairs run the trees in reverse order, so a drift in the
+host's load does not favour one side. The JSON names a git checkout by its
+`HEAD` commit (with `+dirty` if its `src` has uncommitted changes) and any
+other tree by its resolved path. `predict` reads the model its own tree's
 `train_nb` run wrote in the same pair, so choosing it runs `train_nb` too.
 
 Each run records its wall time, its peak RSS (the child's own `ru_maxrss`,
@@ -44,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from check_set import body_digest  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-VOCAB_SIZE = 8000
+VOCAB_SIZE, SEED = 8000, 1
 RAW, CLEAN, LEXICONS = "data/raw/corpus.jsonl", "data/clean/corpus.jsonl", "data/lexicons"
 # command name -> the satira argv besides --out; predict reads train_nb's run
 COMMANDS = {
@@ -67,13 +69,13 @@ write_inputs(out / "clean", cfg, lex, seed, noisy=False, vectors=False)
 """
 
 
-def generate(out: Path, n_docs: int, seed: int) -> None:
+def generate(out: Path, n_docs: int) -> None:
     """Write OUT/data: the lexicons of this tree and the raw and clean corpora."""
     data = out / "data"
     shutil.copytree(ROOT / "lexicons", data / "lexicons")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(ROOT / "perfbench"),
                                                         str(ROOT / "src")))}
-    subprocess.run((sys.executable, "-c", GENERATE, str(data), str(n_docs), str(seed),
+    subprocess.run((sys.executable, "-c", GENERATE, str(data), str(n_docs), str(SEED),
                     str(VOCAB_SIZE)), env=env, check=True)
 
 
@@ -114,6 +116,23 @@ def run_once(launcher, out: Path, checkout: Path, argv: tuple, run_dir: str) -> 
     return record
 
 
+def describe(tree: Path) -> str:
+    """``tree``'s HEAD commit if it is the top of a git checkout, with
+    ``+dirty`` if its src differs from HEAD; else its path."""
+    git = ("git", "-C", str(tree))
+    try:
+        top_head = subprocess.run((*git, "rev-parse", "--show-toplevel", "HEAD"),
+                                  capture_output=True, text=True)
+        dirty = subprocess.run((*git, "status", "--porcelain", "--", "src"),
+                               capture_output=True, text=True).stdout
+    except OSError:  # no git
+        return str(tree)
+    top, _, head = top_head.stdout.strip().partition("\n")
+    if top_head.returncode or Path(top).resolve() != tree:
+        return str(tree)
+    return head + ("+dirty" if dirty else "")
+
+
 def spread(values: list) -> dict:
     return {"min": min(values), "median": round(statistics.median(values), 3),
             "max": max(values)}
@@ -143,18 +162,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="empty or missing output directory")
     parser.add_argument("--checkout", type=Path, action="append",
-                        help="satira source tree to run; give two to compare them "
+                        help="satira source tree to run; give several to compare them "
                              "(default: the one this script is in)")
     parser.add_argument("--commands", default=",".join(COMMANDS),
                         help=f"comma-separated, from {', '.join(COMMANDS)} (default: all)")
     parser.add_argument("--pairs", type=int, default=3, help="runs of each command per tree")
     parser.add_argument("--n-docs", type=int, default=6895, help="documents per corpus")
-    parser.add_argument("--seed", type=int, default=1, help="generator seed")
     args = parser.parse_args(argv)
     checkouts = [c.resolve() for c in args.checkout or [ROOT]]
+    names = [describe(c) for c in checkouts]
     commands = args.commands.split(",")
-    if len(checkouts) > 2:
-        parser.error("give at most two --checkout trees")
     if unknown := set(commands) - set(COMMANDS):
         parser.error(f"unknown commands {sorted(unknown)}")
     if "predict" in commands and "train_nb" not in commands:
@@ -167,7 +184,7 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     launcher = subprocess.Popen((sys.executable, "-c", LAUNCH), stdin=subprocess.PIPE,
                                 stdout=subprocess.PIPE, text=True)
-    generate(args.out, args.n_docs, args.seed)
+    generate(args.out, args.n_docs)
 
     runs = []
     for pair in range(args.pairs):
@@ -180,18 +197,18 @@ def main(argv=None) -> int:
                              for a in COMMANDS[command])
                 (args.out / run_dir).parent.mkdir(parents=True, exist_ok=True)
                 record = run_once(launcher, args.out, checkout, argv, run_dir)
-                runs.append({"pair": pair, "side": side, "checkout": checkout.name,
+                runs.append({"pair": pair, "side": side, "checkout": names[side],
                              "command": command, **record})
         shutil.rmtree(args.out / "runs" / str(pair))
     launcher.stdin.close()
     launcher.wait()
     json.dump({
-        "n_docs": args.n_docs, "vocab_size": VOCAB_SIZE, "seed": args.seed,
-        "pairs": args.pairs, "checkouts": [c.name for c in checkouts],
+        "n_docs": args.n_docs, "vocab_size": VOCAB_SIZE, "seed": SEED,
+        "pairs": args.pairs, "checkouts": names,
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "commands": {c: " ".join(COMMANDS[c]) for c in commands},
-        "summary": summary(runs, [c.name for c in checkouts], commands),
+        "summary": summary(runs, names, commands),
         "runs": runs,
     }, sys.stdout, indent=1)
     print()

@@ -3,6 +3,7 @@ working: it generates its corpora, runs each command once per tree and pair,
 alternating which tree goes first, and records what each run wrote."""
 
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -21,11 +22,14 @@ def paper_scale(tmp_path, capsys, *argv) -> dict:
     return report
 
 
-def test_boilerplate_alternates_two_trees(tmp_path, capsys):
+def test_boilerplate_alternates_the_trees(tmp_path, capsys):
     report = paper_scale(tmp_path, capsys, "--commands", "boilerplate", "--pairs", "2",
-                         "--checkout", ROOT, "--checkout", ROOT)
+                         "--checkout", ROOT, "--checkout", ROOT, "--checkout", ROOT)
     runs = report["runs"]
-    assert [(r["pair"], r["side"]) for r in runs] == [(0, 0), (0, 1), (1, 1), (1, 0)]
+    assert [(r["pair"], r["side"]) for r in runs] == [
+        (0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (1, 0)]
+    assert report["seed"] == 1
+    assert report["checkouts"] == [load_script("paper_scale").describe(ROOT)] * 3
     names = {f"{kind}_{n}.tsv" for kind in ("ngrams", "candidates") for n in (1, 2, 3)}
     for r in runs:
         assert r["command"] == "boilerplate" and r["exit"] == 0
@@ -33,7 +37,16 @@ def test_boilerplate_alternates_two_trees(tmp_path, capsys):
         assert set(r["bodies"]) == names
     summary = report["summary"]["boilerplate"]
     assert summary["bodies_identical"]
-    assert [side["failed"] for side in summary["checkouts"]] == [0, 0]
+    assert [side["failed"] for side in summary["checkouts"]] == [0, 0, 0]
+
+
+def test_trees_are_named_by_commit_or_path(tmp_path):
+    describe = load_script("paper_scale").describe
+    assert describe(tmp_path) == str(tmp_path)
+    if (ROOT / ".git").exists():
+        head = subprocess.run(("git", "-C", str(ROOT), "rev-parse", "HEAD"),
+                              capture_output=True, text=True, check=True).stdout.strip()
+        assert describe(ROOT).removesuffix("+dirty") == head
 
 
 def test_predict_reads_its_own_train_run(tmp_path, capsys):
