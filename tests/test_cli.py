@@ -318,7 +318,7 @@ class TestMeasureTtestPlot:
 
     @pytest.mark.parametrize(
         "row, message",
-        [("r9,faek,0.1,0.2,", "line 6: 'faek' is not a valid Label"),
+        [("r9,faek,0.1,0.2,", "line 6: unknown label 'faek'; expected 'fake' or 'real'"),
          ("r9,real,x,0.2,", "line 6: could not convert string to float: 'x'"),
          ("r9,real,1.5,0.2,", "line 6: measure 1.5 outside [0, 1]"),
          ("r9,real,inf,0.2,", "line 6: measure inf outside [0, 1]"),
@@ -453,6 +453,18 @@ class TestTrainEvaluatePredict:
                    "--out", out) == 0
         report = load_json(out / "report.json")
         assert report["accuracy"] >= 0.9
+
+    def test_cnn_train_refuses_non_finite_vectors(self, corpus_file, tmp_path, capsys):
+        tokens = sorted({t for d in load_corpus(corpus_file) for t in d.tokens})
+        vectors = write_embedding_file(tmp_path / "vec.txt", tokens, dim=16, seed=3)
+        lines = vectors.read_text(encoding="utf-8").split("\n")
+        lines[5] = lines[5].rsplit(" ", 1)[0] + " nan"
+        vectors.write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("train", "--corpus", corpus_file, "--model", "cnn", *MODEL_FLAGS["cnn"],
+                   "--embeddings", vectors, "--out", out) == 2
+        assert f"{vectors}: line 6: vector values must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_features_subcommand(self, corpus_file, tmp_path):
         model_dir = tmp_path / "run"

@@ -24,7 +24,8 @@ from satira.models.convnet import (
     EPS,
     PREDICT_CHUNK,
     TRAINABLE,
-    _forward_batch,
+    _logits,
+    _project,
     cnn_from_text,
     cnn_to_text,
     load_cnn,
@@ -192,11 +193,22 @@ class TestDeduplicatedForward:
         oracle = np.array([oracle_forward(model, row) for row in ids])
         np.testing.assert_allclose(proba, oracle, rtol=0, atol=1e-10)
 
-    def test_forward_batch_logits_match_im2col(self):
+    def test_inference_logits_match_im2col(self):
         model = tiny_model(84)
         ids = mixed_batch(model, np.random.default_rng(85))
-        logits, _ = _forward_batch(model, ids)
+        logits = _logits(model, _project(model, model.embedding), ids)
         np.testing.assert_allclose(logits, im2col_forward(model, ids)[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [1, 7, PREDICT_CHUNK])
+    def test_probability_depends_only_on_the_document(self, monkeypatch, chunk):
+        # wide enough that a GEMM over a chunk's rows rounds each row by its neighbours
+        model = tiny_model(91, vocab=300, dim=64, filters=32, kernel=3, seq_len=24)
+        ids = mixed_batch(model, np.random.default_rng(92))
+        ids[[8, 11, PREDICT_CHUNK - 1]] = ids[7]  # one document at several positions
+        alone = [cnn_forward(model, row) for row in ids]
+        monkeypatch.setattr("satira.models.convnet.PREDICT_CHUNK", chunk)
+        proba, _ = cnn_predict(model, ids)
+        assert [p.hex() for p in proba.tolist()] == [p.hex() for p in alone]
 
     def test_gradients_match_im2col(self):
         model = tiny_model(86)
@@ -248,12 +260,8 @@ class TestGradients:
         h = 1e-6
 
         def loss_at(bias):
-            from dataclasses import replace
-
-            from satira.models.convnet import _forward_batch
-
-            logits, _ = _forward_batch(replace(model, dense_bias=bias), ids)
-            return logistic_loss(logits, y)
+            bumped = replace(model, dense_bias=bias)
+            return logistic_loss(_logits(bumped, _project(bumped, bumped.embedding), ids), y)
 
         numeric = (loss_at(model.dense_bias + h) - loss_at(model.dense_bias - h)) / (2 * h)
         assert grads["dense_bias"] == pytest.approx(numeric, abs=1e-7)
@@ -341,19 +349,13 @@ class TestTraining:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_reports_coordinates(self):
-        model = tiny_model(65)
-        broken = model.__class__(
-            embedding=model.embedding,
-            conv_weights=model.conv_weights,
-            conv_bias=model.conv_bias,
-            dense_weights=np.full_like(model.dense_weights, np.inf),
-            dense_bias=0.0,
-            max_sequence_length=model.max_sequence_length,
-        )
+        # finite weights whose dense products overflow to +inf and -inf, as after divergence
+        model = replace(tiny_model(65), conv_bias=np.full(4, 10.0),
+                        dense_weights=np.array([1e308, -1e308, 1e308, -1e308]))
         ids = np.ones((2, model.max_sequence_length), dtype=np.int64)
         y = np.array([1.0, 0.0])
         with pytest.raises(ArithmeticError, match="epoch 0"):
-            cnn_train(broken, ids, y, TrainConfig(epochs=1, batch_size=2))
+            cnn_train(model, ids, y, TrainConfig(epochs=1, batch_size=2))
 
     @pytest.mark.parametrize("learning_rate", [math.nan, -1.0, 0.0, math.inf])
     def test_unusable_learning_rate_rejected(self, learning_rate):
@@ -498,22 +500,40 @@ class TestSerialization:
         assert lines[-1] == "dense_bias AAAAAAAAwD8="  # 0.125 as little-endian float64 bytes
 
     def test_special_values_round_trip_bitwise(self):
-        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072e-308, 1.0]
+        special = [-0.0, 1.7976931348623157e308, -1.7976931348623157e308, 5e-324,
+                   -2.2250738585072e-308, 1.0]
         model = tiny_model(73, vocab=3, dim=len(special), filters=1, kernel=1, seq_len=1)
         embedding = model.embedding.copy()
         embedding[1] = special
         embedding[2] = -0.0
         model = model.__class__(
             embedding=embedding, conv_weights=model.conv_weights,
-            conv_bias=np.array([-0.0]), dense_weights=np.array([np.nan]),
-            dense_bias=-np.inf, max_sequence_length=1)
+            conv_bias=np.array([-0.0]), dense_weights=np.array([5e-324]),
+            dense_bias=-1.7976931348623157e308, max_sequence_length=1)
         text = cnn_to_text(model)
         embedding_rows = text.splitlines()[3:6]
         assert embedding_rows[0] == "0" and "0" not in embedding_rows[1:]  # -0.0 is written
         loaded = cnn_from_text(text)
         for name in ("embedding", "conv_weights", "conv_bias", "dense_weights"):
             assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
-        assert np.float64(loaded.dense_bias).tobytes() == np.float64(-np.inf).tobytes()
+        assert np.float64(loaded.dense_bias).tobytes() == np.float64(model.dense_bias).tobytes()
+
+    @pytest.mark.parametrize("name", ["embedding", *TRAINABLE])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_refused(self, name, value):
+        model = tiny_model(74)
+        bad = np.array(getattr(model, name), dtype=np.float64)
+        bad.reshape(-1)[-1] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            replace(model, **{name: bad if bad.ndim else float(bad)})
+
+    def test_non_finite_model_file_names_the_file(self, tmp_path):
+        # base64 of little-endian nan, in place of the dense bias 0.125
+        path = tmp_path / "model.txt"
+        path.write_text(CNN_TEXT.replace("dense_bias AAAAAAAAwD8=", "dense_bias AAAAAAAA+H8="),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: dense_bias must be finite$"):
+            load_cnn(path)
 
     @pytest.mark.parametrize(
         "line, bad, message",

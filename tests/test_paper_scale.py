@@ -56,6 +56,15 @@ def test_predict_reads_its_own_train_run(tmp_path, capsys):
     assert set(report["runs"][-1]["bodies"]) == {"predictions.jsonl"}
 
 
+def test_predict_cnn_reads_its_own_train_cnn_run(tmp_path, capsys):
+    report = paper_scale(tmp_path, capsys, "--commands", "predict_cnn", "--pairs", "1")
+    assert [r["command"] for r in report["runs"]] == ["train_cnn", "predict_cnn"]
+    assert all(r["exit"] == 0 for r in report["runs"])
+    assert {"model.txt", "token_index.txt"} <= set(report["runs"][0]["bodies"])
+    assert set(report["runs"][1]["bodies"]) == {"predictions.jsonl"}
+    assert (tmp_path / "out" / "data" / "clean" / "vectors.txt").exists()
+
+
 def test_unknown_command_is_refused(tmp_path):
     with pytest.raises(SystemExit):
         load_script("paper_scale").main([str(tmp_path / "out"), "--commands", "train"])

@@ -324,6 +324,12 @@ class TestProfileCsv:
         with pytest.raises(DataError, match="no data rows"):
             profile_from_csv("# satira 0.1.0\ndoc_id,label,J,S,fpp_ratio\n\n")
 
+    def test_from_csv_names_an_unknown_label_as_the_corpus_readers_do(self):
+        text = "doc_id,label,J,S,fpp_ratio\nf1,fake,0.5,0.0,\nr1,satire,0.0,1.0,\n"
+        with pytest.raises(DataError) as caught:
+            profile_from_csv(text)
+        assert str(caught.value) == "line 3: unknown label 'satire'; expected 'fake' or 'real'"
+
     @pytest.mark.parametrize("text", ["", "doc_id,label,J,S\n"])
     def test_from_csv_rejects_missing_header(self, text):
         with pytest.raises(DataError, match="expected a measures CSV with header"):
