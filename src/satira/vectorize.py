@@ -17,11 +17,20 @@ pair ``id_{n-1}[i] * n_units + unit[i + n - 1]`` among the distinct pairs
 of that level, and -1 marks an n-gram that would run past the end of its
 document. Ids stay below the number of positions, so the pair key fits
 in int64 for any ``ngram_range`` and any alphabet, and equal n-grams get
-equal ids. Each level overwrites one int32 id array, and sorting and
-counting run over blocks of whole documents of about ``BLOCK`` units, so
-the state that grows with the corpus is the unit and id arrays, 8 bytes
-per unit, and, while ``_Windows.advance`` builds a level, each block's
-distinct pairs as int64, at most 8 bytes more per unit.
+equal ids. A level whose pair space ``n_ids * n_units`` holds at most
+``TABLE_PER_UNIT`` keys per unit (CHAR, in practice) ranks its pairs with
+no sort, as Manber & Myers rank a doubling step with a bucket pass: it
+marks each present pair in one int32 table over that space, and the
+running count of marks up to a pair, less one, is its rank. Any other
+level (WORD, in practice) sorts each block's pairs, then the blocks'
+distinct pairs. Each level overwrites one int32 id array, and pair keys,
+sorting and counting run over blocks of whole documents of about
+``BLOCK`` units, so the state that grows with the corpus is the unit and
+id arrays, 8 bytes per unit, and, while ``_Windows.advance`` builds a
+level, either the table, at most 8 bytes more per unit, or each block's
+distinct pairs as int64, also at most 8 bytes more per unit, which the
+merge into the level's sorted distinct pairs copies: about 40 bytes per
+unit at its peak, where almost every pair is distinct.
 
 The distinct units are kept in a table by id, so an n-gram's string is
 built from its position: its n units looked up in that table, joined by
@@ -75,6 +84,7 @@ VOCABULARY_FORMAT = "satira-vocabulary v1"
 BLOCK = 1 << 16  # units per sorting block; a block holds whole sequences
 UNIT_LIMIT = 1 << 31  # the sequences hold fewer units: int32 ids, uint64 rank keys
 KEY_SPAN = 1 << 64  # values a folded rank key can take: uint64
+TABLE_PER_UNIT = 2  # a level whose pairs take at most this many keys per unit ranks them by table
 
 
 class Weighting(Enum):
@@ -245,21 +255,45 @@ class _Windows:
 
     def advance(self, n: int) -> None:
         """Move from level n - 1 to level n: window (i, n) gets the rank of the pair
-        (id of window (i, n - 1), unit i + n - 1) among the level's distinct pairs."""
-        ids, units = self.ids, self.units
+        (id of window (i, n - 1), unit i + n - 1) among the level's distinct pairs.
+
+        A level whose pair space ``n_ids * n_units`` holds at most ``TABLE_PER_UNIT``
+        keys per unit (CHAR, in practice) marks each present pair in one int32 table
+        over that space, 8 bytes per unit at most, and a running count turns the
+        marks into ranks, with no sort. Any other level sorts each block's pairs,
+        keeps each block's distinct pairs (int64, at most 8 bytes per unit) and
+        merges them, which copies them (about 40 bytes per unit at the peak)."""
+        ids = self.ids
         # the last window of level n - 1 in each sequence has no unit left to take
         ids[self.starts[1:][self.lens >= n - 1] - (n - 1)] = -1
-        # so the windows left are those of level n; each first takes its pair's rank
-        # among its block's distinct pairs, held in ids until the level is done
+        span = self.n_ids * self.n_units
+        if span <= TABLE_PER_UNIT * len(ids):
+            # a pair's rank is the number of distinct pairs up to it, less one
+            table = np.zeros(span, dtype=np.int32)
+            for _, keys in self._pairs(n):
+                table[keys] = 1
+            np.cumsum(table, out=table)
+            self.n_ids = int(table[-1]) if span else 0
+            table -= 1
+            for pos, keys in self._pairs(n):
+                ids[pos] = table[keys]
+            return
+        # each window first takes its pair's rank among its block's distinct pairs,
+        # held in ids until the level is done
         local = []
-        for pos, head in self.windows():
-            keys = head.astype(np.int64) * self.n_units + units[pos + n - 1]
+        for pos, keys in self._pairs(n):
             pairs, ids[pos] = np.unique(keys, return_inverse=True)
             local.append(pairs)
         distinct = _distinct(np.concatenate([np.empty(0, dtype=np.int64), *local]))
         for (pos, ranks), pairs in zip(self.windows(), local):
             ids[pos] = np.searchsorted(distinct, pairs)[ranks]
         self.n_ids = len(distinct)
+
+    def _pairs(self, n: int):
+        """Per block, once the windows of level n are left: their positions, and
+        the int64 key ``id_{n-1} * n_units + unit`` of each one's pair."""
+        for pos, head in self.windows():
+            yield pos, head.astype(np.int64) * self.n_units + self.units[pos + n - 1]
 
     def keep(self, kept_ids: np.ndarray) -> None:
         """Drop every window of this level whose id is not in ``kept_ids``:
@@ -441,7 +475,7 @@ def transform(docs: Sequence[Document], vocab: Vocabulary, cfg: VectorizerConfig
     win = _Windows(_unit_sequences(docs, cfg.analyzer) + features, cfg.analyzer)
     doc_end = win.starts[n_rows]
     feature_starts, feature_lens = win.starts[n_rows:-1], win.lens[n_rows:]
-    keys, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    keys, values = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.float64)]
     for n in win.levels(hi):
         # a window that no feature starts with grows into none, so later levels skip it
         win.keep(win.ids[feature_starts[feature_lens >= n]])
@@ -455,12 +489,17 @@ def transform(docs: Sequence[Document], vocab: Vocabulary, cfg: VectorizerConfig
             key = win.sequence_of(pos[hit]) * n_cols + col_of[ids[hit]]
             k, c = np.unique(key, return_counts=True)
             keys.append(k)
-            counts.append(c)
-    keys, counts = np.concatenate(keys), np.concatenate(counts)
+            values.append(c.astype(np.float64))
+    # the windows are freed first, and no rows array is built, so assembling the
+    # matrix holds at most 32 bytes per nonzero (keys, values, order, indices)
+    # before any TF-IDF weighting
+    del win
+    keys, values = np.concatenate(keys), np.concatenate(values)
     order = np.argsort(keys)
-    rows, indices = np.divmod(keys[order], n_cols)  # keys is empty when n_cols is 0
-    values = counts[order].astype(np.float64)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+    keys = keys[order]
+    values = values[order]
+    indices = keys % n_cols  # keys is empty when n_cols is 0
+    indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
     if cfg.weighting is Weighting.TFIDF:
         values *= vocab.idf[indices]
         # one np.linalg.norm per row, the summation order the weights have always had

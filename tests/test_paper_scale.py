@@ -65,6 +65,14 @@ def test_predict_cnn_reads_its_own_train_cnn_run(tmp_path, capsys):
     assert (tmp_path / "out" / "data" / "clean" / "vectors.txt").exists()
 
 
+def test_train_nb_char(tmp_path, capsys):
+    report = paper_scale(tmp_path, capsys, "--commands", "train_nb_char", "--pairs", "1")
+    [run] = report["runs"]
+    assert run["command"] == "train_nb_char" and run["exit"] == 0
+    assert {"model.txt", "vocabulary.txt"} <= set(run["bodies"])
+    assert report["commands"]["train_nb_char"].endswith("--analyzer char --ngram 2,4")
+
+
 def test_unknown_command_is_refused(tmp_path):
     with pytest.raises(SystemExit):
         load_script("paper_scale").main([str(tmp_path / "out"), "--commands", "train"])

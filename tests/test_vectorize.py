@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -242,26 +243,134 @@ class TestWindowIds:
     """The id contract of ``_Windows``: at level n, a window's id is the rank of
     its tuple of unit ids among the level's distinct windows in lexicographic
     order, or -1 where it runs past its sequence, also across blocks of a few
-    units and for a corpus with no units at all."""
+    units and for a corpus with no units at all; with the rank table wherever
+    ``TABLE_PER_UNIT`` allows it, and with a sort at every level (0)."""
 
-    @pytest.mark.parametrize("block", [vectorize.BLOCK, 3])
+    @pytest.mark.parametrize("block, per_unit", [
+        pytest.param(vectorize.BLOCK, vectorize.TABLE_PER_UNIT, id=str(vectorize.BLOCK)),
+        pytest.param(3, vectorize.TABLE_PER_UNIT, id="3"),
+        pytest.param(vectorize.BLOCK, 0, id=f"sort-{vectorize.BLOCK}"),
+        pytest.param(3, 0, id="sort-3"),
+    ])
     @given(
         analyzer=st.sampled_from(list(Analyzer)),
         doc_texts=st.lists(texts(TOKENS), max_size=6),
         hi=st.integers(1, 6),
     )
     @settings(max_examples=150, deadline=None)
-    def test_ids_rank_windows(self, block, analyzer, doc_texts, hi):
+    def test_ids_rank_windows(self, block, per_unit, analyzer, doc_texts, hi):
         seqs = vectorize._unit_sequences(documents(doc_texts), analyzer)
         with mock.patch.object(vectorize, "BLOCK", block):
             win = vectorize._Windows(seqs, analyzer)
         units, starts = win.units.tolist(), win.starts.tolist()
-        for n in win.levels(hi):
-            windows = [tuple(units[i : i + n]) if i + n <= end else None
-                       for start, end in zip(starts, starts[1:]) for i in range(start, end)]
-            rank = {w: r for r, w in enumerate(sorted(set(windows) - {None}))}
-            assert win.ids.tolist() == [-1 if w is None else rank[w] for w in windows]
-            assert win.n_ids == len(rank)
+        with mock.patch.object(vectorize, "TABLE_PER_UNIT", per_unit):
+            for n in win.levels(hi):
+                windows = [tuple(units[i : i + n]) if i + n <= end else None
+                           for start, end in zip(starts, starts[1:]) for i in range(start, end)]
+                rank = {w: r for r, w in enumerate(sorted(set(windows) - {None}))}
+                assert win.ids.tolist() == [-1 if w is None else rank[w] for w in windows]
+                assert win.n_ids == len(rank)
+
+
+def fit_and_transform(fit_docs, other_docs, cfg):
+    """``fit``'s vocabulary text and ``transform``'s matrices of both document
+    sets, or None where ``fit`` refuses the corpus."""
+    try:
+        vocab = fit(fit_docs, cfg)
+    except DataError:
+        return None
+    return vocabulary_to_text(vocab), [transform(docs, vocab, cfg) for docs in (fit_docs, other_docs)]
+
+
+def letter_documents(analyzer, n_docs, length, seed):
+    """Documents of ``length`` random units from ten letters: one word of
+    letters for CHAR, single-letter tokens for WORD, so both analyzers see the
+    same unit sequences."""
+    rng = np.random.default_rng(seed)
+    sep = "" if analyzer is Analyzer.CHAR else " "
+    return documents([sep.join(rng.choice(list("abcdefghij"), length)) for _ in range(n_docs)])
+
+
+class TestTableAndSortAgree:
+    """A level ranked by the presence table gets the ids a sort gives, so
+    ``fit`` and ``transform`` write the same bytes with the table wherever
+    ``TABLE_PER_UNIT`` allows it and with a sort at every level (0), also
+    where one level takes the table and a later one the sort."""
+
+    @staticmethod
+    def assert_agree(fit_docs, other_docs, cfg):
+        with mock.patch.object(vectorize, "BLOCK", 3):
+            table = fit_and_transform(fit_docs, other_docs, cfg)
+            with mock.patch.object(vectorize, "TABLE_PER_UNIT", 0):
+                sort = fit_and_transform(fit_docs, other_docs, cfg)
+        assert (table is None) == (sort is None)
+        if table is not None:
+            assert table[0] == sort[0]
+            for got, want in zip(table[1], sort[1]):
+                assert_same_matrix(got, want)
+
+    @given(
+        cfg=st.builds(
+            lambda analyzer, weighting, ngram, max_features, max_df: VectorizerConfig(
+                weighting, analyzer, tuple(sorted(ngram)), max_features, max_df
+            ),
+            st.sampled_from(list(Analyzer)),
+            st.sampled_from(list(Weighting)),
+            st.tuples(st.integers(1, 4), st.integers(1, 4)),
+            st.integers(1, 12),
+            st.sampled_from([0.5, 1.0]),
+        ),
+        fit_texts=st.lists(texts(TOKENS), min_size=1, max_size=6),
+        other_texts=st.lists(texts(TOKENS + UNSEEN), max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_corpora(self, cfg, fit_texts, other_texts):
+        self.assert_agree(documents(fit_texts), documents(other_texts), cfg)
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    @pytest.mark.parametrize("analyzer", list(Analyzer))
+    def test_table_then_sort(self, analyzer, weighting):
+        # 150 positions over ten units: the 100 pairs of level 2 fit in the
+        # table; level 3 has ten pairs for each of about 80 bigrams, and sorts
+        docs = letter_documents(analyzer, 6, 30, seed=2)
+        with mock.patch.object(vectorize, "_distinct", wraps=vectorize._distinct) as merge:
+            win = vectorize._Windows(vectorize._unit_sequences(docs[:5], analyzer), analyzer)
+            merged = [merge.call_count for _ in win.levels(4)]
+        assert merged == [0, 0, 1, 2]
+        cfg = VectorizerConfig(weighting, analyzer, (1, 4), max_features=60, max_df=1.0)
+        self.assert_agree(docs[:5], docs[5:], cfg)
+
+
+class TestAdvanceMemory:
+    """The rank table costs no more memory than the sort it replaces: the
+    tracemalloc peak of ``_Windows.advance`` at each level that takes the
+    table is no higher than with a sort at every level."""
+
+    def test_table_peak_no_higher_than_sort(self):
+        # about 93 k characters over 27 units, in blocks of 8192: levels 2 and 3
+        # fit in the table
+        rng = np.random.default_rng(0)
+        letters = list("abcdefghijklmnopqrstuvwxyz")
+        seqs = [" ".join("".join(rng.choice(letters, rng.integers(1, 9)))
+                         for _ in range(rng.integers(50, 300))) for _ in range(100)]
+        peaks, merged = {}, {}
+        for per_unit in (vectorize.TABLE_PER_UNIT, 0):
+            with mock.patch.object(vectorize, "BLOCK", 8192), \
+                    mock.patch.object(vectorize, "TABLE_PER_UNIT", per_unit), \
+                    mock.patch.object(vectorize, "_distinct", wraps=vectorize._distinct) as merge:
+                win = vectorize._Windows(seqs, Analyzer.CHAR)
+                assert len(win.blocks) > 10
+                for n in (2, 3):
+                    tracemalloc.start()
+                    try:
+                        win.advance(n)
+                        peaks[per_unit, n] = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                merged[per_unit] = merge.call_count
+        assert merged == {vectorize.TABLE_PER_UNIT: 0, 0: 2}
+        for n in (2, 3):
+            assert peaks[vectorize.TABLE_PER_UNIT, n] <= peaks[0, n]
 
 
 class TestFitBuildsOnlyKeptNames:
