@@ -9,9 +9,9 @@ default) under OUT/data with the benchmark's generator
 (`perfbench/corpus.py`, `GeneratorConfig(n_docs, 8000)`, seed 1, read only):
 a raw, noisy one that `clean` and `boilerplate` read, and a clean one with
 its POS tags and 300-d word vectors that `measure --tagged`, `train` (NB on
-word counts, NB on char 2-4 counts, and the CNN for one epoch) and `predict`
-read. The vectors come from a random stream of their own, so writing them
-changes no corpus byte.
+word counts, NB on char 2-4 counts, and the CNN for one epoch and for none)
+and `predict` read. The vectors come from a random stream of their own, so
+writing them changes no corpus byte.
 A child's peak RSS starts at its parent's peak when it is forked, so the
 corpora are written by a child before any timed run, and every timed child
 is started by a small launcher process, not by this script, which reads
@@ -63,6 +63,9 @@ COMMANDS = {
     "train_nb_char": ("train", "--corpus", CLEAN, "--model", "nb", "--analyzer", "char",
                       "--ngram", "2,4"),
     "predict": ("predict", "--model-dir", "{train_nb}", "--corpus", CLEAN),
+    # no epoch: loading the vectors, encoding the corpus and saving the model alone
+    "train_cnn_0": ("train", "--corpus", CLEAN, "--model", "cnn",
+                    "--embeddings", "data/clean/vectors.txt", "--epochs", "0"),
     "train_cnn": ("train", "--corpus", CLEAN, "--model", "cnn",
                   "--embeddings", "data/clean/vectors.txt", "--epochs", "1"),
     "predict_cnn": ("predict", "--model-dir", "{train_cnn}", "--corpus", CLEAN),

@@ -1,7 +1,8 @@
-"""Shared file helpers: ``parse_file``, the reader of every input file,
-phrase-list and JSON files, the metadata header of every CLI output (tool
-version, config hash, a checksum per input file), and the line reader and
-float codecs of every serialized artifact.
+"""Shared file helpers: ``parse_file``, the reader of every input file, and
+``parse_lines``, which reads a file too large to hold whole one block of
+lines at a time; phrase-list and JSON files, the metadata header of every
+CLI output (tool version, config hash, a checksum per input file), and the
+line reader and float codecs of every serialized artifact.
 
 Artifacts hold one text line per matrix row in one of two float codecs.
 ``float_rows`` writes each float as its shortest ``repr``, for files meant
@@ -79,6 +80,54 @@ def text_lines(text: str) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+# bytes read at a time by ``parse_lines``, which holds about one block of a file
+LINE_BLOCK = 1 << 20
+
+
+def _utf8_error(exc: UnicodeDecodeError, offset: int) -> DataError:
+    """The ``read_text`` error for ``exc``, raised while decoding bytes that start at
+    ``offset`` in the file, so its positions count from the start of the file."""
+    start, end = offset + exc.start, offset + exc.end
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end - start == 1
+             else f"bytes in position {start}-{end - 1}")
+    return DataError(f"not valid UTF-8: '{exc.encoding}' codec can't decode {where}: "
+                     f"{exc.reason}")
+
+
+def _line_blocks(path):
+    """The lines of a UTF-8 file as ``text_lines`` splits them, in one list per block
+    of ``LINE_BLOCK`` bytes that ends a line. The bytes after a block's last ``\\n``
+    are carried over to the next block, so the whole file is never held. The bytes
+    are cut before they are decoded: a ``\\n`` byte is never part of a longer UTF-8
+    character. Errors are ``DataError``s without the path."""
+    offset = 0  # file position of the first byte not yet decoded
+    carry: list[bytes] = []  # the start of the line that crosses into the next block
+
+    def decode(data: bytes) -> list[str]:
+        try:
+            return data.decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(exc, offset) from exc
+
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(LINE_BLOCK):
+                cut = block.rfind(b"\n") + 1
+                if not cut:
+                    carry.append(block)
+                    continue
+                data = b"".join((*carry, memoryview(block)[:cut]))
+                lines = decode(data)
+                lines.pop()  # the empty text after the last "\n"
+                offset += len(data)
+                carry = [block[cut:]]
+                yield lines
+            if tail := b"".join(carry):
+                yield decode(tail)
+    except OSError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def float_rows(values, sep: str = " ") -> list[str]:
@@ -235,6 +284,25 @@ def parse_file(path, parse):
         return parse(text)
     except (DataError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def parse_lines(path, parse):
+    """As ``parse_file``, for a file too large to hold whole: ``parse`` is given an
+    iterator over the file's lines, one list per block read. Every error, reading
+    and decoding errors too, is a ``DataError`` prefixed with the path, and a file
+    that cannot be read or is not UTF-8 is refused as such, as ``parse_file``
+    refuses it, even when ``parse`` stops at an error on an earlier line."""
+    blocks = _line_blocks(path)
+    try:
+        return parse(blocks)
+    except (DataError, ValueError) as exc:
+        error = exc
+    try:
+        for _ in blocks:  # the rest of the file, read only to find an unreadable byte
+            pass
+    except DataError as exc:
+        error = exc
+    raise DataError(f"{path}: {error}") from error
 
 
 def parse_phrase_file(path, build):

@@ -157,9 +157,20 @@ def _preactivations(model: ConvNetModel, Y: np.ndarray, index: np.ndarray) -> np
     return z
 
 
+def _used_columns(ids: np.ndarray, kernel_size: int) -> int:
+    """How many leading columns of ``ids`` the windows need: those up to and
+    including the first window that starts after the last non-zero id (it may
+    exceed the width). Every later window reads only id 0 too, so its
+    pre-activation is bitwise equal to that first one's, and max and argmax,
+    which keep the first of equal values, give the same results without it."""
+    used = np.flatnonzero(ids.any(axis=0))
+    return (used[-1] + 1 if len(used) else 0) + kernel_size
+
+
 def _logits(model: ConvNetModel, Y: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Logits from ``Y``, the whole embedding projected. The dense layer is a sum per
     row, not a BLAS product, so no logit depends on the rows beside it."""
+    ids = ids[:, :_used_columns(ids, model.kernel_size)]
     pooled = np.maximum(_preactivations(model, Y, ids).max(axis=1), 0.0)
     return (pooled * model.dense_weights).sum(axis=1) + model.dense_bias
 
@@ -176,10 +187,11 @@ def cnn_gradients(model: ConvNetModel, ids: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     B = len(ids)
     F, K, d = model.conv_weights.shape
-    # the weights change every step, so only this batch's distinct tokens are projected
+    # the weights change every step, so only this batch's distinct tokens are projected;
+    # they are taken from every column, so the trim below leaves the projection as it is
     tokens, inverse = np.unique(ids, return_inverse=True)
-    activations = _preactivations(model, _project(model, model.embedding[tokens]),
-                                  inverse.reshape(ids.shape))
+    index = inverse.reshape(ids.shape)[:, :_used_columns(ids, K)]
+    activations = _preactivations(model, _project(model, model.embedding[tokens]), index)
     np.maximum(activations, 0.0, out=activations)  # the ReLU, in place
     arg_top = np.argmax(activations, axis=1)  # (B, F) first max wins
     pooled = activations[np.arange(B)[:, None], arg_top, np.arange(F)]  # (B, F)

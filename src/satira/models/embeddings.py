@@ -2,20 +2,25 @@
 
 Embedding files are UTF-8 text: a ``<vocab_size> <dim>`` header line, then
 ``vocab_size`` non-blank lines, each a token and ``dim`` space-separated
-finite floats. Token ids are 1-based; id 0 is the shared padding/OOV slot
-whose embedding row stays all-zero. A token index is saved as
-``token<TAB>id`` lines in id order under a format-tag line.
+finite floats in the grammar of ``float()``. The file is streamed a block
+at a time (``fileio.parse_lines``), so a real-size one is never held whole:
+a row is split only if its token is in the index, and each block's indexed
+rows are parsed together. An indexed token may have one row; the rows of
+other tokens are counted, not tracked. Token ids are 1-based; id 0 is the
+shared padding/OOV slot whose embedding row stays all-zero. A token index
+is saved as ``token<TAB>id`` lines in id order under a format-tag line.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..corpus_io import Document
 from ..errors import DataError
-from ..fileio import BodyReader, parse_file, text_lines
+from ..fileio import BodyReader, parse_file, parse_lines
 
 TOKEN_INDEX_FORMAT = "satira-token-index v1"
 
@@ -68,14 +73,45 @@ def load_embeddings(
     the padding row 0) stay zero. Coverage is covered / |vocabulary|, 1.0
     for an empty vocabulary.
     """
-    return parse_file(path, lambda text: _embeddings_from_text(text, token_index, expected_dim))
+    return parse_lines(path, lambda blocks: _embeddings_from_lines(blocks, token_index,
+                                                                   expected_dim))
 
 
-def _embeddings_from_text(
-    text: str, token_index: dict[str, int], expected_dim: int
+# the characters that np.loadtxt may parse a block of values from. Over them, it and
+# float() both hand a field to CPython's PyOS_string_to_double and require it to read
+# the whole field, so they accept the same values and give the same bits. Elsewhere
+# their grammars differ: loadtxt accepts "1\x1c", which float() refuses, and refuses
+# "1_000" and "\u0661", which float() accepts.
+_LOADTXT_ALPHABET = b"0123456789.+-eE" b"infatyINFATY" b" \n"
+
+
+def _fill_rows(matrix: np.ndarray, ids: list[int], values: list[str],
+               linenos: list[int]) -> None:
+    """``matrix[ids[i]]`` = the floats of ``values[i]``, read from line ``linenos[i]``."""
+    if not ids or not matrix.shape[1]:  # a row of width 0 holds no values
+        return
+    if not "\n".join(values).encode().translate(None, _LOADTXT_ALPHABET):
+        try:
+            matrix[ids] = np.loadtxt(values, dtype=np.float64, delimiter=" ",
+                                     comments=None, ndmin=2)
+            return
+        except ValueError:
+            pass  # a malformed value: the rows below name its line
+    # one row at a time, as float() reads each value: the only way to read values
+    # outside the alphabet above, and the one that names the line of a bad value
+    for idx, row, lineno in zip(ids, values, linenos):
+        try:
+            matrix[idx] = np.array(row.split(" "), dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: malformed value: {exc}") from exc
+
+
+def _embeddings_from_lines(
+    blocks: Iterable[list[str]], token_index: dict[str, int], expected_dim: int
 ) -> tuple[np.ndarray, float]:
-    lines = text_lines(text)
-    if not lines:
+    blocks = iter(blocks)
+    lines = next(blocks, None)
+    if lines is None:
         raise DataError("empty embedding file")
     try:
         count, dim = map(int, lines[0].split())
@@ -89,25 +125,40 @@ def _embeddings_from_text(
     matrix = np.zeros((len(token_index) + 1, dim), dtype=np.float64)
     covered: dict[str, int] = {}  # token -> the line its vector was read from
     rows = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        rows += 1
-        parts = line.rstrip().split(" ")
-        if len(parts) != dim + 1:
-            raise DataError(
-                f"line {lineno}: expected token plus {dim} values, got {len(parts) - 1}"
-            )
-        token = parts[0]
-        idx = token_index.get(token)
-        if idx is None:
-            continue
-        try:
-            # one call per row; accepts and rounds each value exactly as float() does
-            matrix[idx] = np.array(parts[1:], dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: malformed value: {exc}") from exc
-        covered[token] = lineno
+    lineno = 1
+    for lines in chain([lines[1:]], blocks):
+        # the indexed rows of this block, parsed together at its end
+        ids: list[int] = []
+        values: list[str] = []
+        linenos: list[int] = []
+        error = None
+        for line in lines:
+            lineno += 1
+            line = line.rstrip()
+            if not line:
+                continue
+            rows += 1
+            if line.count(" ") != dim:
+                error = DataError(f"line {lineno}: expected token plus {dim} values, "
+                                  f"got {line.count(' ')}")
+                break
+            token, _, row = line.partition(" ")
+            idx = token_index.get(token)
+            if idx is None:
+                continue
+            if token in covered:
+                error = DataError(f"line {lineno}: {token!r} already has a vector, "
+                                  f"on line {covered[token]}")
+                break
+            covered[token] = lineno
+            ids.append(idx)
+            values.append(row)
+            linenos.append(lineno)
+        # the rows before an error are parsed first, so a malformed value is named
+        # before a later line's error
+        _fill_rows(matrix, ids, values, linenos)
+        if error is not None:
+            raise error
     finite = np.isfinite(matrix).all(axis=1)  # one pass: a check per row took 6% of the load
     if not finite.all():
         lineno = min(line for token, line in covered.items() if not finite[token_index[token]])

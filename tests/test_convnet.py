@@ -17,6 +17,7 @@ from satira.models import (
     grad_check,
     init_convnet,
     logistic_loss,
+    sigmoid,
 )
 from satira.models.convnet import (
     BETA1,
@@ -25,6 +26,7 @@ from satira.models.convnet import (
     PREDICT_CHUNK,
     TRAINABLE,
     _logits,
+    _preactivations,
     _project,
     cnn_from_text,
     cnn_to_text,
@@ -240,6 +242,70 @@ class TestDeduplicatedForward:
                 tracemalloc.stop()
 
         assert peak(4 * PREDICT_CHUNK) <= 1.25 * peak(PREDICT_CHUNK)
+
+
+def full_window_gradients(model, ids, y):
+    """cnn_gradients over every window, the trailing ones of padding alone included:
+    the reference for dropping those windows."""
+    y = np.asarray(y, dtype=np.float64)
+    B = len(ids)
+    F, K, d = model.conv_weights.shape
+    tokens, inverse = np.unique(ids, return_inverse=True)
+    activations = _preactivations(model, _project(model, model.embedding[tokens]),
+                                  inverse.reshape(ids.shape))
+    np.maximum(activations, 0.0, out=activations)
+    arg_top = np.argmax(activations, axis=1)
+    pooled = activations[np.arange(B)[:, None], arg_top, np.arange(F)]
+    logits = pooled @ model.dense_weights + model.dense_bias
+    d_logit = (sigmoid(logits) - y) / B
+    d_top = d_logit[:, None] * model.dense_weights[None, :] * (pooled > 0.0)
+    positions = arg_top[:, :, None] + np.arange(K)
+    win_top = model.embedding[ids[np.arange(B)[:, None, None], positions]].reshape(B, F, K * d)
+    grads = (np.einsum("bf,bfk->fk", d_top, win_top).reshape(F, K, d), d_top.sum(axis=0),
+             pooled.T @ d_logit, float(d_logit.sum()))
+    return logistic_loss(logits, y), dict(zip(TRAINABLE, grads))
+
+
+def full_window_logits(model, ids):
+    Y = _project(model, model.embedding)
+    pooled = np.maximum(_preactivations(model, Y, ids).max(axis=1), 0.0)
+    return (pooled * model.dense_weights).sum(axis=1) + model.dense_bias
+
+
+def padded_batch(model, rng, lengths):
+    """One row per length: that many random ids (some of them 0, for OOV), then padding."""
+    ids = np.zeros((len(lengths), model.max_sequence_length), dtype=np.int64)
+    for row, n in zip(ids, lengths):
+        row[:n] = rng.integers(0, model.vocab_size, size=n)
+    return ids
+
+
+class TestTrailingPaddingWindows:
+    """Windows after the batch's last non-zero id are dropped, but for the first;
+    every result stays bitwise equal to the one over all windows."""
+
+    @pytest.mark.parametrize("shape", ["full", "ragged", "ends_in_oov", "all_padding"])
+    def test_bitwise_equal_to_every_window(self, shape):
+        model = tiny_model(93, vocab=40, dim=6, filters=12, kernel=3, seq_len=30)
+        rng = np.random.default_rng(94)
+        # with positive vectors and biases, the filters of negative weights peak at
+        # a window of padding alone
+        weights = model.conv_weights.copy()
+        weights[::2] = -np.abs(weights[::2])
+        model = replace(model, embedding=np.abs(model.embedding), conv_weights=weights,
+                        conv_bias=rng.uniform(0.1, 0.5, size=model.n_filters))
+        ids = padded_batch(model, rng, {"full": [30, 12, 7], "ragged": [9, 17, 4, 1],
+                                        "ends_in_oov": [6, 19, 3], "all_padding": [0, 0]}[shape])
+        if shape == "ends_in_oov":
+            ids[1, 11:19] = 0  # the longest document's last 8 tokens have no id
+        y = np.arange(len(ids)) % 2.0
+        loss, grads = cnn_gradients(model, ids, y)
+        expected_loss, expected = full_window_gradients(model, ids, y)
+        assert loss.hex() == expected_loss.hex()
+        for name in TRAINABLE:
+            assert np.asarray(grads[name]).tobytes() == np.asarray(expected[name]).tobytes(), name
+        logits = _logits(model, _project(model, model.embedding), ids)
+        assert logits.tobytes() == full_window_logits(model, ids).tobytes()
 
 
 class TestGradients:

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satira import DataError, make_document
+from satira.fileio import LINE_BLOCK, parse_file, text_lines
 from satira.models import (
     build_token_index,
     encode_corpus,
@@ -132,3 +137,172 @@ class TestLoadEmbeddings:
         matrix, coverage = load_embeddings(path, {"in": 1}, expected_dim=2)
         assert coverage == 1.0
         assert matrix.shape == (2, 2)
+
+    def test_a_second_vector_for_an_indexed_token_names_both_lines(self, tmp_path):
+        path = write_vectors(tmp_path, "3 2\nw 1 2\nout 5 6\nw 3 4\n")
+        with pytest.raises(DataError, match=r"vectors.txt: line 4: 'w' already has a vector, "
+                                            r"on line 2$"):
+            load_embeddings(path, {"w": 1}, expected_dim=2)
+
+    def test_repeated_tokens_not_in_the_index_are_not_checked(self, tmp_path):
+        path = write_vectors(tmp_path, "3 2\nw 1 2\nout 5 6\nout 3 4\n")
+        matrix, coverage = load_embeddings(path, {"w": 1}, expected_dim=2)
+        assert matrix[1].tolist() == [1.0, 2.0] and coverage == 1.0
+
+
+def oracle_embeddings_from_text(text, token_index, expected_dim):
+    """The whole-text loader that the streamed one replaced, kept as its reference."""
+    lines = text_lines(text)
+    if not lines:
+        raise DataError("empty embedding file")
+    try:
+        count, dim = map(int, lines[0].split())
+    except ValueError as exc:
+        raise DataError(f"line 1: header must be '<vocab_size> <dim>': {exc}") from exc
+    if dim != expected_dim:
+        raise DataError(
+            f"line 1: embedding dimension {dim} does not match expected {expected_dim}"
+        )
+
+    matrix = np.zeros((len(token_index) + 1, dim), dtype=np.float64)
+    covered: dict[str, int] = {}  # token -> the line its vector was read from
+    rows = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        rows += 1
+        parts = line.rstrip().split(" ")
+        if len(parts) != dim + 1:
+            raise DataError(
+                f"line {lineno}: expected token plus {dim} values, got {len(parts) - 1}"
+            )
+        token = parts[0]
+        idx = token_index.get(token)
+        if idx is None:
+            continue
+        try:
+            matrix[idx] = np.array(parts[1:], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: malformed value: {exc}") from exc
+        covered[token] = lineno
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        lineno = min(line for token, line in covered.items() if not finite[token_index[token]])
+        raise DataError(f"line {lineno}: vector values must be finite")
+    if rows != count:
+        raise DataError(f"line 1: header declares {count} vectors, the file holds {rows}")
+    coverage = 1.0 if not token_index else len(covered) / len(token_index)
+    return matrix, coverage
+
+
+def outcome(load):
+    """(matrix bytes, coverage) of a load, or its error message."""
+    try:
+        matrix, coverage = load()
+    except DataError as exc:
+        return str(exc)
+    return matrix.shape, matrix.tobytes(), coverage
+
+
+# values float() reads or refuses, with the ones only float() accepts ("1_5", Arabic
+# digits) and "1\x1c", which np.loadtxt would accept but float() refuses
+VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.4f}"),
+    st.sampled_from(["-0.0", "+.5", "5.", "1E5", "1e-320", "1_5", "\u0661\u0662", "\t2"]),
+    st.sampled_from(["1\x1c", "1\x1f", "\x1c", "1e400", "nan", "-Infinity", "x", "", "0x10"]),
+)
+TOKEN = st.text(alphabet="ab\x85\u2028\r\u0627\x1c", min_size=1, max_size=3)
+BLANK = st.sampled_from(["", "  ", "\r", "\x85", "\u2028 "])
+
+
+@st.composite
+def vector_files(draw):
+    """(file bytes, token index, dim): rows with CRLF or LF ends, blank lines, rows
+    not in the index, some short or long rows, and sometimes a byte that is not UTF-8."""
+    dim = draw(st.integers(1, 3))
+    tokens = draw(st.lists(TOKEN, unique=True, max_size=8))
+    lines = []
+    for token in tokens:
+        lines += draw(st.lists(BLANK, max_size=1))
+        width = dim + draw(st.sampled_from([0] * 12 + [-1, 1]))
+        values = draw(st.lists(VALUE, min_size=width, max_size=width))
+        lines.append(" ".join([token, *values]) + draw(st.sampled_from(["", "\r", " "])))
+    count = len(tokens) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+    text = f"{count} {dim}\n" + "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
+                                         for line in lines)
+    data = text.encode("utf-8")
+    if draw(st.sampled_from([False] * 9 + [True])):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    indexed = [t for t in tokens if draw(st.booleans())] + draw(st.lists(TOKEN, max_size=2))
+    index = {token: i for i, token in enumerate(dict.fromkeys(indexed), start=1)}
+    return data, index, dim
+
+
+class TestStreamedLoader:
+    """``load_embeddings`` reads the file in blocks and parses each block's indexed
+    rows in bulk; it gives the matrix, coverage and errors of the whole-text loader."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64, LINE_BLOCK])
+    @given(case=vector_files())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_whole_text_loader(self, tmp_path_factory, block, case):
+        data, index, dim = case
+        path = tmp_path_factory.mktemp("vectors") / "vectors.txt"
+        path.write_bytes(data)
+        expected = outcome(lambda: parse_file(
+            path, lambda text: oracle_embeddings_from_text(text, index, dim)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("satira.fileio.LINE_BLOCK", block)
+            assert outcome(lambda: load_embeddings(path, index, dim)) == expected
+
+    @pytest.mark.parametrize("row, message", [
+        ("w9 1 x 3", "line 12: malformed value: could not convert string to float: 'x'"),
+        ("w9 1 2", "line 12: expected token plus 3 values, got 2"),
+        ("w9 1 -inf 3", "line 12: vector values must be finite"),
+        ("w9 1 1_0 \u0663", "line 1: header declares 7 vectors, the file holds 6"),
+    ])
+    def test_a_later_block_keeps_its_message_and_line(self, tmp_path, monkeypatch, row, message):
+        monkeypatch.setattr("satira.fileio.LINE_BLOCK", 64)
+        body = "".join(f"w{i} 0.{i}5 1.25 -2e-3\n\n" for i in range(5)) + row + "\n"
+        path = write_vectors(tmp_path, "7 3\n" + body)
+        index = {f"w{i}": i + 1 for i in range(10)}
+        with pytest.raises(DataError) as caught:
+            load_embeddings(path, index, expected_dim=3)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_an_earlier_malformed_value_in_the_block_is_named_first(self, tmp_path):
+        path = write_vectors(tmp_path, "3 2\na 1 2\nb 1 y\nc 1\n")
+        with pytest.raises(DataError, match="line 3: malformed value: .*'y'"):
+            load_embeddings(path, {"a": 1, "b": 2}, expected_dim=2)
+
+    def test_missing_file_and_invalid_utf8_name_the_path(self, tmp_path):
+        missing = tmp_path / "missing.vec"
+        with pytest.raises(DataError, match=f"^{missing}: .*No such file"):
+            load_embeddings(missing, {}, expected_dim=2)
+        bad = tmp_path / "bad.vec"
+        bad.write_bytes(b"1 2\nw 1 x\n\xff\n")
+        with pytest.raises(DataError, match=f"^{bad}: not valid UTF-8: 'utf-8' codec can't "
+                                            f"decode byte 0xff in position 10"):
+            load_embeddings(bad, {"w": 1}, expected_dim=2)
+
+    def test_peak_memory_does_not_grow_with_the_rows_not_indexed(self, tmp_path, monkeypatch):
+        block = 1 << 14
+        monkeypatch.setattr("satira.fileio.LINE_BLOCK", block)
+        index = {f"in{i}": i + 1 for i in range(50)}
+        values = " ".join(["-0.123456789"] * 16)
+
+        def peak(skipped: int) -> int:
+            rows = [f"in{i} {values}" for i in range(50)]
+            rows += [f"out{i} {values}" for i in range(skipped)]
+            path = write_vectors(tmp_path, f"{len(rows)} 16\n" + "".join(r + "\n" for r in rows))
+            tracemalloc.start()
+            try:
+                load_embeddings(path, index, expected_dim=16)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short = peak(2000)  # 0.4 MB, about 25 blocks
+        assert peak(8000) - short < 2 * block

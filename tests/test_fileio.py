@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from satira.fileio import file_checksum
+from satira import DataError
+from satira.fileio import LINE_BLOCK, file_checksum, parse_lines, read_text, text_lines
 
 MIB = 1 << 20  # the block file_checksum reads at a time
 
@@ -13,3 +14,72 @@ def test_file_checksum_reads_blocks_to_the_whole_file_digest(tmp_path, size):
     path = tmp_path / "input.bin"
     path.write_bytes(np.random.default_rng(size).bytes(size))
     assert file_checksum(path) == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def lines_read(path) -> list[str]:
+    return parse_lines(path, lambda blocks: [line for block in blocks for line in block])
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, LINE_BLOCK])
+@pytest.mark.parametrize("text", [
+    "", "\n", "a", "a\n", "\n\nb", "one\r\ntwo\rthree\n",
+    "ق\x85ال خبر\n" * 9 + "no newline at the end",
+    "😀" * 40 + "\n" + "x" * 200 + "\n\n",
+])
+def test_parse_lines_splits_as_text_lines(tmp_path, monkeypatch, block, text):
+    # every block size cuts some multi-byte character or line; only "\n" ends a line
+    monkeypatch.setattr("satira.fileio.LINE_BLOCK", block)
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert lines_read(path) == text_lines(read_text(path))
+
+
+def test_parse_lines_holds_one_block_at_a_time(tmp_path, monkeypatch):
+    monkeypatch.setattr("satira.fileio.LINE_BLOCK", 64)
+    path = tmp_path / "input.txt"
+    path.write_text("abcdefghi\n" * 100, encoding="utf-8")
+    sizes = parse_lines(path, lambda blocks: [len(block) for block in blocks])
+    assert sum(sizes) == 100 and max(sizes) <= 7
+
+
+@pytest.mark.parametrize("data", [
+    b"ok\n\xff\n", b"ok\n" * 40 + b"a\xe2\x82\nb\n", b"ok\n" * 40 + b"tail \xf0\x9f\x98",
+    b"ok\n" * 40 + b"\xed\xa0\x80\n",
+])
+@pytest.mark.parametrize("block", [7, LINE_BLOCK])
+def test_invalid_utf8_is_named_as_read_text_names_it(tmp_path, monkeypatch, data, block):
+    monkeypatch.setattr("satira.fileio.LINE_BLOCK", block)
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as whole:
+        read_text(path)
+    with pytest.raises(DataError) as streamed:
+        lines_read(path)
+    assert str(streamed.value) == str(whole.value)
+    assert str(streamed.value).startswith(f"{path}: not valid UTF-8: ")
+
+
+def test_unreadable_file_is_named_as_read_text_names_it(tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        with pytest.raises(DataError) as whole:
+            read_text(path)
+        with pytest.raises(DataError) as streamed:
+            lines_read(path)
+        assert str(streamed.value) == str(whole.value)
+
+
+def test_a_decoding_error_wins_over_an_error_on_an_earlier_line(tmp_path, monkeypatch):
+    # as when the file was read whole before it was parsed
+    monkeypatch.setattr("satira.fileio.LINE_BLOCK", 7)
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"bad line\n" + b"fine\n" * 10 + b"\xff\n")
+
+    def refuse_first_line(blocks):
+        next(blocks)
+        raise DataError("line 1: refused")
+
+    with pytest.raises(DataError, match=r"input.txt: not valid UTF-8: .*position 59"):
+        parse_lines(path, refuse_first_line)
+    path.write_bytes(b"bad line\n" + b"fine\n" * 10)
+    with pytest.raises(DataError, match=r"input.txt: line 1: refused$"):
+        parse_lines(path, refuse_first_line)

@@ -65,6 +65,14 @@ def test_predict_cnn_reads_its_own_train_cnn_run(tmp_path, capsys):
     assert (tmp_path / "out" / "data" / "clean" / "vectors.txt").exists()
 
 
+def test_train_cnn_0_trains_no_epoch(tmp_path, capsys):
+    report = paper_scale(tmp_path, capsys, "--commands", "train_cnn_0", "--pairs", "1")
+    [run] = report["runs"]
+    assert run["command"] == "train_cnn_0" and run["exit"] == 0
+    assert {"model.txt", "token_index.txt", "run.json"} <= set(run["bodies"])
+    assert report["commands"]["train_cnn_0"].endswith("--epochs 0")
+
+
 def test_train_nb_char(tmp_path, capsys):
     report = paper_scale(tmp_path, capsys, "--commands", "train_nb_char", "--pairs", "1")
     [run] = report["runs"]
