@@ -9,9 +9,9 @@ default) under OUT/data with the benchmark's generator
 (`perfbench/corpus.py`, `GeneratorConfig(n_docs, 8000)`, seed 1, read only):
 a raw, noisy one that `clean` and `boilerplate` read, and a clean one with
 its POS tags and 300-d word vectors that `measure --tagged`, `train` (NB on
-word counts, NB on char 2-4 counts, and the CNN for one epoch and for none)
-and `predict` read. The vectors come from a random stream of their own, so
-writing them changes no corpus byte.
+word counts, NB on char 2-4 counts, and the CNN for one epoch and for none),
+`predict` and `evaluate` read. The vectors come from a random stream of their
+own, so writing them changes no corpus byte.
 A child's peak RSS starts at its parent's peak when it is forked, so the
 corpora are written by a child before any timed run, and every timed child
 is started by a small launcher process, not by this script, which reads
@@ -23,14 +23,17 @@ Then, for each of `--pairs` pairs, each chosen command runs once per
 than one tree, odd pairs run the trees in reverse order, so a drift in the
 host's load does not favour one side. The JSON names a git checkout by its
 `HEAD` commit (with `+dirty` if its `src` has uncommitted changes) and any
-other tree by its resolved path. `predict` and `predict_cnn` read the model
-their own tree's `train_nb` and `train_cnn` runs wrote in the same pair, so
-choosing a command that reads a run runs the command that writes it too.
+other tree by its resolved path. `predict` and `evaluate` read the model
+their own tree's `train_nb` run wrote in the same pair, and `predict_cnn`
+and `evaluate_cnn` the one of its `train_cnn` run, so choosing a command
+that reads a run runs the command that writes it too.
 
 Each run records its wall time, its peak RSS (the child's own `ru_maxrss`,
 from `os.wait4`), its exit code and the sha256 of each output body with the
 CLI's metadata lines removed (`check_set.body_digest`), so two trees that
-write the same bodies show the same digests. The JSON on stdout holds every
+write the same bodies show the same digests. An `evaluate` run also records
+the held-out `accuracy` and `macro_f1` of its `report.json`, so a change that
+costs quality shows beside its times. The JSON on stdout holds every
 run and, per command and tree, the minimum, median and maximum of the wall
 time and the peak RSS. A run's outputs are deleted once hashed.
 """
@@ -63,12 +66,14 @@ COMMANDS = {
     "train_nb_char": ("train", "--corpus", CLEAN, "--model", "nb", "--analyzer", "char",
                       "--ngram", "2,4"),
     "predict": ("predict", "--model-dir", "{train_nb}", "--corpus", CLEAN),
+    "evaluate": ("evaluate", "--model-dir", "{train_nb}", "--corpus", CLEAN),
     # no epoch: loading the vectors, encoding the corpus and saving the model alone
     "train_cnn_0": ("train", "--corpus", CLEAN, "--model", "cnn",
                     "--embeddings", "data/clean/vectors.txt", "--epochs", "0"),
     "train_cnn": ("train", "--corpus", CLEAN, "--model", "cnn",
                   "--embeddings", "data/clean/vectors.txt", "--epochs", "1"),
     "predict_cnn": ("predict", "--model-dir", "{train_cnn}", "--corpus", CLEAN),
+    "evaluate_cnn": ("evaluate", "--model-dir", "{train_cnn}", "--corpus", CLEAN),
 }
 # run by a child, with perfbench/ and src/ of this tree on PYTHONPATH
 GENERATE = """
@@ -126,6 +131,10 @@ def run_once(launcher, out: Path, checkout: Path, argv: tuple, run_dir: str) -> 
     }
     if code:
         record["error"] = stderr.read_text(errors="replace").strip()
+    elif "report.json" in record["bodies"]:
+        lines = (out / run_dir / "report.json").read_text(encoding="utf-8").splitlines()
+        report = json.loads("\n".join(l for l in lines if not l.startswith("#")))
+        record.update(accuracy=report["accuracy"], macro_f1=report["macro_f1"])
     return record
 
 

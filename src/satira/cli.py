@@ -9,12 +9,12 @@ flag name without the dashes; flags win over it, its values must have the
 row's JSON type, and keys the subcommand does not read are ignored.
 ``train`` rejects a flag that only models other than ``--model`` read.
 
-Every output file starts with ``#`` metadata lines, all built by
-``_header``: the tool version, a hash of the subcommand and of every option
-value it resolved (``--out`` and ``--config`` aside), and one ``# input
-<flag> sha256:...`` line per input file it read (for ``--model-dir``, the
-run's ``run.json``), so results stay attributable; all randomness of
-``train`` derives from its single ``--seed`` value.
+Every output file starts with ``#`` metadata lines, all built by ``_header``
+(a trained artifact's format tag follows them): the tool version, a hash of
+the subcommand and of every option value it resolved (``--out`` and
+``--config`` aside), and one ``# input <flag> sha256:...`` line per input
+file it read (for ``--model-dir``, the run's ``run.json``), so results stay
+attributable; all randomness of ``train`` derives from its ``--seed``.
 
 Every output goes through ``_write``. Its first call in a command creates
 ``--out`` and fixes the header, so a command resolves every option before
@@ -26,6 +26,7 @@ when complete, so a command that fails while writing leaves no partial file.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import logging
@@ -200,13 +201,13 @@ def _header(args) -> str:
     return metadata_header({"command": args.command, "options": options}, inputs)
 
 
-def _write(args, name: str, body: str | Iterable[str], tag: str = "") -> None:
-    """Write ``tag``, the header and ``body`` (text, or text chunks written as
-    they come) to ``name`` in ``--out``: to ``name.tmp``, renamed over ``name``
-    once complete and removed on any failure, so no partial output is left.
-    The first call of a command resolves and creates ``--out`` and builds the
-    header from the options resolved so far, so it is the same for every
-    output of the command."""
+def _write(args, name: str, body: str | Iterable[str]) -> None:
+    """Write the header, then ``body`` (text, or text chunks written as they
+    come, so an output is never held whole) to ``name`` in ``--out``: to
+    ``name.tmp``, renamed over ``name`` once complete and removed on any
+    failure, so no partial output is left. The first call of a command
+    resolves and creates ``--out`` and builds the header from the options
+    resolved so far, so it is the same for every output of the command."""
     if args.header is None:
         Path(_resolve(args, "out")).mkdir(parents=True, exist_ok=True)
         args.header = _header(args)
@@ -214,7 +215,7 @@ def _write(args, name: str, body: str | Iterable[str], tag: str = "") -> None:
     tmp = path.with_name(name + ".tmp")
     try:
         with tmp.open("w", encoding="utf-8") as f:
-            f.write(tag + args.header)
+            f.write(args.header)
             f.writelines([body] if isinstance(body, str) else body)
         os.replace(tmp, path)
     except BaseException:
@@ -442,7 +443,7 @@ def _predict_cnn(model_dir: Path, docs) -> np.ndarray:
 class _Pipeline(NamedTuple):
     # (run.json key, flag / config-file key, kind, default); default None = required
     options: tuple
-    # fit(run config, train docs, 0/1 labels) -> ({filename: text}, extra run.json outputs)
+    # fit(run config, train docs, 0/1 labels) -> ({filename: text or chunks}, run.json extras)
     fit: Callable
     # predict(model dir, docs) -> 0/1 labels
     predict: Callable
@@ -512,6 +513,7 @@ def cmd_train(args) -> None:
         "model": model_kind,
         "seed": split_cfg.seed,
         "test_fraction": split_cfg.test_fraction,
+        "train_ids_sha256": _ids_digest(train_set),
         "version": __version__,
     }
     for key, flag, _, default in pipeline.options:
@@ -519,9 +521,7 @@ def cmd_train(args) -> None:
 
     artifacts, outputs = pipeline.fit(run_config, train_set.documents, _binary_labels(train_set))
     for name, text in artifacts.items():
-        # metadata goes between the artifact's format-tag line and its body
-        tag, _, body = text.partition("\n")
-        _write(args, name, body, tag + "\n")
+        _write(args, name, text)
     record = json.dumps(dict(run_config, **outputs), sort_keys=True, ensure_ascii=False, indent=2)
     _write(args, "run.json", record + "\n")
     log.info("trained %s model into %s", model_kind, args.resolved["out"])
@@ -532,6 +532,12 @@ def cmd_train(args) -> None:
 
 # run.json keys that evaluate, features and predict read, with their kinds
 _RUN_KEYS = {"model": str, "seed": int, "test_fraction": float}
+
+
+def _ids_digest(corpus: LabeledCorpus) -> str:
+    """sha256 of the sorted document ids as a JSON list, which no id can make ambiguous."""
+    ids = json.dumps(sorted(doc.id for doc in corpus.documents))
+    return hashlib.sha256(ids.encode("ascii")).hexdigest()
 
 
 def _load_run(model_dir: Path) -> tuple[dict, SplitConfig]:
@@ -557,8 +563,16 @@ def _run_from_text(text: str) -> tuple[dict, SplitConfig]:
 def cmd_evaluate(args) -> None:
     model_dir = Path(_resolve(args, "model-dir"))
     run, split_cfg = _load_run(model_dir)
-    corpus = load_corpus(_resolve(args, "corpus")).labeled_only()
-    _, test_set = split(corpus, split_cfg)
+    corpus_path = _resolve(args, "corpus")
+    train_set, test_set = split(load_corpus(corpus_path).labeled_only(), split_cfg)
+    # a reordered, grown or other corpus splits differently: its "held-out"
+    # documents may be ones the model trained on
+    if "train_ids_sha256" not in run:
+        raise DataError(f"{model_dir / 'run.json'}: missing key 'train_ids_sha256', so the "
+                        f"training split of --corpus {corpus_path} cannot be checked")
+    if run["train_ids_sha256"] != _ids_digest(train_set):
+        raise DataError(f"{model_dir / 'run.json'}: the model was not trained on the "
+                        f"training split of --corpus {corpus_path}")
     pred = PIPELINES[run["model"]].predict(model_dir, test_set.documents)
     gold = [d.label for d in test_set.documents]
     report = evaluate(_int_labels_to_enum(pred), gold)
@@ -594,10 +608,9 @@ def cmd_predict(args) -> None:
     run, _ = _load_run(model_dir)
     corpus = load_corpus(_resolve(args, "corpus"))
     pred = PIPELINES[run["model"]].predict(model_dir, corpus.documents)
-    lines = []
-    for doc, label in zip(corpus.documents, _int_labels_to_enum(pred)):
-        lines.append(json.dumps({"id": doc.id, "label": label.value}, ensure_ascii=False))
-    _write(args, "predictions.jsonl", "".join(l + "\n" for l in lines))
+    _write(args, "predictions.jsonl", (
+        json.dumps({"id": doc.id, "label": label.value}, ensure_ascii=False) + "\n"
+        for doc, label in zip(corpus.documents, _int_labels_to_enum(pred))))
 
 
 # ----------------------------------------------------------------- main

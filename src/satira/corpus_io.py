@@ -175,20 +175,19 @@ def load_corpus(path) -> LabeledCorpus:
     return parse_file(path, lambda text: LabeledCorpus(tuple(parse(text))))
 
 
-def corpus_to_jsonl(corpus: LabeledCorpus) -> str:
-    """Serialize to the canonical JSONL form (load/serialize round-trips)."""
-    lines = []
+def corpus_to_jsonl(corpus: LabeledCorpus) -> Iterable[str]:
+    """The canonical JSONL form (load/serialize round-trips), a line at a time."""
     for doc in corpus.documents:
         record: dict = {"id": doc.id, "text": doc.text}
         if doc.label is not None:
             record["label"] = doc.label.value
-        lines.append(json.dumps(record, ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
+        yield json.dumps(record, ensure_ascii=False) + "\n"
 
 
 def save_corpus(corpus: LabeledCorpus, path) -> None:
-    """Write canonical JSONL."""
-    Path(path).write_text(corpus_to_jsonl(corpus), encoding="utf-8")
+    """Write canonical JSONL, a line at a time."""
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.writelines(corpus_to_jsonl(corpus))
 
 
 def split(corpus: LabeledCorpus, cfg: SplitConfig) -> tuple[LabeledCorpus, LabeledCorpus]:

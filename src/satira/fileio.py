@@ -20,6 +20,7 @@ import base64
 import hashlib
 import json
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -141,33 +142,29 @@ def float_rows(values, sep: str = " ") -> list[str]:
 ZERO_ROW = "0"
 
 
-def base64_rows(values) -> list[str]:
-    """One line per leading index of ``values`` (a vector or scalar is one line):
-    the base64 of the row's little-endian float64 bytes, or ``ZERO_ROW`` when
-    every byte is zero (so ``-0.0`` is written out, not as ``ZERO_ROW``)."""
+def base64_rows(values) -> Iterator[str]:
+    """One line per leading index of ``values`` (a vector or scalar is one line),
+    each made when it is read: the base64 of the row's little-endian float64 bytes,
+    or ``ZERO_ROW`` when every byte is zero (``-0.0`` has a non-zero byte)."""
     rows = np.atleast_2d(np.asarray(values, dtype="<f8"))
     rows = np.ascontiguousarray(rows.reshape(len(rows), int(np.prod(rows.shape[1:]))))
     nonzero = rows.view(np.uint64).any(axis=1).tolist()
-    return [
-        base64.b64encode(row.tobytes()).decode("ascii") if keep else ZERO_ROW
-        for row, keep in zip(rows, nonzero)
-    ]
+    return (base64.b64encode(row.tobytes()).decode("ascii") if keep else ZERO_ROW
+            for row, keep in zip(rows, nonzero))
 
 
 class BodyReader:
     """Reads a serialized file line by line, checking as it goes.
 
-    The first line must be the format tag. ``key=value`` pairs may follow
-    on any comment line (the CLI splices its metadata in after the tag).
-    The comment block ends at the first line not starting with ``#`` or
-    holding a tab (a row may start with a hashtag feature). Blank body
+    The format tag must be a line of the leading comment block (the CLI
+    writes its metadata lines before it), which ends at the first line not
+    starting with ``#`` or holding a tab (a row may start with a hashtag
+    feature); ``key=value`` pairs may stand on any of its lines. Blank body
     lines are skipped; every ``DataError`` names the file line.
     """
 
     def __init__(self, text: str, format_tag: str):
         self._lines = text_lines(text)
-        if (self._lines[0] if self._lines else "") != f"# {format_tag}":
-            raise DataError(f"unsupported file (expected header '# {format_tag}')")
         self.meta: dict[str, str] = {}
         self._next = 0
         for line in self._lines:
@@ -178,6 +175,8 @@ class BodyReader:
                     key, value = part.split("=", 1)
                     self.meta[key] = value
             self._next += 1
+        if f"# {format_tag}" not in self._lines[:self._next]:
+            raise DataError(f"unsupported file (expected header '# {format_tag}')")
         self.lineno = self._next  # 1-based number of the line last read
 
     def error(self, message: str) -> DataError:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -313,21 +314,20 @@ def cnn_predict(model: ConvNetModel, ids) -> tuple[np.ndarray, np.ndarray]:
     return proba, (proba >= 0.5).astype(np.int64)
 
 
-def cnn_to_text(model: ConvNetModel) -> str:
-    lines = [
-        f"# {CNN_FORMAT}",
-        f"# vocab={model.vocab_size} dim={model.embedding.shape[1]} "
-        f"filters={model.n_filters} kernel={model.kernel_size} "
-        f"max_len={model.max_sequence_length}",
-    ]
+def cnn_to_text(model: ConvNetModel) -> Iterator[str]:
+    """The model's ``satira-cnn v2`` text, a line at a time, never held whole."""
+    yield f"# {CNN_FORMAT}\n"
+    yield (f"# vocab={model.vocab_size} dim={model.embedding.shape[1]} "
+           f"filters={model.n_filters} kernel={model.kernel_size} "
+           f"max_len={model.max_sequence_length}\n")
     # matrices: a "<name> <shape>" section line, then one line per leading index
     for name in ("embedding", "conv_weights"):
         matrix = getattr(model, name)
-        lines.append(" ".join([name, *map(str, matrix.shape)]))
-        lines.extend(base64_rows(matrix))
+        yield " ".join([name, *map(str, matrix.shape)]) + "\n"
+        yield from (row + "\n" for row in base64_rows(matrix))
     for name in ("conv_bias", "dense_weights", "dense_bias"):
-        lines.append(f"{name} " + base64_rows(getattr(model, name))[0])
-    return "".join(line + "\n" for line in lines)
+        (row,) = base64_rows(getattr(model, name))
+        yield f"{name} {row}\n"
 
 
 def cnn_from_text(text: str) -> ConvNetModel:
@@ -367,7 +367,8 @@ def cnn_from_text(text: str) -> ConvNetModel:
 
 
 def save_cnn(model: ConvNetModel, path) -> None:
-    Path(path).write_text(cnn_to_text(model), encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.writelines(cnn_to_text(model))
 
 
 def load_cnn(path) -> ConvNetModel:

@@ -29,8 +29,9 @@ sorting and counting run over blocks of whole documents of about
 id arrays, 8 bytes per unit, and, while ``_Windows.advance`` builds a
 level, either the table, at most 8 bytes more per unit, or each block's
 distinct pairs as int64, also at most 8 bytes more per unit, which the
-merge into the level's sorted distinct pairs copies: about 40 bytes per
-unit at its peak, where almost every pair is distinct.
+merge into the level's sorted distinct pairs copies once, sorts in place
+and masks: about 25 bytes per unit at its peak, where almost every pair is
+distinct.
 
 The distinct units are kept in a table by id, so an n-gram's string is
 built from its position: its n units looked up in that table, joined by
@@ -198,10 +199,12 @@ def _unit_ids(seqs: Sequence[Sequence[str]], analyzer: Analyzer) -> tuple[np.nda
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct keys: ``np.unique`` without its hash table, which is
-    slower on these int64 keys than one sort."""
-    ordered = np.sort(keys)
-    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    """The sorted distinct keys, sorted in place and kept through one mask: ``np.unique``
+    without its hash table, which is slower on these int64 keys than one sort."""
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _cut(totals: np.ndarray, k: int) -> int:
@@ -262,7 +265,7 @@ class _Windows:
         over that space, 8 bytes per unit at most, and a running count turns the
         marks into ranks, with no sort. Any other level sorts each block's pairs,
         keeps each block's distinct pairs (int64, at most 8 bytes per unit) and
-        merges them, which copies them (about 40 bytes per unit at the peak)."""
+        merges them, which copies them once (about 25 bytes per unit at the peak)."""
         ids = self.ids
         # the last window of level n - 1 in each sequence has no unit left to take
         ids[self.starts[1:][self.lens >= n - 1] - (n - 1)] = -1

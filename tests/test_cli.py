@@ -11,8 +11,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from satira import (Label, cli, load_corpus, ngram_frequency, preprocess, save_corpus,
-                    top_fraction, vectorize)
+from satira import (DataError, Label, SplitConfig, __version__, cli, load_corpus,
+                    ngram_frequency, preprocess, save_corpus, split, top_fraction, vectorize)
 from satira.cli import _COMMANDS, _FLAG_READERS, PIPELINES, main
 from satira.fileio import base64_rows, load_json
 from satira.models.boosted_trees import gbt_from_text, gbt_to_text
@@ -21,6 +21,7 @@ from satira.models.embeddings import _token_index_from_text, token_index_to_text
 from satira.models.naive_bayes import nb_from_text, nb_to_text
 from satira.vectorize import vocabulary_from_text, vocabulary_to_text
 from tests.conftest import synthetic_corpus, write_embedding_file
+from tests.test_check_set import load_script
 from tests.test_preprocess import reference_counts, reference_tsv
 
 
@@ -231,9 +232,9 @@ class TestBoilerplate:
     def test_streams_each_ranking_a_chunk_at_a_time(self, corpus_file, tmp_path):
         write, bodies = cli._write, {}
 
-        def recording(args, name, body, tag=""):
+        def recording(args, name, body):
             bodies[name] = body if isinstance(body, str) else list(body)
-            return write(args, name, bodies[name], tag)
+            return write(args, name, bodies[name])
 
         out = tmp_path / "out"
         with mock.patch.object(preprocess, "_CHUNK", 2), mock.patch.object(cli, "_write",
@@ -665,14 +666,16 @@ class TestTrainEvaluatePredict:
             assert corrupted.count("1000000000000") == 2
         elif corruption == "pad-row":  # padding/OOV would no longer embed to zero
             corrupted, count = re.subn(r"(?m)^(embedding \d+ (\d+)\n)0$",
-                                       lambda m: m[1] + base64_rows(np.ones(int(m[2])))[0],
+                                       lambda m: m[1] + next(base64_rows(np.ones(int(m[2])))),
                                        "".join(lines))
             assert count == 1
         elif corruption in self.NON_FINITE:  # a value the fit never writes
             corrupted, count = re.subn(*self.NON_FINITE[corruption], "".join(lines), count=1)
             assert count == 1
-        elif corruption == "tag":
-            corrupted = "# satira-token-index v0\n" + "".join(lines[1:])  # wrong tag
+        elif corruption == "tag":  # wrong tag, on its line after the CLI's metadata
+            corrupted, count = re.subn(r"(?m)^# satira-token-index v1$",
+                                       "# satira-token-index v0", "".join(lines))
+            assert count == 1 and not lines[0].startswith("# satira-token-index")
         else:
             corrupted = data[: len(data) // 2] + b"\xff" + data[len(data) // 2:]  # not UTF-8
         path.write_bytes(corrupted if isinstance(corrupted, bytes) else corrupted.encode("utf-8"))
@@ -960,6 +963,22 @@ def run_options(command: str, options: dict, out) -> int:
 
 
 class TestHeaderBuilder:
+    @pytest.mark.parametrize("command, options", [
+        ("clean", dict(CORPUS, **{"stop-phrases": "stops"})), ("boilerplate", CORPUS),
+        ("measure", dict(MEASURE, tagged="tagged")), ("ttest", MEASURES),
+        ("plot-data", MEASURES), ("train", NB), ("train", GBT), ("train", CNN),
+        ("evaluate", SCORE), ("features", RUN), ("predict", SCORE)],
+        ids=["clean", "boilerplate", "measure", "ttest", "plot-data", "train-nb", "train-gbt",
+             "train-cnn", "evaluate", "features", "predict"])
+    def test_every_output_starts_with_the_tool_line(self, inputs, tmp_path, command, options):
+        options = {f: inputs.get(v, v) if isinstance(v, str) else v for f, v in options.items()}
+        out = tmp_path / "out"
+        assert run_options(command, options, out) == 0
+        written = sorted(out.iterdir())
+        assert OUTPUT[command] in {path.name for path in written}
+        for path in written:
+            assert path.read_bytes().startswith(f"# satira {__version__}\n".encode()), path.name
+
     def test_every_option_row_has_a_case(self):
         rows = {(command, opt.flag) for command, (_, _, opts) in _COMMANDS.items() for opt in opts}
         assert rows == set(HASHED)
@@ -1168,9 +1187,97 @@ class TestTextRoundTrip:
         model_dir = tmp_path / "run"
         assert train(corpus_file, kind, model_dir, *flags) == 0
         lines = (model_dir / filename).read_bytes().decode("utf-8").split("\n")
-        # the CLI puts its metadata lines between the format tag and the rest
-        assert lines[1].startswith("# satira ") and lines[2].startswith("# config-hash ")
-        assert lines[3] == f"# input corpus sha256:{checksum(corpus_file)}"
-        expected = "\n".join(lines[:1] + [l for l in lines[3:] if not l.startswith("# input ")])
+        # the CLI writes its metadata lines first; the artifact's own text follows them
+        assert lines[0].startswith("# satira ") and lines[1].startswith("# config-hash ")
+        assert lines[2] == f"# input corpus sha256:{checksum(corpus_file)}"
+        expected = "\n".join(l for l in lines[2:] if not l.startswith("# input "))
         to_text, from_text = self.CODECS[f"{kind}/{filename}"]
-        assert to_text(from_text(expected)) == expected
+        # a str joins to itself; the CNN's text comes a piece at a time
+        assert "".join(to_text(from_text(expected))) == expected
+
+
+class TestFormatTagLine:
+    """An artifact loads with its format tag after the CLI's metadata lines, as
+    the CLI writes it, and with the tag on line 1, as files were laid out
+    before; a file whose leading comment block holds no tag is refused."""
+
+    @pytest.mark.parametrize("artifact", list(TestTextRoundTrip.CODECS))
+    def test_tag_on_any_line_of_the_comment_block(self, corpus_file, tmp_path, artifact):
+        kind, filename = artifact.split("/")
+        assert train(corpus_file, kind, tmp_path / "run") == 0
+        lines = (tmp_path / "run" / filename).read_text(encoding="utf-8").splitlines(keepends=True)
+        to_text, from_text = TestTextRoundTrip.CODECS[artifact]
+        at = next(i for i, line in enumerate(lines) if line.startswith("# satira-"))
+        tag, rest = lines[at], lines[:at] + lines[at + 1:]
+        assert lines[0].startswith("# satira ") and at >= 3  # the CLI's lines come first
+        written = "".join(to_text(from_text("".join(lines))))
+        assert "".join(to_text(from_text(tag + "".join(rest)))) == written
+        refused = f"unsupported file (expected header '{tag.strip()}')"
+        with pytest.raises(DataError, match=re.escape(refused)):
+            from_text("".join(rest))
+        # the tag after the first body row is not in the leading comment block
+        body = next(i for i, line in enumerate(rest) if not line.startswith("#") or "\t" in line)
+        with pytest.raises(DataError, match=re.escape(refused)):
+            from_text("".join(rest[:body + 1] + [tag] + rest[body + 1:]))
+
+
+class TestEvaluateScoresHeldOutDocuments:
+    """``evaluate`` refuses a corpus whose training split is not the one the
+    model trained on, since its "held-out" documents may have been trained on;
+    ``predict`` and ``features`` read no split."""
+
+    # body sha256 (check_set.body_digest) of the reports of each model trained on the
+    # corpus_file fixture and evaluated on it, as written before run.json recorded the split
+    REPORTS = {
+        "nb": ("574cf4d22d0b00411b5ccf88a07d5753717dd8dae296bd862efddf0e78911778",
+               "17b8626f45c3f8f0255c95bf1b9f3818ae4bfaffb7e80d16953d103d206a6a69"),
+        "gbt": ("eb546a949a998e263f5005e44caeacd5b8636fd1c57dac5e761eccb5b1b505b3",
+                "3664bc45a736692e7920d66c9f104a3de55100d1e78b653d259f9cf9f3ec7907"),
+        "cnn": ("73bc2e297028e1c3416758b3dee0b727651039f073aa36131d3f2899688004b3",
+                "2983fc2356340f4b819cafeea59a1dba71553f116566bee3546bf749a06480fc"),
+    }
+
+    @pytest.mark.parametrize("kind", list(REPORTS))
+    def test_reports_on_the_training_corpus_are_unchanged(self, corpus_file, tmp_path, kind):
+        body_digest = load_script("check_set").body_digest
+        assert train(corpus_file, kind, tmp_path / "run") == 0
+        assert run("evaluate", "--corpus", corpus_file, "--model-dir", tmp_path / "run",
+                   "--out", tmp_path / "eval") == 0
+        assert tuple(body_digest((tmp_path / "eval" / name).read_bytes())
+                     for name in ("report.txt", "report.json")) == self.REPORTS[kind]
+
+    def test_run_json_records_the_sorted_training_ids(self, corpus_file, tmp_path):
+        assert train(corpus_file, "nb", tmp_path / "run") == 0
+        train_set, _ = split(load_corpus(corpus_file).labeled_only(), SplitConfig(0.2, 42))
+        ids = json.dumps(sorted(doc.id for doc in train_set)).encode("ascii")
+        record = load_json(tmp_path / "run" / "run.json")
+        assert record["train_ids_sha256"] == hashlib.sha256(ids).hexdigest()
+
+    def test_a_reordered_corpus_exits_2_with_no_report(self, corpus_file, tmp_path, capsys):
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, "nb", model_dir) == 0
+        reordered = tmp_path / "reordered.jsonl"
+        lines = corpus_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        reordered.write_text("".join(reversed(lines)), encoding="utf-8")
+        # the reordered corpus's held-out split holds documents the model trained on
+        cfg = SplitConfig(0.2, 42)
+        trained_on = {doc.id for doc in split(load_corpus(corpus_file), cfg)[0]}
+        assert trained_on & {doc.id for doc in split(load_corpus(reordered), cfg)[1]}
+        capsys.readouterr()
+        assert run("evaluate", "--corpus", reordered, "--model-dir", model_dir,
+                   "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert f"error: {model_dir / 'run.json'}: " in err and f"--corpus {reordered}" in err
+        assert "Traceback" not in err and not (tmp_path / "eval").exists()
+        for command, corpus in (("predict", ("--corpus", reordered)), ("features", ())):
+            assert run(command, *corpus, "--model-dir", model_dir,
+                       "--out", tmp_path / command) == 0
+
+    def test_run_json_without_the_key_exits_2(self, corpus_file, tmp_path, capsys):
+        path, err = evaluate_with_edited_run(corpus_file, tmp_path, capsys, lambda record: (
+            json.dumps({k: v for k, v in record.items() if k != "train_ids_sha256"})))
+        assert f"{path}: missing key 'train_ids_sha256'" in err
+        assert f"--corpus {corpus_file}" in err and not (tmp_path / "eval").exists()
+        for command, corpus in (("predict", ("--corpus", corpus_file)), ("features", ())):
+            assert run(command, *corpus, "--model-dir", path.parent,
+                       "--out", tmp_path / command) == 0

@@ -53,6 +53,11 @@ dense_bias AAAAAAAAwD8=
 """
 
 
+def model_text(model) -> str:
+    """The whole text ``cnn_to_text`` yields a piece at a time."""
+    return "".join(cnn_to_text(model))
+
+
 def tiny_model(seed=0, vocab=20, dim=8, filters=4, kernel=3, seq_len=7):
     rng = np.random.default_rng(seed)
     embedding = rng.normal(0, 0.5, size=(vocab, dim))
@@ -497,9 +502,9 @@ class TestReferenceAdam:
         trained, history = cnn_train(model, ids, y, cfg)
         assert [x.hex() for x in history] == [x.hex() for x in expected_history]
         assert type(trained.dense_bias) is float
-        assert cnn_to_text(trained) == cnn_to_text(expected)
+        assert model_text(trained) == model_text(expected)
         if epochs:
-            assert cnn_to_text(trained) != cnn_to_text(model)
+            assert model_text(trained) != model_text(model)
 
 
 class TestSerialization:
@@ -515,6 +520,20 @@ class TestSerialization:
         assert loaded.dense_bias == model.dense_bias
         assert loaded.max_sequence_length == model.max_sequence_length
 
+    def test_save_never_holds_the_whole_text(self, tmp_path):
+        # a 2.1 MB text: the rows are encoded and written one at a time
+        model = tiny_model(75, vocab=2000, dim=100, filters=2, kernel=2, seq_len=3)
+        path = tmp_path / "model.txt"
+        tracemalloc.start()
+        try:
+            save_cnn(model, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 2_000_000 and peak < size / 20
+        assert path.read_text(encoding="utf-8") == model_text(model)
+
     def test_version_mismatch(self):
         with pytest.raises(DataError, match="unsupported"):
             cnn_from_text("# stale-format v0\n")
@@ -527,7 +546,7 @@ class TestSerialization:
                 cnn_from_text("".join(lines[:k]))
 
     def test_every_truncation_rejected(self):
-        assert cnn_to_text(cnn_from_text(CNN_TEXT)) == CNN_TEXT
+        assert model_text(cnn_from_text(CNN_TEXT)) == CNN_TEXT
         self.assert_every_truncation_rejected(CNN_TEXT)
 
     def test_v1_file_rejected_naming_the_file(self, tmp_path):
@@ -560,7 +579,7 @@ class TestSerialization:
             cnn_from_text(text)
 
     def test_v2_writes_zero_rows_as_one_field(self):
-        lines = cnn_to_text(cnn_from_text(CNN_TEXT)).splitlines()
+        lines = model_text(cnn_from_text(CNN_TEXT)).splitlines()
         assert lines[2] == "embedding 4 2"
         assert [row == "0" for row in lines[3:7]] == [True, False, True, False]
         assert lines[-1] == "dense_bias AAAAAAAAwD8="  # 0.125 as little-endian float64 bytes
@@ -576,7 +595,7 @@ class TestSerialization:
             embedding=embedding, conv_weights=model.conv_weights,
             conv_bias=np.array([-0.0]), dense_weights=np.array([5e-324]),
             dense_bias=-1.7976931348623157e308, max_sequence_length=1)
-        text = cnn_to_text(model)
+        text = model_text(model)
         embedding_rows = text.splitlines()[3:6]
         assert embedding_rows[0] == "0" and "0" not in embedding_rows[1:]  # -0.0 is written
         loaded = cnn_from_text(text)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -211,12 +212,28 @@ class TestRoundTrip:
         )
         path = write(tmp_path, "c.jsonl", original)
         corpus = load_corpus(path)
-        serialized = corpus_to_jsonl(corpus)
+        serialized = "".join(corpus_to_jsonl(corpus))
         reloaded_path = tmp_path / "again.jsonl"
         save_corpus(corpus, reloaded_path)
         corpus2 = load_corpus(reloaded_path)
-        assert corpus_to_jsonl(corpus2) == serialized
+        assert "".join(corpus_to_jsonl(corpus2)) == serialized
         assert serialized.encode("utf-8") == reloaded_path.read_bytes()
+
+    def test_save_never_holds_the_whole_text(self, tmp_path):
+        # a 1 MB text: each document's line is made and written in turn
+        texts = ["خبر عاجل " * 60 + str(i) for i in range(1000)]
+        corpus = LabeledCorpus(tuple(make_document(f"a{i}", t, Label.REAL)
+                                     for i, t in enumerate(texts)))
+        path = tmp_path / "c.jsonl"
+        tracemalloc.start()
+        try:
+            save_corpus(corpus, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_000_000 and peak < size / 20
+        assert [d.text for d in load_corpus(path)] == texts
 
     def test_line_separator_characters_in_text_round_trip(self, tmp_path):
         # json.dumps leaves these unescaped; str.splitlines would cut there
@@ -230,7 +247,7 @@ class TestRoundTrip:
 
     def test_serialized_form_is_canonical_json(self, tmp_path):
         corpus = balanced_corpus(2, 2)
-        for line in corpus_to_jsonl(corpus).splitlines():
+        for line in corpus_to_jsonl(corpus):
             record = json.loads(line)
             assert list(record) == ["id", "text", "label"]
 

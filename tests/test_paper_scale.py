@@ -65,6 +65,18 @@ def test_predict_cnn_reads_its_own_train_cnn_run(tmp_path, capsys):
     assert (tmp_path / "out" / "data" / "clean" / "vectors.txt").exists()
 
 
+def test_evaluate_records_the_held_out_scores(tmp_path, capsys):
+    report = paper_scale(tmp_path, capsys, "--commands", "evaluate_cnn,evaluate", "--pairs", "1")
+    runs = {r["command"]: r for r in report["runs"]}
+    assert list(runs) == ["train_nb", "evaluate", "train_cnn", "evaluate_cnn"]
+    assert all(r["exit"] == 0 for r in runs.values())
+    for name in ("evaluate", "evaluate_cnn"):
+        assert set(runs[name]["bodies"]) == {"report.txt", "report.json"}
+        assert 0 <= runs[name]["macro_f1"] <= 1 and 0 <= runs[name]["accuracy"] <= 1
+    assert "accuracy" not in runs["train_nb"]
+    assert report["commands"]["evaluate_cnn"].startswith("evaluate --model-dir {train_cnn}")
+
+
 def test_train_cnn_0_trains_no_epoch(tmp_path, capsys):
     report = paper_scale(tmp_path, capsys, "--commands", "train_cnn_0", "--pairs", "1")
     [run] = report["runs"]

@@ -373,6 +373,29 @@ class TestAdvanceMemory:
             assert peaks[vectorize.TABLE_PER_UNIT, n] <= peaks[0, n]
 
 
+class TestDistinct:
+    """``_distinct`` gives ``np.unique``'s keys, sorting its input in place
+    and holding beside it only the mask and the result."""
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_unique(self, values):
+        keys = np.array(values, dtype=np.int64)
+        assert np.array_equal(vectorize._distinct(keys.copy()), np.unique(keys))
+
+    def test_peak_is_the_mask_and_the_distinct_keys(self):
+        keys = np.random.default_rng(0).permutation(1 << 18).astype(np.int64)
+        tracemalloc.start()
+        try:
+            distinct = vectorize._distinct(keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 8 bytes per key for the result and 1 for the mask
+        assert peak < 1.25 * keys.nbytes
+        assert np.array_equal(distinct, np.arange(1 << 18)) and np.array_equal(keys, distinct)
+
+
 class TestFitBuildsOnlyKeptNames:
     """``fit`` ranks the candidates as ids and builds the names of only the
     ``max_features`` n-grams it keeps."""
