@@ -9,8 +9,8 @@ default) under OUT/data with the benchmark's generator
 (`perfbench/corpus.py`, `GeneratorConfig(n_docs, 8000)`, seed 1, read only):
 a raw, noisy one that `clean` and `boilerplate` read, and a clean one with
 its POS tags and 300-d word vectors that `measure --tagged`, `train` (NB on
-word counts, NB on char 2-4 counts, and the CNN for one epoch and for none),
-`predict` and `evaluate` read. The vectors come from a random stream of their
+word counts, NB on char 2-4 counts, GBT on word counts, and the CNN for one
+epoch and for none), `predict`, `evaluate` and `features` read. The vectors come from a random stream of their
 own, so writing them changes no corpus byte.
 A child's peak RSS starts at its parent's peak when it is forked, so the
 corpora are written by a child before any timed run, and every timed child
@@ -23,10 +23,11 @@ Then, for each of `--pairs` pairs, each chosen command runs once per
 than one tree, odd pairs run the trees in reverse order, so a drift in the
 host's load does not favour one side. The JSON names a git checkout by its
 `HEAD` commit (with `+dirty` if its `src` has uncommitted changes) and any
-other tree by its resolved path. `predict` and `evaluate` read the model
-their own tree's `train_nb` run wrote in the same pair, and `predict_cnn`
-and `evaluate_cnn` the one of its `train_cnn` run, so choosing a command
-that reads a run runs the command that writes it too.
+other tree by its resolved path. `predict`, `evaluate` and `features` read
+the model their own tree's `train_nb` run wrote in the same pair,
+`evaluate_nb_char` the one of `train_nb_char`, `evaluate_gbt` the one of
+`train_gbt`, and `predict_cnn` and `evaluate_cnn` the one of `train_cnn`, so
+choosing a command that reads a run runs the command that writes it too.
 
 Each run records its wall time, its peak RSS (the child's own `ru_maxrss`,
 from `os.wait4`), its exit code and the sha256 of each output body with the
@@ -65,8 +66,12 @@ COMMANDS = {
     "train_nb": ("train", "--corpus", CLEAN, "--model", "nb"),
     "train_nb_char": ("train", "--corpus", CLEAN, "--model", "nb", "--analyzer", "char",
                       "--ngram", "2,4"),
+    "train_gbt": ("train", "--corpus", CLEAN, "--model", "gbt"),
     "predict": ("predict", "--model-dir", "{train_nb}", "--corpus", CLEAN),
     "evaluate": ("evaluate", "--model-dir", "{train_nb}", "--corpus", CLEAN),
+    "evaluate_nb_char": ("evaluate", "--model-dir", "{train_nb_char}", "--corpus", CLEAN),
+    "evaluate_gbt": ("evaluate", "--model-dir", "{train_gbt}", "--corpus", CLEAN),
+    "features": ("features", "--model-dir", "{train_nb}"),
     # no epoch: loading the vectors, encoding the corpus and saving the model alone
     "train_cnn_0": ("train", "--corpus", CLEAN, "--model", "cnn",
                     "--embeddings", "data/clean/vectors.txt", "--epochs", "0"),

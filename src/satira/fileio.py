@@ -2,13 +2,19 @@
 ``parse_lines``, which reads a file too large to hold whole one block of
 lines at a time; phrase-list and JSON files, the metadata header of every
 CLI output (tool version, config hash, a checksum per input file), and the
-line reader and float codecs of every serialized artifact.
+reader and float codecs of every serialized artifact.
+
+``BodyReader`` reads an artifact's header, then its body a line at a time
+(``fields``) or, where rows share one shape, a table at a time (``table``).
+A ``Table`` is checked and converted a whole column at a time, and its error
+names the first faulty line, with the message a line-at-a-time read gives.
 
 Artifacts hold one text line per matrix row in one of two float codecs.
 ``float_rows`` writes each float as its shortest ``repr``, for files meant
 to be read by people; ``base64_rows`` writes the base64 of the row's
 little-endian float64 bytes, or the single field ``0`` for a row whose
-bytes are all zero, for the large CNN matrices. Both read back bit for bit.
+bytes are all zero, for the large CNN matrices. ``Table.floats`` and
+``Table.base64_floats`` read them back bit for bit.
 
 Phrase-list files (stop phrases and lexicons alike) are UTF-8 text, one
 phrase per line; blank lines and ``#`` comments are ignored.
@@ -17,8 +23,10 @@ phrase per line; blank lines and ``#`` comments are ignored.
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 from typing import Iterator
 
@@ -83,7 +91,8 @@ def text_lines(text: str) -> list[str]:
     return lines
 
 
-# bytes read at a time by ``parse_lines``, which holds about one block of a file
+# bytes read at a time by ``parse_lines``, which holds about one block of a file, and
+# decoded at a time by ``Table.base64_floats``
 LINE_BLOCK = 1 << 20
 
 
@@ -153,8 +162,132 @@ def base64_rows(values) -> Iterator[str]:
             for row, keep in zip(rows, nonzero))
 
 
+class Table:
+    """Rows of one shape read by ``BodyReader.table``, each the list of its fields,
+    and the first fault found in them.
+
+    A loader checks whole columns, one check at a time, in the order the checks of
+    one row run. Each check records the first row it rejects with ``fault``; the
+    fault of the lowest row is kept, and of two at one row the one recorded first,
+    so ``check`` raises what reading the rows one at a time would have raised at
+    the first faulty row. ``ok`` is the number of rows before that fault, so a
+    check need look no further, and a value converted from a row at or after it
+    is never used.
+    """
+
+    def __init__(self, rows: list[list[str]], lines, count: int, error: DataError | None):
+        self.rows = rows
+        self.ok = len(rows)
+        self._lines = lines  # 1-based file line of each row
+        self._count = count  # fields per row
+        self._error = error  # the fault of the row after the last, if any
+
+    def fault(self, i: int, message: str) -> None:
+        if i < self.ok:
+            self.ok = i
+            self._error = DataError(f"line {self._lines[i]}: {message}")
+
+    def first(self, bad: list, message) -> None:
+        """Record ``message(i)`` as the fault of the first row ``i`` flagged in ``bad``."""
+        try:
+            i = bad.index(True, 0, self.ok)
+        except ValueError:
+            return
+        self.fault(i, message(i))
+
+    def check(self) -> None:
+        if self._error is not None:
+            raise self._error
+
+    def cast(self, cast, column) -> list:
+        """``cast`` of each value of ``column`` (one field of every row), up to the
+        first it rejects with a ``ValueError``, whose message is that row's fault."""
+        return self._each(cast, column, range(len(column)))
+
+    def _each(self, convert, values, rows, prefix: str = "") -> list:
+        """``convert`` of each of ``values``, the one of row ``rows[j]`` at ``j``, up
+        to the first it rejects with a ``ValueError``: its message, after ``prefix``,
+        is that row's fault."""
+        try:
+            return list(map(convert, values))
+        except ValueError:
+            done = []
+            for row, value in zip(rows, values):
+                try:
+                    done.append(convert(value))
+                except ValueError as exc:
+                    self.fault(row, prefix + str(exc))
+                    break
+            return done
+
+    def labels(self, what: str, expected: list[str]) -> None:
+        """Each row's first field must be its label in ``expected``."""
+        found = [row[0] for row in self.rows]
+        if found != expected:
+            self.first([a != b for a, b in zip(found, expected)],
+                       lambda i: f"{what} {found[i]} where {expected[i]} was expected")
+
+    def numbered(self, keys, numbers: list, start: int, message) -> dict:
+        """``{key: number}`` over the rows, after recording ``message(i)`` as the
+        fault of the first row ``i`` whose number is not ``start + i`` or whose key
+        an earlier row holds."""
+        n = self.ok
+        index = dict(zip(keys[:n], numbers[:n]))
+        if len(index) < n or numbers[:n] != list(range(start, start + n)):
+            seen = set()
+            for i, (key, number) in enumerate(zip(keys[:n], numbers)):
+                if number != start + i or key in seen:
+                    self.fault(i, message(i))
+                    break
+                seen.add(key)
+        return index
+
+    def floats(self, start: int) -> np.ndarray:
+        """Fields ``start:`` of the rows before the first fault as one float64 array
+        of a row each, cast as ``np.array`` casts text; inverse of ``float_rows``.
+        A row it cannot cast is a fault, and the array ends before it."""
+        try:
+            values = np.array([v for row in self.rows[:self.ok] for v in row[start:]],
+                              dtype=np.float64)
+        except ValueError:
+            self._each(lambda row: np.array(row[start:], dtype=np.float64),
+                       self.rows[:self.ok], range(self.ok))
+            values = np.array([v for row in self.rows[:self.ok] for v in row[start:]],
+                              dtype=np.float64)
+        return values.reshape(self.ok, self._count - start)
+
+    def base64_floats(self, what: str, field: int, out: np.ndarray) -> None:
+        """Field ``field`` of each row before the first fault, the inverse of
+        ``base64_rows``, decoded into the same row of ``out``, a zero-filled array
+        of ``count`` floats a row: ``ZERO_ROW`` leaves the row untouched, so it costs
+        no memory however large ``count`` is, and any other field must be strict
+        base64 of exactly ``8 * count`` bytes. About ``LINE_BLOCK`` bytes are decoded
+        at a time, so no second copy of ``out`` is held."""
+        count = out.shape[1]
+        step = max(1, LINE_BLOCK // (8 * count))
+        decode = partial(binascii.a2b_base64, strict_mode=True)
+        for begin in range(0, self.ok, step):
+            keep = [i for i in range(begin, min(begin + step, self.ok))
+                    if self.rows[i][field] != ZERO_ROW]
+            raw = self._each(decode, [self.rows[i][field] for i in keep], keep, f"{what}: ")
+            sizes = list(map(len, raw))
+            if sizes.count(8 * count) < len(sizes):
+                j = next(j for j, size in enumerate(sizes) if size != 8 * count)
+                self.fault(keep[j], f"{what}: expected {count} floats ({8 * count} bytes), "
+                                    f"got {sizes[j]} bytes")
+                del raw[j:]
+            if raw:
+                decoded = np.frombuffer(b"".join(raw), dtype="<f8")
+                out[keep[:len(raw)]] = decoded.reshape(len(raw), count)
+                del decoded
+            del raw  # so that no two blocks are held at once
+            if self.ok < begin + step:
+                return
+
+
 class BodyReader:
-    """Reads a serialized file line by line, checking as it goes.
+    """Reads a serialized file, checking as it goes: a line at a time with
+    ``fields``, or a table of rows of one shape at a time with ``table``.
 
     The format tag must be a line of the leading comment block (the CLI
     writes its metadata lines before it), which ends at the first line not
@@ -221,47 +354,34 @@ class BodyReader:
         except ValueError as exc:
             raise self.error(str(exc)) from exc
 
-    def _row(self, what: str, count: int, label: str | None, sep: str) -> list[str]:
-        """Next line's ``count`` fields after ``label``, if given."""
-        if label is None:
-            return self.fields(what, count, sep)
-        parts = self.fields(f"{what} {label}", count + 1, sep)
-        if parts[0] != label:
-            raise self.error(f"{what} {parts[0]} where {label} was expected")
-        return parts[1:]
-
-    def floats(self, what: str, count: int, label: str | None = None,
-               sep: str = " ") -> np.ndarray:
-        """Next line as ``count`` floats after ``label``, if given; inverse of
-        ``float_rows``."""
-        parts = self._row(what, count, label, sep)
-        try:
-            return np.array(parts, dtype=np.float64)
-        except ValueError as exc:
-            raise self.error(str(exc)) from exc
-
-    def base64_floats(self, what: str, count: int, label: str | None = None,
-                      out: np.ndarray | None = None) -> np.ndarray:
-        """As ``floats``, for the inverse of ``base64_rows``: the field must be
-        ``ZERO_ROW`` or strict base64 of exactly ``8 * count`` bytes. With
-        ``out``, a zero-filled array of ``count``, the floats are stored there
-        and ``out`` is returned; a ``ZERO_ROW`` leaves it untouched, so reading
-        one costs no memory however large ``count`` is."""
-        (field,) = self._row(what, 1, label, " ")
-        if field == ZERO_ROW:
-            return np.zeros(count, dtype=np.float64) if out is None else out
-        try:
-            raw = base64.b64decode(field, validate=True)
-        except ValueError as exc:
-            raise self.error(f"{what}: {exc}") from exc
-        if len(raw) != 8 * count:
-            raise self.error(f"{what}: expected {count} floats ({8 * count} bytes), "
-                             f"got {len(raw)} bytes")
-        values = np.frombuffer(raw, dtype="<f8")
-        if out is None:
-            return values.astype(np.float64)
-        out[:] = values
-        return out
+    def table(self, what, count: int, sep: str = "\t", rows: int | None = None) -> Table:
+        """The remaining non-blank lines, or the next ``rows`` of them, each split
+        on ``sep``. Each must hold ``count`` fields: the table ends before the first
+        that does not, or where the file ends short of ``rows`` lines, and holds the
+        error that ``fields`` raises there as that row's fault. ``what`` names a row
+        in messages: a string, or a function of the row's index in the table."""
+        name = what if callable(what) else lambda i: what
+        start = self._next
+        lines = self._lines[start:] if rows is None else self._lines[start:start + rows]
+        if "" in lines:  # blank lines are skipped, so their rows come from further on
+            numbers = [i + 1 for i in range(start, len(self._lines)) if self._lines[i]]
+            numbers = numbers[:rows]
+            lines = [self._lines[i - 1] for i in numbers]
+        else:
+            numbers = range(start + 1, start + 1 + len(lines))
+        if numbers:
+            self._next = self.lineno = numbers[-1]
+        parts = [line.split(sep) for line in lines]
+        error = None
+        if set(map(len, parts)) - {count}:
+            k = next(i for i, fields in enumerate(parts) if len(fields) != count)
+            error = DataError(f"line {numbers[k]}: {name(k)}: expected {count} fields, "
+                              f"got {len(parts[k])}")
+            del parts[k:]
+        elif rows is not None and len(parts) < rows:
+            error = DataError(f"file ends after line {len(self._lines)}; "
+                              f"expected {name(len(parts))}")
+        return Table(parts, numbers, count, error)
 
     @property
     def lines_left(self) -> int:

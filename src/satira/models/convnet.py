@@ -350,16 +350,25 @@ def cnn_from_text(text: str) -> ConvNetModel:
             matrix = np.zeros((shape[0], math.prod(shape[1:])), dtype=np.float64)
         except (ValueError, MemoryError) as exc:
             raise r.error(f"{name} of shape {shape} is too large to hold") from exc
-        for i in range(shape[0]):
-            r.base64_floats(f"{name} row", matrix.shape[1], out=matrix[i])
+        rows = r.table(f"{name} row", 1, sep=" ", rows=shape[0])
+        rows.base64_floats(f"{name} row", 0, matrix)
+        rows.check()
         return matrix.reshape(shape)
+
+    def read_vector(name: str, size: int) -> np.ndarray:
+        row = r.table(f"section {name}", 2, sep=" ", rows=1)
+        row.labels("section", [name])
+        vector = np.zeros((1, size), dtype=np.float64)
+        row.base64_floats("section", 1, vector)
+        row.check()
+        return vector[0]
 
     model = ConvNetModel(
         embedding=read_matrix("embedding", (V, d)),
         conv_weights=read_matrix("conv_weights", (F, K, d)),
-        conv_bias=r.base64_floats("section", F, "conv_bias"),
-        dense_weights=r.base64_floats("section", F, "dense_weights"),
-        dense_bias=float(r.base64_floats("section", 1, "dense_bias")[0]),
+        conv_bias=read_vector("conv_bias", F),
+        dense_weights=read_vector("dense_weights", F),
+        dense_bias=float(read_vector("dense_bias", 1)[0]),
         max_sequence_length=max_len,
     )
     r.end()

@@ -37,14 +37,11 @@ def token_index_to_text(index: dict[str, int]) -> str:
 
 
 def _token_index_from_text(text: str) -> dict[str, int]:
-    r = BodyReader(text, TOKEN_INDEX_FORMAT)
-    index: dict[str, int] = {}
-    while r.more:
-        token, idx_s = r.fields("token row", 2)
-        (idx,) = r.parse(int, idx_s)
-        if idx != len(index) + 1 or token in index:
-            raise r.error(f"expected a new token with id {len(index) + 1}")
-        index[token] = idx
+    t = BodyReader(text, TOKEN_INDEX_FORMAT).table("token row", 2)
+    tokens, ids = zip(*t.rows) if t.rows else ((), ())
+    index = t.numbered(tokens, t.cast(int, ids), 1,
+                       lambda i: f"expected a new token with id {i + 1}")
+    t.check()
     return index
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
-from ..fileio import BodyReader, float_rows, parse_file
+from ..fileio import BodyReader, Table, float_rows, parse_file
 from ..vectorize import DocTermMatrix
 from ._labels import binary_labels
 
@@ -127,12 +127,20 @@ def nb_from_text(text: str) -> NaiveBayesModel:
     r = BodyReader(text, NB_FORMAT)
     alpha = r.meta_value("alpha", float)
     n_features = r.meta_count("n_features", 0)
-    priors = r.floats("row", 2, "prior", "\t")
+    priors = _labelled_floats(r.table("row prior", 3, rows=1), "row", lambda i: "prior")
     # exactly n_features rows, labelled with their column index in order
-    rows = [r.floats("feature index", 2, str(j), "\t") for j in range(n_features)]
+    rows = _labelled_floats(r.table(lambda j: f"feature index {j}", 3, rows=n_features),
+                            "feature index", str)
     r.end()
-    feature_log_prob = np.array(rows, dtype=np.float64).reshape(n_features, 2).T.copy()
-    return NaiveBayesModel(priors, feature_log_prob, alpha)
+    return NaiveBayesModel(priors[0], rows.T.copy(), alpha)
+
+
+def _labelled_floats(table: Table, what: str, label) -> np.ndarray:
+    """The two floats after the label of each row ``i``, which must be ``label(i)``."""
+    table.labels(what, list(map(label, range(len(table.rows)))))
+    values = table.floats(1)
+    table.check()
+    return values
 
 
 def save_nb(model: NaiveBayesModel, path) -> None:

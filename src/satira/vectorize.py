@@ -69,6 +69,7 @@ extra sequences, so both share one id space, then maps ids to columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -136,10 +137,9 @@ class Vocabulary:
             raise ValueError("idf length must equal vocabulary size")
         if size > self.config.max_features:
             raise ValueError(f"vocabulary size {size} exceeds max_features")
-        if self.n_docs_fitted > 0 and any(
-            df / self.n_docs_fitted > self.config.max_df
-            for df in self.document_frequency
-        ):
+        if self.n_docs_fitted > 0 and (
+            self.document_frequency / self.n_docs_fitted > self.config.max_df
+        ).any():
             raise ValueError("a retained feature violates the max_df bound")
 
     def __len__(self) -> int:
@@ -546,31 +546,28 @@ def vocabulary_from_text(text: str) -> Vocabulary:
     n_docs = r.meta_count("n_docs", 1)
     lo, hi = cfg.ngram_range
     tfidf = cfg.weighting is Weighting.TFIDF
-    index: dict[str, int] = {}
-    dfs: list[int] = []
-    idfs: list[float] = []
-    while r.more:
-        feature, col_s, df_s, idf = r.fields("feature row", 4)
-        col, df = r.parse(int, col_s, df_s)
-        if col != len(index) or feature in index:
-            raise r.error(f"expected a new feature with column {len(index)}")
-        if df < 1:
-            raise r.error(f"df must be >= 1, got {df}")
-        if (idf != "") != tfidf:
-            raise r.error("idf must be given exactly when weighting is tfidf")
-        if cfg.analyzer is Analyzer.CHAR:
-            n, producible = len(feature), True
-        else:
-            # a word n-gram is n whitespace-free tokens joined by single spaces
-            tokens = feature.split(" ")
-            n, producible = len(tokens), feature.split() == tokens
-        if not (producible and lo <= n <= hi):
-            raise r.error(
-                f"feature {feature!r} is not a {cfg.analyzer.value} n-gram with {lo} <= n <= {hi}"
-            )
-        index[feature] = col
-        dfs.append(df)
-        idfs += r.parse(float, idf) if idf else []
+    t = r.table("feature row", 4)
+    features, col_s, df_s, idf_s = zip(*t.rows) if t.rows else ((),) * 4
+    # the checks of one row, in order, each over a whole column
+    cols = t.cast(int, col_s)
+    dfs = t.cast(int, df_s)
+    index = t.numbered(features, cols, 0, lambda i: f"expected a new feature with column {i}")
+    t.first([df < 1 for df in dfs], lambda i: f"df must be >= 1, got {dfs[i]}")
+    t.first([(idf != "") != tfidf for idf in idf_s],
+            lambda i: "idf must be given exactly when weighting is tfidf")
+    if cfg.analyzer is Analyzer.CHAR:
+        unproducible = [not lo <= len(feature) <= hi for feature in features]
+    else:
+        # a word n-gram is n whitespace-free tokens joined by single spaces
+        unproducible = [not (lo <= len(tokens := feature.split(" ")) <= hi
+                             and feature.split() == tokens) for feature in features]
+    t.first(unproducible, lambda i: (
+        f"feature {features[i]!r} is not a {cfg.analyzer.value} n-gram with {lo} <= n <= {hi}"))
+    # fit writes ln((1 + n_docs) / (1 + df)) + 1 with df <= n_docs: finite and >= 1
+    idfs = t.cast(float, idf_s) if tfidf else []
+    t.first([not 1.0 <= idf < math.inf for idf in idfs],
+            lambda i: f"idf must be finite and >= 1, got {idfs[i]!r}")
+    t.check()
     if not index:
         raise DataError("no feature rows")
     idf_arr = np.array(idfs, dtype=np.float64) if tfidf else None

@@ -703,6 +703,29 @@ class TestTrainEvaluatePredict:
         err = capsys.readouterr().err
         assert f"error: {path}: {n_features - 1} features, but the model has {n_features}" in err
 
+    @pytest.mark.parametrize("idf", ["nan", "inf", "-5.0", "0.5"])
+    def test_vocabulary_idf_that_fit_never_writes_exits_2(self, corpus_file, tmp_path, capsys,
+                                                          idf):
+        # such a vocabulary used to load, and evaluate scored on its weights; the
+        # flags are the check set's TF-IDF char run (nbc)
+        model_dir = tmp_path / "run"
+        flags = ("--weighting", "tfidf", "--analyzer", "char", "--ngram", "2,4")
+        assert train(corpus_file, "nb", model_dir, *flags) == 0
+        path = model_dir / "vocabulary.txt"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[row] = lines[row].rsplit("\t", 1)[0] + "\t" + idf
+        path.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        for command in ("evaluate", "predict"):
+            out = tmp_path / command
+            assert run(command, "--corpus", corpus_file, "--model-dir", model_dir,
+                       "--out", out) == 2
+            err = capsys.readouterr().err
+            message = f"idf must be finite and >= 1, got {float(idf)!r}"
+            assert f"error: {path}: line {row + 1}: {message}" in err
+            assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("kind, filename, key, value, message", [
         ("gbt", "model.txt", "n_rounds", "0", "n_rounds must be >= 1, got 0"),
         ("gbt", "model.txt", "max_depth", "-1", "max_depth must be >= 0, got -1"),

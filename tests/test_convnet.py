@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from satira import DataError
+from satira.fileio import LINE_BLOCK
 from satira.models import (
     TrainConfig,
     cnn_forward,
@@ -533,6 +534,21 @@ class TestSerialization:
         size = path.stat().st_size
         assert size > 2_000_000 and peak < size / 20
         assert path.read_text(encoding="utf-8") == model_text(model)
+
+    def test_load_holds_no_second_copy_of_the_rows(self):
+        # the rows are decoded a block at a time into the matrix, so beside the
+        # text's lines and the matrix the load holds about two blocks of bytes
+        model = tiny_model(76, vocab=2000, dim=500, filters=2, kernel=2, seq_len=3)
+        text = model_text(model)
+        tracemalloc.start()
+        try:
+            loaded = cnn_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.embedding.tobytes() == model.embedding.tobytes()
+        matrix = loaded.embedding.nbytes
+        assert matrix == 8_000_000 > 4 * LINE_BLOCK and peak < len(text) + 1.5 * matrix
 
     def test_version_mismatch(self):
         with pytest.raises(DataError, match="unsupported"):

@@ -229,6 +229,15 @@ class TestSerialization:
             with pytest.raises(DataError):
                 nb_from_text("".join(lines[:k]))
 
+    def test_feature_count_beyond_the_file_fails_where_the_file_ends(self):
+        # the rows are read before their labels are made, so a huge count costs nothing
+        text = nb_to_text(fixture_model()[0])
+        text = re.sub(r"n_features=\d+", "n_features=1000000000000", text)
+        n_lines = len(text.splitlines())
+        with pytest.raises(DataError, match=f"^file ends after line {n_lines}; expected "
+                                            f"feature index {n_lines - 3}$"):
+            nb_from_text(text)
+
     def test_negative_feature_count_rejected(self, tmp_path):
         # with only its prior row, such a file used to load as a 0-feature model
         lines = nb_to_text(fixture_model()[0]).splitlines(keepends=True)

@@ -96,3 +96,20 @@ def test_train_nb_char(tmp_path, capsys):
 def test_unknown_command_is_refused(tmp_path):
     with pytest.raises(SystemExit):
         load_script("paper_scale").main([str(tmp_path / "out"), "--commands", "train"])
+
+
+def test_gbt_nb_char_and_features_read_their_own_train_runs(tmp_path, capsys):
+    report = paper_scale(tmp_path, capsys, "--commands",
+                         "features,evaluate_gbt,evaluate_nb_char,train_gbt", "--pairs", "1")
+    runs = {r["command"]: r for r in report["runs"]}
+    assert list(runs) == ["train_nb", "train_nb_char", "train_gbt", "evaluate_nb_char",
+                          "evaluate_gbt", "features"]
+    assert all(r["exit"] == 0 for r in runs.values())
+    assert {"model.txt", "vocabulary.txt"} <= set(runs["train_gbt"]["bodies"])
+    assert report["commands"]["train_gbt"].endswith("--model gbt")
+    for name, producer in (("evaluate_nb_char", "train_nb_char"), ("evaluate_gbt", "train_gbt")):
+        assert set(runs[name]["bodies"]) == {"report.txt", "report.json"}
+        assert 0 <= runs[name]["macro_f1"] <= 1 and 0 <= runs[name]["accuracy"] <= 1
+        assert report["commands"][name].startswith(f"evaluate --model-dir {{{producer}}}")
+    assert set(runs["features"]["bodies"]) == {
+        f"features_{side}{suffix}.tsv" for side in ("fake", "real") for suffix in ("", "_logprob")}
