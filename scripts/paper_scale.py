@@ -9,9 +9,10 @@ default) under OUT/data with the benchmark's generator
 (`perfbench/corpus.py`, `GeneratorConfig(n_docs, 8000)`, seed 1, read only):
 a raw, noisy one that `clean` and `boilerplate` read, and a clean one with
 its POS tags and 300-d word vectors that `measure --tagged`, `train` (NB on
-word counts, NB on char 2-4 counts, GBT on word counts, and the CNN for one
-epoch and for none), `predict`, `evaluate` and `features` read. The vectors come from a random stream of their
-own, so writing them changes no corpus byte.
+word counts, NB on char 2-4 counts, GBT on word counts and on word TF-IDF, and
+the CNN for one epoch and for none), `predict`, `evaluate` and `features`
+read. The vectors come from a random stream of their own, so writing them
+changes no corpus byte.
 A child's peak RSS starts at its parent's peak when it is forked, so the
 corpora are written by a child before any timed run, and every timed child
 is started by a small launcher process, not by this script, which reads
@@ -26,8 +27,10 @@ host's load does not favour one side. The JSON names a git checkout by its
 other tree by its resolved path. `predict`, `evaluate` and `features` read
 the model their own tree's `train_nb` run wrote in the same pair,
 `evaluate_nb_char` the one of `train_nb_char`, `evaluate_gbt` the one of
-`train_gbt`, and `predict_cnn` and `evaluate_cnn` the one of `train_cnn`, so
-choosing a command that reads a run runs the command that writes it too.
+`train_gbt`, `evaluate_gbt_tfidf` the one of `train_gbt_tfidf`, and
+`predict_cnn` and `evaluate_cnn` the one of `train_cnn`; `ttest` and
+`plot-data` read the measures CSV of `measure`. So choosing a command that
+reads a run runs the command that writes it too.
 
 Each run records its wall time, its peak RSS (the child's own `ru_maxrss`,
 from `os.wait4`), its exit code and the sha256 of each output body with the
@@ -56,8 +59,8 @@ from check_set import body_digest  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 VOCAB_SIZE, SEED = 8000, 1
 RAW, CLEAN, LEXICONS = "data/raw/corpus.jsonl", "data/clean/corpus.jsonl", "data/lexicons"
-# command name -> the satira argv besides --out; "{name}" is the run of command `name`
-# in the same pair and tree, which then runs first
+# command name -> the satira argv besides --out; "{name}" in an argument is the output
+# directory of command `name`'s run in the same pair and tree, which then runs first
 COMMANDS = {
     "clean": ("clean", "--corpus", RAW, "--stop-phrases", f"{LEXICONS}/stop_phrases.txt"),
     "boilerplate": ("boilerplate", "--corpus", RAW),
@@ -66,11 +69,15 @@ COMMANDS = {
     "train_nb": ("train", "--corpus", CLEAN, "--model", "nb"),
     "train_nb_char": ("train", "--corpus", CLEAN, "--model", "nb", "--analyzer", "char",
                       "--ngram", "2,4"),
+    "ttest": ("ttest", "--measures", "{measure}/measures.csv"),
+    "plot-data": ("plot-data", "--measures", "{measure}/measures.csv"),
     "train_gbt": ("train", "--corpus", CLEAN, "--model", "gbt"),
+    "train_gbt_tfidf": ("train", "--corpus", CLEAN, "--model", "gbt", "--weighting", "tfidf"),
     "predict": ("predict", "--model-dir", "{train_nb}", "--corpus", CLEAN),
     "evaluate": ("evaluate", "--model-dir", "{train_nb}", "--corpus", CLEAN),
     "evaluate_nb_char": ("evaluate", "--model-dir", "{train_nb_char}", "--corpus", CLEAN),
     "evaluate_gbt": ("evaluate", "--model-dir", "{train_gbt}", "--corpus", CLEAN),
+    "evaluate_gbt_tfidf": ("evaluate", "--model-dir", "{train_gbt_tfidf}", "--corpus", CLEAN),
     "features": ("features", "--model-dir", "{train_nb}"),
     # no epoch: loading the vectors, encoding the corpus and saving the model alone
     "train_cnn_0": ("train", "--corpus", CLEAN, "--model", "cnn",
@@ -201,7 +208,8 @@ def main(argv=None) -> int:
     commands = args.commands.split(",")
     if unknown := set(commands) - set(COMMANDS):
         parser.error(f"unknown commands {sorted(unknown)}")
-    commands += [name for c in commands for name in COMMANDS if f"{{{name}}}" in COMMANDS[c]]
+    commands += [name for c in commands for name in COMMANDS
+                 if any(f"{{{name}}}" in arg for arg in COMMANDS[c])]
     commands = [c for c in COMMANDS if c in commands]  # so a run is written before it is read
     if args.pairs < 1 or args.n_docs < 1:
         parser.error("--pairs and --n-docs must be at least 1")

@@ -4,10 +4,11 @@ lines at a time; phrase-list and JSON files, the metadata header of every
 CLI output (tool version, config hash, a checksum per input file), and the
 reader and float codecs of every serialized artifact.
 
-``BodyReader`` reads an artifact's header, then its body a line at a time
-(``fields``) or, where rows share one shape, a table at a time (``table``).
-A ``Table`` is checked and converted a whole column at a time, and its error
-names the first faulty line, with the message a line-at-a-time read gives.
+``BodyReader`` reads an artifact's header, then its body as tables of rows
+(``table``); a single line (``fields``) is a table of one row. A ``Table`` is
+checked and converted a whole column at a time, and its error names the first
+faulty line, with the message a line-at-a-time read gives. Every body line is
+a row: no writer emits a blank line, so a blank line is refused where it stands.
 
 Artifacts hold one text line per matrix row in one of two float codecs.
 ``float_rows`` writes each float as its shortest ``repr``, for files meant
@@ -175,17 +176,18 @@ class Table:
     is never used.
     """
 
-    def __init__(self, rows: list[list[str]], lines, count: int, error: DataError | None):
+    def __init__(self, rows: list[list[str]], first: int, count: int | None,
+                 error: DataError | None):
         self.rows = rows
         self.ok = len(rows)
-        self._lines = lines  # 1-based file line of each row
-        self._count = count  # fields per row
+        self._first = first  # 1-based file line of the first row
+        self._count = count  # fields per row, if checked
         self._error = error  # the fault of the row after the last, if any
 
     def fault(self, i: int, message: str) -> None:
         if i < self.ok:
             self.ok = i
-            self._error = DataError(f"line {self._lines[i]}: {message}")
+            self._error = DataError(f"line {self._first + i}: {message}")
 
     def first(self, bad: list, message) -> None:
         """Record ``message(i)`` as the fault of the first row ``i`` flagged in ``bad``."""
@@ -286,14 +288,14 @@ class Table:
 
 
 class BodyReader:
-    """Reads a serialized file, checking as it goes: a line at a time with
-    ``fields``, or a table of rows of one shape at a time with ``table``.
+    """Reads a serialized file, checking as it goes, a table of rows at a time
+    with ``table``, or one line with ``fields``.
 
     The format tag must be a line of the leading comment block (the CLI
     writes its metadata lines before it), which ends at the first line not
     starting with ``#`` or holding a tab (a row may start with a hashtag
-    feature); ``key=value`` pairs may stand on any of its lines. Blank body
-    lines are skipped; every ``DataError`` names the file line.
+    feature); ``key=value`` pairs may stand on any of its lines. Every body
+    line, a blank one too, is a row; every ``DataError`` names the file line.
     """
 
     def __init__(self, text: str, format_tag: str):
@@ -332,21 +334,20 @@ class BodyReader:
             raise DataError(f"header {key}={self.meta[key]!r} is malformed") from exc
 
     @property
+    def lines_left(self) -> int:
+        """Lines not read yet: no more rows than this can follow."""
+        return len(self._lines) - self._next
+
+    @property
     def more(self) -> bool:
-        while self._next < len(self._lines) and not self._lines[self._next]:
-            self._next += 1
-        return self._next < len(self._lines)
+        return self.lines_left > 0
 
     def fields(self, what: str, count: int | None = None, sep: str = "\t") -> list[str]:
-        """Next line split on ``sep``, optionally checked to hold ``count`` fields."""
-        if not self.more:
-            raise DataError(f"file ends after line {len(self._lines)}; expected {what}")
-        parts = self._lines[self._next].split(sep)
-        self._next += 1
-        self.lineno = self._next
-        if count is not None and len(parts) != count:
-            raise self.error(f"{what}: expected {count} fields, got {len(parts)}")
-        return parts
+        """Next line split on ``sep``, optionally checked to hold ``count`` fields:
+        a ``table`` of one row."""
+        row = self.table(what, count, sep, rows=1)
+        row.check()
+        return row.rows[0]
 
     def parse(self, cast, *values) -> list:
         try:
@@ -354,39 +355,29 @@ class BodyReader:
         except ValueError as exc:
             raise self.error(str(exc)) from exc
 
-    def table(self, what, count: int, sep: str = "\t", rows: int | None = None) -> Table:
-        """The remaining non-blank lines, or the next ``rows`` of them, each split
-        on ``sep``. Each must hold ``count`` fields: the table ends before the first
-        that does not, or where the file ends short of ``rows`` lines, and holds the
-        error that ``fields`` raises there as that row's fault. ``what`` names a row
-        in messages: a string, or a function of the row's index in the table."""
+    def table(self, what, count: int | None, sep: str = "\t", rows: int | None = None) -> Table:
+        """The remaining lines, or the next ``rows`` of them, each split on ``sep``.
+        Unless ``count`` is None, each must hold ``count`` fields: the table ends
+        before the first that does not, or where the file ends short of ``rows``
+        lines, and holds the error that ``fields`` raises there as that row's
+        fault. ``what`` names a row in messages: a string, or a function of the
+        row's index in the table."""
         name = what if callable(what) else lambda i: what
         start = self._next
         lines = self._lines[start:] if rows is None else self._lines[start:start + rows]
-        if "" in lines:  # blank lines are skipped, so their rows come from further on
-            numbers = [i + 1 for i in range(start, len(self._lines)) if self._lines[i]]
-            numbers = numbers[:rows]
-            lines = [self._lines[i - 1] for i in numbers]
-        else:
-            numbers = range(start + 1, start + 1 + len(lines))
-        if numbers:
-            self._next = self.lineno = numbers[-1]
+        if lines:
+            self._next = self.lineno = start + len(lines)
         parts = [line.split(sep) for line in lines]
         error = None
-        if set(map(len, parts)) - {count}:
+        if count is not None and set(map(len, parts)) - {count}:
             k = next(i for i, fields in enumerate(parts) if len(fields) != count)
-            error = DataError(f"line {numbers[k]}: {name(k)}: expected {count} fields, "
+            error = DataError(f"line {start + 1 + k}: {name(k)}: expected {count} fields, "
                               f"got {len(parts[k])}")
             del parts[k:]
         elif rows is not None and len(parts) < rows:
             error = DataError(f"file ends after line {len(self._lines)}; "
                               f"expected {name(len(parts))}")
-        return Table(parts, numbers, count, error)
-
-    @property
-    def lines_left(self) -> int:
-        """Lines not read yet, blank ones included: no more rows than this can follow."""
-        return len(self._lines) - self._next
+        return Table(parts, start + 1, count, error)
 
     def end(self) -> None:
         if self.more:

@@ -8,7 +8,13 @@ a row is split only if its token is in the index, and each block's indexed
 rows are parsed together. An indexed token may have one row; the rows of
 other tokens are counted, not tracked. Token ids are 1-based; id 0 is the
 shared padding/OOV slot whose embedding row stays all-zero. A token index
-is saved as ``token<TAB>id`` lines in id order under a format-tag line.
+is saved as ``token<TAB>id`` lines in id order after its format-tag line;
+its loader refuses any other line, a blank one too, by its line number.
+
+``build_token_index`` and ``encode_corpus`` split each document's text
+themselves and never read ``Document.tokens``, so the CNN path caches no
+token tuple: at paper scale those tuples would hold more memory than the
+ids they become.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ TOKEN_INDEX_FORMAT = "satira-token-index v1"
 
 def build_token_index(docs: Iterable[Document]) -> dict[str, int]:
     """Deterministic token -> id map (ids 1..n in codepoint order)."""
-    vocab = sorted({t for doc in docs for t in doc.tokens})
+    vocab = sorted({t for doc in docs for t in doc.text.split()})
     return {token: i for i, token in enumerate(vocab, start=1)}
 
 
@@ -56,7 +62,7 @@ def encode_corpus(docs: Sequence[Document], index: dict[str, int], max_len: int)
     An empty corpus gives zero rows."""
     ids = np.zeros((len(docs), max_len), dtype=np.int64)
     for row, doc in zip(ids, docs):
-        tokens = doc.tokens[:max_len]
+        tokens = doc.text.split(maxsplit=max_len)[:max_len]
         row[: len(tokens)] = [index.get(token, 0) for token in tokens]
     return ids
 

@@ -532,6 +532,12 @@ def vocabulary_to_text(vocab: Vocabulary) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _int_pair(text: str) -> tuple[int, int]:
+    """``LO,HI`` as two integers; any other number of values is a ``ValueError``."""
+    lo, hi = map(int, text.split(","))
+    return lo, hi
+
+
 def vocabulary_from_text(text: str) -> Vocabulary:
     """Inverse of ``vocabulary_to_text``; rows must hold columns 0, 1, ... in order,
     each a feature that the header's analyzer and ngram range can produce."""
@@ -539,11 +545,13 @@ def vocabulary_from_text(text: str) -> Vocabulary:
     cfg = VectorizerConfig(
         weighting=r.meta_value("weighting", Weighting),
         analyzer=r.meta_value("analyzer", Analyzer),
-        ngram_range=r.meta_value("ngram", lambda v: tuple(map(int, v.split(",")))),
+        ngram_range=r.meta_value("ngram", _int_pair),
         max_features=r.meta_value("max_features", int),
         max_df=r.meta_value("max_df", float),
     )
     n_docs = r.meta_count("n_docs", 1)
+    if n_docs > np.iinfo(np.int64).max:  # fit counts documents in an int64
+        raise DataError(f"header n_docs={n_docs} must be <= {np.iinfo(np.int64).max}")
     lo, hi = cfg.ngram_range
     tfidf = cfg.weighting is Weighting.TFIDF
     t = r.table("feature row", 4)
@@ -553,6 +561,11 @@ def vocabulary_from_text(text: str) -> Vocabulary:
     dfs = t.cast(int, df_s)
     index = t.numbered(features, cols, 0, lambda i: f"expected a new feature with column {i}")
     t.first([df < 1 for df in dfs], lambda i: f"df must be >= 1, got {dfs[i]}")
+    # fit keeps a feature when df / n_docs <= max_df in float64, so df <= n_docs:
+    # an int64 too
+    max_df = cfg.max_df
+    t.first([not (df <= n_docs and float(df) / n_docs <= max_df) for df in dfs],
+            lambda i: f"df {dfs[i]} of {n_docs} documents exceeds max_df={cfg.max_df!r}")
     t.first([(idf != "") != tfidf for idf in idf_s],
             lambda i: "idf must be given exactly when weighting is tfidf")
     if cfg.analyzer is Analyzer.CHAR:

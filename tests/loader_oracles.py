@@ -5,9 +5,11 @@ next. The loaders in ``src/`` read each body as one ``Table`` and check it a
 column at a time; ``test_loader_oracles.py`` holds them to these, object for
 object and message for message.
 
-The only change from the row-at-a-time loaders is the idf rule of a TF-IDF
-vocabulary (finite and >= 1), checked last in its row, as ``vocabulary_from_text``
-checks it.
+The changes from the row-at-a-time loaders are the rules that a vocabulary
+loader has gained since: a TF-IDF idf is finite and >= 1, checked last in its
+row; a df is one ``fit`` keeps (``df / n_docs <= max_df``), checked after
+``df >= 1``; ``ngram`` is exactly ``LO,HI``; and ``n_docs`` fits an int64. Each
+is checked where ``vocabulary_from_text`` checks it.
 """
 
 import base64
@@ -68,16 +70,23 @@ class RowReader(BodyReader):
         return out
 
 
+def int_pair(text: str) -> tuple[int, int]:
+    lo, hi = map(int, text.split(","))
+    return lo, hi
+
+
 def vocabulary_from_text(text: str) -> Vocabulary:
     r = RowReader(text, VOCABULARY_FORMAT)
     cfg = VectorizerConfig(
         weighting=r.meta_value("weighting", Weighting),
         analyzer=r.meta_value("analyzer", Analyzer),
-        ngram_range=r.meta_value("ngram", lambda v: tuple(map(int, v.split(",")))),
+        ngram_range=r.meta_value("ngram", int_pair),
         max_features=r.meta_value("max_features", int),
         max_df=r.meta_value("max_df", float),
     )
     n_docs = r.meta_count("n_docs", 1)
+    if n_docs > np.iinfo(np.int64).max:
+        raise DataError(f"header n_docs={n_docs} must be <= {np.iinfo(np.int64).max}")
     lo, hi = cfg.ngram_range
     tfidf = cfg.weighting is Weighting.TFIDF
     index: dict[str, int] = {}
@@ -90,6 +99,8 @@ def vocabulary_from_text(text: str) -> Vocabulary:
             raise r.error(f"expected a new feature with column {len(index)}")
         if df < 1:
             raise r.error(f"df must be >= 1, got {df}")
+        if not (df <= n_docs and float(df) / n_docs <= cfg.max_df):
+            raise r.error(f"df {df} of {n_docs} documents exceeds max_df={cfg.max_df!r}")
         if (idf != "") != tfidf:
             raise r.error("idf must be given exactly when weighting is tfidf")
         if cfg.analyzer is Analyzer.CHAR:

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from satira import DataError
 from satira.models import BoostConfig, BoostedTreesModel, gbt_fit, gbt_predict
@@ -21,6 +22,7 @@ from satira.models.boosted_trees import (
     save_gbt,
     sigmoid,
 )
+from tests.test_loader_oracles import corrupted
 
 
 def separable_1d(n=20):
@@ -392,3 +394,88 @@ class TestSerialization:
         for k in range(len(lines)):
             with pytest.raises(DataError):
                 gbt_from_text("".join(lines[:k]))
+
+
+# two trees over two features; lines 3-6 are tree 0, lines 7-8 tree 1
+GBT_TEXT = (
+    "# satira-gbt v1\n"
+    "# n_rounds=2 learning_rate=0.1 max_depth=1 reg_lambda=1.0 base_score=0.0 n_features=2\n"
+    "tree 0 3\n"
+    "0\tsplit\t1\t0.5\t1\t2\n"
+    "1\tleaf\t-0.25\n"
+    "2\tleaf\t0.25\n"
+    "tree 1 1\n"
+    "0\tleaf\t0.125\n"
+)
+SHAPE = "expected 'leaf <weight>' or 'split <feature> <threshold> <left> <right>'"
+
+
+class TestStructure:
+    """Each structural check of the GBT loader, with the line it names."""
+
+    def test_fixture_loads(self):
+        model = gbt_from_text(GBT_TEXT)
+        assert [len(tree.nodes) for tree in model.trees] == [3, 1]
+        assert gbt_to_text(model) == GBT_TEXT
+
+    @pytest.mark.parametrize("line, row, message", [
+        (5, "2\tleaf\t-0.25", "expected node 1, got '2'"),
+        (4, "\tsplit\t1\t0.5\t1\t2", "expected node 0, got ''"),
+        (6, "2\tleaf\t0.25\t0", SHAPE),
+        (6, "2\tleaf", SHAPE),
+        (4, "0\tsplit\t1\t0.5\t1", SHAPE),
+        (4, "0\tbranch\t1\t0.5\t1\t2", SHAPE),
+        (4, "0\tsplit\t2\t0.5\t1\t2", "feature 2 is out of range"),
+        (4, "0\tsplit\t-1\t0.5\t1\t2", "feature -1 is out of range"),
+        (4, "0\tsplit\t1\t0.5\t0\t2", "child ids 0, 2 must lie in (0, 3)"),
+        (4, "0\tsplit\t1\t0.5\t1\t3", "child ids 1, 3 must lie in (0, 3)"),
+        (7, "tree 2 1", "expected header 'tree 1 <n_nodes>'"),
+        (7, "tree 1", "expected header 'tree 1 <n_nodes>'"),
+        (7, "tree 1 1 1", "expected header 'tree 1 <n_nodes>'"),
+        (7, "trees 1 1", "expected header 'tree 1 <n_nodes>'"),
+        (3, "tree 0 0", "tree 0 has no nodes"),
+        (7, "tree 1 -1", "tree 1 has no nodes"),
+        (7, "tree 1 x", "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_structural_error_names_the_line(self, line, row, message):
+        lines = GBT_TEXT.splitlines(keepends=True)
+        lines[line - 1] = row + "\n"
+        with pytest.raises(DataError, match=re.escape(f"line {line}: {message}")):
+            gbt_from_text("".join(lines))
+
+    @pytest.mark.parametrize("at, message", [
+        (2, "expected header 'tree 0 <n_nodes>'"),
+        (3, "expected node 0, got ''"),
+        (6, "expected header 'tree 1 <n_nodes>'"),
+        (8, "unexpected line after the last declared entry"),
+    ], ids=["before-tree", "before-node", "between-trees", "at-end"])
+    def test_blank_line_names_its_line(self, at, message):
+        # no writer emits a blank line, so the check at its position refuses it
+        lines = GBT_TEXT.splitlines(keepends=True)
+        lines.insert(at, "\n")
+        with pytest.raises(DataError, match=re.escape(f"line {at + 1}: {message}")):
+            gbt_from_text("".join(lines))
+
+    def test_file_ending_inside_a_tree_is_refused(self):
+        with pytest.raises(DataError, match=re.escape("file ends after line 5; expected node 2")):
+            gbt_from_text("".join(GBT_TEXT.splitlines(keepends=True)[:5]))
+
+
+def test_every_corrupted_model_loads_or_is_a_data_error(tmp_path):
+    # a cut at a line boundary and/or one or two byte edits: never another exception
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [0.0, 3.0]] * 4)
+    y = np.array([0, 1, 1, 0] * 4)
+    text = gbt_to_text(gbt_fit(X, y, BoostConfig(n_rounds=3, max_depth=2)))
+    path = tmp_path / "model.txt"
+
+    @settings(max_examples=1000, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(corrupted(text))
+    def check(bad):
+        path.write_text(bad, encoding="utf-8")
+        try:
+            assert isinstance(load_gbt(path), BoostedTreesModel)
+        except DataError:
+            pass
+
+    check()

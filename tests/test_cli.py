@@ -1244,6 +1244,73 @@ class TestFormatTagLine:
             from_text("".join(rest[:body + 1] + [tag] + rest[body + 1:]))
 
 
+END = "unexpected line after the last declared entry"
+
+
+class TestArtifactFaultExits2:
+    """A fault in a trained artifact makes evaluate and predict exit 2, naming the
+    file and the faulty line, never with a traceback."""
+
+    # artifact -> messages for a blank line after the first body row, and at the end
+    BLANK = {
+        "nb/vocabulary.txt": ("feature row: expected 4 fields, got 1",) * 2,
+        "nb/model.txt": ("feature index 0: expected 3 fields, got 1", END),
+        "gbt/model.txt": ("expected node 0, got ''", END),
+        "cnn/token_index.txt": ("token row: expected 2 fields, got 1",) * 2,
+        "cnn/model.txt": ("embedding row: expected 16 floats (128 bytes), got 0 bytes", END),
+    }
+
+    def refused(self, corpus_file, tmp_path, capsys, artifact, edit, message):
+        """Train, replace the artifact's lines by ``edit(lines)``, which returns the
+        number of the line at fault, and check that evaluate and predict refuse it."""
+        kind, filename = artifact.split("/")
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, kind, model_dir) == 0
+        path = model_dir / filename
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        line = edit(lines)
+        path.write_text("".join(lines), encoding="utf-8")
+        for command in ("evaluate", "predict"):
+            capsys.readouterr()
+            assert run(command, "--corpus", corpus_file, "--model-dir", model_dir,
+                       "--out", tmp_path / command) == 2
+            err = capsys.readouterr().err
+            assert f"error: {path}: line {line}: {message}\n" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("at_end", [False, True], ids=["inside", "at-end"])
+    @pytest.mark.parametrize("artifact", list(BLANK))
+    def test_blank_line(self, corpus_file, tmp_path, capsys, artifact, at_end):
+        # no writer emits a blank line; one used to be skipped
+        def edit(lines):
+            first = next(i for i, l in enumerate(lines) if not l.startswith("#") or "\t" in l)
+            at = len(lines) if at_end else first + 1
+            lines.insert(at, "\n")
+            return at + 1
+
+        self.refused(corpus_file, tmp_path, capsys, artifact, edit,
+                     self.BLANK[artifact][at_end])
+
+    def test_gbt_tree_without_nodes(self, corpus_file, tmp_path, capsys):
+        def edit(lines):
+            at = next(i for i, l in enumerate(lines) if l.startswith("tree 1 "))
+            lines[at] = "tree 1 0\n"
+            return at + 1
+
+        self.refused(corpus_file, tmp_path, capsys, "gbt/model.txt", edit, "tree 1 has no nodes")
+
+    def test_vocabulary_df_beyond_int64(self, corpus_file, tmp_path, capsys):
+        # used to exit 2 with "Python int too large to convert to C long" alone
+        def edit(lines):
+            at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+            feature, col, _, idf = lines[at].split("\t")
+            lines[at] = "\t".join([feature, col, "99999999999999999999", idf])
+            return at + 1
+
+        self.refused(corpus_file, tmp_path, capsys, "nb/vocabulary.txt", edit,
+                     "df 99999999999999999999 of 80 documents exceeds max_df=0.7")
+
+
 class TestEvaluateScoresHeldOutDocuments:
     """``evaluate`` refuses a corpus whose training split is not the one the
     model trained on, since its "held-out" documents may have been trained on;

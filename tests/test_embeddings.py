@@ -54,6 +54,19 @@ class TestTokenIndex:
         assert ids.shape == (2, 4)
         assert encode_corpus([], index, 4).shape == (0, 4)
 
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 4, 8])
+    def test_index_and_encoding_cache_no_tokens(self, max_len):
+        # the CNN path splits each text itself: a cached token tuple per document
+        # would hold more memory than the ids it becomes
+        texts = ["  a\tb  c \u2028d ", "c\n\nb", "", "a a a a a a"]
+        docs = [make_document(str(i), text) for i, text in enumerate(texts)]
+        index = build_token_index(docs)
+        ids = encode_corpus(docs, index, max_len)
+        assert not any("tokens" in vars(doc) for doc in docs)
+        assert index == {token: i for i, token in enumerate("abcd", start=1)}
+        expected = [[index[t] for t in doc.tokens[:max_len]] for doc in docs]
+        assert ids.tolist() == [row + [0] * (max_len - len(row)) for row in expected]
+
 
 class TestLoadEmbeddings:
     def test_coverage_ratio(self, tmp_path):

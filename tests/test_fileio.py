@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from satira import DataError
-from satira.fileio import LINE_BLOCK, file_checksum, parse_lines, read_text, text_lines
+from satira.fileio import (
+    LINE_BLOCK,
+    BodyReader,
+    file_checksum,
+    parse_lines,
+    read_text,
+    text_lines,
+)
 
 MIB = 1 << 20  # the block file_checksum reads at a time
 
@@ -83,3 +90,28 @@ def test_a_decoding_error_wins_over_an_error_on_an_earlier_line(tmp_path, monkey
     path.write_bytes(b"bad line\n" + b"fine\n" * 10)
     with pytest.raises(DataError, match=r"input.txt: line 1: refused$"):
         parse_lines(path, refuse_first_line)
+
+
+def test_fields_is_a_one_row_table():
+    r = BodyReader("# tag\na\tb\nc d e\n", "tag")
+    assert r.fields("first", 2) == ["a", "b"] and r.lineno == 2
+    assert r.more and r.lines_left == 1
+    assert r.fields("second", sep=" ") == ["c", "d", "e"]  # no count: any number of fields
+    assert not r.more and r.lineno == 3
+    with pytest.raises(DataError, match=r"^file ends after line 3; expected third$"):
+        r.fields("third")
+    with pytest.raises(DataError, match=r"^line 2: first: expected 3 fields, got 2$"):
+        BodyReader("# tag\na\tb\n", "tag").fields("first", 3)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("# tag\n\na\tb\n", 2), ("# tag\na\tb\n\nc\td\n", 3), ("# tag\na\tb\n\n", 3)])
+def test_a_blank_line_is_a_row(text, line):
+    # no writer emits one, so it is refused where it stands, not skipped
+    table = BodyReader(text, "tag").table("row", 2)
+    assert len(table.rows) == line - 2
+    with pytest.raises(DataError, match=rf"^line {line}: row: expected 2 fields, got 1$"):
+        table.check()
+    r = BodyReader(text, "tag")
+    r.table("rows", None, rows=line - 2)
+    assert r.fields("row") == [""] and r.lineno == line

@@ -113,3 +113,26 @@ def test_gbt_nb_char_and_features_read_their_own_train_runs(tmp_path, capsys):
         assert report["commands"][name].startswith(f"evaluate --model-dir {{{producer}}}")
     assert set(runs["features"]["bodies"]) == {
         f"features_{side}{suffix}.tsv" for side in ("fake", "real") for suffix in ("", "_logprob")}
+
+
+def test_ttest_and_plot_data_read_their_own_measure_run(tmp_path, capsys):
+    report = paper_scale(tmp_path, capsys, "--commands", "plot-data,ttest", "--pairs", "1")
+    runs = {r["command"]: r for r in report["runs"]}
+    assert list(runs) == ["measure", "ttest", "plot-data"]
+    assert all(r["exit"] == 0 for r in runs.values())
+    assert set(runs["measure"]["bodies"]) == {"measures.csv"}
+    assert set(runs["ttest"]["bodies"]) == {"ttest.txt"}
+    assert {f"density_J_{label}.csv" for label in ("fake", "real")} <= set(
+        runs["plot-data"]["bodies"])
+    for name in ("ttest", "plot-data"):
+        assert report["commands"][name] == f"{name} --measures {{measure}}/measures.csv"
+
+
+def test_evaluate_gbt_tfidf_reads_its_own_train_run(tmp_path, capsys):
+    report = paper_scale(tmp_path, capsys, "--commands", "evaluate_gbt_tfidf", "--pairs", "1")
+    runs = {r["command"]: r for r in report["runs"]}
+    assert list(runs) == ["train_gbt_tfidf", "evaluate_gbt_tfidf"]
+    assert all(r["exit"] == 0 for r in runs.values())
+    assert report["commands"]["train_gbt_tfidf"].endswith("--model gbt --weighting tfidf")
+    assert set(runs["evaluate_gbt_tfidf"]["bodies"]) == {"report.txt", "report.json"}
+    assert 0 <= runs["evaluate_gbt_tfidf"]["macro_f1"] <= 1

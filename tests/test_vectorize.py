@@ -796,3 +796,48 @@ class TestStrictLoader:
     def test_empty_body_rejected(self):
         with pytest.raises(DataError, match="no feature rows"):
             vocabulary_from_text("\n".join(self.vocabulary_lines()[:2]))
+
+    @pytest.mark.parametrize("ngram", ["1", "1,1,2", "", "1;1"])
+    def test_ngram_header_must_be_two_integers(self, ngram):
+        # "1" and "1,1,2" used to fail in VectorizerConfig, naming no header key
+        text = "\n".join(self.vocabulary_lines())
+        assert " ngram=1,1 " in text
+        with pytest.raises(DataError, match=re.escape(f"header ngram={ngram!r} is malformed")):
+            vocabulary_from_text(text.replace(" ngram=1,1 ", f" ngram={ngram} "))
+
+    @pytest.mark.parametrize("header, line, df, message", [
+        ("max_df=1.0", 4, "4", "df 4 of 3 documents exceeds max_df=1.0"),
+        ("max_df=1.0", 4, "99999999999999999999",
+         "df 99999999999999999999 of 3 documents exceeds max_df=1.0"),
+        ("max_df=0.5", 3, "2", "df 2 of 3 documents exceeds max_df=0.5"),
+    ], ids=["above-n_docs", "beyond-int64", "above-max_df"])
+    def test_document_frequency_fit_cannot_keep_names_the_line(self, header, line, df, message):
+        # a df beyond int64 used to fail converting the column, naming no line, and
+        # one above max_df * n_docs only Vocabulary's bound check, also without one
+        lines = self.vocabulary_lines()
+        lines[1] = lines[1].replace("max_df=1.0", header)
+        lines[line - 1] = re.sub(r"\t\d+\t$", f"\t{df}\t", lines[line - 1])
+        with pytest.raises(DataError, match=re.escape(f"line {line}: {message}")):
+            vocabulary_from_text("\n".join(lines))
+
+    def test_document_frequency_at_max_df_loads(self):
+        # fit keeps a df of exactly max_df * n_docs, in float64: 2 / 3 here
+        text = "\n".join(self.vocabulary_lines()).replace("max_df=1.0", f"max_df={2 / 3!r}")
+        assert vocabulary_from_text(text).document_frequency.tolist() == [2, 1, 1, 1]
+
+    def test_document_count_beyond_int64_rejected(self):
+        n_docs = 2**63
+        text = "\n".join(self.vocabulary_lines()).replace(" n_docs=3", f" n_docs={n_docs}")
+        with pytest.raises(DataError, match=f"header n_docs={n_docs} must be <= {n_docs - 1}"):
+            vocabulary_from_text(text)
+
+    @pytest.mark.parametrize("at, message", [
+        (2, "feature row: expected 4 fields, got 1"),
+        (4, "feature row: expected 4 fields, got 1"),
+        (6, "feature row: expected 4 fields, got 1"),
+    ], ids=["first-row", "inside", "at-end"])
+    def test_blank_line_names_its_line(self, at, message):
+        lines = self.vocabulary_lines()  # the last is the empty text after the final newline
+        lines.insert(at, "")
+        with pytest.raises(DataError, match=re.escape(f"line {at + 1}: {message}")):
+            vocabulary_from_text("\n".join(lines))
