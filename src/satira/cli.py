@@ -17,10 +17,11 @@ file it read (for ``--model-dir``, the run's ``run.json``), so results stay
 attributable; all randomness of ``train`` derives from its ``--seed``.
 
 Every output goes through ``_write``. Its first call in a command creates
-``--out`` and fixes the header, so a command resolves every option before
-it writes, and a command that fails before its first write leaves no
-``--out`` behind. Each output is written under a temporary name and renamed
-when complete, so a command that fails while writing leaves no partial file.
+``--out`` and fixes the header. Every option is resolved before the first
+input is read, so a missing or mistyped option is reported first, and a
+command that fails before its first write leaves no ``--out`` behind. Each
+output is written under a temporary name and renamed when complete, so a
+command that fails while writing leaves no partial file.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .evaluation import (
     report_to_text,
     top_informative_features,
 )
-from .fileio import file_checksum, json_object, load_json, metadata_header, parse_file
+from .fileio import file_checksum, json_object, load_json, parse_file
 from .models import (
     BoostConfig,
     TrainConfig,
@@ -191,14 +192,22 @@ def _resolve(args, flag: str, default=None):
 
 
 def _header(args) -> str:
-    """Metadata lines of every output: the hash of the subcommand and of every
-    option value it has resolved, ``--out`` aside, and the checksum of each
-    input file among them (an optional input left empty was not read)."""
+    """Metadata lines of every output: the tool version, the hash of the
+    subcommand and of every option value it has resolved, ``--out`` aside, and
+    one ``# input <flag> sha256:<checksum>`` line per input file among them (an
+    optional input left empty was not read). A line names the flag, never the
+    path, since ``BodyReader`` reads ``key=value`` pairs from these lines and a
+    path may hold ``=``."""
     options = {flag: value for flag, value in args.resolved.items() if flag != "out"}
-    inputs = {flag: file_checksum(args.options[flag].kind(value))
-              for flag, value in options.items()
-              if args.options[flag].kind in _INPUT_KINDS and value}
-    return metadata_header({"command": args.command, "options": options}, inputs)
+    config = json.dumps({"command": args.command, "options": options},
+                        sort_keys=True, ensure_ascii=False, default=str)
+    lines = [f"# satira {__version__}",
+             f"# config-hash {hashlib.sha256(config.encode('utf-8')).hexdigest()[:16]}"]
+    for flag, value in sorted(options.items()):
+        kind = args.options[flag].kind
+        if kind in _INPUT_KINDS and value:
+            lines.append(f"# input {flag} sha256:{file_checksum(kind(value))}")
+    return "".join(line + "\n" for line in lines)
 
 
 def _write(args, name: str, body: str | Iterable[str]) -> None:
@@ -206,10 +215,10 @@ def _write(args, name: str, body: str | Iterable[str]) -> None:
     come, so an output is never held whole) to ``name`` in ``--out``: to
     ``name.tmp``, renamed over ``name`` once complete and removed on any
     failure, so no partial output is left. The first call of a command
-    resolves and creates ``--out`` and builds the header from the options
-    resolved so far, so it is the same for every output of the command."""
+    creates ``--out`` and builds the header from the options resolved so
+    far, so it is the same for every output of the command."""
     if args.header is None:
-        Path(_resolve(args, "out")).mkdir(parents=True, exist_ok=True)
+        Path(args.resolved["out"]).mkdir(parents=True, exist_ok=True)
         args.header = _header(args)
     path = Path(args.resolved["out"]) / name
     tmp = path.with_name(name + ".tmp")
@@ -228,13 +237,13 @@ def _write(args, name: str, body: str | Iterable[str]) -> None:
 
 
 def cmd_clean(args) -> None:
-    corpus = load_corpus(_resolve(args, "corpus"))
     cfg = NormalizationConfig(
         strip_diacritics=not _resolve(args, "keep-diacritics"),
         strip_latin=not _resolve(args, "keep-latin"),
         strip_special=not _resolve(args, "keep-special"),
     )
     stop_path = _resolve(args, "stop-phrases")
+    corpus = load_corpus(_resolve(args, "corpus"))
     stop = StopPhraseList.from_file(stop_path) if stop_path else None
     cleaned = clean_corpus(corpus, cfg, stop)
     _write(args, "cleaned.jsonl", corpus_to_jsonl(cleaned))
@@ -261,11 +270,14 @@ def cmd_boilerplate(args) -> None:
 
 def cmd_measure(args) -> None:
     corpus_path = _resolve(args, "corpus")
+    cliches_path = _resolve(args, "cliches")
+    emotions_path = _resolve(args, "emotions")
+    tagged_path = _resolve(args, "tagged")
     corpus = load_corpus(corpus_path).labeled_only()
     if not corpus.documents:
         raise DataError(f"{corpus_path}: no labeled documents to measure")
-    cliches = Lexicon.from_file(_resolve(args, "cliches"), name="cliches")
-    emotions = Lexicon.from_file(_resolve(args, "emotions"), name="emotions")
+    cliches = Lexicon.from_file(cliches_path, name="cliches")
+    emotions = Lexicon.from_file(emotions_path, name="emotions")
 
     def parse_tagged(text: str):
         ratios = parse_tagged_file(text)
@@ -275,7 +287,6 @@ def cmd_measure(args) -> None:
         return ratios
 
     fpp_ratios = None
-    tagged_path = _resolve(args, "tagged")
     if tagged_path:
         fpp_ratios = parse_file(tagged_path, parse_tagged)
     body = profile_to_csv(corpus_profile(corpus, cliches, emotions, fpp_ratios))
@@ -300,10 +311,10 @@ def _measure_columns(args) -> dict[str, dict[Label, list[float]]]:
 
 
 def cmd_ttest(args) -> None:
-    columns = _measure_columns(args)
     variant = TTestVariant(_resolve(args, "variant"))
     policy = NanPolicy(_resolve(args, "nan-policy"))
     measure = _resolve(args, "measure")
+    columns = _measure_columns(args)
     run_all = measure == "all"
     names = ("J", "S", "fpp") if run_all else (measure,)
     out_lines = []
@@ -335,8 +346,8 @@ def cmd_ttest(args) -> None:
 
 
 def cmd_plot_data(args) -> None:
-    columns = _measure_columns(args)
     bins = _resolve(args, "bins")
+    columns = _measure_columns(args)
     for name, per_label in columns.items():
         for label, values in per_label.items():
             finite = [v for v in values if not math.isnan(v)]
@@ -502,23 +513,22 @@ def _reject_other_models_flags(args, model_kind: str) -> None:
 def cmd_train(args) -> None:
     model_kind = _resolve(args, "model")
     _reject_other_models_flags(args, model_kind)
-    corpus = load_corpus(_resolve(args, "corpus")).labeled_only()
-    pipeline = PIPELINES[model_kind]
+    corpus_path = _resolve(args, "corpus")
     split_cfg = SplitConfig(test_fraction=_resolve(args, "test-fraction"),
                             seed=_resolve(args, "seed"))
-    train_set, _ = split(corpus, split_cfg)
+    pipeline = PIPELINES[model_kind]
     run_config = {
         "command": "train",
-        "corpus": str(_resolve(args, "corpus")),
+        "corpus": str(corpus_path),
         "model": model_kind,
         "seed": split_cfg.seed,
         "test_fraction": split_cfg.test_fraction,
-        "train_ids_sha256": _ids_digest(train_set),
         "version": __version__,
     }
     for key, flag, _, default in pipeline.options:
         run_config[key] = _resolve(args, flag, default)
-
+    train_set, _ = split(load_corpus(corpus_path).labeled_only(), split_cfg)
+    run_config["train_ids_sha256"] = _ids_digest(train_set)
     artifacts, outputs = pipeline.fit(run_config, train_set.documents, _binary_labels(train_set))
     for name, text in artifacts.items():
         _write(args, name, text)
@@ -562,8 +572,8 @@ def _run_from_text(text: str) -> tuple[dict, SplitConfig]:
 
 def cmd_evaluate(args) -> None:
     model_dir = Path(_resolve(args, "model-dir"))
-    run, split_cfg = _load_run(model_dir)
     corpus_path = _resolve(args, "corpus")
+    run, split_cfg = _load_run(model_dir)
     train_set, test_set = split(load_corpus(corpus_path).labeled_only(), split_cfg)
     # a reordered, grown or other corpus splits differently: its "held-out"
     # documents may be ones the model trained on
@@ -587,13 +597,13 @@ def cmd_evaluate(args) -> None:
 
 def cmd_features(args) -> None:
     model_dir = Path(_resolve(args, "model-dir"))
+    k = _resolve(args, "k")
     run, _ = _load_run(model_dir)
     if run["model"] != "nb":
         raise DataError(
             f"feature rankings need a Naive Bayes model, run dir has {run['model']!r}"
         )
     vocab, model = _load_vectorizer_run(model_dir, load_nb)
-    k = _resolve(args, "k")
     for score, suffix in (("log_ratio", ""), ("log_prob", "_logprob")):
         fake, real = top_informative_features(model, vocab, k, score=score)
         _write(args, f"features_fake{suffix}.tsv", ranking_to_tsv(fake))
@@ -604,9 +614,10 @@ def cmd_features(args) -> None:
 
 
 def cmd_predict(args) -> None:
+    corpus_path = _resolve(args, "corpus")
     model_dir = Path(_resolve(args, "model-dir"))
     run, _ = _load_run(model_dir)
-    corpus = load_corpus(_resolve(args, "corpus"))
+    corpus = load_corpus(corpus_path)
     pred = PIPELINES[run["model"]].predict(model_dir, corpus.documents)
     _write(args, "predictions.jsonl", (
         json.dumps({"id": doc.id, "label": label.value}, ensure_ascii=False) + "\n"
@@ -706,6 +717,7 @@ def main(argv=None) -> int:
     try:
         args.file_config = load_json(args.config) if args.config else {}
         args.resolved = {}
+        _resolve(args, "out")
         args.header = None  # built by the command's first _write
         args.func(args)
         return 0

@@ -1,14 +1,15 @@
 """Shared file helpers: ``parse_file``, the reader of every input file, and
 ``parse_lines``, which reads a file too large to hold whole one block of
-lines at a time; phrase-list and JSON files, the metadata header of every
-CLI output (tool version, config hash, a checksum per input file), and the
-reader and float codecs of every serialized artifact.
+lines at a time; phrase-list and JSON files, the checksum that CLI output
+headers record per input file, and the reader and float codecs of every
+serialized artifact.
 
 ``BodyReader`` reads an artifact's header, then its body as tables of rows
-(``table``); a single line (``fields``) is a table of one row. A ``Table`` is
-checked and converted a whole column at a time, and its error names the first
-faulty line, with the message a line-at-a-time read gives. Every body line is
-a row: no writer emits a blank line, so a blank line is refused where it stands.
+(``table``); a section line is a table of one row. A ``Table`` is checked and
+converted a whole column at a time, or a row at a time by one function
+(``cast``), and its error names the first faulty line, with the message a
+line-at-a-time read gives. Every body line is a row: no writer emits a blank
+line, so a blank line is refused where it stands.
 
 Artifacts hold one text line per matrix row in one of two float codecs.
 ``float_rows`` writes each float as its shortest ``repr``, for files meant
@@ -28,20 +29,11 @@ import binascii
 import hashlib
 import json
 from functools import partial
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .errors import DataError
-
-TOOL_NAME = "satira"
-
-
-def tool_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def file_checksum(path) -> str:
@@ -52,23 +44,6 @@ def file_checksum(path) -> str:
         while block := f.read(1 << 20):
             digest.update(block)
     return digest.hexdigest()[:16]
-
-
-def config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, ensure_ascii=False, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-def metadata_header(config: dict, input_checksums: dict[str, str]) -> str:
-    """Comment block placed at the top of every CLI output file: the tool
-    version, the hash of ``config`` and one ``# input <flag> sha256:<checksum>``
-    line per input file. A line names the flag, never the path, since
-    ``BodyReader`` reads ``key=value`` pairs from these lines and a path may
-    hold ``=``."""
-    lines = [f"# {TOOL_NAME} {tool_version()}", f"# config-hash {config_hash(config)}"]
-    for flag, checksum in sorted(input_checksums.items()):
-        lines.append(f"# input {flag} sha256:{checksum}")
-    return "".join(line + "\n" for line in lines)
 
 
 def read_text(path) -> str:
@@ -164,14 +139,15 @@ def base64_rows(values) -> Iterator[str]:
 
 
 class Table:
-    """Rows of one shape read by ``BodyReader.table``, each the list of its fields,
-    and the first fault found in them.
+    """Rows read by ``BodyReader.table``, each the list of its fields, and the first
+    fault found in them.
 
     A loader checks whole columns, one check at a time, in the order the checks of
-    one row run. Each check records the first row it rejects with ``fault``; the
-    fault of the lowest row is kept, and of two at one row the one recorded first,
-    so ``check`` raises what reading the rows one at a time would have raised at
-    the first faulty row. ``ok`` is the number of rows before that fault, so a
+    one row run, or maps one function that runs them all over the rows (``cast``).
+    Each check records the first row it rejects with ``fault``; the fault of the
+    lowest row is kept, and of two at one row the one recorded first, so ``check``
+    raises what reading the rows one at a time would have raised at the first
+    faulty row. ``ok`` is the number of rows before that fault, so a
     check need look no further, and a value converted from a row at or after it
     is never used.
     """
@@ -202,8 +178,9 @@ class Table:
             raise self._error
 
     def cast(self, cast, column) -> list:
-        """``cast`` of each value of ``column`` (one field of every row), up to the
-        first it rejects with a ``ValueError``, whose message is that row's fault."""
+        """``cast`` of each value of ``column`` (one value per row: a field, the
+        row's fields or its index), up to the first it rejects with a
+        ``ValueError``, whose message is that row's fault."""
         return self._each(cast, column, range(len(column)))
 
     def _each(self, convert, values, rows, prefix: str = "") -> list:
@@ -289,7 +266,7 @@ class Table:
 
 class BodyReader:
     """Reads a serialized file, checking as it goes, a table of rows at a time
-    with ``table``, or one line with ``fields``.
+    with ``table``.
 
     The format tag must be a line of the leading comment block (the CLI
     writes its metadata lines before it), which ends at the first line not
@@ -301,7 +278,7 @@ class BodyReader:
     def __init__(self, text: str, format_tag: str):
         self._lines = text_lines(text)
         self.meta: dict[str, str] = {}
-        self._next = 0
+        self._next = 0  # index of the first line not read yet
         for line in self._lines:
             if not line.startswith("#") or "\t" in line:
                 break
@@ -312,10 +289,6 @@ class BodyReader:
             self._next += 1
         if f"# {format_tag}" not in self._lines[:self._next]:
             raise DataError(f"unsupported file (expected header '# {format_tag}')")
-        self.lineno = self._next  # 1-based number of the line last read
-
-    def error(self, message: str) -> DataError:
-        return DataError(f"line {self.lineno}: {message}")
 
     def meta_count(self, key: str, least: int) -> int:
         """Header ``key=value`` as an integer of at least ``least``."""
@@ -338,35 +311,17 @@ class BodyReader:
         """Lines not read yet: no more rows than this can follow."""
         return len(self._lines) - self._next
 
-    @property
-    def more(self) -> bool:
-        return self.lines_left > 0
-
-    def fields(self, what: str, count: int | None = None, sep: str = "\t") -> list[str]:
-        """Next line split on ``sep``, optionally checked to hold ``count`` fields:
-        a ``table`` of one row."""
-        row = self.table(what, count, sep, rows=1)
-        row.check()
-        return row.rows[0]
-
-    def parse(self, cast, *values) -> list:
-        try:
-            return list(map(cast, values))
-        except ValueError as exc:
-            raise self.error(str(exc)) from exc
-
     def table(self, what, count: int | None, sep: str = "\t", rows: int | None = None) -> Table:
         """The remaining lines, or the next ``rows`` of them, each split on ``sep``.
         Unless ``count`` is None, each must hold ``count`` fields: the table ends
         before the first that does not, or where the file ends short of ``rows``
-        lines, and holds the error that ``fields`` raises there as that row's
-        fault. ``what`` names a row in messages: a string, or a function of the
-        row's index in the table."""
+        lines, and holds that error as the fault of the row after its last.
+        ``what`` names a row in messages: a string, or a function of the row's
+        index in the table."""
         name = what if callable(what) else lambda i: what
         start = self._next
         lines = self._lines[start:] if rows is None else self._lines[start:start + rows]
-        if lines:
-            self._next = self.lineno = start + len(lines)
+        self._next = start + len(lines)
         parts = [line.split(sep) for line in lines]
         error = None
         if count is not None and set(map(len, parts)) - {count}:
@@ -380,9 +335,9 @@ class BodyReader:
         return Table(parts, start + 1, count, error)
 
     def end(self) -> None:
-        if self.more:
-            self.lineno = self._next + 1
-            raise self.error("unexpected line after the last declared entry")
+        if self.lines_left:
+            raise DataError(f"line {self._next + 1}: "
+                            "unexpected line after the last declared entry")
 
 
 def parse_file(path, parse):

@@ -19,13 +19,20 @@ the node total minus its non-zero bins (per-node histograms as in Ke et
 al. 2017, section 3). A threshold is the midpoint between consecutive
 values present in the node. Gains within TIE_RTOL (relative) of the best
 count as ties, broken toward the lowest feature index, then the lowest
-threshold, so results do not depend on how the sums are grouped.
+threshold, so results do not depend on how the sums are grouped. A node's
+sums read only its own non-zeros, but its bin totals run over every bin of
+the fit: on TF-IDF, whose values are nearly all distinct, about the whole
+matrix's non-zeros per node.
+
+In ``model.txt`` each tree is a ``tree <i> <n_nodes>`` row, then its node rows
+in preorder, of 3 fields (a leaf) or 6 (a split); ``gbt_from_text`` checks each
+row whole with one function, mapped over a tree's rows as one ``Table``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,13 +87,16 @@ class RegressionTree:
         return out
 
     def depth(self) -> int:
-        def node_depth(node_id: int) -> int:
+        deepest = 0
+        stack = [(0, 0)]  # (node id, its depth)
+        while stack:
+            node_id, depth = stack.pop()
             node = self.nodes[node_id]
             if node.is_leaf:
-                return 0
-            return 1 + max(node_depth(node.left), node_depth(node.right))
-
-        return node_depth(0)
+                deepest = max(deepest, depth)
+            else:
+                stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        return deepest
 
 
 @dataclass(frozen=True)
@@ -229,14 +239,21 @@ def _best_split(bins: _ValueBins, g, h, nz, G, H, n_rows, reg_lambda):
 
 
 def _grow_tree(X, bins: _ValueBins, g, h, cfg: BoostConfig) -> tuple[RegressionTree, np.ndarray]:
-    """The tree, and the weight of the leaf each training row reaches."""
+    """The tree, and the weight of the leaf each training row reaches.
+
+    Nodes are numbered in preorder, grown from a work list rather than by
+    recursion, so a tree may be deeper than Python's recursion limit: a split's
+    left child is the next node, and its right child's id is set on the split
+    when that child is reached."""
     nodes: list[TreeNode] = []
     row_left = np.zeros(len(g), dtype=bool)
     row_weight = np.empty(len(g), dtype=np.float64)
-
-    def build(rows: np.ndarray, nz: np.ndarray, depth: int) -> int:
-        node_id = len(nodes)
-        nodes.append(TreeNode(is_leaf=True))  # placeholder
+    # (rows, their non-zeros, depth, the split whose right child this is, if any)
+    work = [(np.arange(len(g)), np.arange(len(bins.row)), 0, None)]
+    while work:
+        rows, nz, depth, parent = work.pop()
+        if parent is not None:
+            nodes[parent] = replace(nodes[parent], right=len(nodes))
         G = g[rows].sum()
         H = h[rows].sum()
         split = None
@@ -244,21 +261,17 @@ def _grow_tree(X, bins: _ValueBins, g, h, cfg: BoostConfig) -> tuple[RegressionT
             split = _best_split(bins, g, h, nz, G, H, len(rows), cfg.reg_lambda)
         if split is None:
             weight = float(-G / (H + cfg.reg_lambda))
-            nodes[node_id] = TreeNode(is_leaf=True, weight=weight)
+            nodes.append(TreeNode(is_leaf=True, weight=weight))
             row_weight[rows] = weight
-            return node_id
+            continue
         feature, threshold = split
         goes_left = X[rows, feature] < threshold
         row_left[rows] = goes_left
         nz_left = row_left[bins.row[nz]]
-        left = build(rows[goes_left], nz[nz_left], depth + 1)
-        right = build(rows[~goes_left], nz[~nz_left], depth + 1)
-        nodes[node_id] = TreeNode(
-            is_leaf=False, feature=feature, threshold=threshold, left=left, right=right
-        )
-        return node_id
-
-    build(np.arange(len(g)), np.arange(len(bins.row)), 0)
+        nodes.append(TreeNode(is_leaf=False, feature=feature, threshold=threshold,
+                              left=len(nodes) + 1))
+        work.append((rows[~goes_left], nz[~nz_left], depth + 1, len(nodes) - 1))
+        work.append((rows[goes_left], nz[nz_left], depth + 1, None))
     return RegressionTree(tuple(nodes)), row_weight
 
 
@@ -347,26 +360,35 @@ def _finite(text: str) -> float:
     return value
 
 
-def _node_from_fields(r: BodyReader, node_id: int, n_nodes: int, n_features: int) -> TreeNode:
-    parts = r.fields(f"node {node_id}")
+def _tree_size(fields: list[str], i: int) -> int:
+    """The node count of tree ``i`` from its header row."""
+    if fields[:2] != ["tree", str(i)] or len(fields) != 3:
+        raise ValueError(f"expected header 'tree {i} <n_nodes>'")
+    n_nodes = int(fields[2])
+    if n_nodes < 1:
+        raise ValueError(f"tree {i} has no nodes")
+    return n_nodes
+
+
+def _node_from_fields(parts: list[str], node_id: int, n_nodes: int, n_features: int) -> TreeNode:
     if parts[0] != str(node_id):
-        raise r.error(f"expected node {node_id}, got {parts[0]!r}")
+        raise ValueError(f"expected node {node_id}, got {parts[0]!r}")
     if parts[1:2] == ["leaf"] and len(parts) == 3:
-        (weight,) = r.parse(_finite, parts[2])
-        return TreeNode(is_leaf=True, weight=weight)
+        return TreeNode(is_leaf=True, weight=_finite(parts[2]))
     if parts[1:2] != ["split"] or len(parts) != 6:
-        raise r.error("expected 'leaf <weight>' or 'split <feature> <threshold> <left> <right>'")
-    feature, left, right = r.parse(int, parts[2], parts[4], parts[5])
-    (threshold,) = r.parse(_finite, parts[3])
+        raise ValueError("expected 'leaf <weight>' or 'split <feature> <threshold> <left> <right>'")
+    feature, left, right = int(parts[2]), int(parts[4]), int(parts[5])
+    threshold = _finite(parts[3])
     if not 0 <= feature < n_features:
-        raise r.error(f"feature {feature} is out of range")
+        raise ValueError(f"feature {feature} is out of range")
     # children follow their parent, which also rules out cycles
     if not (node_id < left < n_nodes and node_id < right < n_nodes):
-        raise r.error(f"child ids {left}, {right} must lie in ({node_id}, {n_nodes})")
+        raise ValueError(f"child ids {left}, {right} must lie in ({node_id}, {n_nodes})")
     return TreeNode(is_leaf=False, feature=feature, threshold=threshold, left=left, right=right)
 
 
 def gbt_from_text(text: str) -> BoostedTreesModel:
+    """Inverse of ``gbt_to_text``; the error names the first faulty line."""
     r = BodyReader(text, GBT_FORMAT)
     config = BoostConfig(
         n_rounds=r.meta_value("n_rounds", int),
@@ -377,13 +399,14 @@ def gbt_from_text(text: str) -> BoostedTreesModel:
     n_features = r.meta_count("n_features", 0)
     trees: list[RegressionTree] = []
     for i in range(config.n_rounds):
-        header = r.fields(f"tree {i} header", sep=" ")
-        if header[:2] != ["tree", str(i)] or len(header) != 3:
-            raise r.error(f"expected header 'tree {i} <n_nodes>'")
-        (n_nodes,) = r.parse(int, header[2])
-        if n_nodes < 1:
-            raise r.error(f"tree {i} has no nodes")
-        nodes = [_node_from_fields(r, k, n_nodes, n_features) for k in range(n_nodes)]
+        header = r.table(f"tree {i} header", None, sep=" ", rows=1)
+        sizes = header.cast(lambda fields: _tree_size(fields, i), header.rows)
+        header.check()
+        (n_nodes,) = sizes
+        t = r.table(lambda k: f"node {k}", None, rows=n_nodes)
+        nodes = t.cast(lambda k: _node_from_fields(t.rows[k], k, n_nodes, n_features),
+                       range(len(t.rows)))
+        t.check()
         trees.append(RegressionTree(tuple(nodes)))
     r.end()
     return BoostedTreesModel(tuple(trees), r.meta_value("base_score", float), config, n_features)

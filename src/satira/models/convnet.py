@@ -340,16 +340,19 @@ def cnn_from_text(text: str) -> ConvNetModel:
 
     def read_matrix(name: str, shape: tuple[int, ...]) -> np.ndarray:
         expected = " ".join([name, *map(str, shape)])
-        if r.fields(f"section {name!r}", sep=" ") != expected.split(" "):
-            raise r.error(f"expected section header {expected!r}")
+        head = r.table(f"section {name!r}", None, sep=" ", rows=1)
+        head.first([fields != expected.split(" ") for fields in head.rows],
+                   lambda i: f"expected section header {expected!r}")
         if shape[0] > r.lines_left:
-            raise r.error(f"{name} declares {shape[0]} rows, but the file has "
-                          f"{r.lines_left} lines left")
-        try:
-            # zero-filled, so a zero row is never written and costs no memory
-            matrix = np.zeros((shape[0], math.prod(shape[1:])), dtype=np.float64)
-        except (ValueError, MemoryError) as exc:
-            raise r.error(f"{name} of shape {shape} is too large to hold") from exc
+            head.fault(0, f"{name} declares {shape[0]} rows, but the file has "
+                             f"{r.lines_left} lines left")
+        if head.ok:
+            try:
+                # zero-filled, so a zero row is never written and costs no memory
+                matrix = np.zeros((shape[0], math.prod(shape[1:])), dtype=np.float64)
+            except (ValueError, MemoryError):
+                head.fault(0, f"{name} of shape {shape} is too large to hold")
+        head.check()
         rows = r.table(f"{name} row", 1, sep=" ", rows=shape[0])
         rows.base64_floats(f"{name} row", 0, matrix)
         rows.check()

@@ -555,6 +555,8 @@ def vocabulary_from_text(text: str) -> Vocabulary:
     lo, hi = cfg.ngram_range
     tfidf = cfg.weighting is Weighting.TFIDF
     t = r.table("feature row", 4)
+    if len(t.rows) > cfg.max_features:
+        t.fault(cfg.max_features, f"more feature rows than max_features={cfg.max_features}")
     features, col_s, df_s, idf_s = zip(*t.rows) if t.rows else ((),) * 4
     # the checks of one row, in order, each over a whole column
     cols = t.cast(int, col_s)

@@ -1,12 +1,14 @@
-"""Reference loaders: the vocabulary, Naive Bayes, token-index and CNN readers as
-they read an artifact one row at a time, each row through ``BodyReader.fields``
-and ``parse`` and the per-row helpers below, checking a row fully before the
-next. The loaders in ``src/`` read each body as one ``Table`` and check it a
-column at a time; ``test_loader_oracles.py`` holds them to these, object for
-object and message for message.
+"""Reference loaders: the vocabulary, Naive Bayes, token-index, CNN and GBT
+readers as they read an artifact one line at a time, each line through
+``RowReader.fields`` and ``parse`` and the per-row helpers below, checking a
+row fully before the next. The loaders in ``src/`` read each body as
+``Table``s, checked a column at a time or mapped a row at a time by one
+function; ``test_loader_oracles.py`` holds them to these, object for object and
+message for message.
 
-The changes from the row-at-a-time loaders are the rules that a vocabulary
-loader has gained since: a TF-IDF idf is finite and >= 1, checked last in its
+The changes from the line-at-a-time loaders are the rules that a vocabulary
+loader has gained since: no more feature rows than ``max_features``, checked
+first in the row past it; a TF-IDF idf is finite and >= 1, checked last in its
 row; a df is one ``fit`` keeps (``df / n_docs <= max_df``), checked after
 ``df >= 1``; ``ngram`` is exactly ``LO,HI``; and ``n_docs`` fits an int64. Each
 is checked where ``vocabulary_from_text`` checks it.
@@ -19,6 +21,14 @@ import numpy as np
 
 from satira.errors import DataError
 from satira.fileio import ZERO_ROW, BodyReader
+from satira.models.boosted_trees import (
+    GBT_FORMAT,
+    BoostConfig,
+    BoostedTreesModel,
+    RegressionTree,
+    TreeNode,
+    _finite,
+)
 from satira.models.convnet import CNN_FORMAT, ConvNetModel
 from satira.models.embeddings import TOKEN_INDEX_FORMAT
 from satira.models.naive_bayes import NB_FORMAT, NaiveBayesModel
@@ -32,7 +42,29 @@ from satira.vectorize import (
 
 
 class RowReader(BodyReader):
-    """``BodyReader`` with the per-row float readers the table read replaced."""
+    """``BodyReader`` with a line-at-a-time API built on ``table``: ``fields`` reads
+    one line, and ``error`` names the line last read. The per-row float readers
+    are the ones the table read replaced."""
+
+    @property
+    def more(self) -> bool:
+        return self.lines_left > 0
+
+    def error(self, message: str) -> DataError:
+        # ``_next`` counts the lines read, so it is the 1-based number of the last
+        return DataError(f"line {self._next}: {message}")
+
+    def fields(self, what: str, count: int | None = None, sep: str = "\t") -> list[str]:
+        """Next line split on ``sep``, optionally checked to hold ``count`` fields."""
+        row = self.table(what, count, sep, rows=1)
+        row.check()
+        return row.rows[0]
+
+    def parse(self, cast, *values) -> list:
+        try:
+            return list(map(cast, values))
+        except ValueError as exc:
+            raise self.error(str(exc)) from exc
 
     def row(self, what: str, count: int, label: str | None, sep: str) -> list[str]:
         """Next line's ``count`` fields after ``label``, if given."""
@@ -94,6 +126,8 @@ def vocabulary_from_text(text: str) -> Vocabulary:
     idfs: list[float] = []
     while r.more:
         feature, col_s, df_s, idf = r.fields("feature row", 4)
+        if len(index) == cfg.max_features:
+            raise r.error(f"more feature rows than max_features={cfg.max_features}")
         col, df = r.parse(int, col_s, df_s)
         if col != len(index) or feature in index:
             raise r.error(f"expected a new feature with column {len(index)}")
@@ -181,3 +215,45 @@ def cnn_from_text(text: str) -> ConvNetModel:
     )
     r.end()
     return model
+
+
+def _node_from_fields(r: RowReader, node_id: int, n_nodes: int, n_features: int) -> TreeNode:
+    parts = r.fields(f"node {node_id}")
+    if parts[0] != str(node_id):
+        raise r.error(f"expected node {node_id}, got {parts[0]!r}")
+    if parts[1:2] == ["leaf"] and len(parts) == 3:
+        (weight,) = r.parse(_finite, parts[2])
+        return TreeNode(is_leaf=True, weight=weight)
+    if parts[1:2] != ["split"] or len(parts) != 6:
+        raise r.error("expected 'leaf <weight>' or 'split <feature> <threshold> <left> <right>'")
+    feature, left, right = r.parse(int, parts[2], parts[4], parts[5])
+    (threshold,) = r.parse(_finite, parts[3])
+    if not 0 <= feature < n_features:
+        raise r.error(f"feature {feature} is out of range")
+    # children follow their parent, which also rules out cycles
+    if not (node_id < left < n_nodes and node_id < right < n_nodes):
+        raise r.error(f"child ids {left}, {right} must lie in ({node_id}, {n_nodes})")
+    return TreeNode(is_leaf=False, feature=feature, threshold=threshold, left=left, right=right)
+
+
+def gbt_from_text(text: str) -> BoostedTreesModel:
+    r = RowReader(text, GBT_FORMAT)
+    config = BoostConfig(
+        n_rounds=r.meta_value("n_rounds", int),
+        learning_rate=r.meta_value("learning_rate", float),
+        max_depth=r.meta_value("max_depth", int),
+        reg_lambda=r.meta_value("reg_lambda", float),
+    )
+    n_features = r.meta_count("n_features", 0)
+    trees: list[RegressionTree] = []
+    for i in range(config.n_rounds):
+        header = r.fields(f"tree {i} header", sep=" ")
+        if header[:2] != ["tree", str(i)] or len(header) != 3:
+            raise r.error(f"expected header 'tree {i} <n_nodes>'")
+        (n_nodes,) = r.parse(int, header[2])
+        if n_nodes < 1:
+            raise r.error(f"tree {i} has no nodes")
+        nodes = [_node_from_fields(r, k, n_nodes, n_features) for k in range(n_nodes)]
+        trees.append(RegressionTree(tuple(nodes)))
+    r.end()
+    return BoostedTreesModel(tuple(trees), r.meta_value("base_score", float), config, n_features)

@@ -89,6 +89,16 @@ class TestFit:
         model = gbt_fit(X, y, BoostConfig(n_rounds=8, max_depth=3))
         assert all(tree.depth() <= 3 for tree in model.trees)
 
+    def test_tree_deeper_than_the_recursion_limit(self):
+        # x = 1..n with alternating labels grows a chain of n - 1 splits; the
+        # recursive growth and depth raised RecursionError from n = 1200
+        n = 1200
+        model = gbt_fit(np.arange(1, n + 1.0)[:, None], np.arange(n) % 2,
+                        BoostConfig(n_rounds=1, max_depth=5000))
+        (tree,) = model.trees
+        assert tree.depth() == n - 1
+        assert gbt_from_text(gbt_to_text(model)).trees[0].depth() == n - 1
+
     def test_loss_non_increasing_random_data(self):
         rng = np.random.default_rng(1)
         for _ in range(5):

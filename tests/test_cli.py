@@ -15,7 +15,7 @@ from satira import (DataError, Label, SplitConfig, __version__, cli, load_corpus
                     ngram_frequency, preprocess, save_corpus, split, top_fraction, vectorize)
 from satira.cli import _COMMANDS, _FLAG_READERS, PIPELINES, main
 from satira.fileio import base64_rows, load_json
-from satira.models.boosted_trees import gbt_from_text, gbt_to_text
+from satira.models.boosted_trees import gbt_from_text, gbt_to_text, load_gbt
 from satira.models.convnet import cnn_from_text, cnn_to_text
 from satira.models.embeddings import _token_index_from_text, token_index_to_text
 from satira.models.naive_bayes import nb_from_text, nb_to_text
@@ -517,6 +517,19 @@ class TestTrainEvaluatePredict:
         assert f"error: {missing}: [Errno 2]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_gbt_deeper_than_the_recursion_limit_trains(self, tmp_path, capsys):
+        # "w" counted 1..1500 times with alternating labels: a chain of ~1500 splits,
+        # whose recursive growth ended in a RecursionError traceback
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": "w " * (i + 1) + "x",
+                                              "label": ("fake", "real")[i % 2]}) + "\n"
+                                  for i in range(1500)), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("train", "--corpus", corpus, "--model", "gbt", "--rounds", 1, "--depth", 5000,
+                   "--max-df", 1, "--test-fraction", 0.0001, "--out", out) == 0
+        (tree,) = load_gbt(out / "model.txt").trees
+        assert tree.depth() > 1000
+
     def test_zero_reg_lambda_exits_2(self, corpus_file, tmp_path, capsys):
         assert train(corpus_file, "gbt", tmp_path / "run", "--reg-lambda", 0) == 2
         assert "error: reg_lambda must be finite and > 0, got 0.0" in capsys.readouterr().err
@@ -823,6 +836,45 @@ def test_bad_input_exits_2_naming_file_and_line(corpus_file, tmp_path, capsys, c
     err = capsys.readouterr().err
     assert f"{bad}: {expected.format(corpus=corpus_file)}" in err
     assert "Traceback" not in err
+
+
+# argv with every input missing, and a config file's keys: each case leaves one
+# option missing or mistyped, which must be reported before any input is read
+OPTION_BEFORE_INPUT = {
+    "clean": (("clean", "--corpus", "{missing}"), {"keep-latin": 1}),
+    "clean-out": (("clean", "--corpus", "{missing}"), {"out": 3}),
+    "boilerplate": (("boilerplate", "--corpus", "{missing}"), {"fraction": "0.1"}),
+    "measure": (("measure", "--corpus", "{missing}", "--cliches", "{missing}"), {}),
+    "measure-tagged": (("measure", "--corpus", "{missing}", "--cliches", "{missing}",
+                        "--emotions", "{missing}"), {"tagged": 1}),
+    "ttest": (("ttest", "--measures", "{missing}"), {"measure": "all "}),
+    "plot-data": (("plot-data", "--measures", "{missing}"), {"bins": 5.0}),
+    "train-cnn": (("train", "--corpus", "{missing}", "--model", "cnn"), {}),
+    "train-nb": (("train", "--corpus", "{missing}", "--model", "nb"), {"max-features": 20.7}),
+    "evaluate": (("evaluate", "--model-dir", "{missing}"), {}),
+    "features": (("features", "--model-dir", "{missing}"), {"k": 2.5}),
+    "predict": (("predict", "--model-dir", "{missing}"), {}),
+}
+
+
+@pytest.mark.parametrize("case", OPTION_BEFORE_INPUT)
+def test_options_are_resolved_before_any_input_is_read(tmp_path, capsys, case):
+    # each command used to read its inputs first, and report the missing file
+    argv, values = OPTION_BEFORE_INPUT[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values), encoding="utf-8")
+    missing = tmp_path / "missing"
+    out = tmp_path / "o"
+    argv = [str(a).format(missing=missing) for a in argv]
+    status = run(*argv, "--config", config, *(() if "out" in values else ("--out", out)))
+    err = capsys.readouterr().err
+    if values:
+        (key,) = values
+        assert status == 2 and f"{config}: key {key!r} must be " in err
+    else:
+        assert status == 1 and "usage error: missing required option --" in err
+    assert str(missing) not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, target, error", [

@@ -92,16 +92,23 @@ def test_a_decoding_error_wins_over_an_error_on_an_earlier_line(tmp_path, monkey
         parse_lines(path, refuse_first_line)
 
 
-def test_fields_is_a_one_row_table():
+def test_a_section_line_is_a_one_row_table():
     r = BodyReader("# tag\na\tb\nc d e\n", "tag")
-    assert r.fields("first", 2) == ["a", "b"] and r.lineno == 2
-    assert r.more and r.lines_left == 1
-    assert r.fields("second", sep=" ") == ["c", "d", "e"]  # no count: any number of fields
-    assert not r.more and r.lineno == 3
+    first = r.table("first", 2, rows=1)
+    first.check()
+    assert first.rows == [["a", "b"]] and r.lines_left == 1
+    second = r.table("second", None, sep=" ", rows=1)  # no count: any number of fields
+    assert second.rows == [["c", "d", "e"]] and r.lines_left == 0
+    second.fault(0, "refused")
+    with pytest.raises(DataError, match=r"^line 3: refused$"):
+        second.check()
     with pytest.raises(DataError, match=r"^file ends after line 3; expected third$"):
-        r.fields("third")
+        r.table("third", None, rows=1).check()
+    r.end()
     with pytest.raises(DataError, match=r"^line 2: first: expected 3 fields, got 2$"):
-        BodyReader("# tag\na\tb\n", "tag").fields("first", 3)
+        BodyReader("# tag\na\tb\n", "tag").table("first", 3, rows=1).check()
+    with pytest.raises(DataError, match=r"^line 2: unexpected line after the last declared entry$"):
+        BodyReader("# tag\na\tb\n", "tag").end()
 
 
 @pytest.mark.parametrize("text, line", [
@@ -114,4 +121,8 @@ def test_a_blank_line_is_a_row(text, line):
         table.check()
     r = BodyReader(text, "tag")
     r.table("rows", None, rows=line - 2)
-    assert r.fields("row") == [""] and r.lineno == line
+    blank = r.table("row", None, rows=1)
+    assert blank.rows == [[""]]
+    blank.fault(0, "refused")
+    with pytest.raises(DataError, match=rf"^line {line}: refused$"):
+        blank.check()

@@ -1,4 +1,4 @@
-"""The column-at-a-time artifact loaders against the row-at-a-time ones of
+"""The table-reading artifact loaders against the line-at-a-time ones of
 ``loader_oracles``: every artifact, cut at a line boundary, or with one or two
 bytes substituted, inserted or deleted, loads to a bitwise-equal object under both,
 or fails under both with the same exception and message."""
@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from satira import fileio, make_document
-from satira.models import nb_fit
+from satira.models import BoostConfig, gbt_fit, nb_fit
+from satira.models.boosted_trees import gbt_from_text, gbt_to_text
 from satira.models.convnet import cnn_from_text, cnn_to_text
 from satira.models.embeddings import (
     _token_index_from_text,
@@ -49,6 +50,14 @@ def nb_text() -> str:
     return nb_to_text(nb_fit(X, np.array([1, 0, 1, 0, 1])))
 
 
+def gbt_text(weighting: Weighting) -> str:
+    vocab = fit(DOCS, VectorizerConfig(weighting=weighting, max_df=1.0))
+    X = transform(DOCS, vocab, vocab.config).toarray()
+    model = gbt_fit(X, np.array([1, 0, 1, 0, 1]), BoostConfig(n_rounds=3, max_depth=2))
+    assert any(len(tree.nodes) > 1 for tree in model.trees)  # rows of both shapes
+    return gbt_to_text(model)
+
+
 def cnn_text() -> str:
     model = tiny_model(5, vocab=6, dim=2, filters=2, kernel=2, seq_len=3)
     embedding = model.embedding.copy()
@@ -66,6 +75,7 @@ ARTIFACTS = {
                     oracle.token_index_from_text),
     "cnn": (cnn_text(), cnn_from_text, oracle.cnn_from_text),
     "cnn-fixture": (CNN_TEXT, cnn_from_text, oracle.cnn_from_text),
+    **{f"gbt-{w.value}": (gbt_text(w), gbt_from_text, oracle.gbt_from_text) for w in Weighting},
 }
 
 # bytes that make or break the fields of a row, then any ASCII byte

@@ -825,6 +825,17 @@ class TestStrictLoader:
         text = "\n".join(self.vocabulary_lines()).replace("max_df=1.0", f"max_df={2 / 3!r}")
         assert vocabulary_from_text(text).document_frequency.tolist() == [2, 1, 1, 1]
 
+    @pytest.mark.parametrize("max_features, line", [(1, 4), (3, 6)])
+    def test_row_past_max_features_names_the_line(self, max_features, line):
+        # it used to fail only in Vocabulary, naming no line
+        lines = self.vocabulary_lines()
+        lines[1] = re.sub(r"max_features=\d+", f"max_features={max_features}", lines[1])
+        message = f"line {line}: more feature rows than max_features={max_features}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            vocabulary_from_text("\n".join(lines))
+        del lines[line - 1:-1]
+        assert len(vocabulary_from_text("\n".join(lines))) == max_features
+
     def test_document_count_beyond_int64_rejected(self):
         n_docs = 2**63
         text = "\n".join(self.vocabulary_lines()).replace(" n_docs=3", f" n_docs={n_docs}")
