@@ -2,7 +2,7 @@
 """Time `satira` commands at paper scale, one child process per run.
 
     python3 scripts/paper_scale.py OUT [--checkout DIR ...]
-        [--commands boilerplate,...] [--pairs N] [--n-docs 6895] > runs.json
+        [--commands boilerplate,...] [--pairs N] [--n-docs 6895] [--traced] > runs.json
 
 Writes two corpora of N documents (the paper's 3185 + 3710 = 6895 by
 default) under OUT/data with the benchmark's generator
@@ -40,6 +40,17 @@ the held-out `accuracy` and `macro_f1` of its `report.json`, so a change that
 costs quality shows beside its times. The JSON on stdout holds every
 run and, per command and tree, the minimum, median and maximum of the wall
 time and the peak RSS. A run's outputs are deleted once hashed.
+
+Peak RSS moves with the heap layout that import leaves behind, so code that
+never runs can move it. With `--traced`, after the timed pairs, each chosen
+command runs once more per tree, in the same order and reading the runs of
+this pass, as `python -X tracemalloc` through a small wrapper that writes
+`tracemalloc.get_traced_memory()[1]` at exit: the peak of the memory Python
+and numpy allocate, which that layout does not move. Each such run records
+`traced_peak_mib`, its exit code and its body digests under `traced_runs`,
+and the summary gives each tree its `traced_peak_mib`. Tracing slows a
+command by 15% to 3.6 times, so these runs are not timed, and the timed runs
+and their figures are the same with or without `--traced`.
 """
 
 import argparse
@@ -109,6 +120,18 @@ def generate(out: Path, n_docs: int) -> None:
                     str(VOCAB_SIZE)), env=env, check=True)
 
 
+# run by a traced child as `python -X tracemalloc -c TRACED PEAK_FILE satira-argv...`
+TRACED = """
+import atexit, runpy, sys, tracemalloc
+peak_file = sys.argv.pop(1)
+def write_peak():
+    with open(peak_file, "w") as out:
+        out.write(str(tracemalloc.get_traced_memory()[1]))
+atexit.register(write_peak)
+runpy.run_module("satira.cli", run_name="__main__")
+"""
+
+
 # started first, while this script is small, to start every timed child: a child's
 # ru_maxrss begins at its parent's peak RSS, and hashing a large output raises ours
 LAUNCH = """
@@ -125,22 +148,27 @@ for line in sys.stdin:
 """
 
 
-def run_once(launcher, out: Path, checkout: Path, argv: tuple, run_dir: str) -> dict:
+def run_once(launcher, out: Path, checkout: Path, argv: tuple, run_dir: str,
+             traced: bool = False) -> dict:
     """Run one satira command from OUT through ``launcher``, writing to
-    OUT/run_dir; time it and hash its outputs."""
+    OUT/run_dir, and hash its outputs; time it, or with ``traced`` read its
+    traced peak instead."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    argv = (sys.executable, "-m", "satira.cli", *argv, "--out", run_dir)
+    peak_file = (out / f"{run_dir}.peak").resolve()  # the child runs in OUT
+    python = ((sys.executable, "-X", "tracemalloc", "-c", TRACED, str(peak_file)) if traced
+              else (sys.executable, "-m", "satira.cli"))
+    argv = (*python, *argv, "--out", run_dir)
     stderr = out / f"{run_dir}.stderr"
     print(json.dumps([argv, str(out), env, str(stderr)]), file=launcher.stdin, flush=True)
     wall, maxrss_kib, code = json.loads(launcher.stdout.readline())
     files = sorted(p for p in (out / run_dir).rglob("*") if p.is_file())
-    record = {
-        "wall_s": round(wall, 3),
-        "peak_rss_mb": round(maxrss_kib / 1024, 1),
-        "exit": code,
-        "bodies": {p.relative_to(out / run_dir).as_posix(): body_digest(p.read_bytes())
-                   for p in files},
-    }
+    if traced:  # a child killed before its exit writes no peak
+        peak = int(peak_file.read_text()) / 2**20 if peak_file.exists() else None
+        record = {"traced_peak_mib": peak and round(peak, 2)}
+    else:
+        record = {"wall_s": round(wall, 3), "peak_rss_mb": round(maxrss_kib / 1024, 1)}
+    record.update(exit=code, bodies={p.relative_to(out / run_dir).as_posix():
+                                     body_digest(p.read_bytes()) for p in files})
     if code:
         record["error"] = stderr.read_text(errors="replace").strip()
     elif "report.json" in record["bodies"]:
@@ -172,10 +200,10 @@ def spread(values: list) -> dict:
             "max": max(values)}
 
 
-def summary(runs: list, checkouts: list, commands: list) -> dict:
-    """Per command, per tree in ``checkouts`` order: its failed runs and the
-    spreads of its wall time and peak RSS; and whether every run of the
-    command wrote the same bodies."""
+def summary(runs: list, checkouts: list, commands: list, traced_runs: list) -> dict:
+    """Per command, per tree in ``checkouts`` order: its failed runs, the
+    spreads of its wall time and peak RSS, and its traced peak if it ran
+    traced; and whether every timed run of the command wrote the same bodies."""
     table = {}
     for command in commands:
         mine = [r for r in runs if r["command"] == command]
@@ -187,6 +215,9 @@ def summary(runs: list, checkouts: list, commands: list) -> dict:
             if ok:
                 sides[-1].update(wall_s=spread([r["wall_s"] for r in ok]),
                                  peak_rss_mb=spread([r["peak_rss_mb"] for r in ok]))
+            for r in traced_runs:
+                if (r["command"], r["side"]) == (command, side):
+                    sides[-1]["traced_peak_mib"] = r.get("traced_peak_mib")
         same = len({json.dumps(r["bodies"], sort_keys=True) for r in mine}) == 1
         table[command] = {"checkouts": sides, "bodies_identical": same}
     return table
@@ -202,6 +233,9 @@ def main(argv=None) -> int:
                         help=f"comma-separated, from {', '.join(COMMANDS)} (default: all)")
     parser.add_argument("--pairs", type=int, default=3, help="runs of each command per tree")
     parser.add_argument("--n-docs", type=int, default=6895, help="documents per corpus")
+    parser.add_argument("--traced", action="store_true",
+                        help="run each command once more per tree, untimed, for its "
+                             "tracemalloc peak")
     args = parser.parse_args(argv)
     checkouts = [c.resolve() for c in args.checkout or [ROOT]]
     names = [describe(c) for c in checkouts]
@@ -220,19 +254,23 @@ def main(argv=None) -> int:
                                 stdout=subprocess.PIPE, text=True)
     generate(args.out, args.n_docs)
 
-    runs = []
-    for pair in range(args.pairs):
+    runs, traced_runs = [], []
+    passes = [(pair, runs) for pair in range(args.pairs)]
+    if args.traced:
+        passes.append(("traced", traced_runs))
+    for pair, records in passes:
+        traced = pair == "traced"
         sides = list(enumerate(checkouts))
-        order = sides if pair % 2 == 0 else sides[::-1]
+        order = sides[::-1] if not traced and pair % 2 else sides
         for command in commands:
             for side, checkout in order:
                 run_dir = f"runs/{pair}/{side}/{command}"
                 runs_of = {name: f"runs/{pair}/{side}/{name}" for name in COMMANDS}
                 argv = tuple(a.format(**runs_of) for a in COMMANDS[command])
                 (args.out / run_dir).parent.mkdir(parents=True, exist_ok=True)
-                record = run_once(launcher, args.out, checkout, argv, run_dir)
-                runs.append({"pair": pair, "side": side, "checkout": names[side],
-                             "command": command, **record})
+                record = run_once(launcher, args.out, checkout, argv, run_dir, traced)
+                record = {"side": side, "checkout": names[side], "command": command, **record}
+                records.append(record if traced else {"pair": pair, **record})
         shutil.rmtree(args.out / "runs" / str(pair))
     launcher.stdin.close()
     launcher.wait()
@@ -242,11 +280,12 @@ def main(argv=None) -> int:
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "commands": {c: " ".join(COMMANDS[c]) for c in commands},
-        "summary": summary(runs, names, commands),
+        "summary": summary(runs, names, commands, traced_runs),
         "runs": runs,
+        **({"traced_runs": traced_runs} if args.traced else {}),
     }, sys.stdout, indent=1)
     print()
-    return max((r["exit"] for r in runs), default=0) != 0
+    return max((r["exit"] for r in runs + traced_runs), default=0) != 0
 
 
 if __name__ == "__main__":

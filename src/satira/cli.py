@@ -386,6 +386,14 @@ def _vectorize(cfg: dict, docs):
         weighting=Weighting(cfg["weighting"]), analyzer=Analyzer(cfg["analyzer"]),
         ngram_range=tuple(cfg["ngram"]), max_features=cfg["max_features"], max_df=cfg["max_df"],
     )
+    if vec_cfg.analyzer is Analyzer.CHAR:
+        # vocabulary.txt cannot hold a feature with a tab or a newline, so refuse
+        # before fitting rather than after
+        bad = next((doc.id for doc in docs if "\t" in doc.text or "\n" in doc.text), None)
+        if bad is not None:
+            raise DataError(f"{cfg['corpus']}: training document {bad!r} holds a tab or a "
+                            "newline, which a char n-gram cannot hold in vocabulary.txt; "
+                            "run `satira clean` on the corpus first")
     vocab = fit_vectorizer(docs, vec_cfg)
     return vocab, transform(docs, vocab, vec_cfg)
 

@@ -6,11 +6,11 @@ document-frequency ratio exceeds ``max_df``. TF-IDF uses the smoothed
 inverse document frequency ln((1 + n) / (1 + df)) + 1 followed by L2 row
 normalization.
 
-N-grams are counted as integer ids, not as substrings. A document is a
-sequence of units: the characters of its text for CHAR, its tokens for
-WORD. Units get dense ids (a character's is the rank of its codepoint, a
-token's the order of its first appearance), and the units of all
-documents are concatenated into one int32 array. The n-gram starting at
+``fit`` and ``preprocess`` count n-grams as integer ids, not as substrings
+(``_Windows``). A document is a sequence of units: the characters of its
+text for CHAR, its tokens for WORD. Units get dense ids (a character's is
+the rank of its codepoint, a token's the order of its first appearance),
+and the units of all documents are concatenated into one int32 array. The n-gram starting at
 position i then gets its id level by level, as in prefix doubling for
 suffix arrays (Manber & Myers 1993): the level-n id is the rank of the
 pair ``id_{n-1}[i] * n_units + unit[i + n - 1]`` among the distinct pairs
@@ -63,8 +63,25 @@ them. ``fit`` counts totals and document frequencies per id, ranks its first
 ``preprocess`` ranks its n-gram frequency dictionaries with the same method
 when they are read.
 
-``transform`` appends the vocabulary's features to the documents as
-extra sequences, so both share one id space, then maps ids to columns.
+``transform`` only has to find the vocabulary's features in the documents,
+a fixed-dictionary matching problem (Aho & Corasick 1975), so it ranks no
+window of the documents: it walks the prefix trie of the features
+(``_Trie``). The units that the features hold get ids, and every other unit,
+and one separator after each document, one "none" id, so no window runs past
+its document. Level by level, each position whose window so far is a
+feature's prefix steps to the node of its window one unit longer, through a
+dense table or a sorted-key search, and each position whose window is a
+feature counts for that feature's column. Blocks of whole documents of about
+``BLOCK`` units are walked in document order, and each gives its distinct
+``document * n_cols + column`` keys, sorted, with their counts, so the
+concatenated keys need no sort. The units of one block are built at a time,
+so no array grows with the corpus's units. ``transform`` holds at most 24
+bytes per nonzero while it assembles the matrix, and while it walks, 16 bytes
+per nonzero found so far and one block's work: under 32 bytes per unit of
+the block and 24 per match in it, a feature found at a position, at most one
+per unit and level. Beside these it holds 8 bytes per document and the trie,
+whose dense step tables take at most ``TABLE_PER_UNIT`` int32 entries per
+unit each.
 """
 
 from __future__ import annotations
@@ -72,7 +89,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -86,7 +103,7 @@ VOCABULARY_FORMAT = "satira-vocabulary v1"
 BLOCK = 1 << 16  # units per sorting block; a block holds whole sequences
 UNIT_LIMIT = 1 << 31  # the sequences hold fewer units: int32 ids, uint64 rank keys
 KEY_SPAN = 1 << 64  # values a folded rank key can take: uint64
-TABLE_PER_UNIT = 2  # a level whose pairs take at most this many keys per unit ranks them by table
+TABLE_PER_UNIT = 2  # entries per unit a level's dense table may take: ranks, or trie steps
 
 
 class Weighting(Enum):
@@ -214,15 +231,22 @@ def _cut(totals: np.ndarray, k: int) -> int:
     return int(np.partition(totals, len(totals) - k)[len(totals) - k])
 
 
+def _block_bounds(starts: np.ndarray) -> list[int]:
+    """Given where each sequence starts, then the end of the last: the sequences
+    that start blocks of whole sequences, a new one at the sequence holding each
+    multiple of ``BLOCK`` units, then the number of sequences."""
+    first = np.searchsorted(starts, np.arange(0, starts[-1], BLOCK), side="right") - 1
+    return np.unique(np.append(first, len(starts) - 1)).tolist()
+
+
 class _Windows:
     """Dense ids of the n-unit windows of some unit sequences, one level n at a time.
 
     At level n, ``ids[i]`` is the id of the window of n units that starts
     at position ``i`` of the concatenated sequences, or -1 where that
     window would run past the end of its sequence. Equal windows have
-    equal ids, and the ids of a level are ``0 .. n_ids - 1``. ``fit``,
-    ``transform`` and ``preprocess.ngram_frequency`` all count with it, and
-    ``fit`` and ``ngram_frequency`` rank with it.
+    equal ids, and the ids of a level are ``0 .. n_ids - 1``. ``fit`` and
+    ``preprocess.ngram_frequency`` count and rank with it.
     """
 
     def __init__(self, seqs: Sequence[Sequence[str]], analyzer: Analyzer):
@@ -240,9 +264,7 @@ class _Windows:
         self.ids = self.units.copy()
         self.n_ids = self.n_units
         self.starts = np.concatenate(([0], np.cumsum(self.lens)))
-        # blocks of whole sequences: a new one at the sequence holding each multiple of BLOCK
-        first = np.searchsorted(self.starts, np.arange(0, size, BLOCK), side="right") - 1
-        bounds = np.unique(np.append(self.starts[first], size)).tolist()
+        bounds = self.starts[_block_bounds(self.starts)].tolist()
         self.blocks = list(zip(bounds[:-1], bounds[1:]))
 
     def levels(self, hi: int):
@@ -297,13 +319,6 @@ class _Windows:
         the int64 key ``id_{n-1} * n_units + unit`` of each one's pair."""
         for pos, head in self.windows():
             yield pos, head.astype(np.int64) * self.n_units + self.units[pos + n - 1]
-
-    def keep(self, kept_ids: np.ndarray) -> None:
-        """Drop every window of this level whose id is not in ``kept_ids``:
-        it and the longer windows at its position get -1."""
-        kept = np.zeros(self.n_ids + 1, dtype=bool)  # the extra last entry is for id -1
-        kept[kept_ids] = True
-        self.ids[~kept[self.ids]] = -1
 
     def windows(self):
         """Per block: the positions of the current level's windows, and their ids."""
@@ -452,6 +467,107 @@ def fit(docs: Sequence[Document], cfg: VectorizerConfig) -> Vocabulary:
     return Vocabulary(index, df, idf, n_docs, cfg)
 
 
+class _Trie:
+    """The prefix trie of a vocabulary's features, one level per prefix length n.
+
+    The units that the features hold get ids ``0 .. n_units - 1``, and every
+    other unit the "none" id ``n_units``, which no feature holds. A level-n node
+    is a distinct n-unit prefix of a feature. Its id is the rank of its pair key
+    ``parent * (n_units + 1) + unit`` (its level-(n - 1) prefix's node, the root
+    0 at level 1, and its last unit) among the level's pair keys. A level's step
+    maps a pair key to its node, or to -1 where no feature has that prefix. It is
+    a dense int32 table over the pair keys when that table holds at most
+    ``TABLE_PER_UNIT`` entries per position walked, the rule of
+    ``_Windows.advance``, else the sorted pair keys, read by ``np.searchsorted``.
+    ``columns[n - 1]`` gives each level-n node its feature's column, or -1 for a
+    prefix that is no feature; it is None at a level that ends no feature.
+    """
+
+    def __init__(self, names: Sequence[str], analyzer: Analyzer, positions: int):
+        self.analyzer = analyzer
+        if analyzer is Analyzer.CHAR:
+            lengths = np.fromiter(map(len, names), dtype=np.int64, count=len(names))
+            points = np.frombuffer("".join(names).encode("utf-32-le", "surrogatepass"),
+                                   dtype=np.uint32)
+            held = np.unique(points)
+            self.n_units = len(held)
+            # by codepoint, up to one past the largest held, so a clipped lookup of
+            # any larger one is "none" too
+            self.index = np.full(int(held.max(initial=0)) + 2, self.n_units, dtype=np.int32)
+            self.index[held] = np.arange(self.n_units, dtype=np.int32)
+            ids = self.index[points]
+        else:
+            tokens = [f.split(" ") for f in names]
+            lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(names))
+            self.index = {t: i for i, t in enumerate(dict.fromkeys(chain.from_iterable(tokens)))}
+            self.n_units = len(self.index)
+            ids = np.fromiter(map(self.index.__getitem__, chain.from_iterable(tokens)),
+                              dtype=np.int32, count=int(lengths.sum()))
+        # each feature's unit ids, one row per feature, padded with "none"
+        rows = np.full((len(names), int(lengths.max(initial=0))), self.n_units, dtype=np.int32)
+        rows[np.repeat(np.arange(len(names)), lengths),
+             np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = ids
+        self.span = self.n_units + 1
+        self.steps, self.columns = [], []
+        node, nodes = np.zeros(len(names), dtype=np.int64), 1
+        for n in range(1, rows.shape[1] + 1):
+            at = np.flatnonzero(lengths >= n)
+            pairs, node[at] = np.unique(node[at] * self.span + rows[at, n - 1], return_inverse=True)
+            if nodes * self.span <= TABLE_PER_UNIT * positions:
+                step = np.full(nodes * self.span, -1, dtype=np.int32)
+                step[pairs] = np.arange(len(pairs), dtype=np.int32)
+            else:
+                step = pairs
+            self.steps.append(step)
+            ends = at[lengths[at] == n]
+            columns = None
+            if len(ends):
+                columns = np.full(len(pairs), -1, dtype=np.int64)
+                columns[node[ends]] = ends
+            self.columns.append(columns)
+            nodes = len(pairs)
+
+    def units(self, seqs: Sequence[Sequence[str]], ends: np.ndarray) -> np.ndarray:
+        """The unit ids of ``seqs``, as int32, with a "none" separator after each,
+        at the positions ``ends``."""
+        if self.analyzer is Analyzer.CHAR:
+            text = "\0".join([*seqs, ""])
+            units = np.take(self.index, np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                                                      dtype=np.uint32), mode="clip")
+            units[ends] = self.n_units  # a feature may hold the separator's character
+            return units
+        tokens = chain.from_iterable(chain(seq, (None,)) for seq in seqs)  # None is no token
+        return np.fromiter(map(self.index.get, tokens, repeat(self.n_units)), dtype=np.int32,
+                           count=int(ends[-1]) + 1)
+
+    def step(self, n: int, keys: np.ndarray) -> np.ndarray:
+        """The level-n node of each pair key, or -1."""
+        step = self.steps[n - 1]
+        if step.dtype == np.int32:
+            return step[keys]
+        at = np.searchsorted(step, keys)
+        return np.where(np.take(step, at, mode="clip") == keys, at, -1)
+
+    def matches(self, units: np.ndarray):
+        """Per level that ends a feature: the positions in ``units`` where one of
+        that level's features starts, and its column. Each level reads only the
+        positions whose window so far is a feature's prefix, and a window that
+        reaches a "none" unit, such as a separator, is no prefix."""
+        for n in range(1, len(self.steps) + 1):
+            if n == 1:
+                node = self.step(1, units)
+                pos = np.flatnonzero(node >= 0)
+                node = node[pos]
+            else:
+                node = self.step(n, node.astype(np.int64) * self.span + units[pos + n - 1])
+                live = np.flatnonzero(node >= 0)
+                pos, node = pos[live], node[live]
+            if self.columns[n - 1] is not None:
+                col = self.columns[n - 1][node]
+                hit = np.flatnonzero(col >= 0)
+                yield pos[hit], col[hit]
+
+
 def transform(docs: Sequence[Document], vocab: Vocabulary, cfg: VectorizerConfig) -> DocTermMatrix:
     """Map documents onto the fitted feature space.
 
@@ -471,38 +587,30 @@ def transform(docs: Sequence[Document], vocab: Vocabulary, cfg: VectorizerConfig
             f"transform: {cfg.weighting.value}/{cfg.analyzer.value}/{cfg.ngram_range})"
         )
     n_rows, n_cols = len(docs), len(vocab)
-    lo, hi = cfg.ngram_range
-    names = vocab.feature_names()
-    features = names if cfg.analyzer is Analyzer.CHAR else [f.split(" ") for f in names]
-    # the features ride along as extra sequences, so they get the documents' window ids
-    win = _Windows(_unit_sequences(docs, cfg.analyzer) + features, cfg.analyzer)
-    doc_end = win.starts[n_rows]
-    feature_starts, feature_lens = win.starts[n_rows:-1], win.lens[n_rows:]
+    seqs = _unit_sequences(docs, cfg.analyzer)
+    # where each document starts among the units and separators, then the end
+    starts = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, seqs), dtype=np.int64, count=n_rows) + 1, out=starts[1:])
+    trie = _Trie(vocab.feature_names(), cfg.analyzer, int(starts[-1]))
+    bounds = _block_bounds(starts)
     keys, values = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.float64)]
-    for n in win.levels(hi):
-        # a window that no feature starts with grows into none, so later levels skip it
-        win.keep(win.ids[feature_starts[feature_lens >= n]])
-        cols = np.flatnonzero(feature_lens == n)
-        if n < lo or len(cols) == 0:
-            continue
-        col_of = np.full(win.n_ids, -1, dtype=np.int64)
-        col_of[win.ids[feature_starts[cols]]] = cols
-        for pos, ids in win.windows():
-            hit = (col_of[ids] >= 0) & (pos < doc_end)
-            key = win.sequence_of(pos[hit]) * n_cols + col_of[ids[hit]]
-            k, c = np.unique(key, return_counts=True)
-            keys.append(k)
-            values.append(c.astype(np.float64))
-    # the windows are freed first, and no rows array is built, so assembling the
-    # matrix holds at most 32 bytes per nonzero (keys, values, order, indices)
-    # before any TF-IDF weighting
-    del win
-    keys, values = np.concatenate(keys), np.concatenate(values)
-    order = np.argsort(keys)
-    keys = keys[order]
-    values = values[order]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        doc_starts = starts[a : b + 1] - starts[a]
+        found = [np.empty(0, dtype=np.int64)]
+        for pos, col in trie.matches(trie.units(seqs[a:b], doc_starts[1:] - 1)):
+            doc = np.searchsorted(doc_starts, pos, side="right") - 1 + a
+            found.append(doc * n_cols + col)
+        k, c = np.unique(np.concatenate(found), return_counts=True)
+        keys.append(k)
+        values.append(c.astype(np.float64))
+    # the blocks come in document order, so their keys concatenate sorted; one
+    # concatenation at a time, so assembling the matrix holds at most 24 bytes per
+    # nonzero before any TF-IDF weighting
+    keys = np.concatenate(keys)
+    values = np.concatenate(values)
     indices = keys % n_cols  # keys is empty when n_cols is 0
     indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
+    del keys
     if cfg.weighting is Weighting.TFIDF:
         values *= vocab.idf[indices]
         # one np.linalg.norm per row, the summation order the weights have always had

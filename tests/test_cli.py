@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -436,6 +437,28 @@ class TestTrainEvaluatePredict:
         # tiny 50-per-class pipeline check; the >=99% bound runs at
         # acceptance scale in test_acceptance
         assert report["accuracy"] >= 0.9
+
+    @pytest.mark.parametrize("char", ["\t", "\n"])
+    def test_char_train_refuses_a_tab_or_newline_naming_corpus_and_document(
+            self, tmp_path, capsys, char):
+        # such a corpus used to fit, then stop at writing vocabulary.txt with an
+        # error that named neither the corpus nor the document
+        corpus = synthetic_corpus(20, np.random.default_rng(5))
+        docs = list(corpus.documents)
+        for i in (3, 7, 25):
+            docs[i] = dataclasses.replace(docs[i], text=docs[i].text.replace(" ", char, 1))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(type(corpus)(tuple(docs)), path)
+        train_ids = {d.id for d in split(load_corpus(path).labeled_only(), SplitConfig())[0]
+                     .documents}
+        first = next(docs[i].id for i in (3, 7, 25) if docs[i].id in train_ids)
+        capsys.readouterr()
+        out = tmp_path / "char"
+        assert train(path, "nb", out, "--analyzer", "char", "--ngram", "1,3") == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: training document {first!r} holds a tab or a newline" in err
+        assert "satira clean" in err and "Traceback" not in err and not out.exists()
+        assert train(path, "nb", tmp_path / "word") == 0
 
     def test_cnn_end_to_end_small(self, corpus_file, tmp_path):
         corpus = synthetic_corpus(50, np.random.default_rng(13))

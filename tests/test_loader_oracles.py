@@ -157,3 +157,45 @@ def test_cnn_rows_decoded_a_block_at_a_time_load_as_they_did(monkeypatch, block)
     # one row, or two, of the 2-float matrices is decoded at a time
     monkeypatch.setattr(fileio, "LINE_BLOCK", block)
     assert_corruptions_load_as_they_did("cnn")
+
+
+# (artifact, a line of it, that line with two faults, the start of the message
+# of the fault that the row-at-a-time oracle checks first)
+TWO_FAULTS = [
+    ("vocabulary-tfidf-word", "a\t1\t3\t1.4054651081081644", "a\tx\t0\t1.4054651081081644",
+     "line 4: invalid literal for int() with base 10: 'x'"),
+    ("vocabulary-tfidf-word", "a\t1\t3\t1.4054651081081644", "a\t7\t0\t1.4054651081081644",
+     "line 4: expected a new feature with column 1"),
+    ("vocabulary-tfidf-word", "a\t1\t3\t1.4054651081081644", "a\t1\t0\t",
+     "line 4: df must be >= 1, got 0"),
+    ("vocabulary-tfidf-word", "a\t1\t3\t1.4054651081081644", "a\t1\t9\tnan",
+     "line 4: df 9 of 5 documents exceeds max_df=1.0"),
+    ("vocabulary-count-word", "a\t1\t3\t", "a  b\t1\t3\t1.5",
+     "line 4: idf must be given exactly when weighting is tfidf"),
+    ("vocabulary-tfidf-word", "a\t1\t3\t1.4054651081081644", "a  b\t1\t3\tzz",
+     "line 4: feature 'a  b' is not a word n-gram"),
+    ("nb", "0\t-2.2512917986064953\t-2.70805020110221", "5\tx\t-2.70805020110221",
+     "line 4: feature index 5 where 0 was expected"),
+    ("nb", "0\t-2.2512917986064953\t-2.70805020110221", "0\tx\t-2.7\t1",
+     "line 4: feature index 0: expected 3 fields, got 4"),
+    ("token-index", "b\t3", "a\tx", "line 4: invalid literal for int() with base 10: 'x'"),
+    ("gbt-count", "0\tsplit\t1\t0.5\t1\t2", "0\tsplit\t1\tnan\tx\t2",
+     "line 4: invalid literal for int() with base 10: 'x'"),
+    ("gbt-count", "0\tsplit\t1\t0.5\t1\t2", "0\tsplit\t1\tnan\t0\t2",
+     "line 4: 'nan' is not a finite number"),
+    ("gbt-count", "0\tsplit\t1\t0.5\t1\t2", "0\tsplit\t9\t0.5\t0\t2",
+     "line 4: feature 9 is out of range"),
+    ("gbt-count", "0\tsplit\t1\t0.5\t1\t2", "1\tleaf\tx", "line 4: expected node 0, got '1'"),
+    ("cnn", "conv_bias 0", "conv_biaz !!", "line 13: section conv_biaz where conv_bias was"),
+    ("cnn", "conv_bias 0", "conv_bias !! 0", "line 13: section conv_bias: expected 2 fields, got 3"),
+]
+
+
+@pytest.mark.parametrize("name, line, bad, message", TWO_FAULTS)
+def test_row_with_two_faults_names_the_one_checked_first(name, line, bad, message):
+    text, load, load_by_rows = ARTIFACTS[name]
+    assert f"\n{line}\n" in text
+    corrupted_text = text.replace(f"\n{line}\n", f"\n{bad}\n", 1)
+    expected = outcome(load_by_rows, corrupted_text)
+    assert expected[1].startswith(message)
+    assert outcome(load, corrupted_text) == expected

@@ -13,9 +13,10 @@ from tests.test_check_set import load_script
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def paper_scale(tmp_path, capsys, *argv) -> dict:
-    out = tmp_path / "out"
-    status = load_script("paper_scale").main([str(out), "--n-docs", "40", *map(str, argv)])
+def paper_scale(tmp_path, capsys, *argv, out="out") -> dict:
+    status = load_script("paper_scale").main([str(tmp_path / out), "--n-docs", "40",
+                                              *map(str, argv)])
+    out = tmp_path / out
     report = json.loads(capsys.readouterr().out)
     assert status == 0
     assert not list((out / "runs").iterdir())  # every run's outputs are deleted once hashed
@@ -136,3 +137,30 @@ def test_evaluate_gbt_tfidf_reads_its_own_train_run(tmp_path, capsys):
     assert report["commands"]["train_gbt_tfidf"].endswith("--model gbt --weighting tfidf")
     assert set(runs["evaluate_gbt_tfidf"]["bodies"]) == {"report.txt", "report.json"}
     assert 0 <= runs["evaluate_gbt_tfidf"]["macro_f1"] <= 1
+
+
+def test_traced_runs_record_the_tracemalloc_peak(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # OUT is relative, and each child runs inside it
+    report = paper_scale(Path(), capsys, "--commands", "predict", "--pairs", "1", "--traced",
+                         "--checkout", ROOT, "--checkout", ROOT)
+    # the timed runs are as without --traced; each command then runs once per tree
+    assert [(r["pair"], r["side"], r["command"]) for r in report["runs"]] == [
+        (0, 0, "train_nb"), (0, 1, "train_nb"), (0, 0, "predict"), (0, 1, "predict")]
+    assert all("traced_peak_mib" not in r for r in report["runs"])
+    traced = report["traced_runs"]
+    assert [(r["side"], r["command"]) for r in traced] == [
+        (0, "train_nb"), (1, "train_nb"), (0, "predict"), (1, "predict")]
+    timed = {(r["side"], r["command"]): r for r in report["runs"]}
+    for r in traced:
+        assert r["exit"] == 0 and "wall_s" not in r and "peak_rss_mb" not in r
+        # a traced peak is the tracemalloc high-water mark: MiB, below the RSS
+        assert 0 < r["traced_peak_mib"] < timed[r["side"], r["command"]]["peak_rss_mb"]
+        assert r["bodies"] == timed[r["side"], r["command"]]["bodies"]
+    for command in ("train_nb", "predict"):
+        sides = report["summary"][command]["checkouts"]
+        peaks = [side["traced_peak_mib"] for side in sides]
+        assert peaks == [r["traced_peak_mib"] for r in traced if r["command"] == command]
+        # two runs of one tree give the same peak, to 0.1 MiB
+        assert abs(peaks[0] - peaks[1]) <= 0.1
+    assert "traced_runs" not in paper_scale(tmp_path, capsys, "--commands", "clean", "--pairs", "1",
+                                            out="untraced")

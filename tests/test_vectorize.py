@@ -340,6 +340,68 @@ class TestTableAndSortAgree:
         cfg = VectorizerConfig(weighting, analyzer, (1, 4), max_features=60, max_df=1.0)
         self.assert_agree(docs[:5], docs[5:], cfg)
 
+    @pytest.mark.parametrize("analyzer", list(Analyzer))
+    def test_transform_steps_by_table_and_by_sort(self, analyzer):
+        # one vocabulary over ten units, so a level's table takes 11 entries per
+        # node of the level before: 1, 10, 40 and 9 nodes. The 155 positions of
+        # five documents allow 310 entries, so only level 3 sorts; the 31 of one
+        # document allow 62, so only level 1 takes a table
+        docs = letter_documents(analyzer, 6, 30, seed=2)
+        cfg = VectorizerConfig(Weighting.COUNT, analyzer, (1, 4), max_features=60, max_df=1.0)
+        vocab = fit(docs[:5], cfg)
+        trie_of, built = vectorize._Trie, []
+
+        def spy(*args):
+            built.append(trie_of(*args))
+            return built[-1]
+
+        with mock.patch.object(vectorize, "_Trie", side_effect=spy):
+            for part in (docs[:5], docs[5:]):
+                transform(part, vocab, cfg)
+        steps = [["table" if step.dtype == np.int32 else "sort" for step in trie.steps]
+                 for trie in built]
+        assert steps == [["table", "table", "sort", "table"], ["table", "sort", "sort", "sort"]]
+        self.assert_agree(docs[:5], docs[5:], cfg)
+
+
+class TestTransformMemory:
+    """``transform``'s tracemalloc peak, on a corpus of many blocks, stays within
+    the bound the module docstring states: 24 bytes per nonzero, 8 per document,
+    the trie, and one block's work, under 32 bytes per unit of the block and 24
+    per match, at most one per unit and level. Nothing grows with the corpus's
+    units beyond one block."""
+
+    @pytest.mark.parametrize("analyzer, ngram", [(Analyzer.CHAR, (1, 4)), (Analyzer.WORD, (1, 3))])
+    def test_peak_within_the_stated_bound(self, analyzer, ngram):
+        rng = np.random.default_rng(0)
+        letters = list("abcdefghijklmnopqrstuvwxyz")
+        docs = documents([" ".join("".join(rng.choice(letters, rng.integers(1, 4)))
+                                   for _ in range(rng.integers(100, 300))) for _ in range(300)])
+        for doc in docs:
+            doc.tokens  # cached before the measurement, as the CLI has them
+        cfg = VectorizerConfig(Weighting.TFIDF, analyzer, ngram, max_features=1500, max_df=1.0)
+        vocab = fit(docs, cfg)
+        names = vocab.feature_names()
+        positions = sum(map(len, vectorize._unit_sequences(docs, analyzer))) + len(docs)
+        block = 4096
+        longest = max(map(len, vectorize._unit_sequences(docs, analyzer)))
+        assert positions > 10 * block and longest < block // 2
+        with mock.patch.object(vectorize, "BLOCK", block):
+            tracemalloc.start()
+            try:
+                vectorize._Trie(names, analyzer, positions)
+                trie = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                X = transform(docs, vocab, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a block holds whole documents, so it may pass BLOCK by one document
+        block_work = (32 + 24 * ngram[1]) * (block + longest + 1)
+        assert peak <= 24 * X.nnz + 8 * (len(docs) + 1) + trie + block_work
+        # the walk's part is not vacuous: the matrix alone is most of the peak
+        assert 24 * X.nnz > block_work
+
 
 class TestAdvanceMemory:
     """The rank table costs no more memory than the sort it replaces: the
