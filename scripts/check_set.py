@@ -22,11 +22,13 @@ word tokens and its characters span several sorting blocks
 `boilerplate` on it, `boilerplate` on the prefix and on the large corpus
 with a `--fraction` that cuts each ranking inside a run of equal counts,
 and `measure` with `ttest` and `plot-data` on its CSV, once without and
-once with `--tagged`. The POS-tagged file
-`data/tags.conll`, the prefix corpus `data/prefixes.jsonl` and the noisy
-corpus `data/noisy.jsonl` are fixed files this script writes itself (see
-`tagged_text`, `prefix_corpus_text` and `noisy_corpus_text`), so runs
-against two checkouts read the same bytes.
+once with `--tagged`, and once more on a fixed Arabic corpus of lexicon
+phrases, whose J and S vary within both classes. The POS-tagged file
+`data/tags.conll`, the prefix corpus `data/prefixes.jsonl`, the noisy
+corpus `data/noisy.jsonl` and the lexicon corpus `data/lexical.jsonl` are
+fixed files this script writes itself (see `tagged_text`,
+`prefix_corpus_text`, `noisy_corpus_text` and `lexicon_corpus_text`), so
+runs against two checkouts read the same bytes.
 It prints one `sha256  body-sha256  relative/path` line per file under OUT,
 sorted by path. The second digest is taken with the CLI's metadata lines
 (`# satira <version>`, `# config-hash`, `# input` and `# lexicon`) removed
@@ -54,6 +56,7 @@ CORPUS = "data/corpus.jsonl"
 TAGS = "data/tags.conll"
 PREFIXES = "data/prefixes.jsonl"
 NOISY = "data/noisy.jsonl"
+LEXICAL = "data/lexical.jsonl"
 # `clean`'s normalization switches: none, each alone, and all three
 CLEAN_SWITCHES = ((), ("--keep-diacritics",), ("--keep-latin",), ("--keep-special",),
                   ("--keep-diacritics", "--keep-latin", "--keep-special"))
@@ -149,6 +152,33 @@ def noisy_corpus_text() -> str:
     return "".join(lines)
 
 
+# phrases of lexicons/cliches.txt: a multiword one, and two that overlap in
+# one token ("من جانبه أكد" and "أكد المسؤول"), so the longest-match rule
+# counts the left one and consumes the token; words of lexicons/emotions.txt;
+# and filler words that neither lexicon holds
+CLICHE_PHRASES = ("قال الناطق باسم", "من جانبه أكد المسؤول", "وكالة الأنباء")
+EMOTION_WORDS = ("فضيحة", "رائع", "مهزلة", "كارثة")
+FILLER = ("الحكومة", "المدينة", "اليوم", "الاجتماع", "الشارع", "السوق", "المشروع")
+
+
+def lexicon_corpus_text() -> str:
+    """A fixed 12-document JSONL corpus of `FILLER` words, `CLICHE_PHRASES` and
+    `EMOTION_WORDS`, fake and real in turn: real documents carry more cliches,
+    fake ones more emotion words, and their numbers and the document lengths
+    vary within each class, so J and S do too."""
+    lines = []
+    for i in range(12):
+        fake = i % 2 == 0
+        parts = [FILLER[(i + k) % len(FILLER)] for k in range(6 + i % 5)]
+        for k in range(i % 3 + (0 if fake else 2)):
+            parts.insert(2 * k, CLICHE_PHRASES[(i + k) % len(CLICHE_PHRASES)])
+        for k in range(i % 4 + (2 if fake else 0)):
+            parts.insert(3 * k + 1, EMOTION_WORDS[(i + k) % len(EMOTION_WORDS)])
+        record = {"id": f"l{i:02d}", "text": " ".join(parts), "label": ("real", "fake")[fake]}
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    return "".join(lines)
+
+
 # tokens that are prefixes of one another, the longer ones continuing with a
 # character below the space: "a\x01 c" sorts before "a b" though ("a\x01", "c")
 # sorts after ("a", "b"), so the n-gram ranking must compare the joined strings
@@ -204,10 +234,12 @@ def commands(checkout: Path):
     for name, (corpus, fraction) in TIED_CUTS.items():
         yield (*satira, "boilerplate", "--corpus", corpus, "--fraction", str(fraction), "--out",
                f"o/boiler_{name}_cut")
-    measure = (*satira, "measure", "--corpus", "o/clean/cleaned.jsonl",
-               "--cliches", "lexicons/cliches.txt", "--emotions", "lexicons/emotions.txt")
-    for suffix, tagged in (("", ()), ("_tagged", ("--tagged", TAGS))):
-        yield (*measure, *tagged, "--out", f"o/measure{suffix}")
+    lexicons = ("--cliches", "lexicons/cliches.txt", "--emotions", "lexicons/emotions.txt")
+    for suffix, corpus, tagged in (("", "o/clean/cleaned.jsonl", ()),
+                                   ("_tagged", "o/clean/cleaned.jsonl", ("--tagged", TAGS)),
+                                   ("_lexical", LEXICAL, ())):
+        yield (*satira, "measure", "--corpus", corpus, *lexicons, *tagged,
+               "--out", f"o/measure{suffix}")
         measures = f"o/measure{suffix}/measures.csv"
         yield (*satira, "ttest", "--measures", measures, "--out", f"o/ttest{suffix}")
         yield (*satira, "plot-data", "--measures", measures, "--out", f"o/plot{suffix}")
@@ -227,6 +259,7 @@ def main() -> int:
     (args.out / TAGS).write_text(tagged_text(), encoding="utf-8")
     (args.out / PREFIXES).write_text(prefix_corpus_text(), encoding="utf-8")
     (args.out / NOISY).write_text(noisy_corpus_text(), encoding="utf-8")
+    (args.out / LEXICAL).write_text(lexicon_corpus_text(), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     for argv in commands(checkout):
         subprocess.run((sys.executable, *argv), cwd=args.out, env=env, check=True,

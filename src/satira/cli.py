@@ -34,6 +34,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -156,9 +157,9 @@ _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
                _input_file: (str,), _run_dir: (str,)}
 
 
-def _config_value(args, flag: str):
-    """The config file's value of ``flag``, checked against its row's kind."""
-    kind, value = args.options[flag].kind, args.file_config[flag]
+def _json_value(kind, key: str, value, where: str = ""):
+    """A config-file or run.json ``value`` of ``key``, refused unless ``kind`` can
+    take it (``where`` starts the message), as a float for a float ``kind``."""
     if isinstance(kind, tuple):
         ok, expected = value in kind, "one of " + ", ".join(kind)
     elif kind is _ngram_range:
@@ -169,7 +170,7 @@ def _config_value(args, flag: str):
         ok = type(value) in _JSON_TYPES[kind]
         expected = " or ".join(t.__name__ for t in _JSON_TYPES[kind])
     if not ok:
-        raise DataError(f"{args.config}: key {flag!r} must be {expected}, got {value!r}")
+        raise DataError(f"{where}key {key!r} must be {expected}, got {value!r}")
     return float(value) if kind is float else value
 
 
@@ -180,7 +181,8 @@ def _resolve(args, flag: str, default=None):
     is recorded for ``_header``."""
     value = getattr(args, flag.replace("-", "_"))
     if value is None and flag in args.file_config:
-        value = _config_value(args, flag)
+        value = _json_value(args.options[flag].kind, flag, args.file_config[flag],
+                            f"{args.config}: ")
     if value is None:
         value = args.options[flag].default if default is None else default
     if value is None:
@@ -335,6 +337,7 @@ def cmd_ttest(args) -> None:
         line = (
             f"measure={name} variant={variant.value} nan_policy={policy.value} "
             f"statistic={result.statistic!r} p_value={result.p_value!r} "
+            f"log10_p_value={result.log10_p_value!r} "
             f"df={result.df!r} n_fake={result.n_a} n_real={result.n_b}"
         )
         print(line)
@@ -420,7 +423,7 @@ def _fit_cnn(cfg: dict, docs, y):
     model = init_convnet(matrix, n_filters=cfg["filters"], kernel_size=cfg["kernel"],
                          max_sequence_length=cfg["max_seq_len"], seed=cfg["seed"])
     train_cfg = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                            learning_rate=cfg["adam_lr"], seed=cfg["seed"])
+                            learning_rate=cfg["learning_rate"], seed=cfg["seed"])
     ids = encode_corpus(docs, index, cfg["max_seq_len"])
     model, history = cnn_train(model, ids, y, train_cfg)
     artifacts = {"model.txt": cnn_to_text(model), "token_index.txt": token_index_to_text(index)}
@@ -460,61 +463,48 @@ def _predict_cnn(model_dir: Path, docs) -> np.ndarray:
 
 
 class _Pipeline(NamedTuple):
-    # (run.json key, flag / config-file key, kind, default); default None = required
-    options: tuple
     # fit(run config, train docs, 0/1 labels) -> ({filename: text or chunks}, run.json extras)
     fit: Callable
     # predict(model dir, docs) -> 0/1 labels
     predict: Callable
 
 
-_VECTORIZER_OPTIONS = (
-    ("weighting", "weighting", ("count", "tfidf"), "count"),
-    ("analyzer", "analyzer", ("word", "char"), "word"),
-    ("ngram", "ngram", _ngram_range, "1,1"),
-    ("max_features", "max-features", int, 1500),
-    ("max_df", "max-df", float, 0.7),
-)
-
 PIPELINES = {
-    "nb": _Pipeline(_VECTORIZER_OPTIONS + (("alpha", "alpha", float, 1.0),), _fit_nb, _predict_nb),
-    "gbt": _Pipeline(_VECTORIZER_OPTIONS + (
-        ("rounds", "rounds", int, 100),
-        ("learning_rate", "learning-rate", float, 0.1),
-        ("depth", "depth", int, 3),
-        ("reg_lambda", "reg-lambda", float, 1.0),
-    ), _fit_gbt, _predict_gbt),
-    "cnn": _Pipeline((
-        ("embeddings", "embeddings", _input_file, None),
-        ("embed_dim", "embed-dim", int, 300),
-        ("filters", "filters", int, 126),
-        ("kernel", "kernel", int, 5),
-        ("max_seq_len", "max-seq-len", int, 400),
-        ("epochs", "epochs", int, 10),
-        ("batch_size", "batch-size", int, 10),
-        ("adam_lr", "learning-rate", float, 1e-3),
-    ), _fit_cnn, _predict_cnn),
+    "nb": _Pipeline(_fit_nb, _predict_nb),
+    "gbt": _Pipeline(_fit_gbt, _predict_gbt),
+    "cnn": _Pipeline(_fit_cnn, _predict_cnn),
 }
 
-
-def _flag_readers() -> dict[str, dict[str, tuple]]:
-    """flag -> {model: (kind, default)} for each PIPELINES model that reads it."""
-    readers: dict[str, dict[str, tuple]] = {}
-    for model, pipeline in PIPELINES.items():
-        for _, flag, kind, default in pipeline.options:
-            readers.setdefault(flag, {})[model] = (kind, default)
-    return readers
-
-
-_FLAG_READERS = _flag_readers()
+# train flag / config-file key -> (kind, {model that reads it: its default}), in
+# --help order; default None = required. run.json records a flag's value under
+# the flag with underscores for dashes, the key its model's fit reads.
+_MODEL_FLAGS = {
+    "weighting": (("count", "tfidf"), {"nb": "count", "gbt": "count"}),
+    "analyzer": (("word", "char"), {"nb": "word", "gbt": "word"}),
+    "ngram": (_ngram_range, {"nb": "1,1", "gbt": "1,1"}),
+    "max-features": (int, {"nb": 1500, "gbt": 1500}),
+    "max-df": (float, {"nb": 0.7, "gbt": 0.7}),
+    "alpha": (float, {"nb": 1.0}),
+    "rounds": (int, {"gbt": 100}),
+    "learning-rate": (float, {"gbt": 0.1, "cnn": 1e-3}),
+    "depth": (int, {"gbt": 3}),
+    "reg-lambda": (float, {"gbt": 1.0}),
+    "embeddings": (_input_file, {"cnn": None}),
+    "embed-dim": (int, {"cnn": 300}),
+    "filters": (int, {"cnn": 126}),
+    "kernel": (int, {"cnn": 5}),
+    "max-seq-len": (int, {"cnn": 400}),
+    "epochs": (int, {"cnn": 10}),
+    "batch-size": (int, {"cnn": 10}),
+}
 
 
 def _reject_other_models_flags(args, model_kind: str) -> None:
     """A command-line flag that only other models read is an error; config-file
     keys are not checked, so one file can serve every model."""
-    for flag, readers in _FLAG_READERS.items():
-        if model_kind not in readers and getattr(args, flag.replace("-", "_")) is not None:
-            raise DataError(f"--{flag} is read only by --model {', '.join(readers)}, "
+    for flag, (_, defaults) in _MODEL_FLAGS.items():
+        if model_kind not in defaults and getattr(args, flag.replace("-", "_")) is not None:
+            raise DataError(f"--{flag} is read only by --model {', '.join(defaults)}, "
                             f"not by --model {model_kind}")
 
 
@@ -533,8 +523,9 @@ def cmd_train(args) -> None:
         "test_fraction": split_cfg.test_fraction,
         "version": __version__,
     }
-    for key, flag, _, default in pipeline.options:
-        run_config[key] = _resolve(args, flag, default)
+    for flag, (_, defaults) in _MODEL_FLAGS.items():
+        if model_kind in defaults:
+            run_config[flag.replace("-", "_")] = _resolve(args, flag, defaults[model_kind])
     train_set, _ = split(load_corpus(corpus_path).labeled_only(), split_cfg)
     run_config["train_ids_sha256"] = _ids_digest(train_set)
     artifacts, outputs = pipeline.fit(run_config, train_set.documents, _binary_labels(train_set))
@@ -570,9 +561,7 @@ def _run_from_text(text: str) -> tuple[dict, SplitConfig]:
     for key, kind in _RUN_KEYS.items():
         if key not in run:
             raise DataError(f"missing key {key!r}")
-        if type(run[key]) not in _JSON_TYPES[kind]:
-            expected = " or ".join(t.__name__ for t in _JSON_TYPES[kind])
-            raise DataError(f"key {key!r} must be {expected}, got {run[key]!r}")
+        _json_value(kind, key, run[key])
     if run["model"] not in PIPELINES:
         raise DataError(f"unknown model {run['model']!r}")
     return run, SplitConfig(test_fraction=run["test_fraction"], seed=run["seed"])
@@ -645,15 +634,14 @@ def _opt(flag: str, kind, default, text: str) -> _Option:
 
 
 def _model_options() -> tuple:
-    """One train row per PIPELINES flag, added once however many models read it;
-    its help names each model's default, which cmd_train passes to _resolve."""
+    """One train row per _MODEL_FLAGS flag; its help names each model's default,
+    which cmd_train passes to _resolve."""
     rows = []
-    for flag, readers in _FLAG_READERS.items():
+    for flag, (kind, defaults) in _MODEL_FLAGS.items():
         uses: dict[str, list[str]] = {}
-        for model, (_, default) in readers.items():
+        for model, default in defaults.items():
             use = "required" if default is None else f"default {default}"
             uses.setdefault(use, []).append(model)
-        kind = next(iter(readers.values()))[0]
         rows.append(_Option(flag, kind, None, "; ".join(
             f"{', '.join(models)}: {use}" for use, models in uses.items())))
     return tuple(rows)
@@ -712,6 +700,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, *_) -> None:
+    """A warning as one ``warning: <message>`` line on stderr, with no source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
@@ -722,25 +715,27 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    try:
-        args.file_config = load_json(args.config) if args.config else {}
-        args.resolved = {}
-        _resolve(args, "out")
-        args.header = None  # built by the command's first _write
-        args.func(args)
-        return 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (SatiraError, ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        log.debug("traceback", exc_info=True)
-        return 2
-    except MemoryError as exc:
-        print(f"error: {args.command} ran out of memory" + (f": {exc}" if str(exc) else ""),
-              file=sys.stderr)
-        log.debug("traceback", exc_info=True)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args.file_config = load_json(args.config) if args.config else {}
+            args.resolved = {}
+            _resolve(args, "out")
+            args.header = None  # built by the command's first _write
+            args.func(args)
+            return 0
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except (SatiraError, ValueError, ArithmeticError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            log.debug("traceback", exc_info=True)
+            return 2
+        except MemoryError as exc:
+            print(f"error: {args.command} ran out of memory" + (f": {exc}" if str(exc) else ""),
+                  file=sys.stderr)
+            log.debug("traceback", exc_info=True)
+            return 2
 
 
 if __name__ == "__main__":

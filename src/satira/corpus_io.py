@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -113,8 +114,6 @@ class SplitConfig:
 
 
 def _round_half_up(x: float) -> int:
-    import math
-
     return int(math.floor(x + 0.5))
 
 

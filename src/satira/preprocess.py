@@ -20,7 +20,6 @@ only the keys it returns, and a whole ranking is formatted as it is written.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
@@ -28,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._matching import PhraseIndex, occurrences, phrase_index
-from .corpus_io import Document, LabeledCorpus
+from .corpus_io import Document, LabeledCorpus, _round_half_up
 from .fileio import parse_phrase_file
 from .vectorize import Analyzer, _Windows
 
@@ -141,7 +140,7 @@ def top_count(n_keys: int, fraction: float) -> int:
     A ``fraction`` outside (0, 1] is refused whatever ``n_keys`` is."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    return min(n_keys, max(1, int(math.floor(fraction * n_keys + 0.5))))
+    return min(n_keys, max(1, _round_half_up(fraction * n_keys)))
 
 
 def top_fraction(freq: NgramFrequency, fraction: float) -> list[tuple[str, int]]:

@@ -7,6 +7,12 @@ package needs no statistics dependency. For t >= 0 and df = v,
     P(T > t) = 0.5 * I_x(v/2, 1/2)   with   x = v / (v + t^2)
 
 so the two-tailed p-value is simply I_x(v/2, 1/2) evaluated at |t|.
+
+Its log10 is computed in log space from ln s, s = t^2 / v = (1 - x) / x,
+so it stays finite where the p-value underflows double precision: on the
+continued fraction's lower side ln I_x is the log of its front factor plus
+the log of the fraction, and on the upper side it is ``log1p`` of minus the
+other tail.
 """
 
 from __future__ import annotations
@@ -60,6 +66,12 @@ def _betacf(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
+def _ln_front(ln_x: float, ln_y: float, a: float, b: float) -> float:
+    """ln of x^a (1 - x)^b / B(a, b), the factor in front of the continued
+    fraction, from ln x and ln y = ln(1 - x)."""
+    return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * ln_x + b * ln_y
+
+
 def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1], accurate to ~1e-14."""
     if not 0.0 <= x <= 1.0:
@@ -70,18 +82,36 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
+    front = math.exp(_ln_front(math.log(x), math.log1p(-x), a, b))
     # continued fraction converges fast on this side of the mean
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+
+
+def _log_incomplete_beta(ln_x: float, ln_y: float, a: float, b: float) -> float:
+    """ln I_x(a, b) from ln x and ln y = ln(1 - x), with 0 < x < 1, in log space."""
+    ln_front = _ln_front(ln_x, ln_y, a, b)
+    x = math.exp(ln_x)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return ln_front + math.log(_betacf(a, b, x) / a)
+    return math.log1p(-math.exp(ln_front) * _betacf(b, a, math.exp(ln_y)) / b)
+
+
+def student_t_log10_p(t: float, df: float) -> float:
+    """log10 of the two-tailed p-value P(|T| >= |t|), I_x(df/2, 1/2), computed
+    in log space, so it is finite for any finite ``t``."""
+    if math.isnan(t) or math.isnan(df):
+        return math.nan
+    if t == 0.0:
+        return 0.0
+    if math.isinf(t):
+        return -math.inf
+    ln_s = 2.0 * math.log(abs(t)) - math.log(df)  # s = t^2 / df = (1 - x) / x
+    # ln(1 + s), with no exp that can overflow
+    ln_1ps = ln_s + math.log1p(math.exp(-ln_s)) if ln_s > 0 else math.log1p(math.exp(ln_s))
+    ln_p = _log_incomplete_beta(-ln_1ps, ln_s - ln_1ps, df / 2.0, 0.5)
+    return min(ln_p, 0.0) / math.log(10.0)
 
 
 def student_t_sf(t: float, df: float) -> float:
@@ -107,6 +137,7 @@ class NanPolicy(Enum):
 class TTestResult:
     statistic: float
     p_value: float
+    log10_p_value: float  # finite where p_value underflows to 0
     df: float
     n_a: int
     n_b: int
@@ -151,7 +182,7 @@ def ttest_two_tailed(
         df = math.nan  # set below from the data
 
     if has_nan:
-        return TTestResult(math.nan, math.nan, df, n_a, n_b, variant, nan_policy)
+        return TTestResult(math.nan, math.nan, math.nan, df, n_a, n_b, variant, nan_policy)
 
     mean_a = float(np.mean(xa))
     mean_b = float(np.mean(xb))
@@ -174,7 +205,8 @@ def ttest_two_tailed(
     statistic = (mean_a - mean_b) / se
     p_value = 2.0 * student_t_sf(abs(statistic), df)
     p_value = min(p_value, 1.0)
-    return TTestResult(statistic, p_value, df, n_a, n_b, variant, nan_policy)
+    log10_p = student_t_log10_p(statistic, df)
+    return TTestResult(statistic, p_value, log10_p, df, n_a, n_b, variant, nan_policy)
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,8 @@ when they are read.
 ``transform`` only has to find the vocabulary's features in the documents,
 a fixed-dictionary matching problem (Aho & Corasick 1975), so it ranks no
 window of the documents: it walks the prefix trie of the features
-(``_Trie``). The units that the features hold get ids, and every other unit,
+(``_Trie``). The units that the features hold get ids from ``_unit_ids``,
+as in ``_Windows`` but over the features' units alone, and every other unit,
 and one separator after each document, one "none" id, so no window runs past
 its document. Level by level, each position whose window so far is a
 feature's prefix steps to the node of its window one unit longer, through a
@@ -470,49 +471,42 @@ def fit(docs: Sequence[Document], cfg: VectorizerConfig) -> Vocabulary:
 class _Trie:
     """The prefix trie of a vocabulary's features, one level per prefix length n.
 
-    The units that the features hold get ids ``0 .. n_units - 1``, and every
-    other unit the "none" id ``n_units``, which no feature holds. A level-n node
-    is a distinct n-unit prefix of a feature. Its id is the rank of its pair key
-    ``parent * (n_units + 1) + unit`` (its level-(n - 1) prefix's node, the root
-    0 at level 1, and its last unit) among the level's pair keys. A level's step
-    maps a pair key to its node, or to -1 where no feature has that prefix. It is
-    a dense int32 table over the pair keys when that table holds at most
-    ``TABLE_PER_UNIT`` entries per position walked, the rule of
-    ``_Windows.advance``, else the sorted pair keys, read by ``np.searchsorted``.
+    The units that the features hold get ids ``0 .. n_units - 1`` from
+    ``_unit_ids``, and every other unit the "none" id ``n_units``, which no
+    feature holds. A level-n node is a distinct n-unit prefix of a feature.
+    Its id is the rank of its pair key ``parent * (n_units + 1) + unit`` (its
+    level-(n - 1) prefix's node, the root 0 at level 1, and its last unit) among
+    the level's pair keys. A level's step maps a pair key to its node, or to -1
+    where no feature has that prefix. It is a dense int32 table over the pair
+    keys when that table holds at most ``TABLE_PER_UNIT`` entries per position
+    walked, the rule of ``_Windows.advance``, else the sorted pair keys, read by
+    ``np.searchsorted``.
     ``columns[n - 1]`` gives each level-n node its feature's column, or -1 for a
     prefix that is no feature; it is None at a level that ends no feature.
     """
 
     def __init__(self, names: Sequence[str], analyzer: Analyzer, positions: int):
         self.analyzer = analyzer
+        seqs = names if analyzer is Analyzer.CHAR else [f.split(" ") for f in names]
+        ids, table = _unit_ids(seqs, analyzer)
+        self.n_units = len(table)
         if analyzer is Analyzer.CHAR:
-            lengths = np.fromiter(map(len, names), dtype=np.int64, count=len(names))
-            points = np.frombuffer("".join(names).encode("utf-32-le", "surrogatepass"),
-                                   dtype=np.uint32)
-            held = np.unique(points)
-            self.n_units = len(held)
             # by codepoint, up to one past the largest held, so a clipped lookup of
             # any larger one is "none" too
+            held = np.fromiter(map(ord, table), dtype=np.int64, count=self.n_units)
             self.index = np.full(int(held.max(initial=0)) + 2, self.n_units, dtype=np.int32)
             self.index[held] = np.arange(self.n_units, dtype=np.int32)
-            ids = self.index[points]
         else:
-            tokens = [f.split(" ") for f in names]
-            lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(names))
-            self.index = {t: i for i, t in enumerate(dict.fromkeys(chain.from_iterable(tokens)))}
-            self.n_units = len(self.index)
-            ids = np.fromiter(map(self.index.__getitem__, chain.from_iterable(tokens)),
-                              dtype=np.int32, count=int(lengths.sum()))
-        # each feature's unit ids, one row per feature, padded with "none"
-        rows = np.full((len(names), int(lengths.max(initial=0))), self.n_units, dtype=np.int32)
-        rows[np.repeat(np.arange(len(names)), lengths),
-             np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = ids
+            self.index = dict(zip(table, range(self.n_units)))
+        lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+        first = np.cumsum(lengths) - lengths  # where each feature's units start in ids
         self.span = self.n_units + 1
         self.steps, self.columns = [], []
         node, nodes = np.zeros(len(names), dtype=np.int64), 1
-        for n in range(1, rows.shape[1] + 1):
+        for n in range(1, int(lengths.max(initial=0)) + 1):
             at = np.flatnonzero(lengths >= n)
-            pairs, node[at] = np.unique(node[at] * self.span + rows[at, n - 1], return_inverse=True)
+            pairs, node[at] = np.unique(node[at] * self.span + ids[first[at] + n - 1],
+                                        return_inverse=True)
             if nodes * self.span <= TABLE_PER_UNIT * positions:
                 step = np.full(nodes * self.span, -1, dtype=np.int32)
                 step[pairs] = np.arange(len(pairs), dtype=np.int32)

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 
-from satira import load_corpus, ngram_frequency, top_fraction, vectorize
+from satira import (Label, Lexicon, corpus_profile, lexicon_score, load_corpus, make_document,
+                    ngram_frequency, top_fraction, vectorize)
 from satira.cli import _COMMANDS, PIPELINES
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+LEXICONS = SCRIPTS.parent / "lexicons"
 
 
 def load_script(name):
@@ -76,3 +78,25 @@ def test_tied_cuts_fall_inside_runs_of_equal_counts(tmp_path):
             counts = [count for _, count in top_fraction(ngram_frequency(corpora[corpus], n), 1.0)]
             k = math.floor(fraction * len(counts) + 0.5)  # as top_fraction rounds
             assert 1 <= k < len(counts) and counts[k - 1] == counts[k], (corpus, n)
+
+
+def test_lexicon_corpus_varies_j_and_s_within_both_classes(tmp_path):
+    """So the check set's t-tests and densities of J and S are computed, not skipped."""
+    check_set = load_script("check_set")
+    path = tmp_path / "lexical.jsonl"
+    path.write_text(check_set.lexicon_corpus_text(), encoding="utf-8")
+    cliches = Lexicon.from_file(LEXICONS / "cliches.txt", name="cliches")
+    emotions = Lexicon.from_file(LEXICONS / "emotions.txt", name="emotions")
+    profile = corpus_profile(load_corpus(path).labeled_only(), cliches, emotions)
+    assert set(profile) == {Label.FAKE, Label.REAL}
+    for vectors in profile.values():
+        assert len({v.journalistic_register for v in vectors}) > 1
+        assert len({v.sentiment_intensity for v in vectors}) > 1
+    # the overlapping cliches count once: the longest match from the left consumes "أكد"
+    overlap = next(p for p in check_set.CLICHE_PHRASES if len(p.split()) == 4)
+    assert lexicon_score(make_document("x", overlap), cliches) == 1 / 4
+    measured = [argv for argv in satira_commands() if check_set.LEXICAL in argv]
+    assert [argv[0] for argv in measured] == ["measure"]
+    out = measured[0][measured[0].index("--out") + 1]
+    assert {argv[0] for argv in satira_commands() if f"{out}/measures.csv" in argv} == {
+        "ttest", "plot-data"}

@@ -14,7 +14,7 @@ import pytest
 
 from satira import (DataError, Label, SplitConfig, __version__, cli, load_corpus,
                     ngram_frequency, preprocess, save_corpus, split, top_fraction, vectorize)
-from satira.cli import _COMMANDS, _FLAG_READERS, PIPELINES, main
+from satira.cli import _COMMANDS, _MODEL_FLAGS, PIPELINES, main
 from satira.fileio import base64_rows, load_json
 from satira.models.boosted_trees import gbt_from_text, gbt_to_text, load_gbt
 from satira.models.convnet import cnn_from_text, cnn_to_text
@@ -317,6 +317,20 @@ class TestMeasureTtestPlot:
         printed = capsys.readouterr().out
         assert "statistic=0.0" in printed
         assert "p_value=1.0" in printed
+
+    def test_ttest_prints_log10_p_value_where_p_value_underflows(self, tmp_path, capsys):
+        rows = ["doc_id,label,J,S,fpp_ratio"]
+        for i in range(3000):
+            rows.append(f"f{i},fake,{0.9 + 0.001 * (i % 7)},0.5,")
+            rows.append(f"r{i},real,{0.1 + 0.001 * (i % 5)},0.5,")
+        measures = tmp_path / "measures.csv"
+        measures.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+        assert run("ttest", "--measures", measures, "--measure", "J",
+                   "--out", tmp_path / "t") == 0
+        printed = capsys.readouterr().out
+        log10_p = float(re.search(r" p_value=0\.0 log10_p_value=(\S+) df=", printed).group(1))
+        assert -math.inf < log10_p < -308
+        assert body(tmp_path / "t" / "ttest.txt") == printed
 
     @pytest.mark.parametrize(
         "row, message",
@@ -645,6 +659,28 @@ class TestTrainEvaluatePredict:
         assert load_json(path)["stratified"] is True
         assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
                    "--out", tmp_path / "eval") == 0
+
+    def test_run_json_records_each_flag_under_its_own_name(self, corpus_file, tmp_path):
+        for kind in PIPELINES:
+            assert train(corpus_file, kind, tmp_path / kind) == 0
+            record = load_json(tmp_path / kind / "run.json")
+            read = {flag for flag, (_, defaults) in _MODEL_FLAGS.items() if kind in defaults}
+            assert {f.replace("-", "_") for f in read} <= set(record), kind
+        assert load_json(tmp_path / "cnn" / "run.json")["learning_rate"] == 1e-3
+
+    def test_cnn_run_json_with_adam_lr_still_evaluates_and_predicts(self, corpus_file,
+                                                                   tmp_path):
+        """A CNN run written when run.json recorded --learning-rate as adam_lr."""
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, "cnn", model_dir) == 0
+        path = model_dir / "run.json"
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            '"learning_rate"', '"adam_lr"'), encoding="utf-8")
+        assert "adam_lr" in load_json(path) and "learning_rate" not in load_json(path)
+        assert run("evaluate", "--corpus", corpus_file, "--model-dir", model_dir,
+                   "--out", tmp_path / "eval") == 0
+        assert run("predict", "--corpus", corpus_file, "--model-dir", model_dir,
+                   "--out", tmp_path / "pred") == 0
 
     @pytest.mark.parametrize("body", ["3", "{"])
     def test_run_json_not_an_object_exits_2(self, corpus_file, tmp_path, capsys, body):
@@ -1129,7 +1165,8 @@ def option_values() -> list[tuple[str, str, str, object]]:
     return [(command, model, opt.flag, value)
             for command, (_, _, rows) in _COMMANDS.items() for opt in rows
             if opt.kind in values
-            for model in (_FLAG_READERS.get(opt.flag, PIPELINES) if command == "train" else "-")
+            for model in (_MODEL_FLAGS.get(opt.flag, (None, PIPELINES))[1] if command == "train"
+                          else "-")
             for value in values[opt.kind]]
 
 
@@ -1446,3 +1483,23 @@ class TestEvaluateScoresHeldOutDocuments:
         for command, corpus in (("predict", ("--corpus", corpus_file)), ("features", ())):
             assert run(command, *corpus, "--model-dir", path.parent,
                        "--out", tmp_path / command) == 0
+
+
+class TestWarnings:
+    """A warning is one ``warning: <message>`` line on stderr, with no source path,
+    line number or code; the exit code is the command's own."""
+
+    def test_features_k_beyond_the_vocabulary(self, corpus_file, tmp_path, capsys):
+        model_dir = tmp_path / "run"
+        assert train(corpus_file, "nb", model_dir) == 0
+        capsys.readouterr()
+        assert run("features", "--model-dir", model_dir, "--k", 100000,
+                   "--out", tmp_path / "feat") == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"(warning: k=100000 exceeds vocabulary size \d+; clamping\n)+", err)
+
+    def test_cnn_training_overflow(self, corpus_file, tmp_path, capsys):
+        assert train(corpus_file, "cnn", tmp_path / "run", "--learning-rate", 1e300) == 2
+        *warned, error = capsys.readouterr().err.splitlines()
+        assert error == "error: nan training loss at epoch 0, batch 1"
+        assert warned and all(re.fullmatch(r"warning: [^/]*", line) for line in warned), warned

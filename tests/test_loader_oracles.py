@@ -11,21 +11,23 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from satira import fileio, make_document
-from satira.models import BoostConfig, gbt_fit, nb_fit
+from satira import DataError, fileio, make_document
+from satira.models import BoostConfig, gbt_fit, load_cnn, load_nb, load_token_index, nb_fit
 from satira.models.boosted_trees import gbt_from_text, gbt_to_text
-from satira.models.convnet import cnn_from_text, cnn_to_text
+from satira.models.convnet import ConvNetModel, cnn_from_text, cnn_to_text
 from satira.models.embeddings import (
     _token_index_from_text,
     build_token_index,
     token_index_to_text,
 )
-from satira.models.naive_bayes import nb_from_text, nb_to_text
+from satira.models.naive_bayes import NaiveBayesModel, nb_from_text, nb_to_text
 from satira.vectorize import (
     Analyzer,
+    Vocabulary,
     VectorizerConfig,
     Weighting,
     fit,
+    load_vocabulary,
     transform,
     vocabulary_from_text,
     vocabulary_to_text,
@@ -199,3 +201,68 @@ def test_row_with_two_faults_names_the_one_checked_first(name, line, bad, messag
     expected = outcome(load_by_rows, corrupted_text)
     assert expected[1].startswith(message)
     assert outcome(load, corrupted_text) == expected
+
+
+# field values that break a row's parse, or parse and break a later check
+FIELDS = st.sampled_from([b"", b"x", b"-1", b"0", b"1", b"2", b"nan", b"inf", b"-1e999",
+                          b"9" * 25, b"0.5", b"AAAA", b"AAAAAAAAAAA=", b"0\t0", b" "])
+
+
+@st.composite
+def mangled(draw, text: str) -> bytes:
+    """The bytes of ``text`` after one to three edits: a bit flipped, a cut at
+    any byte, a line deleted or repeated, or a field of a line (split at tabs,
+    or at spaces where a line holds no tab) replaced. A flipped bit may leave
+    bytes that are not UTF-8, which the file reader refuses."""
+    data = text.encode("utf-8")
+    for _ in range(draw(st.integers(1, 3))):
+        lines = data.splitlines(keepends=True)
+        edit = draw(st.sampled_from(["flip", "cut", "delete", "repeat", "field"]))
+        if edit in ("flip", "cut"):
+            at = draw(st.integers(0, max(len(data) - 1, 0)))
+            if edit == "cut":
+                data = data[:at]
+            elif data:
+                data = data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1:]
+            continue
+        if not lines:
+            continue
+        k = draw(st.integers(0, len(lines) - 1))
+        if edit == "field":
+            line = lines[k].rstrip(b"\n")
+            sep = b"\t" if b"\t" in line else b" "
+            fields = line.split(sep)
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(FIELDS)
+            lines[k] = sep.join(fields) + lines[k][len(line):]
+        else:
+            lines[k:k + 1] = [] if edit == "delete" else [lines[k]] * 2
+        data = b"".join(lines)
+    return data
+
+
+# artifact -> (its loader of a file, the type of what the loader returns)
+FILE_LOADERS = {
+    **{name: (load_vocabulary, Vocabulary) for name in ARTIFACTS if name.startswith("vocab")},
+    "nb": (load_nb, NaiveBayesModel),
+    "token-index": (load_token_index, dict),
+    "cnn": (load_cnn, ConvNetModel),
+    "cnn-fixture": (load_cnn, ConvNetModel),
+}
+
+
+@pytest.mark.parametrize("name", FILE_LOADERS)
+def test_every_mangled_artifact_loads_or_is_a_data_error(tmp_path, name):
+    """A corrupted file never ends in any exception but ``DataError``."""
+    load, kind = FILE_LOADERS[name]
+    path = tmp_path / "artifact.txt"
+
+    @settings(max_examples=1000, deadline=None)
+    @given(mangled(ARTIFACTS[name][0]))
+    def check(bad):
+        path.write_bytes(bad)
+        try:
+            assert isinstance(load(path), kind)
+        except DataError:
+            pass
+
+    check()

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from satira import (
     student_t_sf,
     ttest_two_tailed,
 )
-from satira.stats import density_to_csv
+from satira.stats import density_to_csv, student_t_log10_p
 
 NAN = float("nan")
 
@@ -159,6 +160,48 @@ class TestTTest:
         ts = np.linspace(0.0, 8.0, 60)
         ps = [2.0 * student_t_sf(t, df) for t in ts]
         assert all(p2 < p1 for p1, p2 in zip(ps, ps[1:]))
+
+
+def mpmath_log10_p(t: float, df: float):
+    """log10 of the two-tailed p-value I_x(df/2, 1/2), x = df / (df + t^2), at 50 digits."""
+    with mpmath.workdps(50):
+        t, df = mpmath.mpf(t), mpmath.mpf(df)
+        x = df / (df + t * t)
+        return mpmath.log10(mpmath.betainc(df / 2, mpmath.mpf(1) / 2, 0, x, regularized=True))
+
+
+def assert_close_to_mpmath(t: float, df: float):
+    exact = mpmath_log10_p(t, df)
+    assert abs(student_t_log10_p(t, df) - exact) <= 1e-10 * abs(exact), (t, df)
+
+
+class TestLog10PValue:
+    # the J, S and fpp statistics of `satira ttest` on the paper-scale corpus
+    # (scripts/paper_scale.py), whose p-values underflow double precision
+    @pytest.mark.parametrize("t", [-41.12524291879902, 40.859059701560916, 89.4457576755712])
+    def test_paper_scale_statistics_match_mpmath(self, t):
+        assert 2.0 * student_t_sf(abs(t), 6893.0) == 0.0
+        assert_close_to_mpmath(t, 6893.0)
+
+    @given(t=st.floats(1e-6, 1e3), negative=st.booleans(), df=st.floats(0.5, 1e4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mpmath(self, t, negative, df):
+        assert_close_to_mpmath(-t if negative else t, df)
+
+    def test_edges(self):
+        assert student_t_log10_p(0.0, 5.0) == 0.0
+        assert student_t_log10_p(math.inf, 5.0) == -math.inf
+        assert math.isnan(student_t_log10_p(math.nan, 5.0))
+
+    def test_ttest_reports_it_beside_p_value(self):
+        result = ttest_two_tailed([1, 2, 3, 4], [7, 8, 9, 11])
+        assert result.log10_p_value == pytest.approx(math.log10(result.p_value), rel=1e-12)
+        assert_close_to_mpmath(result.statistic, result.df)
+        fake = [0.9 + 0.001 * (i % 7) for i in range(3000)]
+        real = [0.1 + 0.001 * (i % 5) for i in range(3000)]
+        underflow = ttest_two_tailed(fake, real)
+        assert underflow.p_value == 0.0 and -math.inf < underflow.log10_p_value < -308
+        assert math.isnan(ttest_two_tailed([1, NAN], [2, 3]).log10_p_value)
 
 
 class TestDensityHistogram:
