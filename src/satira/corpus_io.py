@@ -20,9 +20,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import dropwhile
+from itertools import chain, dropwhile
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DataError
 from .fileio import parse_file, text_lines
@@ -61,6 +63,14 @@ class Document:
         return len(self.tokens)
 
 
+def _word_ids(seqs: Sequence[Sequence[str]]) -> tuple[np.ndarray, list[str]]:
+    """Dense int32 ids of the tokens of the concatenated sequences, in order of
+    first appearance, and the distinct tokens by id."""
+    index = {token: i for i, token in enumerate(dict.fromkeys(chain.from_iterable(seqs)))}
+    ids = map(index.__getitem__, chain.from_iterable(seqs))
+    return np.fromiter(ids, dtype=np.int32, count=sum(map(len, seqs))), list(index)
+
+
 def make_document(doc_id: str, text: str, label: Optional[Label] = None) -> Document:
     return Document(id=doc_id, text=text, label=label)
 
@@ -84,6 +94,18 @@ class LabeledCorpus:
             if doc.label is not None:
                 counts[doc.label] += 1
         return counts
+
+    @cached_property
+    def token_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The id of every token of the documents, concatenated in order, as an
+        int32 array, and the distinct tokens by id, as an object array (``_word_ids``
+        of each ``doc.tokens``), both read-only and computed on first use. The
+        corpus and its documents are frozen, so the ids never go stale; n-gram
+        counting shares both arrays instead of numbering the tokens again."""
+        ids, tokens = _word_ids([doc.tokens for doc in self.documents])
+        table = np.array(tokens, dtype=object)
+        ids.flags.writeable = table.flags.writeable = False
+        return ids, table
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -15,6 +15,9 @@ holds its ``counts`` unranked, so their length ranks nothing.
 ``ngram<TAB>count`` lines, of the n-grams at ``order`` a chunk at a time. So
 ``top_fraction`` ranks only the n-grams tied with or above its cut and builds
 only the keys it returns, and a whole ranking is formatted as it is written.
+A ``LabeledCorpus`` numbers its tokens once (``LabeledCorpus.token_ids``), so
+the unigram, bigram and trigram dictionaries of one corpus, whether from one
+``ngram_frequencies`` call or three ``ngram_frequency`` calls, share its ids.
 """
 
 from __future__ import annotations
@@ -122,11 +125,21 @@ def ngram_frequencies(
     corpus: LabeledCorpus | Iterable[Document], ns: Sequence[int]
 ) -> Iterator[NgramFrequency]:
     """``ngram_frequency`` for each n in ``ns``, by increasing n, from one
-    ``_Windows`` walked once."""
+    ``_Windows`` walked once. A bad n is refused when this is called.
+
+    A ``LabeledCorpus`` numbers its tokens once (``LabeledCorpus.token_ids``),
+    and every call on it shares those ids; other documents are numbered anew."""
     for n in ns:
         if n not in (1, 2, 3):
             raise ValueError(f"n must be 1, 2 or 3, got {n}")
-    win = _Windows([doc.tokens for doc in corpus], Analyzer.WORD)
+    return _frequencies(corpus, ns)
+
+
+def _frequencies(
+    corpus: LabeledCorpus | Iterable[Document], ns: Sequence[int]
+) -> Iterator[NgramFrequency]:
+    units = corpus.token_ids if isinstance(corpus, LabeledCorpus) else None
+    win = _Windows([doc.tokens for doc in corpus], Analyzer.WORD, units)
     for n in win.levels(max(ns)):
         if n not in ns:
             continue

@@ -31,7 +31,11 @@ level, either the table, at most 8 bytes more per unit, or each block's
 distinct pairs as int64, also at most 8 bytes more per unit, which the
 merge into the level's sorted distinct pairs copies once, sorts in place
 and masks: about 25 bytes per unit at its peak, where almost every pair is
-distinct.
+distinct. The WORD ids of a ``LabeledCorpus`` that ``preprocess`` counts are
+its ``token_ids``, which ``_Windows`` shares as its unit array and unit table,
+so these live as long as the corpus: 4 bytes per token and 8 per distinct
+token, about 8.5 MB at paper scale. Word ids, here, in ``_Trie`` and in the
+corpus, come from one function, ``corpus_io._word_ids``.
 
 The distinct units are kept in a table by id, so an n-gram's string is
 built from its position: its n units looked up in that table, joined by
@@ -96,7 +100,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus_io import Document
+from .corpus_io import Document, _word_ids
 from .errors import DataError
 from .fileio import BodyReader, float_rows, parse_file
 
@@ -211,9 +215,7 @@ def _unit_ids(seqs: Sequence[Sequence[str]], analyzer: Analyzer) -> tuple[np.nda
         present[points] = True
         table = list(map(chr, np.flatnonzero(present).tolist()))
         return (np.cumsum(present, dtype=np.int32) - 1)[points], table
-    index = {unit: i for i, unit in enumerate(dict.fromkeys(chain.from_iterable(seqs)))}
-    ids = map(index.__getitem__, chain.from_iterable(seqs))
-    return np.fromiter(ids, dtype=np.int32, count=sum(map(len, seqs))), list(index)
+    return _word_ids(seqs)
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -250,7 +252,8 @@ class _Windows:
     ``preprocess.ngram_frequency`` count and rank with it.
     """
 
-    def __init__(self, seqs: Sequence[Sequence[str]], analyzer: Analyzer):
+    def __init__(self, seqs: Sequence[Sequence[str]], analyzer: Analyzer,
+                 units: Optional[tuple[np.ndarray, np.ndarray]] = None):
         self.lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
         size = int(self.lens.sum())
         if size >= UNIT_LIMIT:
@@ -259,9 +262,11 @@ class _Windows:
                 f"n-gram ids are counted for fewer than {UNIT_LIMIT}"
             )
         self.analyzer = analyzer
-        self.units, table = _unit_ids(seqs, analyzer)
+        # given ``units``, the ``_unit_ids`` of ``seqs`` with the table as an object
+        # array, both are shared, never written
+        self.units, table = _unit_ids(seqs, analyzer) if units is None else units
         self.n_units = len(table)
-        self.table = np.array(table, dtype=object)  # the distinct units by id
+        self.table = np.asarray(table, dtype=object)  # the distinct units by id
         self.ids = self.units.copy()
         self.n_ids = self.n_units
         self.starts = np.concatenate(([0], np.cumsum(self.lens)))

@@ -22,7 +22,7 @@ from satira import (
     normalize,
     top_fraction,
 )
-from satira import preprocess, vectorize
+from satira import corpus_io, preprocess, vectorize
 
 
 def ranked_tsv(freq) -> str:
@@ -480,3 +480,66 @@ class TestRankedCounts:
             finally:
                 tracemalloc.stop()
             assert peak / len(freq.counts) <= 36, f"n = {freq.n}"
+
+
+class TestTokenIdsOnce:
+    """A ``LabeledCorpus`` numbers its tokens once, and every n-gram count on it
+    reads those ids."""
+
+    def corpus(self):
+        return corpus_of(["a", "b", "a", "c"], ["b", "a", "b"], ["c"], ["a\x01", "c", "a"])
+
+    def test_ids_computed_once_and_outputs_unchanged(self):
+        corpus = self.corpus()
+        fresh = self.corpus()
+        with mock.patch.object(corpus_io, "_word_ids", wraps=corpus_io._word_ids) as numbered, \
+                mock.patch.object(vectorize, "_unit_ids", wraps=vectorize._unit_ids) as unit_ids:
+            freqs = [ngram_frequency(corpus, n) for n in (3, 1, 2, 1, 2, 3)]
+            assert numbered.call_count == 1 and unit_ids.call_count == 0
+        for freq in freqs:
+            for other in (ngram_frequency(fresh, freq.n), ngram_frequency(list(fresh), freq.n)):
+                assert ranking(freq) == ranking(other)
+                assert ranked_tsv(freq) == ranked_tsv(other)
+                assert freq.ranking().tolist() == other.ranking().tolist()
+
+    def test_documents_not_in_a_corpus_are_numbered_per_call(self):
+        docs = list(self.corpus())
+        with mock.patch.object(vectorize, "_word_ids", wraps=vectorize._word_ids) as numbered:
+            for n in (1, 2, 3):
+                ngram_frequency(docs, n)
+        assert numbered.call_count == 3
+
+    def test_ids_are_shared_read_only(self):
+        corpus = self.corpus()
+        ids, table = corpus.token_ids
+        assert table.tolist() == ["a", "b", "c", "a\x01"]
+        assert ids.dtype == np.int32 and ids.tolist() == [0, 1, 0, 2, 1, 0, 1, 2, 3, 2, 0]
+        for array in (ids, table):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+        for n in (1, 2, 3):
+            win = ngram_frequency(corpus, n)._win
+            assert np.shares_memory(win.units, ids) and np.shares_memory(win.table, table)
+        assert corpus.token_ids[0] is ids
+
+    def test_derived_corpora_number_their_own_tokens(self):
+        docs = (*self.corpus(), make_document("u", "c d", None))
+        corpus = LabeledCorpus(docs)
+        assert corpus.token_ids[1].tolist() == ["a", "b", "c", "a\x01", "d"]
+        labeled = corpus.labeled_only()
+        assert labeled.token_ids[1].tolist() == ["a", "b", "c", "a\x01"]
+        assert len(labeled.token_ids[0]) == len(corpus.token_ids[0]) - 2
+        tail = corpus.with_documents(docs[2:])
+        assert tail.token_ids[1].tolist() == ["c", "a\x01", "a", "d"]
+        assert tail.token_ids[0].tolist() == [0, 1, 0, 2, 0, 3]
+        for derived in (labeled, tail):
+            assert not np.shares_memory(derived.token_ids[0], corpus.token_ids[0])
+            bigrams = ngram_frequency(derived, 2)
+            assert ranking(bigrams) == ranking(ngram_frequency(list(derived), 2))
+
+    def test_bad_n_refused_when_called(self):
+        with pytest.raises(ValueError, match="n must be 1, 2 or 3, got 4"):
+            preprocess.ngram_frequencies(self.corpus(), (4,))
+        with pytest.raises(ValueError, match="n must be 1, 2 or 3, got 0"):
+            preprocess.ngram_frequencies(iter(()), (1, 0))
