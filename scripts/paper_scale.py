@@ -46,9 +46,14 @@ never runs can move it. With `--traced`, after the timed pairs, each chosen
 command runs once more per tree, in the same order and reading the runs of
 this pass, as `python -X tracemalloc` through a small wrapper that writes
 `tracemalloc.get_traced_memory()[1]` at exit: the peak of the memory Python
-and numpy allocate, which that layout does not move. Each such run records
-`traced_peak_mib`, its exit code and its body digests under `traced_runs`,
-and the summary gives each tree its `traced_peak_mib`. Tracing slows a
+and numpy allocate, which that layout does not move. The wrapper imports
+the CLI, notes the traced memory and resets the peak before the command runs,
+so each such run records two peaks: `traced_peak_mib`, the whole run's,
+import included, and `command_peak_mib`, the command's own above the memory
+the import left (importing `satira.cli` allocates some 13 MiB, which any
+change to the code or its docstrings moves). Each records them, its exit code
+and its body digests under `traced_runs`, and the summary gives each tree its
+`traced_peak_mib` and `command_peak_mib`. Tracing slows a
 command by 15% to 3.6 times, so these runs are not timed, and the timed runs
 and their figures are the same with or without `--traced`.
 """
@@ -120,15 +125,20 @@ def generate(out: Path, n_docs: int) -> None:
                     str(VOCAB_SIZE)), env=env, check=True)
 
 
-# run by a traced child as `python -X tracemalloc -c TRACED PEAK_FILE satira-argv...`
+# run by a traced child as `python -X tracemalloc -c TRACED PEAK_FILE satira-argv...`;
+# it writes the whole run's peak and the command's peak above the imported CLI
 TRACED = """
-import atexit, runpy, sys, tracemalloc
+import atexit, json, sys, tracemalloc
 peak_file = sys.argv.pop(1)
+import satira.cli
+imported, import_peak = tracemalloc.get_traced_memory()
+tracemalloc.reset_peak()
 def write_peak():
+    peak = tracemalloc.get_traced_memory()[1]
     with open(peak_file, "w") as out:
-        out.write(str(tracemalloc.get_traced_memory()[1]))
+        json.dump({"traced": max(import_peak, peak), "command": peak - imported}, out)
 atexit.register(write_peak)
-runpy.run_module("satira.cli", run_name="__main__")
+sys.exit(satira.cli.main())
 """
 
 
@@ -163,8 +173,9 @@ def run_once(launcher, out: Path, checkout: Path, argv: tuple, run_dir: str,
     wall, maxrss_kib, code = json.loads(launcher.stdout.readline())
     files = sorted(p for p in (out / run_dir).rglob("*") if p.is_file())
     if traced:  # a child killed before its exit writes no peak
-        peak = int(peak_file.read_text()) / 2**20 if peak_file.exists() else None
-        record = {"traced_peak_mib": peak and round(peak, 2)}
+        peaks = json.loads(peak_file.read_text()) if peak_file.exists() else {}
+        record = {f"{name}_peak_mib": round(peaks[name] / 2**20, 2) if peaks else None
+                  for name in ("traced", "command")}
     else:
         record = {"wall_s": round(wall, 3), "peak_rss_mb": round(maxrss_kib / 1024, 1)}
     record.update(exit=code, bodies={p.relative_to(out / run_dir).as_posix():
@@ -217,7 +228,8 @@ def summary(runs: list, checkouts: list, commands: list, traced_runs: list) -> d
                                  peak_rss_mb=spread([r["peak_rss_mb"] for r in ok]))
             for r in traced_runs:
                 if (r["command"], r["side"]) == (command, side):
-                    sides[-1]["traced_peak_mib"] = r.get("traced_peak_mib")
+                    sides[-1].update(traced_peak_mib=r["traced_peak_mib"],
+                                     command_peak_mib=r["command_peak_mib"])
         same = len({json.dumps(r["bodies"], sort_keys=True) for r in mine}) == 1
         table[command] = {"checkouts": sides, "bodies_identical": same}
     return table

@@ -13,7 +13,9 @@ Lexicon matching is one left-to-right scan with the longest matching
 phrase consumed at each position (the same rule as stop-phrase removal):
 single-token phrases reduce to the per-token indicator, multiword phrases
 count one per non-overlapping occurrence, and no token is counted twice,
-which keeps every score inside [0, 1].
+which keeps every score inside [0, 1]. ``corpus_profile`` scans each
+document's tokens once for the first tokens of both lexicons, and matches
+each lexicon only at the positions that scan finds.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._matching import PhraseIndex, occurrences, phrase_index
+from ._matching import PhraseIndex, occurrences, phrase_index, phrase_starts
 from .corpus_io import Document, Label, LabeledCorpus, parse_label
 from .errors import DataError
 from .fileio import parse_phrase_file, text_lines
@@ -72,9 +74,15 @@ def lexicon_score(doc: Document, lexicon: Lexicon) -> float:
     single tokens this is exactly the per-token indicator sum. Always in
     [0, 1]: a match never spans fewer tokens than it consumes.
     """
+    return _score(doc, lexicon.index)
+
+
+def _score(doc: Document, index: PhraseIndex, at: Optional[list[int]] = None) -> float:
+    """``lexicon_score`` against ``index``, visiting the positions ``at`` (an
+    ascending superset of those whose token starts a phrase of ``index``)."""
     if doc.size == 0:
         raise ValueError(f"document {doc.id!r} has no tokens; score undefined")
-    return sum(1 for _ in occurrences(doc.tokens, lexicon.index)) / doc.size
+    return sum(1 for _ in occurrences(doc.tokens, index, at)) / doc.size
 
 
 def corpus_profile(
@@ -87,19 +95,25 @@ def corpus_profile(
 
     ``fpp_ratios`` (from ``parse_tagged_file``) is order-aligned with the
     corpus documents; when omitted the verb ratio is absent from every vector.
+
+    Each document's tokens are scanned once, in C (``phrase_starts``), for
+    the first tokens of both lexicons; both scores are then read from the
+    positions found, as ``lexicon_score`` reads each from its own scan.
     """
     if fpp_ratios is not None and len(fpp_ratios) != len(corpus.documents):
         raise DataError(
             f"tagged input has {len(fpp_ratios)} documents, corpus has "
             f"{len(corpus.documents)}"
         )
+    firsts = cliches.index.keys() | emotions.index.keys()
     profile: dict[Label, list[MeasureVector]] = {Label.FAKE: [], Label.REAL: []}
     for i, doc in enumerate(corpus.documents):
         if doc.label is None:
             raise DataError(f"document {doc.id!r} is unlabeled")
+        at = phrase_starts(doc.tokens, firsts)
         try:
-            j = lexicon_score(doc, cliches)
-            s = lexicon_score(doc, emotions)
+            j = _score(doc, cliches.index, at)
+            s = _score(doc, emotions.index, at)
         except ValueError as exc:  # it names the document
             raise DataError(str(exc)) from exc
         ratio = fpp_ratios[i] if fpp_ratios is not None else None
@@ -122,7 +136,13 @@ _SPACE_FIRST = _byte_table(bytes(c.encode()[0] for c in _SPACES))
 _SPACE_LAST = _byte_table(bytes(c.encode()[-1] for c in _SPACES))
 _PREFIX, _SUFFIX = FPP_PREFIX.encode(), FPP_SUFFIX.encode()
 
-TAG_BLOCK = 1 << 20  # characters of a tagged file scanned at a time, whole lines
+# characters of a tagged file scanned at a time, whole lines. Smaller blocks keep
+# a block's numpy temporaries in cache, larger ones run fewer numpy calls: on the
+# 600-document perfbench `analysis` tags (a 2-core x86_64 host, median of 20
+# calls) a call took 23.8 / 17.6 / 19.2 / 21.0 / 23.8 / 29.3 ms in one sweep, and
+# 25.9 / 20.9 / 20.2 / 21.7 / 26.0 / 32.5 ms in another, with blocks of 1<<20,
+# 1<<18, 1<<16, 1<<15, 1<<14 and 1<<13 characters.
+TAG_BLOCK = 1 << 18
 
 
 def _utf8(text: str) -> bytes:

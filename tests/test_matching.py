@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satira._matching import occurrences, phrase_index
+from satira._matching import occurrences, phrase_index, phrase_starts
 
 
 def reference_occurrences(tokens, index):
@@ -34,6 +34,16 @@ class TestOccurrencesMatchFullScan:
     def test_random_streams(self, tokens, phrases):
         index = phrase_index(sorted(phrases))
         assert list(occurrences(tokens, index)) == list(reference_occurrences(tokens, index))
+
+    @given(tokens=st.lists(st.sampled_from(ALPHABET + ["e"]), max_size=30).map(tuple),
+           phrases=phrase_sets, extra=st.sets(st.integers(0, 29)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_ascending_superset_of_the_starts(self, tokens, phrases, extra):
+        index = phrase_index(sorted(phrases))
+        starts = phrase_starts(tokens, index)
+        assert starts == [i for i, token in enumerate(tokens) if token in index]
+        at = sorted(set(starts) | {i for i in extra if i < len(tokens)})
+        assert list(occurrences(tokens, index, at)) == list(occurrences(tokens, index))
 
     def test_nested_phrases_sharing_a_first_token(self):
         index = phrase_index(["a", "a b", "a b c", "b c"])

@@ -3,7 +3,9 @@ working: it generates its corpora, runs each command once per tree and pair,
 alternating which tree goes first, and records what each run wrote."""
 
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,6 +141,15 @@ def test_evaluate_gbt_tfidf_reads_its_own_train_run(tmp_path, capsys):
     assert 0 <= runs["evaluate_gbt_tfidf"]["macro_f1"] <= 1
 
 
+def imported_mib() -> float:
+    """The traced memory that importing ``satira.cli`` leaves, as a traced run starts."""
+    code = "import tracemalloc, satira.cli; print(tracemalloc.get_traced_memory()[0])"
+    out = subprocess.run((sys.executable, "-X", "tracemalloc", "-c", code), capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, text=True,
+                         check=True).stdout
+    return int(out) / 2**20
+
+
 def test_traced_runs_record_the_tracemalloc_peak(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # OUT is relative, and each child runs inside it
     report = paper_scale(Path(), capsys, "--commands", "predict", "--pairs", "1", "--traced",
@@ -148,6 +159,7 @@ def test_traced_runs_record_the_tracemalloc_peak(tmp_path, capsys, monkeypatch):
         (0, 0, "train_nb"), (0, 1, "train_nb"), (0, 0, "predict"), (0, 1, "predict")]
     assert all("traced_peak_mib" not in r for r in report["runs"])
     traced = report["traced_runs"]
+    imported = imported_mib()
     assert [(r["side"], r["command"]) for r in traced] == [
         (0, "train_nb"), (1, "train_nb"), (0, "predict"), (1, "predict")]
     timed = {(r["side"], r["command"]): r for r in report["runs"]}
@@ -155,12 +167,16 @@ def test_traced_runs_record_the_tracemalloc_peak(tmp_path, capsys, monkeypatch):
         assert r["exit"] == 0 and "wall_s" not in r and "peak_rss_mb" not in r
         # a traced peak is the tracemalloc high-water mark: MiB, below the RSS
         assert 0 < r["traced_peak_mib"] < timed[r["side"], r["command"]]["peak_rss_mb"]
+        # the command's own peak leaves out the memory importing the CLI holds
+        assert r["command_peak_mib"] > 0 and imported > 1
+        assert r["traced_peak_mib"] - r["command_peak_mib"] >= imported - 0.1
         assert r["bodies"] == timed[r["side"], r["command"]]["bodies"]
     for command in ("train_nb", "predict"):
         sides = report["summary"][command]["checkouts"]
-        peaks = [side["traced_peak_mib"] for side in sides]
-        assert peaks == [r["traced_peak_mib"] for r in traced if r["command"] == command]
-        # two runs of one tree give the same peak, to 0.1 MiB
-        assert abs(peaks[0] - peaks[1]) <= 0.1
+        for name in ("traced_peak_mib", "command_peak_mib"):
+            peaks = [side[name] for side in sides]
+            assert peaks == [r[name] for r in traced if r["command"] == command]
+            # two runs of one tree give the same peak, to 0.1 MiB
+            assert abs(peaks[0] - peaks[1]) <= 0.1
     assert "traced_runs" not in paper_scale(tmp_path, capsys, "--commands", "clean", "--pairs", "1",
                                             out="untraced")

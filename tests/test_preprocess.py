@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -338,6 +339,39 @@ class TestApplyStopPhrases:
         joined = " ".join(tokens)
         if not any(p in joined for p in phrases):
             assert out.tokens == doc.tokens
+
+
+# every NormalizationConfig
+ALL_CONFIGS = [NormalizationConfig(*flags) for flags in itertools.product((False, True), repeat=3)]
+# Arabic letters, a diacritic, a Latin letter, punctuation, a digit and whitespace,
+# so that the cleanups make and unmake stop-phrase occurrences
+noisy_texts = st.text(alphabet="\u0628\u062a\u064ea!1 \n\xa0", max_size=40)
+noisy_phrases = st.sets(
+    st.lists(st.sampled_from(["\u0628", "\u062a", "\u0628\u062a", "a", "1"]), min_size=1,
+             max_size=3).map(" ".join), max_size=5)
+
+
+class TestCleanCorpusMatchesPerDocument:
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=repr)
+    @given(texts=st.lists(noisy_texts, max_size=6), phrases=noisy_phrases)
+    @settings(max_examples=60, deadline=None)
+    def test_as_normalize_then_apply_stop_phrases(self, cfg, texts, phrases):
+        labels = (Label.FAKE, Label.REAL, None)
+        corpus = LabeledCorpus(tuple(make_document(f"d{i}", text, labels[i % 3])
+                                     for i, text in enumerate(texts)))
+        stops = StopPhraseList(tuple(sorted(phrases)))
+        cleaned = preprocess.clean_corpus(corpus, cfg, stops)
+        oracle = [apply_stop_phrases(replace(doc, text=normalize(doc.text, cfg)), stops)
+                  for doc in corpus]
+        assert [(d.id, d.text, d.label) for d in cleaned] == [
+            (d.id, d.text, d.label) for d in oracle]
+        # the same documents hold their tokens: those where no phrase occurs
+        assert ["tokens" in vars(d) for d in cleaned] == ["tokens" in vars(d) for d in oracle]
+        for doc in cleaned:
+            if "tokens" in vars(doc):
+                assert vars(doc)["tokens"] == tuple(doc.text.split())
+        plain = preprocess.clean_corpus(corpus, cfg)
+        assert [d.text for d in plain] == [normalize(d.text, cfg) for d in corpus]
 
 
 class TestPhraseFile:

@@ -185,6 +185,41 @@ class TestCorpusProfile:
         with pytest.raises(DataError, match="bad"):
             corpus_profile(corpus, lex("قال"), lex("رائع"))
 
+    def test_empty_document_before_an_unlabeled_one_is_the_error(self):
+        corpus = LabeledCorpus((make_document("ok", "قال", Label.REAL),
+                                make_document("bad", "", Label.FAKE),
+                                make_document("nolabel", "قال")))
+        message = "document 'bad' has no tokens; score undefined"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            corpus_profile(corpus, lex("قال"), lex("رائع"))
+
+
+# a small alphabet, so that the two lexicons share first tokens and their
+# multiword phrases nest in one another and overlap in the token stream
+ALPHABET = ["a", "b", "c", "d"]
+lexicon_phrases = st.sets(
+    st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=3).map(" ".join),
+    min_size=1, max_size=8,
+)
+
+
+class TestProfileMatchesLexiconScore:
+    @given(docs=st.lists(st.tuples(st.lists(st.sampled_from(ALPHABET + ["e"]), min_size=1,
+                                            max_size=30),
+                                   st.sampled_from([Label.FAKE, Label.REAL])),
+                         min_size=1, max_size=6),
+           cliches=lexicon_phrases, emotions=lexicon_phrases)
+    @settings(max_examples=200, deadline=None)
+    def test_one_scan_scores_as_each_lexicon_alone(self, docs, cliches, emotions):
+        corpus = LabeledCorpus(tuple(make_document(f"d{i}", " ".join(tokens), label)
+                                     for i, (tokens, label) in enumerate(docs)))
+        cliches, emotions = lex(*cliches), lex(*emotions)
+        profile = corpus_profile(corpus, cliches, emotions)
+        vectors = {v.doc_id: v for v in chain.from_iterable(profile.values())}
+        for doc in corpus:
+            assert vectors[doc.id].journalistic_register == lexicon_score(doc, cliches)
+            assert vectors[doc.id].sentiment_intensity == lexicon_score(doc, emotions)
+
 
 class TestTaggedFile:
     def test_parse(self):
